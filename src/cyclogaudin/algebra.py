@@ -56,35 +56,32 @@ def primitive_root(T: int) -> RootOfUnity:
 
 
 def _check_dim(X: np.ndarray, T: int) -> None:
-    if X.shape != (T, T):
-        raise DimensionError(f"expected shape {(T, T)}, got {X.shape}")
+    if X.shape[-2:] != (T, T):
+        raise DimensionError(f"expected trailing shape {(T, T)}, got {X.shape}")
 
 
-def sigma_pow(X, k: int, root: RootOfUnity):
+def sigma_pow(X, k: int, root: RootOfUnity) -> np.ndarray:
     """Apply sigma^k entrywise: (sigma^k X)_ij = omega^(k(j-i)) X_ij.
 
-    Accepts a plain ndarray or any object with a ``phase_mul`` method
-    (e.g. a dual-number matrix).
+    X is a (T, T) matrix or a stack (..., T, T) of them, e.g. a Jacobian
+    stack; sigma acts on every slice.
     """
-    phase = root._sigma_phase(k)
-    if hasattr(X, "phase_mul"):
-        return X.phase_mul(phase)
     X = np.asarray(X)
     _check_dim(X, root.order)
-    return X * phase
+    return X * root._sigma_phase(k)
 
 
-def grade_component(X, n: int, T: int):
-    """Project X onto g^(n) = span{E_{i,i+n}} (indices mod T)."""
-    idx = np.arange(T)
-    mask = ((idx[None, :] - idx[:, None]) % T == n % T)
-    if hasattr(X, "phase_mul"):
-        return X.phase_mul(mask.astype(complex))
+def grade_component(X, n: int, T: int) -> np.ndarray:
+    """Project X (a matrix or a (..., T, T) stack) onto g^(n) =
+    span{E_{i,i+n}} (indices mod T)."""
     X = np.asarray(X)
     _check_dim(X, T)
+    idx = np.arange(T)
+    mask = ((idx[None, :] - idx[:, None]) % T == n % T)
     return np.where(mask, X, 0.0)
 
 
 def grading_residual(X: np.ndarray, n: int, T: int) -> float:
     """Max-abs of the part of X outside grade n."""
-    return float(np.max(np.abs(np.asarray(X) - grade_component(np.asarray(X), n, T))))
+    X = np.asarray(X)
+    return float(np.max(np.abs(X - grade_component(X, n, T))))

@@ -12,7 +12,7 @@ import numpy as np
 from . import models
 from .errors import AdmissibilityError, DivergenceError, PoleProximityError
 from .gaudin import FlowId, lax_rhs
-from .jets import Jet, value_of
+from .jets import Jet
 
 DEFAULT_H = 1e-3
 CLOSURE_DELTA = 1e-4
@@ -176,14 +176,10 @@ def jet_coords(state) -> SimpleNamespace:
                            beta=state.beta)
 
 
-def _sectors(state):
-    return models.jet_context(state).sectors
-
-
 def bracket_of_gradients(state, gF: np.ndarray, gG: np.ndarray) -> complex:
     """Sector contraction sum_sec cf * (dF/dP dG/dQ - dF/dQ dG/dP)."""
     acc = 0.0 + 0.0j
-    for iP, iQ, cf in _sectors(state):
+    for iP, iQ, cf in models.sectors(state):
         acc += cf * (np.dot(gF[iP], gG[iQ]) - np.dot(gF[iQ], gG[iP]))
     return complex(acc)
 
@@ -287,7 +283,7 @@ def _transported_lagrangian(s0, f_eval: FlowId, f_arc: FlowId, t: float,
         if not np.all(np.isfinite(y)):
             raise DivergenceError("closure arc diverged")
     s = models.unpack(s0, y)
-    return complex(value_of(models.lagrangian_coeff(s, f_eval, max_depth)))
+    return complex(models.lagrangian_coeff(s, f_eval, max_depth))
 
 
 def closure_residual(s0, fA: FlowId, fB: FlowId, tau: float = 0.0,

@@ -1,7 +1,6 @@
 """Generic cyclotomic Gaudin layer: Lax matrix assembly from residue
 coefficients, coadjoint-orbit dressing, the residue Hamiltonians H_{p,r},
-the Lax partners h_r^{(p)}, Lax right-hand sides, and Lagrangian
-coefficients.
+the Lax partners h_r^{(p)}, and Lax right-hand sides.
 
 The Lax matrix is the weight-1 equivariant rational matrix
 
@@ -21,11 +20,10 @@ from math import comb
 
 import numpy as np
 
-from .algebra import RootOfUnity, grading_residual, primitive_root, sigma_pow
+from .algebra import RootOfUnity, grading_residual, primitive_root
 from .errors import (GradingError, InvalidOrderError, PoleProximityError,
                      StructuralError)
-from .jets import JetMatrix, matrix_value
-from .ratmat import INF, LaurentSeries, RationalMatrix
+from .ratmat import INF, LaurentSeries, RationalMatrix, orbit_family
 
 _GRADE_TOL = 1e-12
 MAX_DEPTH = 3
@@ -84,7 +82,11 @@ class PoleConfig:
 
 @dataclass
 class GaudinCoefficients:
-    """Residue data (A0_0, A0_1, A_1..A_N, Ainf) with grading constraints."""
+    """Residue data (A0_0, A0_1, A_1..A_N, Ainf) with grading constraints.
+
+    Each coefficient is a (T, T) matrix, or with validate=False a stack
+    (n, T, T) such as the Jacobian of the coefficients with respect to n
+    coordinates (L is linear in its coefficients)."""
 
     A0_0: object
     A0_1: object
@@ -98,7 +100,7 @@ class GaudinCoefficients:
             return
         for name, mat, grade in (("A0_0", self.A0_0, 0), ("A0_1", self.A0_1, -1),
                                  ("Ainf", self.Ainf, 1)):
-            res = grading_residual(matrix_value(mat), grade, self.T)
+            res = grading_residual(mat, grade, self.T)
             if res > _GRADE_TOL:
                 raise GradingError(f"{name} off grade {grade} by {res:.2e}")
 
@@ -157,11 +159,10 @@ def assemble_lax(C: GaudinCoefficients, P: PoleConfig) -> RationalMatrix:
     """Build the weight-1 equivariant Lax matrix from its coefficients."""
     if len(C.A_list) != P.N:
         raise StructuralError(f"expected {P.N} orbit coefficients, got {len(C.A_list)}")
-    root = P.root
     poles = [(0j, [C.A0_0, C.A0_1])]
     for zr, Ar in zip(P.zetas, C.A_list):
-        for k in range(P.T):
-            poles.append((root.power(k) * zr, [sigma_pow(Ar, k, root) * (1.0 / P.T)]))
+        poles += [(z, [c * (1.0 / P.T) for c in cs])
+                  for z, cs in orbit_family(zr, [Ar], P.root, 1)]
     return RationalMatrix(P.T, [C.Ainf], poles).trim()
 
 
@@ -206,14 +207,15 @@ def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig,
     o = max(L.pole_order(point), 1)
     K = o * (p + 1) + 2
     tr = L.laurent_expand(point, K).power(p + 1).trace_series()
+    # the scalar residue arithmetic runs on Python complex numbers
     if f.r == 0:
-        res = tr.coeff(-1 - p)
+        res = complex(tr.coeff(-1 - p))
         w = 1.0
     else:
         z = complex(point)
         res = 0j
         for j in range(0, p + 1):
-            res = res + comb(p, j) * z ** (p - j) * tr.coeff(-1 - j)
+            res = res + comb(p, j) * z ** (p - j) * complex(tr.coeff(-1 - j))
         w = float(P.T)
     return w * res / (p + 1)
 
@@ -224,7 +226,7 @@ def hamiltonian_at_infinity(p: int, L: RationalMatrix, P: PoleConfig,
     = -(1/(p+1)) [coefficient of u^(p+1)] of Tr L^(p+1) at infinity."""
     _check_depth(p, max_depth)
     tr = L.laurent_expand(INF, p + 3).power(p + 1).trace_series()
-    return -tr.coeff(p + 1) / (p + 1)
+    return -complex(tr.coeff(p + 1)) / (p + 1)
 
 
 def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig,
@@ -236,24 +238,11 @@ def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig,
     if f.r > P.N:
         raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
     point = P.slot_point(f.r)
-    G = _lax_power_series(L, P, point, f.p)
-    prin = []  # c_n = coefficient of u^(-1-n)
-    n = 0
-    while -(n + 1) >= G.low:
-        prin.append(G.coeff(-(n + 1)))
-        n += 1
-    root = P.root
-    poles = []
+    prin = _lax_power_series(L, P, point, f.p).principal()
     if f.r == 0:
-        if prin:
-            poles.append((0j, prin))
+        poles = [(0j, list(prin))]
     else:
-        for k in range(P.T):
-            zk = root.power(k) * complex(point)
-            cs = [root.power(k * (n + 1)) * sigma_pow(c, k, root)
-                  for n, c in enumerate(prin)]
-            if cs:
-                poles.append((zk, cs))
+        poles = orbit_family(complex(point), prin, P.root, 0)
     return RationalMatrix(L.dim, [], poles, validate=False).trim()
 
 
@@ -277,17 +266,16 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
     """
     h = lax_partner(f, L, P, max_depth)
     rhs = L.mul(h) - h.mul(L)
-    root = P.root
     # check pole orders do not exceed those of L, then trim the dust
     for z, cs in rhs.poles:
         allowed = L.pole_order(z)
         for k in range(allowed, len(cs)):
-            mx = float(np.max(np.abs(matrix_value(cs[k]))))
+            mx = float(np.max(np.abs(cs[k])))
             if mx > struct_tol:
                 raise StructuralError(
                     f"commutator pole at {z} of order {k+1} (magnitude {mx:.2e})")
     for c in rhs.poly:
-        if float(np.max(np.abs(matrix_value(c)))) > struct_tol:
+        if float(np.max(np.abs(c))) > struct_tol:
             raise StructuralError("commutator has an unexpected polynomial part")
     reduced_poles = []
     for z, cs in rhs.poles:
@@ -296,22 +284,11 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
             reduced_poles.append((z, cs))
     reduced = RationalMatrix(L.dim, [], reduced_poles, validate=False)
     at0 = reduced.laurent_expand(0j, 0)
-    dA0_0 = matrix_value(at0.coeff(-1))
-    dA0_1 = matrix_value(at0.coeff(-2))
-    dA_list = [P.T * matrix_value(reduced.residue(z)) for z in P.zetas]
+    dA0_0 = at0.coeff(-1)
+    dA0_1 = at0.coeff(-2)
+    dA_list = [P.T * reduced.residue(z) for z in P.zetas]
     dAinf = np.zeros((L.dim, L.dim), complex)
     return reduced, CoefficientDerivative(dA0_0, dA0_1, dA_list, dAinf)
-
-
-def lagrangian_coeff(f: FlowId, L: RationalMatrix, P: PoleConfig, kinetic,
-                     max_depth: int = MAX_DEPTH):
-    """Lagrangian coefficient of the multiform: kinetic part minus H_{p,r}.
-
-    The kinetic part Tr(A0_0 dphi0_0 phi0_0^-1) + sum_r Tr(A_r dphi_r
-    phi_r^-1) is supplied by the model realisation; total-derivative terms
-    at 0 and infinity are dropped.
-    """
-    return kinetic - hamiltonian(f, L, P, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +301,16 @@ def _residue_against_profile(G: LaurentSeries, slot_point, profile) -> np.ndarra
     """Res_{slot} of rho(lambda) * G(lambda) dlambda for a scalar profile
     rho that is either ("pole", a, m) = 1/(lambda-a)^m or ("const",)."""
     if profile[0] == "const":
-        c = G.coeff(-1)
-        return matrix_value(c)
+        return G.coeff(-1)
     _, a, m = profile
     z0 = complex(slot_point)
     if abs(a - z0) <= 1e-12:
-        return matrix_value(G.coeff(m - 1))
+        return G.coeff(m - 1)
     acc = None
     j = 0
     while -(1 + j) >= G.low:
         w = comb(m - 1 + j, j) * (-1) ** j * (z0 - a) ** (-(m + j))
-        term = w * matrix_value(G.coeff(-1 - j))
+        term = w * G.coeff(-1 - j)
         acc = term if acc is None else acc + term
         j += 1
     if acc is None:
@@ -351,7 +327,7 @@ def hamiltonian_coefficient_gradients(f: FlowId, L: RationalMatrix,
     point = P.slot_point(f.r)
     w = 1.0 if f.r == 0 else float(P.T)
     root = P.root
-    G = _lax_power_series(L.values(), P, point, f.p)
+    G = _lax_power_series(L, P, point, f.p)
     M_A00 = w * _residue_against_profile(G, point, ("pole", 0j, 1))
     M_A01 = w * _residue_against_profile(G, point, ("pole", 0j, 2))
     M_inf = w * _residue_against_profile(G, point, ("const",))

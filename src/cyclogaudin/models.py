@@ -18,7 +18,7 @@ and deliberately differs from a uniform +delta_ij convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .algebra import primitive_root, sigma_pow
 from .errors import AdmissibilityError, StructuralError
 from .gaudin import (FlowId, GaudinCoefficients, OrbitData, PoleConfig,
                      assemble_lax, hamiltonian, hamiltonian_coefficient_gradients)
-from .jets import JetMatrix
 from .ratmat import RationalMatrix
 
 _IMAG_TOL = 1e-9
@@ -184,18 +183,6 @@ def lax(state) -> RationalMatrix:
     return assemble_lax(coefficients(state), config_of(state))
 
 
-def toda_lax(s: TodaState) -> RationalMatrix:
-    return lax(s)
-
-
-def dst_lax(s: DSTState) -> RationalMatrix:
-    return lax(s)
-
-
-def coupled_lax(s: CoupledState) -> RationalMatrix:
-    return lax(s)
-
-
 # ---------------------------------------------------------------------------
 # orbit realisations
 # ---------------------------------------------------------------------------
@@ -297,7 +284,7 @@ def dst_gauge_residual(s: DSTState, lam: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# packed coordinates, jets and gradients
+# packed coordinates, coefficient Jacobians and gradients
 # ---------------------------------------------------------------------------
 
 def pack(state) -> np.ndarray:
@@ -328,24 +315,16 @@ def nvars(state) -> int:
 
 
 def coefficient_jets(state) -> GaudinCoefficients:
-    """Lax coefficients as dual-number matrices over the packed coordinates
-    (the gradient stacks are the exact coefficient/coordinate Jacobians)."""
+    """Exact Jacobians of the Lax coefficients with respect to the packed
+    coordinates, as (n, T, T) stacks: slice i of each stack is the
+    derivative of that coefficient along coordinate i."""
     T = state.T
     n = nvars(state)
-
-    def const(M):
-        return JetMatrix.const(M, n)
-
-    if isinstance(state, TodaState):
-        q_off, p_off = 0, T
-        beta = None
-    elif isinstance(state, DSTState):
+    zero = np.zeros((n, T, T), complex)
+    if isinstance(state, DSTState):
         x_off, X_off = 0, T
     else:
         q_off, p_off, x_off, X_off = 0, T, 2 * T, 3 * T
-
-    if isinstance(state, (TodaState, CoupledState)):
-        J00, J01, Jinf = _J_coeffs(state.q, state.p, T)
         a = _toda_a(np.asarray(state.q, complex))
         gJ00 = np.zeros((n, T, T), complex)
         gJ01 = np.zeros((n, T, T), complex)
@@ -354,57 +333,50 @@ def coefficient_jets(state) -> GaudinCoefficients:
             # da_j/dq_i = a_j (delta_{ij} - delta_{i, j+1})
             gJ01[q_off + i, (i + 1) % T, i] += a[i]
             gJ01[q_off + i, i, (i - 1) % T] += -a[(i - 1) % T]
-        A00_jet = JetMatrix(J00, gJ00)
-        A01_jet = JetMatrix(J01, gJ01)
-    if isinstance(state, (DSTState, CoupledState)):
-        K1 = np.outer(state.x, state.X)
-        gK1 = np.zeros((n, T, T), complex)
-        for i in range(T):
-            gK1[x_off + i, i, :] = state.X
-            gK1[X_off + i, :, i] = state.x
-        K1_jet = JetMatrix(K1, gK1)
-
-    if isinstance(state, TodaState):
-        return GaudinCoefficients(A00_jet, A01_jet, [], const(Jinf), T)
+        if isinstance(state, TodaState):
+            return GaudinCoefficients(gJ00, gJ01, [], zero, T, validate=False)
+    gK1 = np.zeros((n, T, T), complex)
+    for i in range(T):
+        gK1[x_off + i, i, :] = state.X
+        gK1[X_off + i, :, i] = state.x
     if isinstance(state, DSTState):
-        return GaudinCoefficients(const(np.diag(state.c)),
-                                  const(np.zeros((T, T))), [K1_jet],
-                                  const(_shift_basis(T, 1)), T)
-    b = state.beta
-    A00 = A00_jet + const(b * np.diag(state.c))
-    return GaudinCoefficients(A00, A01_jet, [b * K1_jet],
-                              const((1.0 + b) * _shift_basis(T, 1)), T)
+        return GaudinCoefficients(zero, zero, [gK1], zero, T, validate=False)
+    return GaudinCoefficients(gJ00, gJ01, [state.beta * gK1], zero, T,
+                              validate=False)
+
+
+def sectors(state) -> list:
+    """Sector data of the canonical bracket: (P indices, Q indices,
+    coefficient) per canonical sector of the packed coordinates."""
+    T = state.T
+    idx = np.arange(T)
+    if isinstance(state, TodaState):
+        return [(T + idx, idx, SECTOR_SIGN_PQ)]
+    if isinstance(state, DSTState):
+        return [(T + idx, idx, SECTOR_SIGN_XX)]
+    if state.beta == 0.0:
+        raise AdmissibilityError(
+            "the (x, X) bracket sector degenerates at beta = 0")
+    return [(T + idx, idx, SECTOR_SIGN_PQ),
+            (3 * T + idx, 2 * T + idx, SECTOR_SIGN_XX / state.beta)]
 
 
 @dataclass
 class JetContext:
-    """Jet-valued Lax matrix over the packed coordinates plus the sector
-    data of the canonical bracket: (P indices, Q indices, coefficient)."""
+    """The Lax matrix, its Jacobian dL/d(coords) (a Lax matrix with
+    (n, T, T) stacked coefficients) and the bracket sectors of a state."""
 
-    state: object
     config: PoleConfig
     lax: RationalMatrix
+    jacobian: RationalMatrix
     sectors: list
-    coeffs: GaudinCoefficients
 
 
 def jet_context(state) -> JetContext:
-    T = state.T
+    sec = sectors(state)  # raises at beta = 0 before any assembly
     cfg = config_of(state)
-    C = coefficient_jets(state)
-    L = assemble_lax(C, cfg)
-    idx = np.arange(T)
-    if isinstance(state, TodaState):
-        sectors = [(T + idx, idx, SECTOR_SIGN_PQ)]
-    elif isinstance(state, DSTState):
-        sectors = [(T + idx, idx, SECTOR_SIGN_XX)]
-    else:
-        if state.beta == 0.0:
-            raise AdmissibilityError(
-                "the (x, X) bracket sector degenerates at beta = 0")
-        sectors = [(T + idx, idx, SECTOR_SIGN_PQ),
-                   (3 * T + idx, 2 * T + idx, SECTOR_SIGN_XX / state.beta)]
-    return JetContext(state, cfg, L, sectors, C)
+    return JetContext(cfg, lax(state),
+                      assemble_lax(coefficient_jets(state), cfg), sec)
 
 
 def admissible_flows(state, depth: int = 3) -> list:
@@ -562,12 +534,12 @@ def invariants(state) -> dict:
 
 def coefficient_velocity(state, f: FlowId, max_depth: int = 3):
     """Time derivatives of the Lax coefficients induced by the coordinate
-    flow field, via the coefficient/coordinate Jacobians (jet stacks)."""
+    flow field, via the coefficient/coordinate Jacobian stacks."""
     v = np.asarray(flow_field(state, f, max_depth), complex)
     C = coefficient_jets(state)
 
     def push(M):
-        return np.einsum("nij,n->ij", M.grad, v)
+        return np.einsum("nij,n->ij", M, v)
 
     return (push(C.A0_0), push(C.A0_1), [push(A) for A in C.A_list],
             push(C.Ainf))

@@ -21,7 +21,6 @@ import numpy as np
 from .algebra import RootOfUnity, sigma_pow
 from .errors import (DimensionError, PoleProximityError, StructuralError,
                      TruncationError)
-from .jets import Jet, JetMatrix
 
 INF = inf  # distinguished symbol for the point at infinity
 
@@ -40,83 +39,39 @@ def _same_point(a, b) -> bool:
     return abs(a - b) <= _POLE_TOL
 
 
-def _zero_like(c):
-    if isinstance(c, JetMatrix):
-        return JetMatrix.zeros(c.dim, c.nvars)
-    if isinstance(c, Jet):
-        return Jet.const(0.0, c.grad.shape[0])
-    if isinstance(c, np.ndarray):
-        return np.zeros_like(c)
-    return 0j
-
-
-def _is_matrix(c) -> bool:
-    return isinstance(c, JetMatrix) or (isinstance(c, np.ndarray) and c.ndim == 2)
-
-
-def _coef_mul(a, b):
-    if _is_matrix(a) and _is_matrix(b):
-        return a @ b
-    return a * b
-
-
-def _stack_kind(coeffs):
-    """'mat' for a pure plain-matrix list, 'sca' for pure plain scalars,
-    None when dual numbers (or a mix) force the generic path."""
-    if all(isinstance(c, np.ndarray) and c.ndim == 2 for c in coeffs):
-        return "mat"
-    if all(not isinstance(c, (np.ndarray, JetMatrix, Jet)) for c in coeffs):
-        return "sca"
-    return None
-
-
-def _trace(c):
-    if isinstance(c, JetMatrix):
-        return c.trace()
-    if isinstance(c, np.ndarray):
-        return complex(np.trace(c))
-    return c
-
-
 def _max_abs(c) -> float:
-    if isinstance(c, JetMatrix):
-        g = float(np.max(np.abs(c.grad))) if c.grad.size else 0.0
-        return max(float(np.max(np.abs(c.val))), g)
-    if isinstance(c, Jet):
-        g = float(np.max(np.abs(c.grad))) if c.grad.size else 0.0
-        return max(abs(c.val), g)
-    if isinstance(c, np.ndarray):
-        return float(np.max(np.abs(c)))
-    return abs(c)
+    return float(np.max(np.abs(c)))
 
 
 class LaurentSeries:
     """Truncated Laurent series sum_{n=low}^{trunc} coeffs[n-low] * u^n.
 
     u is (lambda - base) at a finite base point, or 1/lambda at INF.
-    Coefficients are square matrices, JetMatrix, or scalars (for traces).
+    coeffs is one stacked complex array of shape (m, *coef_shape): square
+    matrices, or scalars for trace series.
     """
 
     __slots__ = ("dim", "base", "low", "coeffs")
 
     def __init__(self, dim, base, low, coeffs):
-        if not coeffs:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if not len(coeffs):
             raise ValueError("a Laurent series needs at least one coefficient")
         self.dim = dim
         self.base = base
         self.low = int(low)
-        self.coeffs = list(coeffs)
+        self.coeffs = coeffs
 
     @property
     def trunc(self) -> int:
         return self.low + len(self.coeffs) - 1
 
-    def coeff(self, n: int):
+    def coeff(self, n: int) -> np.ndarray:
         if n > self.trunc:
             raise TruncationError(
                 f"coefficient u^{n} requested but series truncated at u^{self.trunc}")
         if n < self.low:
-            return _zero_like(self.coeffs[0])
+            return np.zeros_like(self.coeffs[0])
         return self.coeffs[n - self.low]
 
     def _check_compat(self, other: "LaurentSeries") -> None:
@@ -131,70 +86,45 @@ class LaurentSeries:
         trunc = min(self.trunc, other.trunc)
         if trunc < low:
             raise TruncationError("sum of series has empty known range")
-        coeffs = []
-        for n in range(low, trunc + 1):
-            a = self.coeffs[n - self.low] if self.low <= n <= self.trunc else None
-            b = other.coeffs[n - other.low] if other.low <= n <= other.trunc else None
-            if a is None:
-                coeffs.append(b)
-            elif b is None:
-                coeffs.append(a)
-            else:
-                coeffs.append(a + b)
-        return LaurentSeries(self.dim, self.base, low, coeffs)
+        shape = np.broadcast_shapes(self.coeffs.shape[1:], other.coeffs.shape[1:])
+        out = np.zeros((trunc - low + 1,) + shape, complex)
+        for s in (self, other):
+            m = trunc - s.low + 1
+            if m > 0:
+                out[s.low - low:] += s.coeffs[:m]
+        return LaurentSeries(self.dim, self.base, low, out)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.dim, self.base, self.low, [-c for c in self.coeffs])
+        return LaurentSeries(self.dim, self.base, self.low, -self.coeffs)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def scale(self, a) -> "LaurentSeries":
-        return LaurentSeries(self.dim, self.base, self.low, [a * c for c in self.coeffs])
+        return LaurentSeries(self.dim, self.base, self.low, a * self.coeffs)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
+        """Cauchy product; matrix coefficients multiply as matrices, a
+        scalar series scales every matrix coefficient."""
         self._check_compat(other)
         low = self.low + other.low
         trunc = min(self.low + other.trunc, other.low + self.trunc)
         if trunc < low:
             raise TruncationError("product of series has empty known range")
         n_out = trunc - low + 1
-        ka, kb = _stack_kind(self.coeffs), _stack_kind(other.coeffs)
-        if ka is not None and kb is not None:
-            # vectorised Cauchy product over stacked plain coefficients
-            if ka == "sca" and kb == "sca":
-                full = np.convolve(np.asarray(self.coeffs, complex),
-                                   np.asarray(other.coeffs, complex))
-                return LaurentSeries(self.dim, self.base, low,
-                                     list(full[:n_out]))
-            A = (np.stack(self.coeffs) if ka == "mat"
-                 else np.asarray(self.coeffs, complex))
-            B = (np.stack(other.coeffs) if kb == "mat"
-                 else np.asarray(other.coeffs, complex))
-            C = np.zeros((n_out, self.dim, self.dim), complex)
-            for i in range(min(len(A), n_out)):
-                m = min(len(B), n_out - i)
-                if ka == "mat" and kb == "mat":
-                    C[i:i + m] += A[i] @ B[:m]
-                elif ka == "mat":
-                    C[i:i + m] += A[i][None, :, :] * B[:m, None, None]
-                else:
-                    C[i:i + m] += A[i] * B[:m]
-            return LaurentSeries(self.dim, self.base, low, list(C))
-        coeffs = [None] * (trunc - low + 1)
-        for i, a in enumerate(self.coeffs):
-            ei = self.low + i
-            if ei + other.low > trunc:
-                break
-            for j, b in enumerate(other.coeffs):
-                n = ei + other.low + j
-                if n > trunc:
-                    break
-                term = _coef_mul(a, b)
-                coeffs[n - low] = term if coeffs[n - low] is None else coeffs[n - low] + term
-        z = _zero_like(_coef_mul(self.coeffs[0], other.coeffs[0]))
-        coeffs = [z if c is None else c for c in coeffs]
-        return LaurentSeries(self.dim, self.base, low, coeffs)
+        A, B = self.coeffs, other.coeffs
+        if A.ndim == B.ndim == 3:
+            prod = np.matmul
+        else:
+            prod = np.multiply
+            if A.ndim == 3 and B.ndim == 1:
+                B = B[:, None, None]
+        C = np.zeros((n_out,) + np.broadcast_shapes(A.shape[1:], B.shape[1:]),
+                     complex)
+        for i in range(min(len(A), n_out)):
+            m = min(len(B), n_out - i)
+            C[i:i + m] += prod(A[i], B[:m])
+        return LaurentSeries(self.dim, self.base, low, C)
 
     def power(self, m: int) -> "LaurentSeries":
         if m < 1:
@@ -211,27 +141,22 @@ class LaurentSeries:
     def truncated(self, trunc: int) -> "LaurentSeries":
         if trunc < self.low:
             raise TruncationError("cannot truncate below the lowest order")
-        keep = min(len(self.coeffs), trunc - self.low + 1)
-        return LaurentSeries(self.dim, self.base, self.low, self.coeffs[:keep])
+        return LaurentSeries(self.dim, self.base, self.low,
+                             self.coeffs[:trunc - self.low + 1])
 
     def trace_series(self) -> "LaurentSeries":
         return LaurentSeries(self.dim, self.base, self.low,
-                             [_trace(c) for c in self.coeffs])
+                             np.trace(self.coeffs, axis1=1, axis2=2))
 
-    def principal(self) -> list:
-        """Coefficients [c_1, c_2, ...] of u^-1, u^-2, ... (may be empty)."""
-        out = []
-        k = 1
-        while -k >= self.low:
-            out.append(self.coeff(-k))
-            k += 1
-        while out and _max_abs(out[-1]) == 0.0:
-            out.pop()
-        return out
+    def principal(self) -> np.ndarray:
+        """Stack [c_1, c_2, ...] of the coefficients of u^-1, u^-2, ...
+        down to the lowest order (empty when low >= 0)."""
+        return np.array([self.coeff(-k) for k in range(1, 1 - self.low)],
+                        dtype=complex)
 
     def eval_sum(self, u: complex):
         """Resum the truncated series at local coordinate u (u != 0)."""
-        acc = _zero_like(self.coeffs[0])
+        acc = np.zeros_like(self.coeffs[0])
         for n in range(self.low, self.trunc + 1):
             acc = acc + self.coeff(n) * (u ** n)
         return acc
@@ -239,7 +164,7 @@ class LaurentSeries:
     def sigma(self, k: int, root: RootOfUnity) -> "LaurentSeries":
         """Apply sigma^k coefficientwise."""
         return LaurentSeries(self.dim, self.base, self.low,
-                             [sigma_pow(c, k, root) for c in self.coeffs])
+                             sigma_pow(self.coeffs, k, root))
 
     def __repr__(self):
         return f"LaurentSeries(base={self.base}, low={self.low}, trunc={self.trunc})"
@@ -278,9 +203,8 @@ class RationalMatrix:
 
     @classmethod
     def constant(cls, mat) -> "RationalMatrix":
-        mat = np.asarray(mat, dtype=complex) if not isinstance(mat, JetMatrix) else mat
-        d = mat.dim if isinstance(mat, JetMatrix) else mat.shape[0]
-        return cls(d, poly=[mat])
+        mat = np.asarray(mat, dtype=complex)
+        return cls(mat.shape[-1], poly=[mat])
 
     def pole_order(self, point) -> int:
         for z, cs in self.poles:
@@ -302,7 +226,7 @@ class RationalMatrix:
         for z, _ in self.poles:
             if abs(lam - z) <= 1e-12:
                 raise PoleProximityError(f"evaluation at {lam} too close to pole {z}")
-        acc = _zero_like(self._template())
+        acc = np.zeros_like(self._template())
         if self.poly:
             acc = self.poly[-1]
             for c in reversed(self.poly[:-1]):
@@ -370,7 +294,7 @@ class RationalMatrix:
         for z, cs in self.poles:
             if _same_point(z, point):
                 return cs[0]
-        return _zero_like(self._template())
+        return np.zeros_like(self._template())
 
     def _order_at_inf(self):
         """Exact order in u = 1/lambda at infinity, or None for the zero function."""
@@ -417,11 +341,9 @@ class RationalMatrix:
                     bump(j, (comb(m, j) * zeta ** (m - j)) * c)
         if trunc < low:
             raise TruncationError("requested truncation below the lowest order")
-        coeffs = [terms.get(n, None) for n in range(low, trunc + 1)]
-        coeffs = [_zero_like(tpl) if c is None else c for c in coeffs]
-        if not coeffs:
-            coeffs = [_zero_like(tpl)]
-            low = trunc
+        coeffs = np.zeros((trunc - low + 1,) + tpl.shape, complex)
+        for n, c in terms.items():
+            coeffs[n - low] = c
         return LaurentSeries(self.dim, INF if _is_inf(point) else complex(point),
                              low, coeffs)
 
@@ -465,14 +387,6 @@ class RationalMatrix:
             [(z, [sigma_pow(c, k, root) for c in cs]) for z, cs in self.poles],
             validate=False)
 
-    def values(self):
-        """Copy with plain complex coefficient values (jets stripped)."""
-        def v(c):
-            return c.val.copy() if isinstance(c, JetMatrix) else np.asarray(c, complex)
-        return RationalMatrix(self.dim, [v(c) for c in self.poly],
-                              [(z, [v(c) for c in cs]) for z, cs in self.poles],
-                              validate=False)
-
     def __repr__(self):
         ps = ", ".join(f"{z:.3g}^{len(cs)}" for z, cs in self.poles)
         return f"RationalMatrix(dim={self.dim}, deg={len(self.poly)-1}, poles=[{ps}])"
@@ -500,29 +414,23 @@ class LocalTuple:
         return LocalTuple(self.points, [a + b for a, b in zip(self.series, other.series)])
 
 
-def eval_rational(R: RationalMatrix, lam: complex):
-    return R.eval(lam)
-
-
-def add(R1: RationalMatrix, R2: RationalMatrix) -> RationalMatrix:
-    return R1 + R2
-
-
-def mul(R1: RationalMatrix, R2: RationalMatrix) -> RationalMatrix:
-    return R1.mul(R2)
-
-
-def laurent_expand(R: RationalMatrix, point, trunc: int) -> LaurentSeries:
-    return R.laurent_expand(point, trunc)
-
-
-def residue(R: RationalMatrix, point):
-    return R.residue(point)
-
-
 def residue_at_infinity(R: RationalMatrix):
     """Residue of R dlambda at infinity: minus the u^1 series coefficient."""
     return -R.laurent_expand(INF, 1).coeff(1)
+
+
+def orbit_family(point: complex, prin, root: RootOfUnity, weight: int) -> list:
+    """Pole family carried by the principal part prin = [c_1, c_2, ...]
+    (c_n the coefficient of (lambda - point)^-n) over the Gamma-orbit of
+    point: at omega^k point the coefficients omega^(k(n - weight))
+    sigma^k(c_n), k = 0..T-1, so that the family is equivariant of the
+    given weight (0 for functions, 1 for one-forms)."""
+    if not len(prin):
+        return []
+    return [(root.power(k) * point,
+             [root.power(k * (n + 1 - weight)) * sigma_pow(c, k, root)
+              for n, c in enumerate(prin)])
+            for k in range(root.order)]
 
 
 def localize(R: RationalMatrix, zetas, trunc: int) -> LocalTuple:
@@ -539,7 +447,6 @@ def pi_project(X: LocalTuple, root: RootOfUnity, weight: int = 0) -> RationalMat
     (0 for functions, 1 for one-forms); the nonnegative-power part of the
     slot at infinity becomes the polynomial part.
     """
-    T = root.order
     dim = X.dim
     poles = []
     poly = []
@@ -549,22 +456,12 @@ def pi_project(X: LocalTuple, root: RootOfUnity, weight: int = 0) -> RationalMat
             for m in range(0, deg + 1):
                 c = s.coeff(-m)
                 while len(poly) <= m:
-                    poly.append(_zero_like(c))
+                    poly.append(np.zeros_like(c))
                 poly[m] = poly[m] + c
         elif abs(pt) <= _POLE_TOL:
-            prin = s.principal()
-            if prin:
-                poles.append((0j, prin))
+            poles.append((0j, list(s.principal())))
         else:
-            prin = s.principal()
-            for k in range(T):
-                zk = root.power(k) * pt
-                cs = []
-                for n, c in enumerate(prin):
-                    phase = root.power(k * (n + 1 - weight))
-                    cs.append(phase * sigma_pow(c, k, root))
-                if cs:
-                    poles.append((zk, cs))
+            poles += orbit_family(pt, s.principal(), root, weight)
     return RationalMatrix(dim, poly, poles, validate=False).trim()
 
 
@@ -605,8 +502,7 @@ def check_equivariance(R: RationalMatrix, weight: int, root: RootOfUnity,
         count += 1
         lhs = sigma_pow(R.eval(lam), 1, root)
         rhs = root.power(weight) * R.eval(root.omega * lam)
-        diff = lhs - rhs
-        res = max(res, _max_abs(diff if not isinstance(diff, JetMatrix) else diff.val))
+        res = max(res, _max_abs(lhs - rhs))
     return res
 
 

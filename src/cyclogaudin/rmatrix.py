@@ -14,9 +14,8 @@ import numpy as np
 
 from .algebra import RootOfUnity, grade_component, primitive_root, sigma_pow
 from .errors import PoleProximityError
-from .jets import JetMatrix
 from .ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix, _is_inf,
-                     localize)
+                     localize, orbit_family)
 
 _COLLISION_TOL = 1e-10
 
@@ -105,16 +104,6 @@ def _slot_weight(pt, T: int) -> float:
     return 1.0 if (_is_inf(pt) or abs(pt) <= 1e-12) else float(T)
 
 
-def _principal_coeffs(s: LaurentSeries) -> list:
-    """[c_{-1}, c_{-2}, ...] of a series (zero-padded to its low order)."""
-    out = []
-    k = 1
-    while -k >= s.low:
-        out.append(s.coeff(-k))
-        k += 1
-    return out
-
-
 def _poly_coeffs_at_inf(s: LaurentSeries) -> list:
     """[d_0, d_{-1}, ...]: coefficients of u^0, u^-1, ... (poly part)."""
     out = []
@@ -156,13 +145,13 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
                         if _is_inf(pt):
                             res = -s.coeff(m + 1)
                         else:
-                            cs = _principal_coeffs(s)
+                            cs = s.principal()
                             res = np.zeros((dim, dim), complex)
                             for j, c in enumerate(cs):
                                 if j > m:
                                     break
                                 res = res + comb(m, j) * pt ** (m - j) * c
-                        res_sum = res_sum + w * np.asarray(res, complex)
+                        res_sum = res_sum + w * res
                     acc = acc + root.power(k * (m + 1)) * sigma_pow(res_sum, k, root)
                 coeffs.append(-acc / T)
             out_series.append(LaurentSeries(dim, INF, 0, coeffs))
@@ -188,10 +177,10 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
                         else:
                             a = complex(pt) - b
                             res = np.zeros((dim, dim), complex)
-                            for j, c in enumerate(_principal_coeffs(s)):
+                            for j, c in enumerate(s.principal()):
                                 res = res + (comb(m + j, j) * (-1) ** j
                                              * a ** (-(m + 1 + j))) * c
-                        res_sum = res_sum + w * np.asarray(res, complex)
+                        res_sum = res_sum + w * res
                     acc = acc + root.power(-k * m) * sigma_pow(res_sum, k, root)
                 coeffs.append(acc / T)
             out_series.append(LaurentSeries(dim, zs, 0, coeffs))
@@ -211,20 +200,13 @@ def _r_minus(X: LocalTuple, root: RootOfUnity) -> RationalMatrix:
             for m, d in enumerate(_poly_coeffs_at_inf(s)):
                 while len(poly) <= m:
                     poly.append(np.zeros((dim, dim), complex))
-                poly[m] = poly[m] - grade_component(np.asarray(d, complex), m, T)
+                poly[m] = poly[m] - grade_component(d, m, T)
         elif abs(pt) <= 1e-12:
-            cs = [-grade_component(np.asarray(c, complex), -(n + 1), T)
-                  for n, c in enumerate(_principal_coeffs(s))]
-            if cs:
-                poles.append((0j, cs))
+            cs = [-grade_component(c, -(n + 1), T)
+                  for n, c in enumerate(s.principal())]
+            poles.append((0j, cs))
         else:
-            prin = _principal_coeffs(s)
-            for k in range(T):
-                zk = root.power(k) * pt
-                cs = [-root.power(k * (n + 1)) * sigma_pow(np.asarray(c, complex), k, root)
-                      for n, c in enumerate(prin)]
-                if cs:
-                    poles.append((zk, cs))
+            poles += orbit_family(pt, -s.principal(), root, 0)
     return RationalMatrix(dim, poly, poles, validate=False).trim()
 
 
@@ -237,35 +219,34 @@ def sklyanin_residual(state, lam: complex, mu: complex) -> float:
     + [r_21(mu,lam), L_2(mu)] for the model state's Lax matrix.
 
     The left side is assembled entrywise from the model's canonical
-    bracket with dual-number gradients.
+    bracket with the Jacobian dL/d(coords), read off the Lax matrix
+    assembled from the coefficient Jacobian stacks.
     """
     from . import models as _models  # local import: models sits above this layer
 
     ctx = _models.jet_context(state)
     root = ctx.config.root
     T = root.order
-    for z in ctx.lax.pole_points():
+    for z in ctx.lax.pole_points() + ctx.jacobian.pole_points():
         if min(abs(lam - z), abs(mu - z)) <= _COLLISION_TOL:
             raise PoleProximityError("spectral point too close to a Lax pole")
     for k in range(T):
         if abs(mu - root.power(-k) * lam) <= _COLLISION_TOL:
             raise PoleProximityError("mu lies on the Gamma-orbit of lam")
 
-    L1 = ctx.lax.eval(lam)
-    L2 = ctx.lax.eval(mu)
-    assert isinstance(L1, JetMatrix)
-    d = L1.dim
-    lhs = np.zeros((d, d, d, d), dtype=complex)
+    L1, L2 = ctx.lax.eval(lam), ctx.lax.eval(mu)
+    dL1, dL2 = ctx.jacobian.eval(lam), ctx.jacobian.eval(mu)
+    lhs = np.zeros((T, T, T, T), dtype=complex)
     for iP, iQ, cf in ctx.sectors:
-        lhs += cf * (np.einsum("iab,icd->abcd", L1.grad[iP], L2.grad[iQ])
-                     - np.einsum("iab,icd->abcd", L1.grad[iQ], L2.grad[iP]))
-    lhs_mat = lhs.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        lhs += cf * (np.einsum("iab,icd->abcd", dL1[iP], dL2[iQ])
+                     - np.einsum("iab,icd->abcd", dL1[iQ], dL2[iP]))
+    lhs_mat = lhs.transpose(0, 2, 1, 3).reshape(T * T, T * T)
 
     r12 = r_kernel(lam, mu, root)
-    r21 = r_kernel(mu, lam, root).reshape(d, d, d, d).transpose(1, 0, 3, 2) \
-        .reshape(d * d, d * d)
-    eye = np.eye(d)
-    L1m = np.kron(L1.val, eye)
-    L2m = np.kron(eye, L2.val)
+    r21 = r_kernel(mu, lam, root).reshape(T, T, T, T).transpose(1, 0, 3, 2) \
+        .reshape(T * T, T * T)
+    eye = np.eye(T)
+    L1m = np.kron(L1, eye)
+    L2m = np.kron(eye, L2)
     rhs = (r12 @ L1m - L1m @ r12) - (r21 @ L2m - L2m @ r21)
     return float(np.max(np.abs(lhs_mat - rhs)))

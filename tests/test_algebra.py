@@ -6,7 +6,6 @@ import pytest
 from cyclogaudin.algebra import (grade_component, grading_residual,
                                  primitive_root, sigma_pow)
 from cyclogaudin.errors import DimensionError, InvalidOrderError
-from cyclogaudin.jets import JetMatrix
 
 from conftest import random_matrix
 
@@ -80,13 +79,15 @@ def test_sigma_dimension_check(rng):
 
 
 def test_sigma_on_dual_number_matrix(rng):
-    # the phase acts on value and gradient stack alike
+    # the phase acts on every slice of a stacked (n, T, T) array, such as
+    # the derivative part of a dual-number matrix
     T = 3
     root = primitive_root(T)
-    val = random_matrix(rng, T)
-    grad = np.stack([random_matrix(rng, T) for _ in range(2)])
-    J = sigma_pow(JetMatrix(val, grad), 1, root)
-    np.testing.assert_allclose(J.val, sigma_pow(val, 1, root), atol=1e-14)
-    for k in range(2):
-        np.testing.assert_allclose(J.grad[k], sigma_pow(grad[k], 1, root),
+    stack = np.stack([random_matrix(rng, T) for _ in range(3)])
+    S = sigma_pow(stack, 1, root)
+    assert S.shape == stack.shape
+    for k in range(3):
+        np.testing.assert_allclose(S[k], sigma_pow(stack[k], 1, root),
                                    atol=1e-14)
+    with pytest.raises(DimensionError):
+        sigma_pow(np.zeros((2, 3, 4)), 1, root)

@@ -7,7 +7,6 @@ import pytest
 from cyclogaudin import models as mdl
 from cyclogaudin.errors import AdmissibilityError, StructuralError
 from cyclogaudin.gaudin import FlowId, dress
-from cyclogaudin.jets import matrix_value
 
 
 # ---------------------------------------------------------------------------
@@ -16,13 +15,13 @@ from cyclogaudin.jets import matrix_value
 
 def test_toda_lax_hand_value():
     s = mdl.TodaState(np.zeros(2), np.zeros(2))
-    np.testing.assert_allclose(mdl.toda_lax(s).eval(1.0),
+    np.testing.assert_allclose(mdl.lax(s).eval(1.0),
                                [[0.0, 2.0], [2.0, 0.0]], atol=1e-14)
 
 
 def test_toda_lax_residue_is_momentum_diagonal(rng):
     s = mdl.random_toda(3, rng)
-    np.testing.assert_allclose(mdl.toda_lax(s).residue(0j), np.diag(s.p),
+    np.testing.assert_allclose(mdl.lax(s).residue(0j), np.diag(s.p),
                                atol=1e-14)
 
 
@@ -38,20 +37,20 @@ def test_toda_lax_band_pattern(rng):
         expect[i, i] += s.p[i] / lam
         expect[(i + 1) % T, i] += a[i] / lam ** 2
         expect[i, (i + 1) % T] += 1.0
-    np.testing.assert_allclose(mdl.toda_lax(s).eval(lam), expect, atol=1e-13)
+    np.testing.assert_allclose(mdl.lax(s).eval(lam), expect, atol=1e-13)
 
 
 def test_dst_lax_residue_on_pole_orbit(rng):
     s = mdl.random_dst(3, rng, zeta1=0.9 + 0.4j)
     K1 = np.outer(s.x, s.X)
-    np.testing.assert_allclose(mdl.dst_lax(s).residue(s.zeta1), K1 / s.T,
+    np.testing.assert_allclose(mdl.lax(s).residue(s.zeta1), K1 / s.T,
                                atol=1e-13)
 
 
 def test_coupled_lax_residue_carries_coupling(rng):
     s = mdl.random_coupled(3, rng, beta=0.6, zeta1=1.1)
     K1 = np.outer(s.x, s.X)
-    np.testing.assert_allclose(mdl.coupled_lax(s).residue(s.zeta1),
+    np.testing.assert_allclose(mdl.lax(s).residue(s.zeta1),
                                s.beta * K1 / s.T, atol=1e-13)
 
 
@@ -62,8 +61,8 @@ def test_coupled_lax_is_toda_plus_beta_dst(rng):
     s = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
                          dst.x, dst.X, dst.c, dst.zeta1, beta)
     lam = 0.31 + 0.44j
-    lhs = mdl.coupled_lax(s).eval(lam)
-    rhs = mdl.toda_lax(toda).eval(lam) + beta * mdl.dst_lax(dst).eval(lam)
+    lhs = mdl.lax(s).eval(lam)
+    rhs = mdl.lax(toda).eval(lam) + beta * mdl.lax(dst).eval(lam)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -71,8 +70,8 @@ def test_coupled_lax_beta_zero_is_toda(rng):
     s = mdl.random_coupled(2, rng, beta=0.0, zeta1=1.3)
     toda = mdl.TodaState(s.q.real, s.p.real)
     lam = 0.7 - 0.2j
-    np.testing.assert_allclose(mdl.coupled_lax(s).eval(lam),
-                               mdl.toda_lax(toda).eval(lam), atol=1e-12)
+    np.testing.assert_allclose(mdl.lax(s).eval(lam),
+                               mdl.lax(toda).eval(lam), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +106,7 @@ def test_toda_dressing_matches_direct_coefficients(rng):
     C = dress(mdl.toda_orbit_data(u, v))
     D = mdl.coefficients(mdl.toda_from_orbit(u, v))
     for a, b in ((C.A0_0, D.A0_0), (C.A0_1, D.A0_1), (C.Ainf, D.Ainf)):
-        np.testing.assert_allclose(matrix_value(a), matrix_value(b),
-                                   atol=1e-13)
+        np.testing.assert_allclose(a, b, atol=1e-13)
 
 
 def test_dst_from_orbit_identity_matrix():
@@ -128,8 +126,7 @@ def test_dst_dressing_matches_direct_coefficients(rng):
     c = rng.normal(size=3)
     C = dress(mdl.dst_orbit_data(sMat, c, 1.2))
     D = mdl.coefficients(mdl.dst_from_orbit(sMat, c, 1.2))
-    np.testing.assert_allclose(matrix_value(C.A_list[0]),
-                               matrix_value(D.A_list[0]), atol=1e-11)
+    np.testing.assert_allclose(C.A_list[0], D.A_list[0], atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +236,29 @@ def test_flow_fields_match_finite_difference_of_hamiltonian(rng):
     assert abs(fd - np.dot(g, d)) / (1 + abs(fd)) <= 1e-6
 
 
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_coefficient_jets_match_finite_differences(rng, T):
+    # slice i of each Jacobian stack is d(coefficient)/d(coordinate i)
+    eps = 1e-6
+
+    def flat(C):
+        return [C.A0_0, C.A0_1, *C.A_list, C.Ainf]
+
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=1.1),
+              mdl.random_coupled(T, rng, beta=0.6, zeta1=0.9)):
+        stacks = flat(mdl.coefficient_jets(s))
+        vec = mdl.pack(s)
+        assert all(J.shape == (vec.size, T, T) for J in stacks)
+        for i in range(vec.size):
+            d = np.zeros(vec.size)
+            d[i] = eps
+            plus = flat(mdl.coefficients(mdl.unpack(s, vec + d)))
+            minus = flat(mdl.coefficients(mdl.unpack(s, vec - d)))
+            for J, cp, cm in zip(stacks, plus, minus):
+                np.testing.assert_allclose(J[i], (cp - cm) / (2 * eps),
+                                           atol=1e-8)
+
+
 def test_coupled_beta_zero_sector_field_is_toda(rng):
     toda = mdl.random_toda(3, rng)
     s = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
@@ -277,6 +297,8 @@ def test_beta_zero_hamiltonian_reduction_and_bracket_guard(rng):
     assert abs(la - lb) <= 1e-12
     with pytest.raises(AdmissibilityError):
         mdl.jet_context(s)
+    with pytest.raises(AdmissibilityError):
+        mdl.sectors(s)
 
 
 def test_lagrangian_coeff_value(rng):

@@ -7,9 +7,9 @@ import pytest
 from cyclogaudin.algebra import primitive_root
 from cyclogaudin.errors import (PoleProximityError, StructuralError,
                                 TruncationError)
-from cyclogaudin.ratmat import (INF, LocalTuple, RationalMatrix, add,
-                                check_equivariance, laurent_expand, localize,
-                                mul, pair, residue, residue_at_infinity, split)
+from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
+                                check_equivariance, localize, pair,
+                                residue_at_infinity, split)
 from cyclogaudin import models as mdl
 
 from conftest import random_matrix
@@ -56,7 +56,7 @@ def test_add_mul_pointwise(rng):
     dim = 2
     R1 = _random_rational(rng, dim, [0.7, -0.3 + 0.4j])
     R2 = _random_rational(rng, dim, [0.7, 1.1j])
-    S, P = add(R1, R2), mul(R1, R2)
+    S, P = R1 + R2, R1.mul(R2)
     for lam in (0.21 + 0.33j, -1.4, 2.2 - 0.5j):
         np.testing.assert_allclose(S.eval(lam), R1.eval(lam) + R2.eval(lam),
                                    atol=1e-11)
@@ -68,7 +68,7 @@ def test_mul_with_shared_pole_keeps_higher_order(rng):
     dim = 2
     z = 0.6 - 0.2j
     R1 = _random_rational(rng, dim, [z], max_order=1, deg=0)
-    P = mul(R1, R1)
+    P = R1.mul(R1)
     assert P.pole_order(z) == 2
     lam = z + 0.37
     np.testing.assert_allclose(P.eval(lam), R1.eval(lam) @ R1.eval(lam),
@@ -79,7 +79,7 @@ def test_laurent_expansion_at_finite_point(rng):
     dim = 2
     z0 = 0.4 + 0.9j
     R = _random_rational(rng, dim, [z0, -1.3])
-    s = laurent_expand(R, z0, 6)
+    s = R.laurent_expand(z0, 6)
     u = 0.01 - 0.003j
     np.testing.assert_allclose(s.eval_sum(u), R.eval(z0 + u), atol=1e-9)
 
@@ -87,15 +87,36 @@ def test_laurent_expansion_at_finite_point(rng):
 def test_laurent_expansion_at_infinity(rng):
     dim = 2
     R = _random_rational(rng, dim, [0.8j], deg=2)
-    s = laurent_expand(R, INF, 8)
+    s = R.laurent_expand(INF, 8)
     lam = 40.0 + 13.0j
     np.testing.assert_allclose(s.eval_sum(1.0 / lam), R.eval(lam), atol=1e-9)
 
 
 def test_series_truncation_guard(rng):
-    s = laurent_expand(_random_rational(rng, 2, [0.5]), 0.5, 3)
+    s = _random_rational(rng, 2, [0.5]).laurent_expand(0.5, 3)
     with pytest.raises(TruncationError):
         s.coeff(4)
+
+
+def test_series_product_matches_cauchy_loop(rng):
+    # one Cauchy product for matrix and scalar (trace) coefficient stacks
+    dim = 3
+    mats = [LaurentSeries(dim, 0.5, low, [random_matrix(rng, dim) for _ in range(n)])
+            for low, n in ((-2, 5), (1, 3))]
+    scas = [LaurentSeries(dim, 0.5, low, rng.normal(size=n) + 1j * rng.normal(size=n))
+            for low, n in ((-1, 4), (0, 6))]
+    for a in mats + scas:
+        for b in mats + scas:
+            prod = a.mul(b)
+            assert prod.low == a.low + b.low
+            for n in range(prod.low, prod.trunc + 1):
+                expect = 0
+                for i in range(a.low, a.trunc + 1):
+                    if b.low <= n - i <= b.trunc:
+                        ca, cb = a.coeff(i), b.coeff(n - i)
+                        expect = expect + (ca @ cb if ca.ndim == cb.ndim == 2
+                                           else ca * cb)
+                np.testing.assert_allclose(prod.coeff(n), expect, atol=1e-12)
 
 
 def test_residues_and_residue_theorem(rng):
@@ -104,8 +125,8 @@ def test_residues_and_residue_theorem(rng):
     R = _random_rational(rng, dim, [z, -0.5, 0.9j], deg=1)
     # the simple-pole residue is the order-1 principal coefficient
     for zp, cs in R.poles:
-        np.testing.assert_allclose(residue(R, zp), cs[0], atol=0)
-    total = sum(residue(R, zp) for zp in R.pole_points())
+        np.testing.assert_allclose(R.residue(zp), cs[0], atol=0)
+    total = sum(R.residue(zp) for zp in R.pole_points())
     total = total + residue_at_infinity(R)
     np.testing.assert_allclose(total, np.zeros((dim, dim)), atol=1e-12)
 

@@ -12,6 +12,11 @@ with A0_0 of grade 0, A0_1 of grade -1 and Ainf of grade 1.  Hamiltonians
 are residues H_{p,0} = Res_0 (lambda^p/(p+1)) Tr L^(p+1) and
 H_{p,r} = T Res_{zeta_r} (lambda^p/(p+1)) Tr L^(p+1); their sum over all
 points including infinity vanishes by the residue theorem.
+
+hamiltonian_coefficient_gradients is the generic adjoint-gradient route.
+The flow fields run it compiled, as models.FlowPlan, whose weights come
+from _times_monomial and _gradients_from_series below; the tests compare
+the plan against this generic route.
 """
 from __future__ import annotations
 
@@ -188,10 +193,17 @@ def _lax_power_series(L: RationalMatrix, P: PoleConfig, point, p: int,
     orders for residue extraction up to exponent +extra."""
     o = max(L.pole_order(point), 1) if point != INF else 1
     K = o * p + extra + 2
-    s = L.laurent_expand(point, K).power(p)
+    return _times_monomial(L.laurent_expand(point, K).power(p), point, p,
+                           extra)
+
+
+def _times_monomial(s: LaurentSeries, point, p: int,
+                    extra: int = 2) -> LaurentSeries:
+    """lambda^p times the series s at a slot point: an exponent shift at
+    0, the product with the exact expansion of lambda^p elsewhere."""
     if point != INF and abs(complex(point)) <= 1e-12:
         return s.shift(p)
-    mono = _monomial_series(point, p, s.trunc - s.low + p + extra + 2, L.dim)
+    mono = _monomial_series(point, p, s.trunc - s.low + p + extra + 2, s.dim)
     return s.mul(mono)
 
 
@@ -324,16 +336,23 @@ def hamiltonian_coefficient_gradients(f: FlowId, L: RationalMatrix,
     """Exact gradient matrices of H_{p,r} with respect to the Lax
     coefficients (adjoint/residue route; no dual numbers)."""
     _check_depth(f.p, max_depth)
+    return _gradients_from_series(
+        _lax_power_series(L, P, P.slot_point(f.r), f.p), f, P)
+
+
+def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
+    """(M_A00, M_A01, [M_1..M_N], M_inf) read off the series
+    G = lambda^p L^p at the slot of f by the residue profiles.  Linear in
+    G, which is what lets models.FlowPlan compile it."""
     point = P.slot_point(f.r)
     w = 1.0 if f.r == 0 else float(P.T)
     root = P.root
-    G = _lax_power_series(L, P, point, f.p)
     M_A00 = w * _residue_against_profile(G, point, ("pole", 0j, 1))
     M_A01 = w * _residue_against_profile(G, point, ("pole", 0j, 2))
     M_inf = w * _residue_against_profile(G, point, ("const",))
     M_list = []
     for zr in P.zetas:
-        acc = np.zeros((L.dim, L.dim), complex)
+        acc = np.zeros((G.dim, G.dim), complex)
         for k in range(P.T):
             Gk = G.sigma(-k, root)
             acc += _residue_against_profile(Gk, point,

@@ -1,12 +1,15 @@
 """Model realisations: Toda, DST, and the coupled system — Lax structure,
 orbit parameterisations, gauge maps, printed flow equations, Hamiltonian
-gradients, Lagrangian coefficients, and kinematic invariants."""
+gradients, compiled flow plans, Lagrangian coefficients, and kinematic
+invariants."""
 import numpy as np
 import pytest
 
 from cyclogaudin import models as mdl
-from cyclogaudin.errors import AdmissibilityError, StructuralError
-from cyclogaudin.gaudin import FlowId, dress
+from cyclogaudin.errors import (AdmissibilityError, InvalidOrderError,
+                                StructuralError)
+from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, assemble_lax,
+                                dress, hamiltonian_coefficient_gradients)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,106 @@ def test_toda_infinity_hamiltonian_balances_origin(rng):
         h0 = mdl.hamiltonian_value(s, FlowId(p, 0))
         hinf = hamiltonian_at_infinity(p, L, P)
         assert abs(h0 + hinf) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# compiled flow plans against the generic Laurent route
+# ---------------------------------------------------------------------------
+
+def _generic_plan(cfg, f):
+    """The generic route in the calling convention of a FlowPlan: assemble
+    L from the stacked coefficients and read the gradients off
+    hamiltonian_coefficient_gradients."""
+    def gradients(B):
+        L = assemble_lax(GaudinCoefficients(B[0], B[1], list(B[2:-1]), B[-1],
+                                            cfg.T, validate=False), cfg)
+        M00, M01, Ms, Minf = hamiltonian_coefficient_gradients(f, L, cfg, 6)
+        return np.array([M00, M01, *Ms, Minf])
+    return gradients
+
+
+def _assert_plan_matches_generic(s, f, monkeypatch):
+    def close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+
+    cfg, B = mdl.config_of(s), mdl._blocks(s)
+    close(mdl.flow_plan(cfg, f)(B), _generic_plan(cfg, f)(B))
+    got = [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6)]
+    with monkeypatch.context() as m:
+        m.setattr(mdl, "flow_plan", _generic_plan)
+        ref = [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6)]
+    for g, r in zip(got, ref):
+        close(g, r)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_flow_plan_matches_generic_route(rng, T, monkeypatch):
+    # every admissible flow to depth 6; A0_1 is structurally zero for DST
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.7 + 0.4j)):
+        for f in mdl.admissible_flows(s, 6):
+            _assert_plan_matches_generic(s, f, monkeypatch)
+
+
+def test_flow_plan_cache_keys_and_depth_guard(rng, monkeypatch):
+    # interleaved configs that share T, and configs that share zeta1
+    a = mdl.random_dst(3, rng, zeta1=0.9)
+    b = mdl.DSTState(a.x, a.X, a.c, 1.2 - 0.3j)
+    c = mdl.random_dst(2, rng, zeta1=0.9)
+    for s in (a, b, c, a, c, b):
+        for f in (FlowId(2, 1), FlowId(3, 1)):
+            _assert_plan_matches_generic(s, f, monkeypatch)
+    f = FlowId(3, 1)
+    assert mdl.flow_plan(mdl.config_of(a), f) is not \
+        mdl.flow_plan(mdl.config_of(b), f)
+    # the depth guard runs before the plan lookup, cached plan or not
+    s = mdl.random_toda(3, rng)
+    assert mdl.flow_field(s, FlowId(4, 0), 6).shape == (6,)
+    with pytest.raises(InvalidOrderError):
+        mdl.flow_field(s, FlowId(4, 0))
+    with pytest.raises(InvalidOrderError):
+        mdl.hamiltonian_gradient(s, FlowId(4, 0))
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_dst_origin_flows_are_exactly_zero(rng, T):
+    # H_{p,0} = sum_i c_i^(p+1)/(p+1) depends on the fixed c alone
+    s = mdl.random_dst(T, rng, zeta1=0.9)
+    for p in range(1, 7):
+        assert np.all(mdl.flow_field(s, FlowId(p, 0), 6) == 0.0)
+
+
+def test_cyclic_coefficient_path_matches_loops(rng):
+    # the per-element loops and np.roll the cyclic index arrays replace
+    eps = np.finfo(float).eps
+    for T in range(1, 7):
+        for s in (mdl.random_toda(T, rng),
+                  mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
+            q = np.asarray(s.q, complex)
+            a = np.exp(q - np.roll(q, -1))
+            assert mdl._toda_a(q).tobytes() == a.tobytes()
+            J01 = np.zeros((T, T), complex)
+            for i in range(T):
+                J01[(i + 1) % T, i] = a[i]
+            C = mdl.coefficients(s)
+            assert C.A0_1.tobytes() == J01.tobytes()
+            J00 = np.diag(np.asarray(s.p, complex))
+            if isinstance(s, mdl.CoupledState):
+                J00 = J00 + s.beta * np.diag(s.c)
+            assert C.A0_0.tobytes() == J00.tobytes()
+            # gq: the same products and differences; NumPy's vectorised
+            # complex product may round with fused multiply-adds
+            M01 = mdl.flow_plan(mdl.config_of(s), FlowId(2, 0))(
+                mdl._blocks(s))[1]
+            gq = np.empty(T, complex)
+            for i in range(T):
+                gq[i] = (a[i] * M01[i, (i + 1) % T]
+                         - a[(i - 1) % T] * M01[(i - 1) % T, i])
+            scale = np.max(np.abs(a) * np.abs(np.diagonal(np.roll(M01, -1, 1))))
+            np.testing.assert_allclose(
+                mdl._sector_gradients(s, FlowId(2, 0))[0], gq,
+                rtol=0, atol=8 * eps * scale)
 
 
 # ---------------------------------------------------------------------------

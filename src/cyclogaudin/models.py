@@ -18,14 +18,20 @@ and deliberately differs from a uniform +delta_ij convention.
 
 Compiled flow plans
 -------------------
-flow_field, hamiltonian_gradient and coefficient_velocity share one
-gradient route: the stacked Lax coefficients of the state go through the
-FlowPlan of its (pole config, flow), built on first use and cached.  A
-plan compiles gaudin.hamiltonian_coefficient_gradients into one einsum
-to the local Laurent series, p - 1 truncated Cauchy products and one
-einsum against the residue profiles.  Its weights are read off the
-generic ratmat/gaudin code, and the tests hold the plan to that generic
-route.
+flow_field, hamiltonian_gradient, coefficient_velocity and
+hamiltonian_value share one route: the stacked Lax coefficients
+B = [A0_0, A0_1, A_1..A_N, Ainf] of the state go through the FlowPlan of
+its (pole config, flow), built on first use and cached.  A plan compiles
+gaudin.hamiltonian_coefficient_gradients into one einsum to the local
+Laurent series, p - 1 truncated Cauchy products and one einsum against
+the residue profiles, and returns M = [M_A00, M_A01, M_1..M_N, M_inf]
+with M_b = (dH/dA_b)^T.  L is linear in B, so H_{p,r} is homogeneous of
+degree p + 1 in B, and Euler's identity reads the value off the same
+gradients: H_{p,r} = sum_b Tr(M_b A_b) / (p + 1).  The plan weights are
+read off the generic ratmat/gaudin code, and the tests hold the plan to
+that generic route: its gradients to hamiltonian_coefficient_gradients
+and to finite differences of gaudin.hamiltonian, its values to
+gaudin.hamiltonian.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from .algebra import primitive_root, sigma_pow
 from .errors import AdmissibilityError, StructuralError
 from .gaudin import (FlowId, GaudinCoefficients, OrbitData, PoleConfig,
                      _check_depth, _gradients_from_series, _times_monomial,
-                     assemble_lax, hamiltonian)
+                     assemble_lax)
 from .ratmat import LaurentSeries, RationalMatrix
 
 _IMAG_TOL = 1e-9
@@ -162,6 +168,27 @@ def _toda_a(q: np.ndarray) -> np.ndarray:
     return np.exp(q - q[_cyclic(q.size)[1]])
 
 
+_TEMPLATE_CACHE: dict = {}
+
+
+def _block_template(nb: int, T: int) -> tuple:
+    """A zero stack of nb (T, T) blocks holding the constant
+    sum_i E_{i,i+1} in its last (Ainf) block, with the flat indices of the
+    diagonal of block 0, the subdiagonal E_{i+1,i} of block 1 and the
+    superdiagonal of the last block (cached; read-only)."""
+    entry = _TEMPLATE_CACHE.get((nb, T))
+    if entry is None:
+        i, nxt, _ = _cyclic(T)
+        B = np.zeros((nb, T, T), complex)
+        B[-1, i, nxt] = 1.0
+        entry = (B, i * T + i, T * T + nxt * T + i,
+                 (nb - 1) * T * T + i * T + nxt)
+        for a in entry:
+            a.setflags(write=False)
+        _TEMPLATE_CACHE[(nb, T)] = entry
+    return entry
+
+
 def _blocks(state) -> np.ndarray:
     """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] of a model state,
     stacked: Toda J00 = diag(p), J01 = sum_i a_i E_{i+1,i}; DST diag(c),
@@ -169,21 +196,22 @@ def _blocks(state) -> np.ndarray:
     Ainf = (1 + beta) sum_i E_{i,i+1} (beta = 0 for Toda, 1 for DST)."""
     if not isinstance(state, (TodaState, DSTState, CoupledState)):
         raise AdmissibilityError(f"unknown model state {type(state).__name__}")
-    T = state.T
-    i, nxt, _ = _cyclic(T)
-    B = np.zeros((3 if isinstance(state, TodaState) else 4, T, T), complex)
-    B[-1, i, nxt] = 1.0
+    template, diag, sub, sup = _block_template(
+        3 if isinstance(state, TodaState) else 4, state.T)
+    B = template.copy()
+    flat = B.reshape(-1)
     if isinstance(state, DSTState):
-        B[0, i, i] = state.c
-        B[2] = np.outer(state.x, state.X)
+        flat[diag] = state.c
+        B[2] = state.x[:, None] * state.X[None, :]
         return B
-    B[0, i, i] = state.p
-    B[1, nxt, i] = _toda_a(np.asarray(state.q, complex))
-    if isinstance(state, CoupledState):
-        b = state.beta
-        B[0, i, i] += b * state.c
-        B[2] = b * np.outer(state.x, state.X)
-        B[-1] *= 1.0 + b
+    flat[sub] = _toda_a(np.asarray(state.q, complex))
+    if isinstance(state, TodaState):
+        flat[diag] = state.p
+        return B
+    b = state.beta
+    flat[diag] = state.p + b * state.c
+    B[2] = b * (state.x[:, None] * state.X[None, :])
+    flat[sup] = 1.0 + b
     return B
 
 
@@ -419,11 +447,6 @@ def _check_flow(state, f: FlowId) -> None:
                                  f"{type(state).__name__}")
 
 
-def hamiltonian_value(state, f: FlowId, max_depth: int = 3):
-    _check_flow(state, f)
-    return hamiltonian(f, lax(state), config_of(state), max_depth)
-
-
 class FlowPlan:
     """The exact gradient route of one flow (p, r) on one pole config,
     compiled to array operations.
@@ -531,6 +554,23 @@ def hamiltonian_gradient(state, f: FlowId, max_depth: int = 3) -> np.ndarray:
         return np.concatenate([gx, gX])
     b = state.beta
     return np.concatenate([gq, gp, b * gx, b * gX])
+
+
+def hamiltonian_value(state, f: FlowId, max_depth: int = 3) -> complex:
+    """H_{p,r} = w_r Res lambda^p/(p+1) Tr L^(p+1) of the state, read off
+    the gradients of its FlowPlan.
+
+    L is linear in the stacked coefficients B = [A0_0, A0_1, A_1..A_N,
+    Ainf], so H_{p,r} is homogeneous of degree p + 1 in them, and with the
+    plan's M_b = (dH/dA_b)^T Euler's identity gives H exactly:
+    (p + 1) H = sum_b Tr(M_b A_b).  The slot weight w_r and the sigma
+    phases are already in the plan's profiles.  gaudin.hamiltonian is the
+    oracle the tests hold this value to."""
+    _check_flow(state, f)
+    _check_depth(f.p, max_depth)
+    B = _blocks(state)
+    M = flow_plan(config_of(state), f)(B)
+    return complex(np.einsum("bij,bji->", M, B)) / (f.p + 1)
 
 
 def flow_field(state, f: FlowId, max_depth: int = 3) -> np.ndarray:

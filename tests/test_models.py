@@ -9,7 +9,8 @@ from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, InvalidOrderError,
                                 StructuralError)
 from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, assemble_lax,
-                                dress, hamiltonian_coefficient_gradients)
+                                dress, hamiltonian,
+                                hamiltonian_coefficient_gradients)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,28 @@ def test_flow_fields_match_finite_difference_of_hamiltonian(rng):
     assert abs(fd - np.dot(g, d)) / (1 + abs(fd)) <= 1e-6
 
 
+def test_gradients_match_finite_difference_of_generic_hamiltonian(rng):
+    # the plan's gradients against the generic residue route, which shares
+    # no code path with the plan
+    cases = [(mdl.random_toda(3, rng), FlowId(2, 0)),
+             (mdl.random_dst(2, rng, zeta1=0.9), FlowId(2, 1)),
+             (mdl.random_coupled(2, rng, beta=0.7, zeta1=1.15), FlowId(1, 0)),
+             (mdl.random_coupled(2, rng, beta=0.7, zeta1=1.15), FlowId(3, 1))]
+    eps = 1e-6
+    for s, f in cases:
+        g = mdl.hamiltonian_gradient(s, f)
+        vec = mdl.pack(s)
+        d = rng.normal(size=vec.size)
+        if not isinstance(s, mdl.TodaState):
+            d = d + 1j * rng.normal(size=vec.size)
+
+        def h(v):
+            st = mdl.unpack(s, v)
+            return hamiltonian(f, mdl.lax(st), mdl.config_of(st))
+        fd = (h(vec + eps * d) - h(vec - eps * d)) / (2 * eps)
+        assert abs(fd - np.dot(g, d)) / (1 + abs(fd)) <= 1e-6
+
+
 @pytest.mark.parametrize("T", [2, 3, 4])
 def test_coefficient_jets_match_finite_differences(rng, T):
     # slice i of each Jacobian stack is d(coefficient)/d(coordinate i)
@@ -344,6 +367,48 @@ def test_flow_plan_cache_keys_and_depth_guard(rng, monkeypatch):
         mdl.hamiltonian_gradient(s, FlowId(4, 0))
 
 
+def _assert_value_matches_generic(s, f):
+    ref = hamiltonian(f, mdl.lax(s), mdl.config_of(s), 6)
+    got = mdl.hamiltonian_value(s, f, 6)
+    assert isinstance(got, complex)
+    assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_hamiltonian_value_matches_generic_oracle(rng, T):
+    # Euler's identity on the plan's gradients against gaudin.hamiltonian,
+    # every admissible flow to depth 6
+    dst = mdl.random_dst(T, rng, zeta1=0.9)
+    for s in (mdl.random_toda(T, rng), dst,
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.7 + 0.4j)):
+        for f in mdl.admissible_flows(s, 6):
+            _assert_value_matches_generic(s, f)
+    # DST (p, 0): zero flow fields, yet H = sum_i c_i^(p+1)/(p+1) from the
+    # A0_0 term of the Euler sum alone
+    for p in range(1, 7):
+        h = mdl.hamiltonian_value(dst, FlowId(p, 0), 6)
+        expect = np.sum(dst.c ** (p + 1)) / (p + 1)
+        assert abs(expect) > 0
+        assert abs(h - expect) <= 1e-13 * (1 + abs(expect))
+
+
+def test_hamiltonian_value_guards_and_cache_keys(rng):
+    s = mdl.random_toda(3, rng)
+    _assert_value_matches_generic(s, FlowId(4, 0))
+    # the (4, 0) plan is cached; the depth guard still runs first
+    with pytest.raises(InvalidOrderError):
+        mdl.hamiltonian_value(s, FlowId(4, 0))
+    with pytest.raises(AdmissibilityError):
+        mdl.hamiltonian_value(s, FlowId(1, 1))
+    # interleaved configs that differ only in zeta1
+    a = mdl.random_dst(3, rng, zeta1=0.9)
+    b = mdl.DSTState(a.x, a.X, a.c, 1.2 - 0.3j)
+    for st in (a, b, a, b):
+        for f in (FlowId(2, 1), FlowId(3, 1)):
+            _assert_value_matches_generic(st, f)
+
+
 @pytest.mark.parametrize("T", [2, 3, 4])
 def test_dst_origin_flows_are_exactly_zero(rng, T):
     # H_{p,0} = sum_i c_i^(p+1)/(p+1) depends on the fixed c alone
@@ -382,6 +447,39 @@ def test_cyclic_coefficient_path_matches_loops(rng):
             np.testing.assert_allclose(
                 mdl._sector_gradients(s, FlowId(2, 0))[0], gq,
                 rtol=0, atol=8 * eps * scale)
+
+
+def _blocks_by_assignment(state):
+    # the stack built from a fresh zero array, fancy-index assignments and
+    # np.outer, as _blocks did before its cached template
+    T = state.T
+    i, nxt = np.arange(T), (np.arange(T) + 1) % T
+    B = np.zeros((3 if isinstance(state, mdl.TodaState) else 4, T, T), complex)
+    B[-1, i, nxt] = 1.0
+    if isinstance(state, mdl.DSTState):
+        B[0, i, i] = state.c
+        B[2] = np.outer(state.x, state.X)
+        return B
+    B[0, i, i] = state.p
+    q = np.asarray(state.q, complex)
+    B[1, nxt, i] = np.exp(q - q[nxt])
+    if isinstance(state, mdl.CoupledState):
+        b = state.beta
+        B[0, i, i] += b * state.c
+        B[2] = b * np.outer(state.x, state.X)
+        B[-1] *= 1.0 + b
+    return B
+
+
+def test_blocks_template_path_matches_assignment(rng):
+    for T in range(1, 7):
+        states = [mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9)]
+        states += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
+                   for b in (0.0, 0.1, -1.3)]
+        for s in states + states:   # the second pass reads cached templates
+            B = mdl._blocks(s)
+            assert np.array_equal(B, _blocks_by_assignment(s))
+            assert B.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,39 @@ def test_conservation_drift_table(rng):
     assert drift["prod_a"] <= 1e-13
 
 
+def _drift_by_probe_loop(traj, probes, m_max):
+    # the per-sample, per-probe route the batched drift replaces
+    states = [traj.state(i) for i in range(len(traj))]
+    out = {}
+    for lam in probes:
+        for m in range(1, m_max + 1):
+            b = dyn.spectral_probe(states[0], lam, m)
+            out[(lam, m)] = max(abs(dyn.spectral_probe(s, lam, m) - b)
+                                / (1 + abs(b)) for s in states)
+    return out
+
+
+def test_conservation_drift_matches_probe_loop(rng):
+    # coarse steps keep the drift well above roundoff
+    probes = [0.41 + 0.23j, -0.36 + 0.49j, 1.31 + 0.52j]
+    for s, f in ((mdl.random_toda(3, rng), FlowId(2, 0)),
+                 (mdl.random_dst(3, rng, zeta1=0.9), FlowId(2, 1)),
+                 (mdl.random_coupled(2, rng, beta=0.5, zeta1=0.9),
+                  FlowId(1, 1))):
+        traj = dyn.integrate(s, dyn.Schedule.from_pairs([(f, 0.2)], h=0.05))
+        drift = dyn.conservation_drift(traj, probes, m_max=4)
+        ref = _drift_by_probe_loop(traj, probes, 4)
+        assert set(drift) == set(ref) | set(mdl.invariants(s))
+        assert max(ref.values()) > 1e-9
+        for key, val in ref.items():
+            assert abs(drift[key] - val) <= 1e-13
+        # one sample (zero duration): nothing to drift from
+        one = dyn.integrate(s, dyn.Schedule.from_pairs([(f, 0.0)]))
+        assert len(one) == 1
+        assert all(v == 0.0 for v in
+                   dyn.conservation_drift(one, probes, m_max=4).values())
+
+
 def test_conservation_probe_guard(rng):
     s = mdl.random_dst(2, rng, zeta1=1.0)
     traj = dyn.integrate(s, dyn.Schedule.from_pairs([(FlowId(1, 1), 0.0)]))

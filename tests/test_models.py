@@ -131,6 +131,8 @@ def test_dst_dressing_matches_direct_coefficients(rng):
     C = dress(mdl.dst_orbit_data(sMat, c, 1.2))
     D = mdl.coefficients(mdl.dst_from_orbit(sMat, c, 1.2))
     np.testing.assert_allclose(C.A_list[0], D.A_list[0], atol=1e-11)
+    # Ainf is the unit shift sum_i E_{i,i+1} of the orbit's Laminf
+    assert np.array_equal(D.Ainf, C.Ainf)
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +313,62 @@ def test_toda_infinity_hamiltonian_balances_origin(rng):
 # compiled flow plans against the generic Laurent route
 # ---------------------------------------------------------------------------
 
-def _generic_plan(cfg, f):
+def _support_layout(nb, T):
+    """(block, row, column) of each support-vector entry: the diagonal of
+    A0_0, the subdiagonal E_{i+1,i} of A0_1, A_1..A_N row major and the
+    superdiagonal E_{i,i+1} of Ainf."""
+    out = [(0, i, i) for i in range(T)]
+    out += [(1, (i + 1) % T, i) for i in range(T)]
+    out += [(b, r, c) for b in range(2, nb - 1)
+            for r in range(T) for c in range(T)]
+    return out + [(nb - 1, i, (i + 1) % T) for i in range(T)]
+
+
+def _scatter(z, nb, T):
+    B = np.zeros((nb, T, T), complex)
+    for zq, (b, r, c) in zip(z, _support_layout(nb, T)):
+        B[b, r, c] = zq
+    return B
+
+
+def _generic_plan(cfg, f, calls):
     """The generic route in the calling convention of a FlowPlan: assemble
-    L from the stacked coefficients and read the gradients off
-    hamiltonian_coefficient_gradients."""
-    def gradients(B):
+    L from the support vector z, read the gradient matrices off
+    hamiltonian_coefficient_gradients and return dH/dz; every call
+    appends f to `calls`."""
+    nb = cfg.N + 3
+    layout = _support_layout(nb, cfg.T)
+
+    def gradient(z):
+        calls.append(f)
+        B = _scatter(z, nb, cfg.T)
         L = assemble_lax(GaudinCoefficients(B[0], B[1], list(B[2:-1]), B[-1],
                                             cfg.T, validate=False), cfg)
         M00, M01, Ms, Minf = hamiltonian_coefficient_gradients(f, L, cfg, 6)
-        return np.array([M00, M01, *Ms, Minf])
-    return gradients
+        M = [M00, M01, *Ms, Minf]
+        # M_b = (dH/dA_b)^T
+        return np.array([M[b][c, r] for b, r, c in layout])
+    return gradient
 
 
 def _assert_plan_matches_generic(s, f, monkeypatch):
     def close(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
-    cfg, B = mdl.config_of(s), mdl._blocks(s)
-    close(mdl.flow_plan(cfg, f)(B), _generic_plan(cfg, f)(B))
-    got = [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6)]
+    cfg, z = mdl.config_of(s), mdl.support_vector(s)
+    assert np.array_equal(_scatter(z, cfg.N + 3, s.T), mdl._blocks(s))
+    calls = []
+    close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
+
+    def routes():
+        return [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6),
+                mdl.hamiltonian_value(s, f, 6)]
+    got = routes()
     with monkeypatch.context() as m:
-        m.setattr(mdl, "flow_plan", _generic_plan)
-        ref = [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6)]
+        m.setattr(mdl, "flow_plan", lambda c, g: _generic_plan(c, g, calls))
+        ref = routes()
+    # one direct call, then one per route through the installed generic plan
+    assert calls == [f] * 4
     for g, r in zip(got, ref):
         close(g, r)
 
@@ -437,13 +473,12 @@ def test_cyclic_coefficient_path_matches_loops(rng):
             assert C.A0_0.tobytes() == J00.tobytes()
             # gq: the same products and differences; NumPy's vectorised
             # complex product may round with fused multiply-adds
-            M01 = mdl.flow_plan(mdl.config_of(s), FlowId(2, 0))(
-                mdl._blocks(s))[1]
+            g = mdl.flow_plan(mdl.config_of(s), FlowId(2, 0))(
+                mdl.support_vector(s))[T:2 * T]   # dH/dJ01[i+1, i]
             gq = np.empty(T, complex)
             for i in range(T):
-                gq[i] = (a[i] * M01[i, (i + 1) % T]
-                         - a[(i - 1) % T] * M01[(i - 1) % T, i])
-            scale = np.max(np.abs(a) * np.abs(np.diagonal(np.roll(M01, -1, 1))))
+                gq[i] = a[i] * g[i] - a[(i - 1) % T] * g[(i - 1) % T]
+            scale = np.max(np.abs(a) * np.abs(g))
             np.testing.assert_allclose(
                 mdl._sector_gradients(s, FlowId(2, 0))[0], gq,
                 rtol=0, atol=8 * eps * scale)
@@ -451,7 +486,7 @@ def test_cyclic_coefficient_path_matches_loops(rng):
 
 def _blocks_by_assignment(state):
     # the stack built from a fresh zero array, fancy-index assignments and
-    # np.outer, as _blocks did before its cached template
+    # np.outer: the reference for the support-vector scatter of _blocks
     T = state.T
     i, nxt = np.arange(T), (np.arange(T) + 1) % T
     B = np.zeros((3 if isinstance(state, mdl.TodaState) else 4, T, T), complex)
@@ -476,7 +511,7 @@ def test_blocks_template_path_matches_assignment(rng):
         states = [mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9)]
         states += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
                    for b in (0.0, 0.1, -1.3)]
-        for s in states + states:   # the second pass reads cached templates
+        for s in states + states:   # the second pass reads cached indices
             B = mdl._blocks(s)
             assert np.array_equal(B, _blocks_by_assignment(s))
             assert B.flags.writeable

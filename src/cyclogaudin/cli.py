@@ -172,16 +172,18 @@ def cmd_simulate(args) -> int:
         if traj is None:
             _emit("\n".join(lines) + "\n# diverged\n", args.output)
             return EXIT_DIVERGED
+    # one support vector per row, read by every flow's plan
+    writer = mdl.SupportWriter(s0)
+    kernels = [mdl.FieldKernel(s0, f, max(cfg.depth, 3)) for f in ham_flows]
     base = None
     for idx, sample in enumerate(traj.samples):
-        st = mdl.unpack(s0, sample.vec)
         seg = sample.seg
         f_seg = sched.segments[seg].flow
         row = [str(idx), str(seg), str(f_seg.p), str(f_seg.r),
                _fmt(sample.t_local)]
-        row += _coord_cells(st, sample.vec)
-        hvals = [complex(mdl.hamiltonian_value(st, f, max(cfg.depth, 3)))
-                 for f in ham_flows]
+        row += _coord_cells(s0, sample.vec)
+        z = writer(sample.vec)
+        hvals = [k.value(z) for k in kernels]
         if base is None:
             base = hvals
         drift = max(abs(h - h0) / (1 + abs(h0)) for h, h0 in zip(hvals, base))

@@ -111,10 +111,13 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _field_of(template, f: FlowId, scale: float = 1.0, max_depth: int = 6):
-    def field(y):
-        v = models.flow_field(models.unpack(template, y), f, max_depth)
-        return scale * v if scale != 1.0 else v
-    return field
+    """The flow field y -> v of f on the template's states, scaled by
+    scale: a models.FieldKernel, which checks the flow and the depth when
+    it is built."""
+    kernel = models.FieldKernel(template, f, max_depth)
+    if scale == 1.0:
+        return kernel
+    return lambda y: scale * kernel(y)
 
 
 def integrate(s0, sched: Schedule, record: bool = True,
@@ -126,9 +129,9 @@ def integrate(s0, sched: Schedule, record: bool = True,
     samples = [Sample(0, 0.0, dict(times), y.copy())]
     h_used = 0.0
     for si, seg in enumerate(sched.segments):
-        field = _field_of(s0, seg.flow, max_depth=max_depth)
         if seg.duration == 0.0:
             continue
+        field = _field_of(s0, seg.flow, max_depth=max_depth)
         h = seg.duration / seg.steps
         h_used = h
         for n in range(seg.steps):

@@ -5,6 +5,7 @@ invariants."""
 import numpy as np
 import pytest
 
+from cyclogaudin import dynamics as dyn
 from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, InvalidOrderError,
                                 StructuralError)
@@ -480,7 +481,7 @@ def test_cyclic_coefficient_path_matches_loops(rng):
                 gq[i] = a[i] * g[i] - a[(i - 1) % T] * g[(i - 1) % T]
             scale = np.max(np.abs(a) * np.abs(g))
             np.testing.assert_allclose(
-                mdl._sector_gradients(s, FlowId(2, 0))[0], gq,
+                mdl.FieldKernel(s, FlowId(2, 0)).sectors(mdl.pack(s))[0], gq,
                 rtol=0, atol=8 * eps * scale)
 
 
@@ -515,6 +516,111 @@ def test_blocks_template_path_matches_assignment(rng):
             B = mdl._blocks(s)
             assert np.array_equal(B, _blocks_by_assignment(s))
             assert B.flags.writeable
+
+
+def _kernel_templates(T, rng):
+    yield mdl.random_toda(T, rng)
+    for zeta1 in (0.9, 0.7 + 0.4j):
+        yield mdl.random_dst(T, rng, zeta1=zeta1)
+    for beta in (0.1, -1.3, 0.0):
+        yield mdl.random_coupled(T, rng, beta=beta, zeta1=0.9)
+
+
+def _concatenated_support(s):
+    """The support vector z of the state, concatenated from its arrays."""
+    T = s.T
+    if isinstance(s, mdl.DSTState):
+        return np.concatenate([s.c, np.zeros(T),
+                               (s.x[:, None] * s.X[None, :]).ravel(), np.ones(T)])
+    q = np.asarray(s.q, complex)
+    a = np.exp(q - np.roll(q, -1))               # a_i = exp(q_i - q_{i+1})
+    if isinstance(s, mdl.TodaState):
+        return np.concatenate([s.p, a, np.ones(T)])
+    b = s.beta
+    return np.concatenate([s.p + b * s.c, a,
+                           (b * (s.x[:, None] * s.X[None, :])).ravel(),
+                           np.full(T, 1.0 + b)])
+
+
+def _concatenated_route_field(tmpl, y, f):
+    """The flow field at the state packed as y, built without FieldKernel
+    or SupportWriter: z concatenated from the unpacked state's arrays, the
+    flow's FlowPlan, and the chain rule written out on the state."""
+    s = mdl.unpack(tmpl, y)
+    T = s.T
+    z = _concatenated_support(s)
+    g = mdl.flow_plan(mdl.config_of(s), f)(z)
+    if not isinstance(s, mdl.DSTState):
+        gp = g[:T]
+        t = z[T:2 * T] * g[T:2 * T]
+        gq = t - np.roll(t, 1)                   # a_i g_i - a_{i-1} g_{i-1}
+        if isinstance(s, mdl.TodaState):
+            return np.concatenate([-gp, gq]).real
+    GK = g[2 * T:2 * T + T * T].reshape(T, T)
+    gx, gX = GK @ s.X, GK.T @ s.x
+    if isinstance(s, mdl.DSTState):
+        return np.concatenate([gX, -gx])
+    return np.concatenate([-gp, gq, gX, -gx])
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
+    # one kernel per (template, flow), applied in turn to the packed
+    # vectors of other states with the template's parameters: a kernel
+    # that kept a stale coordinate entry of z would differ from the
+    # references, which start from a fresh state each time; the
+    # concatenated route shares no code with the kernel's z write or
+    # chain rule, so a departure of both from it shows too
+    for tmpl in _kernel_templates(T, rng):
+        real = isinstance(tmpl, mdl.TodaState)
+        ys = []
+        for _ in range(5):
+            y = mdl.pack(tmpl) + 0.3 * rng.normal(size=mdl.nvars(tmpl))
+            ys.append(y if real else y + 0.3j * rng.normal(size=y.size))
+        # a real packed vector, which unpack casts to complex off Toda
+        ys.append(mdl.pack(tmpl).real + 0.3 * rng.normal(size=mdl.nvars(tmpl)))
+        for f in mdl.admissible_flows(tmpl, 6):
+            kernel = mdl.FieldKernel(tmpl, f, 6)
+            scaled = dyn._field_of(tmpl, f, scale=1.1)
+            refs = [mdl.flow_field(mdl.unpack(tmpl, y), f, 6) for y in ys]
+            for y, ref in zip(ys, refs):
+                v = kernel(y)
+                assert v.dtype == ref.dtype
+                assert np.array_equal(v, ref)
+                assert np.array_equal(v, _concatenated_route_field(tmpl, y, f))
+                assert np.array_equal(scaled(y), 1.1 * ref)
+        # the coordinate entries of z differ between the inputs
+        writer = mdl.SupportWriter(tmpl)
+        zs = [writer(y).copy() for y in ys]
+        assert not any(np.array_equal(zs[0], z) for z in zs[1:])
+        assert all(np.array_equal(z, mdl.support_vector(mdl.unpack(tmpl, y)))
+                   for z, y in zip(zs, ys))
+        # z from real packed vectors: exp of a real q can round differently
+        # from exp of the complex q that unpack makes, so draw many
+        for _ in range(100):
+            y = mdl.pack(tmpl).real + rng.normal(size=mdl.nvars(tmpl))
+            assert np.array_equal(
+                writer(y), _concatenated_support(mdl.unpack(tmpl, y)))
+
+
+def test_field_kernel_guards(rng):
+    toda = mdl.random_toda(3, rng)
+    kernel = mdl.FieldKernel(toda, FlowId(2, 0))
+    y = mdl.pack(toda).astype(complex)
+    assert np.array_equal(kernel(y), mdl.flow_field(toda, FlowId(2, 0)))
+    y[1] += 1e-6j
+    with pytest.raises(StructuralError):
+        mdl.unpack(toda, y)
+    with pytest.raises(StructuralError):
+        kernel(y)
+    with pytest.raises(AdmissibilityError):
+        mdl.FieldKernel(toda, FlowId(1, 1))
+    with pytest.raises(InvalidOrderError):
+        mdl.FieldKernel(toda, FlowId(4, 0))
+    with pytest.raises(InvalidOrderError):
+        mdl.FieldKernel(mdl.random_dst(2, rng, zeta1=0.9), FlowId(7, 1), 6)
+    with pytest.raises(InvalidOrderError):
+        dyn._field_of(toda, FlowId(7, 0))
 
 
 # ---------------------------------------------------------------------------

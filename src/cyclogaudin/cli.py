@@ -18,7 +18,8 @@ from . import models as mdl
 from .errors import (AdmissibilityError, ConfigError, CycloGaudinError,
                      DivergenceError)
 from .gaudin import FlowId
-from .suites import MODELS, SUITES, RunConfig, run_suite
+from .suites import (MODELS, SUITES, RunConfig, _rngs, _seeded_state,
+                     run_suite)
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_DIVERGED = 0, 1, 2, 3
 
@@ -111,15 +112,6 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
 
-def _seeded_initial(cfg: RunConfig):
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)).spawn(1)[0])
-    if cfg.model == "toda":
-        return mdl.random_toda(cfg.T, rng)
-    if cfg.model == "dst":
-        return mdl.random_dst(cfg.T, rng, zeta1=cfg.zeta1)
-    return mdl.random_coupled(cfg.T, rng, beta=cfg.beta, zeta1=cfg.zeta1)
-
-
 def _coord_header(state) -> list:
     T = state.T
     cols = []
@@ -150,7 +142,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
     sched = dyn.Schedule.parse(args.schedule, cfg.h)
-    s0 = _seeded_initial(cfg)
+    s0 = _seeded_state(cfg, _rngs(cfg, 1)[0])
     for seg in sched.segments:
         mdl._check_flow(s0, seg.flow)
     ham_flows = mdl.admissible_flows(s0, cfg.depth)
@@ -174,7 +166,7 @@ def cmd_simulate(args) -> int:
             return EXIT_DIVERGED
     # one support vector per row, read by every flow's plan
     writer = mdl.SupportWriter(s0)
-    kernels = [mdl.FieldKernel(s0, f, max(cfg.depth, 3)) for f in ham_flows]
+    kernels = [mdl.FieldKernel(s0, f) for f in ham_flows]
     base = None
     for idx, sample in enumerate(traj.samples):
         seg = sample.seg
@@ -215,7 +207,7 @@ def cmd_closure(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
     fA, fB = _parse_flow(args.flow_a), _parse_flow(args.flow_b)
-    s0 = _seeded_initial(cfg)
+    s0 = _seeded_state(cfg, _rngs(cfg, 1)[0])
     for f in (fA, fB):
         mdl._check_flow(s0, f)
     r1 = dyn.closure_residual(s0, fA, fB, h=cfg.h, delta=dyn.CLOSURE_DELTA)

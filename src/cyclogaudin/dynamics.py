@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import models
-from .errors import AdmissibilityError, DivergenceError, PoleProximityError
-from .gaudin import FlowId, assemble_lax, lax_rhs
+from .errors import (AdmissibilityError, DivergenceError, InvalidOrderError,
+                     PoleProximityError)
+from .gaudin import MAX_DEPTH, FlowId, assemble_lax, lax_rhs
 from .jets import Jet
 
 DEFAULT_H = 1e-3
@@ -75,31 +76,23 @@ class Schedule:
 @dataclass
 class Sample:
     """One trajectory sample: segment index, local time in the segment,
-    cumulative multi-times per flow, and the packed state vector."""
+    and the packed state vector."""
 
     seg: int
     t_local: float
-    times: dict
     vec: np.ndarray
 
 
 @dataclass
 class Trajectory:
-    model: str
     template: object           # a state carrying the fixed parameters
     samples: list
-    h: float
 
     def state(self, i: int):
         return models.unpack(self.template, self.samples[i].vec)
 
     def __len__(self):
         return len(self.samples)
-
-
-def _model_tag(state) -> str:
-    return {models.TodaState: "toda", models.DSTState: "dst",
-            models.CoupledState: "coupled"}[type(state)]
 
 
 def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
@@ -110,47 +103,38 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _field_of(template, f: FlowId, scale: float = 1.0, max_depth: int = 6):
+def _field_of(template, f: FlowId, scale: float = 1.0):
     """The flow field y -> v of f on the template's states, scaled by
-    scale: a models.FieldKernel, which checks the flow and the depth when
-    it is built."""
-    kernel = models.FieldKernel(template, f, max_depth)
+    scale: a models.FieldKernel, which checks the flow when it is built."""
+    kernel = models.FieldKernel(template, f)
     if scale == 1.0:
         return kernel
     return lambda y: scale * kernel(y)
 
 
-def integrate(s0, sched: Schedule, record: bool = True,
-              max_depth: int = 6) -> Trajectory:
+def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     """Classical fixed-step RK4 along the schedule (deterministic,
     single-threaded).  With record=False only segment endpoints are kept."""
     y = models.pack(s0)
-    times = {}
-    samples = [Sample(0, 0.0, dict(times), y.copy())]
-    h_used = 0.0
+    samples = [Sample(0, 0.0, y.copy())]
     for si, seg in enumerate(sched.segments):
         if seg.duration == 0.0:
             continue
-        field = _field_of(s0, seg.flow, max_depth=max_depth)
+        field = _field_of(s0, seg.flow)
         h = seg.duration / seg.steps
-        h_used = h
         for n in range(seg.steps):
             y = rk4_step(field, y, h)
             if not np.all(np.isfinite(y)):
                 raise DivergenceError(
                     f"non-finite state in segment {si} step {n}",
-                    last_good=Trajectory(_model_tag(s0), s0, samples, h_used))
-            t = (n + 1) * h
-            tacc = dict(times)
-            tacc[seg.flow] = tacc.get(seg.flow, 0.0) + t
+                    last_good=Trajectory(s0, samples))
             if record or n == seg.steps - 1:
-                samples.append(Sample(si, t, tacc, y.copy()))
-        times[seg.flow] = times.get(seg.flow, 0.0) + seg.duration
-    return Trajectory(_model_tag(s0), s0, samples, h_used)
+                samples.append(Sample(si, (n + 1) * h, y.copy()))
+    return Trajectory(s0, samples)
 
 
-def endpoint(s0, sched: Schedule, max_depth: int = 6):
-    traj = integrate(s0, sched, record=False, max_depth=max_depth)
+def endpoint(s0, sched: Schedule):
+    traj = integrate(s0, sched, record=False)
     return traj.state(len(traj) - 1)
 
 
@@ -201,11 +185,19 @@ def poisson_bracket(state, F, G) -> complex:
                                 observable_gradient(state, G))
 
 
-def involutivity_matrix(state, flows, max_depth: int = 3) -> np.ndarray:
+def involutivity_matrix(state, flows, max_depth: int = MAX_DEPTH) -> np.ndarray:
     """Grid of |{H_f, H_g}| over the flow list (exact adjoint gradients;
-    the diagonal is exactly zero by antisymmetry of the contraction)."""
+    the diagonal is exactly zero by antisymmetry of the contraction).
+
+    A flow deeper than max_depth raises InvalidOrderError.  FlowId already
+    bounds every flow by MAX_DEPTH; the parameter stays only because
+    perfbench/workloads.py passes it positionally, and the next change of
+    the benchmark can drop it."""
     flows = list(flows)
-    grads = [models.hamiltonian_gradient(state, f, max_depth) for f in flows]
+    for f in flows:
+        if f.p > max_depth:
+            raise InvalidOrderError(f"flow power {f.p} exceeds depth {max_depth}")
+    grads = [models.hamiltonian_gradient(state, f) for f in flows]
     n = len(flows)
     out = np.zeros((n, n))
     for a in range(n):
@@ -275,27 +267,25 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
 
 
 def _transported_lagrangian(s0, f_eval: FlowId, f_arc: FlowId, t: float,
-                            h: float, scale: float = 1.0,
-                            max_depth: int = 6) -> complex:
+                            h: float, scale: float = 1.0) -> complex:
     """L_{f_eval} on the point reached from s0 by flowing along f_arc for
     (signed) time t with RK4 steps of size <= h."""
     y = models.pack(s0)
     if t != 0.0:
         steps = max(1, int(round(abs(t) / h)))
         step = t / steps
-        field = _field_of(s0, f_arc, scale=scale, max_depth=max_depth)
+        field = _field_of(s0, f_arc, scale=scale)
         for _ in range(steps):
             y = rk4_step(field, y, step)
         if not np.all(np.isfinite(y)):
             raise DivergenceError("closure arc diverged")
     s = models.unpack(s0, y)
-    return complex(models.lagrangian_coeff(s, f_eval, max_depth))
+    return complex(models.lagrangian_coeff(s, f_eval))
 
 
 def closure_residual(s0, fA: FlowId, fB: FlowId, tau: float = 0.0,
                      h: float = DEFAULT_H, delta: float = CLOSURE_DELTA,
-                     wrong_hamiltonian: bool = False,
-                     max_depth: int = 6) -> float:
+                     wrong_hamiltonian: bool = False) -> float:
     """|d/dt_B L_{fA} - d/dt_A L_{fB}| with each outer derivative taken by
     central differences of the on-shell Lagrangian coefficient along short
     integrated arcs of the other flow (offset delta).
@@ -306,24 +296,24 @@ def closure_residual(s0, fA: FlowId, fB: FlowId, tau: float = 0.0,
     a deliberately mis-scaled field (factor 1.1), a falsifiability control
     that must break the identity at O(0.1)."""
     if tau > 0.0:
-        s0 = endpoint(s0, Schedule.from_pairs([(fA, tau)], h), max_depth)
+        s0 = endpoint(s0, Schedule.from_pairs([(fA, tau)], h))
     scaleB = 1.1 if wrong_hamiltonian else 1.0
-    dB_LA = (_transported_lagrangian(s0, fA, fB, +delta, h, scaleB, max_depth)
-             - _transported_lagrangian(s0, fA, fB, -delta, h, scaleB, max_depth)) \
+    dB_LA = (_transported_lagrangian(s0, fA, fB, +delta, h, scaleB)
+             - _transported_lagrangian(s0, fA, fB, -delta, h, scaleB)) \
         / (2.0 * delta)
-    dA_LB = (_transported_lagrangian(s0, fB, fA, +delta, h, 1.0, max_depth)
-             - _transported_lagrangian(s0, fB, fA, -delta, h, 1.0, max_depth)) \
+    dA_LB = (_transported_lagrangian(s0, fB, fA, +delta, h)
+             - _transported_lagrangian(s0, fB, fA, -delta, h)) \
         / (2.0 * delta)
     return abs(dB_LA - dA_LB)
 
 
-def el_lax_agreement(state, f: FlowId, max_depth: int = 3) -> float:
+def el_lax_agreement(state, f: FlowId) -> float:
     """Max-abs difference between the Lax-coefficient time derivatives of
     the isospectral equation and the coordinate flow pushed through the
     coefficient Jacobians."""
     L = models.lax(state)
-    _, D = lax_rhs(f, L, models.config_of(state), max_depth)
-    dA00, dA01, dAs, dAinf = models.coefficient_velocity(state, f, max_depth)
+    _, D = lax_rhs(f, L, models.config_of(state))
+    dA00, dA01, dAs, dAinf = models.coefficient_velocity(state, f)
     errs = [np.max(np.abs(D.dA0_0 - dA00)), np.max(np.abs(D.dA0_1 - dA01)),
             np.max(np.abs(D.dAinf - dAinf))]
     errs += [np.max(np.abs(a - b)) for a, b in zip(D.dA_list, dAs)]

@@ -13,6 +13,10 @@ are residues H_{p,0} = Res_0 (lambda^p/(p+1)) Tr L^(p+1) and
 H_{p,r} = T Res_{zeta_r} (lambda^p/(p+1)) Tr L^(p+1); their sum over all
 points including infinity vanishes by the residue theorem.
 
+The hierarchy depth has one limit, MAX_DEPTH = 6, enforced where a
+FlowId is built: flows p = 1..6 are accepted everywhere and certified by
+the tests, p >= 7 is rejected with InvalidOrderError.
+
 hamiltonian_coefficient_gradients is the generic adjoint-gradient route.
 The flow fields run it compiled, as models.FlowPlan, whose weights come
 from _times_monomial and _gradients_from_series below; the tests compare
@@ -31,12 +35,18 @@ from .errors import (GradingError, InvalidOrderError, PoleProximityError,
 from .ratmat import INF, LaurentSeries, RationalMatrix, orbit_family
 
 _GRADE_TOL = 1e-12
-MAX_DEPTH = 3
+MAX_DEPTH = 6
 
 
 @dataclass(frozen=True)
 class FlowId:
-    """Hierarchy time t_p^r: power p >= 1, pole index r in {0..N}."""
+    """Hierarchy time t_p^r: power 1 <= p <= MAX_DEPTH, pole index r in
+    {0..N}.
+
+    MAX_DEPTH is the one hierarchy-depth limit: every flow p <= 6 is
+    certified by the tests (residue sums, involutivity, EL-Lax agreement,
+    the compiled plans against the generic route), and a deeper FlowId
+    cannot be built, so gaudin and models take no depth argument."""
 
     p: int
     r: int
@@ -44,6 +54,9 @@ class FlowId:
     def __post_init__(self):
         if self.p < 1:
             raise InvalidOrderError(f"flow power must be >= 1, got {self.p}")
+        if self.p > MAX_DEPTH:
+            raise InvalidOrderError(
+                f"flow power {self.p} exceeds the hierarchy depth {MAX_DEPTH}")
         if self.r < 0:
             raise InvalidOrderError(f"pole index must be >= 0, got {self.r}")
 
@@ -171,11 +184,6 @@ def assemble_lax(C: GaudinCoefficients, P: PoleConfig) -> RationalMatrix:
     return RationalMatrix(P.T, [C.Ainf], poles).trim()
 
 
-def _check_depth(p: int, max_depth: int) -> None:
-    if p > max_depth:
-        raise InvalidOrderError(f"flow power {p} exceeds configured depth {max_depth}")
-
-
 def _monomial_series(point, p: int, trunc: int, dim: int) -> LaurentSeries:
     """Exact expansion of the scalar lambda^p at a finite point (or INF),
     zero-padded up to trunc (a polynomial is exact at all orders)."""
@@ -207,11 +215,9 @@ def _times_monomial(s: LaurentSeries, point, p: int,
     return s.mul(mono)
 
 
-def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig,
-                max_depth: int = MAX_DEPTH):
+def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig):
     """H_{p,r} = w_r Res_{slot} (lambda^p/(p+1)) Tr L^(p+1) with w_0 = 1
     and w_r = T for r >= 1."""
-    _check_depth(f.p, max_depth)
     if f.r > P.N:
         raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
     p = f.p
@@ -232,21 +238,19 @@ def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig,
     return w * res / (p + 1)
 
 
-def hamiltonian_at_infinity(p: int, L: RationalMatrix, P: PoleConfig,
-                            max_depth: int = MAX_DEPTH):
+def hamiltonian_at_infinity(p: int, L: RationalMatrix, P: PoleConfig):
     """H_{p,inf} = Res_inf (lambda^p/(p+1)) Tr L^(p+1) dlambda
-    = -(1/(p+1)) [coefficient of u^(p+1)] of Tr L^(p+1) at infinity."""
-    _check_depth(p, max_depth)
+    = -(1/(p+1)) [coefficient of u^(p+1)] of Tr L^(p+1) at infinity.
+    p is range-checked as a FlowId power is."""
+    FlowId(p, 0)
     tr = L.laurent_expand(INF, p + 3).power(p + 1).trace_series()
     return -complex(tr.coeff(p + 1)) / (p + 1)
 
 
-def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig,
-                max_depth: int = MAX_DEPTH) -> RationalMatrix:
+def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig) -> RationalMatrix:
     """The weight-0 equivariant rational h_r^{(p)} whose only singular part
     lies on the Gamma-orbit of the slot and matches the principal part of
     the local expansion of lambda^p L^p there."""
-    _check_depth(f.p, max_depth)
     if f.r > P.N:
         raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
     point = P.slot_point(f.r)
@@ -269,14 +273,14 @@ class CoefficientDerivative:
 
 
 def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
-            max_depth: int = MAX_DEPTH, struct_tol: float = 1e-10):
+            struct_tol: float = 1e-10):
     """-[h_r^{(p)}, L] = [L, h_r^{(p)}] reduced to the pole structure of L.
 
     Returns (rhs RationalMatrix, CoefficientDerivative).  Any principal
     coefficient beyond the orders present in L larger than struct_tol is a
     structural error (the commutator must close on the coefficient space).
     """
-    h = lax_partner(f, L, P, max_depth)
+    h = lax_partner(f, L, P)
     rhs = L.mul(h) - h.mul(L)
     # check pole orders do not exceed those of L, then trim the dust
     for z, cs in rhs.poles:
@@ -331,11 +335,9 @@ def _residue_against_profile(G: LaurentSeries, slot_point, profile) -> np.ndarra
 
 
 def hamiltonian_coefficient_gradients(f: FlowId, L: RationalMatrix,
-                                      P: PoleConfig,
-                                      max_depth: int = MAX_DEPTH):
+                                      P: PoleConfig):
     """Exact gradient matrices of H_{p,r} with respect to the Lax
     coefficients (adjoint/residue route; no dual numbers)."""
-    _check_depth(f.p, max_depth)
     return _gradients_from_series(
         _lax_power_series(L, P, P.slot_point(f.r), f.p), f, P)
 

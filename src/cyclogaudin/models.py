@@ -31,6 +31,11 @@ that generic route: its gradients to hamiltonian_coefficient_gradients
 and to finite differences of gaudin.hamiltonian, its values to
 gaudin.hamiltonian.
 
+Every flow p = 1..gaudin.MAX_DEPTH (6) has a plan and is certified;
+FlowId rejects deeper ones, so no function here takes a depth argument.
+admissible_flows(state, depth) only lists the flows of a model up to a
+chosen depth.
+
 A FieldKernel, built once per (template state, flow), runs that route
 on packed vectors y with no state object: its SupportWriter writes the
 coordinate entries of z into one buffer whose constant entries are
@@ -52,8 +57,7 @@ import numpy as np
 from .algebra import primitive_root, sigma_pow
 from .errors import AdmissibilityError, StructuralError
 from .gaudin import (FlowId, GaudinCoefficients, OrbitData, PoleConfig,
-                     _check_depth, _gradients_from_series, _times_monomial,
-                     assemble_lax)
+                     _gradients_from_series, _times_monomial, assemble_lax)
 from .ratmat import LaurentSeries, RationalMatrix
 
 _IMAG_TOL = 1e-9
@@ -647,17 +651,16 @@ class FieldKernel:
     """The flow field of one flow (p, r) on the states of one template,
     as a map from the packed vector y: the SupportWriter writes z, the
     cached FlowPlan of (pole config, flow) gives dH/dz, and the writer's
-    chain rule gives the coordinate gradients.  The flow and the depth are
-    checked once, when the kernel is built; flow_field,
-    hamiltonian_gradient and hamiltonian_value are this kernel applied to
-    pack(state).  value reads H off any z of the template's model, so
+    chain rule gives the coordinate gradients.  The flow is checked
+    against the model once, when the kernel is built (its depth was
+    checked when the FlowId was); flow_field, hamiltonian_gradient and
+    hamiltonian_value are this kernel applied to pack(state).  value reads H off any z of the template's model, so
     one SupportWriter's z serves the kernels of many flows."""
 
     __slots__ = ("writer", "plan", "p")
 
-    def __init__(self, template, f: FlowId, max_depth: int = 3):
+    def __init__(self, template, f: FlowId):
         _check_flow(template, f)
-        _check_depth(f.p, max_depth)
         self.writer = SupportWriter(template)
         self.plan = flow_plan(config_of(template), f)
         self.p = f.p
@@ -702,23 +705,23 @@ class FieldKernel:
         return complex(z @ self.plan(z)) / (self.p + 1)
 
 
-def hamiltonian_gradient(state, f: FlowId, max_depth: int = 3) -> np.ndarray:
+def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
     """Full packed gradient dH/d(coords) (including beta factors)."""
-    return FieldKernel(state, f, max_depth).gradient(pack(state))
+    return FieldKernel(state, f).gradient(pack(state))
 
 
-def hamiltonian_value(state, f: FlowId, max_depth: int = 3) -> complex:
+def hamiltonian_value(state, f: FlowId) -> complex:
     """H_{p,r} = w_r Res lambda^p/(p+1) Tr L^(p+1) of the state, read off
     the gradient of its FlowPlan by Euler's identity (FieldKernel.value).
     gaudin.hamiltonian is the oracle the tests hold this value to."""
-    kernel = FieldKernel(state, f, max_depth)
+    kernel = FieldKernel(state, f)
     return kernel.value(kernel.writer(pack(state)))
 
 
-def flow_field(state, f: FlowId, max_depth: int = 3) -> np.ndarray:
+def flow_field(state, f: FlowId) -> np.ndarray:
     """Packed tangent vector of the flow t_p^r at the state (normative
     convention; exact adjoint gradients)."""
-    return FieldKernel(state, f, max_depth)(pack(state))
+    return FieldKernel(state, f)(pack(state))
 
 
 def printed_flow_field(state, f: FlowId) -> np.ndarray:
@@ -788,10 +791,10 @@ def kinetic(state, velocity: np.ndarray):
                    + state.beta * np.dot(state.X, velocity[2 * T:3 * T]))
 
 
-def lagrangian_coeff(state, f: FlowId, max_depth: int = 3):
+def lagrangian_coeff(state, f: FlowId):
     """On-shell Lagrangian coefficient: kinetic(flow velocity) - H_{p,r}."""
-    vel = flow_field(state, f, max_depth)
-    return kinetic(state, vel) - hamiltonian_value(state, f, max_depth)
+    vel = flow_field(state, f)
+    return kinetic(state, vel) - hamiltonian_value(state, f)
 
 
 def invariants(state) -> dict:
@@ -806,10 +809,10 @@ def invariants(state) -> dict:
     return out
 
 
-def coefficient_velocity(state, f: FlowId, max_depth: int = 3):
+def coefficient_velocity(state, f: FlowId):
     """Time derivatives of the Lax coefficients induced by the coordinate
     flow field, via the coefficient/coordinate Jacobian stacks."""
-    v = np.asarray(flow_field(state, f, max_depth), complex)
+    v = np.asarray(flow_field(state, f), complex)
     C = coefficient_jets(state)
 
     def push(M):

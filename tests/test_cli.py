@@ -68,6 +68,7 @@ def test_verify_failure_exit_code(tmp_path):
     ["simulate", "--schedule", "1:0:1", "--model", "toda", "--T", "3",
      "--zeta1", "bogus"],
     ["closure", "--flow-a", "0:0", "--model", "coupled", "--T", "2"],
+    ["simulate", "--schedule", "7:0:0,1:0:0.002", "--model", "toda", "--T", "3"],
 ])
 def test_config_errors_exit_2(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "o")]) == 2

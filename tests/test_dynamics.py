@@ -5,7 +5,7 @@ import pytest
 from cyclogaudin import dynamics as dyn
 from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, DivergenceError,
-                                PoleProximityError)
+                                InvalidOrderError, PoleProximityError)
 from cyclogaudin.gaudin import FlowId
 
 
@@ -112,10 +112,13 @@ def test_hamiltonians_are_in_involution(rng):
     for s in (mdl.random_toda(4, rng),
               mdl.random_dst(3, rng, zeta1=1.05),
               mdl.random_coupled(2, rng, beta=0.6, zeta1=0.95)):
-        flows = mdl.admissible_flows(s, 3)
+        flows = mdl.admissible_flows(s, 6)
         grid = dyn.involutivity_matrix(s, flows)
         assert np.all(np.diag(grid) == 0.0)
         assert np.max(grid) <= 1e-9
+    # an explicit depth bound still rejects the deeper flows
+    with pytest.raises(InvalidOrderError):
+        dyn.involutivity_matrix(s, flows, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def test_el_lax_agreement_all_models(rng):
     for s in (mdl.random_toda(3, rng),
               mdl.random_dst(3, rng, zeta1=1.0),
               mdl.random_coupled(2, rng, beta=0.7, zeta1=1.2)):
-        for f in mdl.admissible_flows(s, 3):
+        for f in mdl.admissible_flows(s, 6):
             assert dyn.el_lax_agreement(s, f) <= 1e-11
 
 

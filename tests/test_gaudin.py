@@ -29,6 +29,9 @@ def test_flow_id_validation():
         FlowId(0, 0)
     with pytest.raises(InvalidOrderError):
         FlowId(1, -1)
+    with pytest.raises(InvalidOrderError):
+        FlowId(7, 0)
+    assert FlowId(6, 0).p == 6
     assert str(FlowId(2, 1)) == "(2,1)"
 
 
@@ -93,7 +96,7 @@ def test_dressing_rejects_singular_fields(rng):
 
 def test_hamiltonian_residue_sum_vanishes(rng):
     P, C, L = _setup(rng)
-    for p in (1, 2, 3):
+    for p in range(1, 7):
         tot = hamiltonian_at_infinity(p, L, P)
         for r in range(P.N + 1):
             tot = tot + hamiltonian(FlowId(p, r), L, P)
@@ -103,7 +106,9 @@ def test_hamiltonian_residue_sum_vanishes(rng):
 def test_hamiltonian_depth_and_index_guards(rng):
     P, C, L = _setup(rng)
     with pytest.raises(InvalidOrderError):
-        hamiltonian(FlowId(4, 0), L, P, max_depth=3)
+        hamiltonian(FlowId(7, 0), L, P)
+    with pytest.raises(InvalidOrderError):
+        hamiltonian_at_infinity(7, L, P)
     with pytest.raises(InvalidOrderError):
         hamiltonian(FlowId(1, 2), L, P)
 

@@ -345,7 +345,7 @@ def _generic_plan(cfg, f, calls):
         B = _scatter(z, nb, cfg.T)
         L = assemble_lax(GaudinCoefficients(B[0], B[1], list(B[2:-1]), B[-1],
                                             cfg.T, validate=False), cfg)
-        M00, M01, Ms, Minf = hamiltonian_coefficient_gradients(f, L, cfg, 6)
+        M00, M01, Ms, Minf = hamiltonian_coefficient_gradients(f, L, cfg)
         M = [M00, M01, *Ms, Minf]
         # M_b = (dH/dA_b)^T
         return np.array([M[b][c, r] for b, r, c in layout])
@@ -362,8 +362,8 @@ def _assert_plan_matches_generic(s, f, monkeypatch):
     close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
 
     def routes():
-        return [mdl.flow_field(s, f, 6), mdl.hamiltonian_gradient(s, f, 6),
-                mdl.hamiltonian_value(s, f, 6)]
+        return [mdl.flow_field(s, f), mdl.hamiltonian_gradient(s, f),
+                mdl.hamiltonian_value(s, f)]
     got = routes()
     with monkeypatch.context() as m:
         m.setattr(mdl, "flow_plan", lambda c, g: _generic_plan(c, g, calls))
@@ -395,18 +395,19 @@ def test_flow_plan_cache_keys_and_depth_guard(rng, monkeypatch):
     f = FlowId(3, 1)
     assert mdl.flow_plan(mdl.config_of(a), f) is not \
         mdl.flow_plan(mdl.config_of(b), f)
-    # the depth guard runs before the plan lookup, cached plan or not
+    # flows to depth 6 need no extra argument; p = 7 is rejected when the
+    # FlowId is built, before any plan lookup
     s = mdl.random_toda(3, rng)
-    assert mdl.flow_field(s, FlowId(4, 0), 6).shape == (6,)
+    assert mdl.flow_field(s, FlowId(6, 0)).shape == (6,)
     with pytest.raises(InvalidOrderError):
-        mdl.flow_field(s, FlowId(4, 0))
+        mdl.flow_field(s, FlowId(7, 0))
     with pytest.raises(InvalidOrderError):
-        mdl.hamiltonian_gradient(s, FlowId(4, 0))
+        mdl.hamiltonian_gradient(s, FlowId(7, 0))
 
 
 def _assert_value_matches_generic(s, f):
-    ref = hamiltonian(f, mdl.lax(s), mdl.config_of(s), 6)
-    got = mdl.hamiltonian_value(s, f, 6)
+    ref = hamiltonian(f, mdl.lax(s), mdl.config_of(s))
+    got = mdl.hamiltonian_value(s, f)
     assert isinstance(got, complex)
     assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
 
@@ -424,7 +425,7 @@ def test_hamiltonian_value_matches_generic_oracle(rng, T):
     # DST (p, 0): zero flow fields, yet H = sum_i c_i^(p+1)/(p+1) from the
     # A0_0 term of the Euler sum alone
     for p in range(1, 7):
-        h = mdl.hamiltonian_value(dst, FlowId(p, 0), 6)
+        h = mdl.hamiltonian_value(dst, FlowId(p, 0))
         expect = np.sum(dst.c ** (p + 1)) / (p + 1)
         assert abs(expect) > 0
         assert abs(h - expect) <= 1e-13 * (1 + abs(expect))
@@ -432,10 +433,10 @@ def test_hamiltonian_value_matches_generic_oracle(rng, T):
 
 def test_hamiltonian_value_guards_and_cache_keys(rng):
     s = mdl.random_toda(3, rng)
-    _assert_value_matches_generic(s, FlowId(4, 0))
-    # the (4, 0) plan is cached; the depth guard still runs first
+    _assert_value_matches_generic(s, FlowId(6, 0))
+    # depth 6 is the limit, whatever plans are cached
     with pytest.raises(InvalidOrderError):
-        mdl.hamiltonian_value(s, FlowId(4, 0))
+        mdl.hamiltonian_value(s, FlowId(7, 0))
     with pytest.raises(AdmissibilityError):
         mdl.hamiltonian_value(s, FlowId(1, 1))
     # interleaved configs that differ only in zeta1
@@ -451,7 +452,7 @@ def test_dst_origin_flows_are_exactly_zero(rng, T):
     # H_{p,0} = sum_i c_i^(p+1)/(p+1) depends on the fixed c alone
     s = mdl.random_dst(T, rng, zeta1=0.9)
     for p in range(1, 7):
-        assert np.all(mdl.flow_field(s, FlowId(p, 0), 6) == 0.0)
+        assert np.all(mdl.flow_field(s, FlowId(p, 0)) == 0.0)
 
 
 def test_cyclic_coefficient_path_matches_loops(rng):
@@ -580,9 +581,9 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
         # a real packed vector, which unpack casts to complex off Toda
         ys.append(mdl.pack(tmpl).real + 0.3 * rng.normal(size=mdl.nvars(tmpl)))
         for f in mdl.admissible_flows(tmpl, 6):
-            kernel = mdl.FieldKernel(tmpl, f, 6)
+            kernel = mdl.FieldKernel(tmpl, f)
             scaled = dyn._field_of(tmpl, f, scale=1.1)
-            refs = [mdl.flow_field(mdl.unpack(tmpl, y), f, 6) for y in ys]
+            refs = [mdl.flow_field(mdl.unpack(tmpl, y), f) for y in ys]
             for y, ref in zip(ys, refs):
                 v = kernel(y)
                 assert v.dtype == ref.dtype
@@ -616,9 +617,9 @@ def test_field_kernel_guards(rng):
     with pytest.raises(AdmissibilityError):
         mdl.FieldKernel(toda, FlowId(1, 1))
     with pytest.raises(InvalidOrderError):
-        mdl.FieldKernel(toda, FlowId(4, 0))
+        mdl.FieldKernel(toda, FlowId(7, 0))
     with pytest.raises(InvalidOrderError):
-        mdl.FieldKernel(mdl.random_dst(2, rng, zeta1=0.9), FlowId(7, 1), 6)
+        mdl.FieldKernel(mdl.random_dst(2, rng, zeta1=0.9), FlowId(7, 1))
     with pytest.raises(InvalidOrderError):
         dyn._field_of(toda, FlowId(7, 0))
 

@@ -112,30 +112,20 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
 
+def _suffixes(state) -> tuple:
+    """Column suffixes of one value: one cell if real, else re and im."""
+    return ("",) if state.REAL else ("_re", "_im")
+
+
 def _coord_header(state) -> list:
-    T = state.T
-    cols = []
-    if isinstance(state, mdl.TodaState):
-        cols += [f"q{i}" for i in range(1, T + 1)]
-        cols += [f"p{i}" for i in range(1, T + 1)]
-    else:
-        if isinstance(state, mdl.CoupledState):
-            for blk in ("q", "p"):
-                for i in range(1, T + 1):
-                    cols += [f"{blk}_re{i}", f"{blk}_im{i}"]
-        for blk in ("x", "X"):
-            for i in range(1, T + 1):
-                cols += [f"{blk}_re{i}", f"{blk}_im{i}"]
-    return cols
+    return [f"{blk}{sfx}{i}" for blk in state.BLOCKS
+            for i in range(1, state.T + 1) for sfx in _suffixes(state)]
 
 
-def _coord_cells(state, vec) -> list:
-    if isinstance(state, mdl.TodaState):
-        return [_fmt(float(v.real)) for v in vec]
-    out = []
-    for v in vec:
-        out += [_fmt(float(np.real(v))), _fmt(float(np.imag(v)))]
-    return out
+def _coord_cells(state, values) -> list:
+    """The cells of coordinates or H values, as _suffixes names them."""
+    parts = (np.real,) if state.REAL else (np.real, np.imag)
+    return [_fmt(float(part(v))) for v in values for part in parts]
 
 
 def cmd_simulate(args) -> int:
@@ -143,16 +133,10 @@ def cmd_simulate(args) -> int:
     cfg.validate()
     sched = dyn.Schedule.parse(args.schedule, cfg.h)
     s0 = _seeded_state(cfg, _rngs(cfg, 1)[0])
-    for seg in sched.segments:
-        mdl._check_flow(s0, seg.flow)
     ham_flows = mdl.admissible_flows(s0, cfg.depth)
     header = ["sample", "seg", "flow_p", "flow_r", "t_local"]
     header += _coord_header(s0)
-    for f in ham_flows:
-        if isinstance(s0, mdl.TodaState):
-            header.append(f"H_{f.p}_{f.r}")
-        else:
-            header += [f"H_{f.p}_{f.r}_re", f"H_{f.p}_{f.r}_im"]
+    header += [f"H_{f.p}_{f.r}{sfx}" for f in ham_flows for sfx in _suffixes(s0)]
     header.append("drift_max")
     lines = [",".join(header)]
     diverged = False
@@ -179,11 +163,7 @@ def cmd_simulate(args) -> int:
         if base is None:
             base = hvals
         drift = max(abs(h - h0) / (1 + abs(h0)) for h, h0 in zip(hvals, base))
-        for h in hvals:
-            if isinstance(s0, mdl.TodaState):
-                row.append(_fmt(h.real))
-            else:
-                row += [_fmt(h.real), _fmt(h.imag)]
+        row += _coord_cells(s0, hvals)
         row.append(_fmt(drift))
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
@@ -208,8 +188,6 @@ def cmd_closure(args) -> int:
     cfg.validate()
     fA, fB = _parse_flow(args.flow_a), _parse_flow(args.flow_b)
     s0 = _seeded_state(cfg, _rngs(cfg, 1)[0])
-    for f in (fA, fB):
-        mdl._check_flow(s0, f)
     r1 = dyn.closure_residual(s0, fA, fB, h=cfg.h, delta=dyn.CLOSURE_DELTA)
     r2 = dyn.closure_residual(s0, fA, fB, h=cfg.h / 2,
                               delta=dyn.CLOSURE_DELTA / 2)

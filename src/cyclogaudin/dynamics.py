@@ -4,7 +4,7 @@ conservation monitoring, closure-relation residuals, and the agreement
 between the coordinate flows and the Lax-pair equations."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,7 +114,10 @@ def _field_of(template, f: FlowId, scale: float = 1.0):
 
 def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     """Classical fixed-step RK4 along the schedule (deterministic,
-    single-threaded).  With record=False only segment endpoints are kept."""
+    single-threaded).  With record=False only segment endpoints are kept.
+    Every segment's flow is checked against the model before the first step."""
+    for seg in sched.segments:
+        models._check_flow(s0, seg.flow)
     y = models.pack(s0)
     samples = [Sample(0, 0.0, y.copy())]
     for si, seg in enumerate(sched.segments):
@@ -147,20 +150,12 @@ def jet_coords(state) -> SimpleNamespace:
     the packed variables, plus the plain parameters."""
     n = models.nvars(state)
     vec = models.pack(state).astype(complex)
-
-    def jets(offset, T):
-        return np.array([Jet.variable(vec[offset + i], offset + i, n)
-                         for i in range(T)], dtype=object)
-
-    T = state.T
-    if isinstance(state, models.TodaState):
-        return SimpleNamespace(q=jets(0, T), p=jets(T, T))
-    if isinstance(state, models.DSTState):
-        return SimpleNamespace(x=jets(0, T), X=jets(T, T),
-                               c=state.c, zeta1=state.zeta1)
-    return SimpleNamespace(q=jets(0, T), p=jets(T, T), x=jets(2 * T, T),
-                           X=jets(3 * T, T), c=state.c, zeta1=state.zeta1,
-                           beta=state.beta)
+    coords = {b: np.array([Jet.variable(vec[i], i, n) for i in
+                           range(k * state.T, (k + 1) * state.T)], dtype=object)
+              for k, b in enumerate(state.BLOCKS)}
+    params = {f.name: getattr(state, f.name) for f in fields(state)
+              if f.name not in coords}
+    return SimpleNamespace(**coords, **params)
 
 
 def bracket_of_gradients(state, gF: np.ndarray, gG: np.ndarray) -> complex:

@@ -3,7 +3,19 @@ chain, the DST model, and their coupling.
 
 Canonical coordinates and flow conventions
 ------------------------------------------
-All flows are generated from the residue Hamiltonians H_{p,r} through
+Each state class declares its layout once, as class attributes that the
+functions here, in dynamics and in cli read: the packed BLOCKS of length
+T in order, the canonical SECTORS (Q, P, sign, weight), the pole
+parameters POLES (flows (p, r) have r <= len(POLES)) and REAL.
+
+    model    BLOCKS      SECTORS                         POLES  REAL
+    Toda     q p         (q, p, PQ, -)                   -      yes
+    DST      x X         (x, X, XX, -)                   zeta1  no
+    coupled  q p x X     (q, p, PQ, -), (x, X, XX, beta) zeta1  no
+
+The coupled model is the Toda (q, p) sector plus the DST (x, X) sector
+weighted by beta.  All flows are generated from the residue Hamiltonians
+H_{p,r} through
 
     dq_i/dt = -dH/dp_i,      dp_i/dt = +dH/dq_i,
     dx_i/dt = +(1/beta) dH/dX_i,   dX_i/dt = -(1/beta) dH/dx_i,
@@ -12,9 +24,12 @@ with beta = 1 for the pure DST model.  This convention reproduces the
 printed first-flow equations of all three models (for pure DST, modulo
 the scaling-gauge direction (x_i, -X_i) that the rho = 0 gauge choice
 removes).  Equivalently, df/dt = {f, H} with the sector brackets
-{p_i, q_j} = +delta_ij and {X_i, x_j} = -delta_ij / beta; the relative
-sector sign is fixed empirically by the quadratic r-matrix bracket check
-and deliberately differs from a uniform +delta_ij convention.
+{P_i, Q_j} = sign delta_ij / weight, that is {p_i, q_j} = +delta_ij and
+{X_i, x_j} = -delta_ij / beta; the relative sector sign is fixed
+empirically by the quadratic r-matrix bracket check and deliberately
+differs from a uniform +delta_ij convention.  Brackets and fields read
+the signs PQ and XX from SECTOR_SIGN_PQ and SECTOR_SIGN_XX when built.
+A Toda state stays real: _real rejects an imaginary part above _IMAG_TOL.
 
 Compiled flow plans and field kernels
 -------------------------------------
@@ -50,7 +65,7 @@ VM).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,9 +87,20 @@ SECTOR_SIGN_XX = -1.0
 # states
 # ---------------------------------------------------------------------------
 
+def _length(state) -> int:
+    """T, the length of the state's first packed block."""
+    return getattr(state, state.BLOCKS[0]).size
+
+
 @dataclass
 class TodaState:
     """Periodic Toda chain: real canonical pairs (q_i, p_i), i mod T."""
+
+    BLOCKS = ("q", "p")
+    SECTORS = (("q", "p", "SECTOR_SIGN_PQ", None),)
+    POLES = ()
+    REAL = True
+    T = property(_length)
 
     q: np.ndarray
     p: np.ndarray
@@ -85,15 +111,17 @@ class TodaState:
         if self.q.shape != self.p.shape or self.q.ndim != 1:
             raise StructuralError("q and p must be equal-length vectors")
 
-    @property
-    def T(self) -> int:
-        return self.q.size
-
 
 @dataclass
 class DSTState:
     """DST model: complex canonical pairs (x_i, X_i), parameters c_i and
     the pole location zeta_1."""
+
+    BLOCKS = ("x", "X")
+    SECTORS = (("x", "X", "SECTOR_SIGN_XX", None),)
+    POLES = ("zeta1",)
+    REAL = False
+    T = property(_length)
 
     x: np.ndarray
     X: np.ndarray
@@ -110,15 +138,18 @@ class DSTState:
         if abs(self.zeta1) <= 1e-12:
             raise StructuralError("zeta1 must be nonzero")
 
-    @property
-    def T(self) -> int:
-        return self.x.size
-
 
 @dataclass
 class CoupledState:
     """Coupled Toda-DST system; (q, p) may drift complex under the coupled
     holomorphic flows, so all four coordinate vectors are complex here."""
+
+    BLOCKS = ("q", "p", "x", "X")
+    SECTORS = (("q", "p", "SECTOR_SIGN_PQ", None),
+               ("x", "X", "SECTOR_SIGN_XX", "beta"))
+    POLES = ("zeta1",)
+    REAL = False
+    T = property(_length)
 
     q: np.ndarray
     p: np.ndarray
@@ -138,10 +169,6 @@ class CoupledState:
         self.beta = float(self.beta)
         if len({self.q.size, self.p.size, self.x.size, self.X.size, self.c.size}) != 1:
             raise StructuralError("all coordinate vectors must share length T")
-
-    @property
-    def T(self) -> int:
-        return self.q.size
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +244,7 @@ def _blocks(state) -> np.ndarray:
     unit shift sum_i E_{i,i+1} for Toda and DST, and (1 + beta) times it
     for the coupled model."""
     z = support_vector(state)
-    nb = 3 if isinstance(state, TodaState) else 4
+    nb = len(state.POLES) + 3
     B = np.zeros((nb, state.T, state.T), complex)
     B.reshape(-1)[_support_index(nb, state.T)] = z
     return B
@@ -235,8 +262,7 @@ _CONFIG_CACHE: dict = {}
 
 
 def config_of(state) -> PoleConfig:
-    key = (state.T, ()) if isinstance(state, TodaState) \
-        else (state.T, (complex(state.zeta1),))
+    key = (state.T, tuple([complex(getattr(state, z)) for z in state.POLES]))
     cfg = _CONFIG_CACHE.get(key)
     if cfg is None:
         cfg = PoleConfig(key[0], key[1])
@@ -365,31 +391,45 @@ def dst_gauge_residual(s: DSTState, lam: complex) -> float:
 # packed coordinates, coefficient Jacobians and gradients
 # ---------------------------------------------------------------------------
 
+def _offset(state, block: str) -> int:
+    """Offset of a named block in the packed vector of the state."""
+    return state.BLOCKS.index(block) * state.T
+
+
+def _sectors_of(state):
+    """(Q block, P block, sign, weight) per canonical sector of the state,
+    with the current SECTOR_SIGN_* value and the weight's value or None."""
+    for Q, P, sign, weight in state.SECTORS:
+        yield (Q, P, globals()[sign],
+               None if weight is None else getattr(state, weight))
+
+
+def _real(v: np.ndarray, what: str) -> np.ndarray:
+    """A Toda vector on the real locus: the real part of v, after checking
+    that no imaginary part exceeds _IMAG_TOL."""
+    if v.dtype.kind == "c":
+        if np.abs(v.imag).max() > _IMAG_TOL:
+            raise StructuralError(f"Toda {what} drifted off the real locus")
+        v = v.real
+    return v
+
+
 def pack(state) -> np.ndarray:
-    if isinstance(state, TodaState):
-        return np.concatenate([state.q, state.p])
-    if isinstance(state, DSTState):
-        return np.concatenate([state.x, state.X])
-    return np.concatenate([state.q, state.p, state.x, state.X])
+    return np.concatenate([getattr(state, b) for b in state.BLOCKS])
 
 
 def unpack(template, vec: np.ndarray):
+    """The state packed as vec, with the template's parameters."""
+    v = np.asarray(vec)
+    if template.REAL:
+        v = _real(v, "state")
     T = template.T
-    if isinstance(template, TodaState):
-        v = np.asarray(vec)
-        if np.iscomplexobj(v):
-            if np.max(np.abs(v.imag)) > _IMAG_TOL:
-                raise StructuralError("Toda state drifted off the real locus")
-            v = v.real
-        return TodaState(v[:T].copy(), v[T:].copy())
-    if isinstance(template, DSTState):
-        return DSTState(vec[:T].copy(), vec[T:].copy(), template.c, template.zeta1)
-    return CoupledState(vec[:T].copy(), vec[T:2 * T].copy(), vec[2 * T:3 * T].copy(),
-                        vec[3 * T:].copy(), template.c, template.zeta1, template.beta)
+    return replace(template, **{b: v[k * T:(k + 1) * T].copy()
+                                for k, b in enumerate(template.BLOCKS)})
 
 
 def nvars(state) -> int:
-    return 4 * state.T if isinstance(state, CoupledState) else 2 * state.T
+    return len(state.BLOCKS) * state.T
 
 
 def coefficient_jets(state) -> GaudinCoefficients:
@@ -397,46 +437,42 @@ def coefficient_jets(state) -> GaudinCoefficients:
     coordinates, as (n, T, T) stacks: slice i of each stack is the
     derivative of that coefficient along coordinate i."""
     T = state.T
-    n = nvars(state)
-    zero = np.zeros((n, T, T), complex)
-    if isinstance(state, DSTState):
-        x_off, X_off = 0, T
-    else:
-        q_off, p_off, x_off, X_off = 0, T, 2 * T, 3 * T
-        a = _toda_a(np.asarray(state.q, complex))
-        gJ00 = np.zeros((n, T, T), complex)
-        gJ01 = np.zeros((n, T, T), complex)
-        for i in range(T):
-            gJ00[p_off + i, i, i] = 1.0
+    J00, J01, *A_list, Ainf = np.zeros(
+        (len(state.POLES) + 3, nvars(state), T, T), complex)
+    for Q, P, _, weight in _sectors_of(state):
+        q, p = _offset(state, Q), _offset(state, P)
+        if Q == "q":
+            # Toda sector: J00 = diag(p), J01 = sum_i a_i E_{i+1,i} with
             # da_j/dq_i = a_j (delta_{ij} - delta_{i, j+1})
-            gJ01[q_off + i, (i + 1) % T, i] += a[i]
-            gJ01[q_off + i, i, (i - 1) % T] += -a[(i - 1) % T]
-        if isinstance(state, TodaState):
-            return GaudinCoefficients(gJ00, gJ01, [], zero, T, validate=False)
-    gK1 = np.zeros((n, T, T), complex)
-    for i in range(T):
-        gK1[x_off + i, i, :] = state.X
-        gK1[X_off + i, :, i] = state.x
-    if isinstance(state, DSTState):
-        return GaudinCoefficients(zero, zero, [gK1], zero, T, validate=False)
-    return GaudinCoefficients(gJ00, gJ01, [state.beta * gK1], zero, T,
-                              validate=False)
+            a = _toda_a(np.asarray(state.q, complex))
+            for i in range(T):
+                J00[p + i, i, i] = 1.0
+                J01[q + i, (i + 1) % T, i] += a[i]
+                J01[q + i, i, (i - 1) % T] -= a[(i - 1) % T]
+        else:
+            # DST sector: K_1 = x X^T, times its weight
+            K1 = A_list[0]
+            for i in range(T):
+                K1[q + i, i, :] = state.X
+                K1[p + i, :, i] = state.x
+            if weight is not None:
+                K1 *= weight
+    return GaudinCoefficients(J00, J01, A_list, Ainf, T, validate=False)
 
 
 def sectors(state) -> list:
     """Sector data of the canonical bracket: (P indices, Q indices,
-    coefficient) per canonical sector of the packed coordinates."""
-    T = state.T
-    idx = np.arange(T)
-    if isinstance(state, TodaState):
-        return [(T + idx, idx, SECTOR_SIGN_PQ)]
-    if isinstance(state, DSTState):
-        return [(T + idx, idx, SECTOR_SIGN_XX)]
-    if state.beta == 0.0:
-        raise AdmissibilityError(
-            "the (x, X) bracket sector degenerates at beta = 0")
-    return [(T + idx, idx, SECTOR_SIGN_PQ),
-            (3 * T + idx, 2 * T + idx, SECTOR_SIGN_XX / state.beta)]
+    coefficient) per canonical sector of the packed coordinates, the
+    coefficient being the sector sign divided by the sector weight."""
+    idx = np.arange(state.T)
+    out = []
+    for Q, P, sign, weight in _sectors_of(state):
+        if weight == 0.0:
+            raise AdmissibilityError(f"the ({Q}, {P}) bracket sector "
+                                     "degenerates at beta = 0")
+        sign = sign if weight is None else sign / weight
+        out.append((_offset(state, P) + idx, _offset(state, Q) + idx, sign))
+    return out
 
 
 @dataclass
@@ -458,13 +494,13 @@ def jet_context(state) -> JetContext:
 
 
 def admissible_flows(state, depth: int = 3) -> list:
-    rmax = 0 if isinstance(state, TodaState) else 1
-    return [FlowId(p, r) for p in range(1, depth + 1) for r in range(rmax + 1)]
+    """The flows (p, r) of the model: p = 1..depth, r = 0..len(POLES)."""
+    return [FlowId(p, r) for p in range(1, depth + 1)
+            for r in range(len(state.POLES) + 1)]
 
 
 def _check_flow(state, f: FlowId) -> None:
-    rmax = 0 if isinstance(state, TodaState) else 1
-    if f.r > rmax:
+    if f.r > len(state.POLES):
         raise AdmissibilityError(f"flow {f} not admissible for "
                                  f"{type(state).__name__}")
 
@@ -576,28 +612,28 @@ class SupportWriter:
     unpack rejects it; a real coupled y has its q read as complex, as
     unpack casts it, since exp rounds differently on real arguments."""
 
-    __slots__ = ("T", "kind", "z", "zp", "za", "K", "bc", "beta", "nxt",
-                 "prev", "xs", "Xs")
+    __slots__ = ("T", "real", "z", "zp", "za", "K", "bc", "beta", "nxt",
+                 "prev", "qs", "ps", "xs", "Xs")
 
     def __init__(self, template):
-        if not isinstance(template, (TodaState, DSTState, CoupledState)):
+        if getattr(template, "BLOCKS", None) is None:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
         T = self.T = template.T
-        self.kind = type(template)
-        nb = 3 if self.kind is TodaState else 4
-        self.z = z = np.empty(_support_index(nb, T).size, complex)
+        self.real = template.REAL
+        at = {b: slice(k * T, (k + 1) * T)
+              for k, b in enumerate(template.BLOCKS)}
+        self.qs, self.ps, self.xs, self.Xs = map(at.get, ("q", "p", "x", "X"))
+        self.z = z = np.empty(
+            _support_index(len(template.POLES) + 3, T).size, complex)
         self.zp, self.za = z[:T], z[T:2 * T]
         _, self.nxt, self.prev = _cyclic(T)
         self.K = self.bc = self.beta = None
-        if self.kind is TodaState:
+        if self.xs is None:
             z[2 * T:] = 1.0
             return
         self.K = z[2 * T:2 * T + T * T].reshape(T, T)
-        # (x, X) of y: blocks 0, 1 for DST, blocks 2, 3 for coupled
-        off = 0 if self.kind is DSTState else 2 * T
-        self.xs, self.Xs = slice(off, off + T), slice(off + T, off + 2 * T)
-        if self.kind is DSTState:
+        if self.qs is None:
             self.zp[:] = template.c
             self.za[:] = 0.0
             z[-T:] = 1.0
@@ -608,18 +644,14 @@ class SupportWriter:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer)."""
-        T, kind = self.T, self.kind
-        if kind is TodaState:
-            if np.iscomplexobj(y):
-                if np.abs(y.imag).max() > _IMAG_TOL:
-                    raise StructuralError("Toda state drifted off the real locus")
-                y = y.real
-            self.zp[:] = y[T:]
-            q = y[:T].astype(complex)
-        elif kind is CoupledState:
-            np.add(y[T:2 * T], self.bc, out=self.zp)
-            q = np.asarray(y[:T], complex)
-        if kind is not DSTState:
+        if self.real:
+            y = _real(y, "state")
+        if self.qs is not None:
+            if self.bc is None:
+                self.zp[:] = y[self.ps]
+            else:
+                np.add(y[self.ps], self.bc, out=self.zp)
+            q = np.asarray(y[self.qs], complex)
             np.exp(q - q[self.nxt], out=self.za)
         if self.K is not None:
             np.multiply(y[self.xs, None], y[None, self.Xs], out=self.K)
@@ -627,72 +659,91 @@ class SupportWriter:
                 np.multiply(self.beta, self.K, out=self.K)
         return self.z
 
-    def sectors(self, y: np.ndarray, g: np.ndarray):
-        """(gq, gp, gx_red, gX_red) from g = dH/dz at the z last written,
-        for the state packed as y: dH/dq, dH/dp, and the beta-reduced DST
-        sector gradients (1/beta) dH/dx, (1/beta) dH/dX, by the chain rule
-        through z (None where the model has no such sector)."""
+    def sectors(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The reduced gradient r of H, packed like y, from g = dH/dz at
+        the z last written for the state packed as y: dH/dq, dH/dp, and
+        the beta-reduced DST sector gradients (1/beta) dH/dx,
+        (1/beta) dH/dX, by the chain rule through z."""
         T = self.T
-        gq = gp = gx = gX = None
-        if self.kind is not DSTState:
-            gp = g[:T]
+        r = np.empty(len(y), complex)
+        if self.qs is not None:
+            r[self.ps] = g[:T]
             # da_j/dq_i = a_j (delta_ij - delta_{i,j+1}): a_i g_i - a_{i-1} g_{i-1}
             t = self.za * g[T:2 * T]
-            gq = t - t[self.prev]
+            np.subtract(t, t[self.prev], out=r[self.qs])
         if self.K is not None:
             # beta-reduced: gradient w.r.t. the family coefficient (beta K_1)
             GK = g[2 * T:2 * T + T * T].reshape(T, T)
-            gx = GK @ y[self.Xs]      # (1/beta) dH/dx_i = sum_j GK[i,j] X_j
-            gX = GK.T @ y[self.xs]    # (1/beta) dH/dX_j = sum_i x_i GK[i,j]
-        return gq, gp, gx, gX
+            np.matmul(GK, y[self.Xs], out=r[self.xs])     # sum_j GK[i,j] X_j
+            np.matmul(GK.T, y[self.xs], out=r[self.Xs])   # sum_i x_i GK[i,j]
+        return r
+
+
+_CANONICAL_CACHE: dict = {}
+
+
+def _canonical(template) -> tuple:
+    """(swap, flip, scaled, scale) of the template's layout, signs and
+    weights (cached; read-only).  Per sector dQ/dt = -sign r_P and
+    dP/dt = +sign r_Q in the reduced gradient r, so the field is r[swap]
+    negated at flip; the gradient is r with r[scaled] times scale."""
+    T, secs = template.T, tuple(_sectors_of(template))
+    key = (type(template), T, secs)
+    if key not in _CANONICAL_CACHE:
+        swap, flip, scaled, scale = list(range(nvars(template))), [], [], []
+        for Q, P, sign, weight in secs:
+            q, p = (range(_offset(template, b), _offset(template, b) + T)
+                    for b in (Q, P))
+            swap[q.start:q.stop], swap[p.start:p.stop] = p, q
+            flip += q if sign > 0 else p
+            if weight is not None:
+                scaled += [*q, *p]
+                scale += [weight] * (2 * T)
+        out = (np.array(swap), np.array(flip, dtype=int),
+               np.array(scaled, dtype=int), np.array(scale))
+        for a in out:
+            a.setflags(write=False)
+        _CANONICAL_CACHE[key] = out
+    return _CANONICAL_CACHE[key]
 
 
 class FieldKernel:
     """The flow field of one flow (p, r) on the states of one template,
     as a map from the packed vector y: the SupportWriter writes z, the
     cached FlowPlan of (pole config, flow) gives dH/dz, and the writer's
-    chain rule gives the coordinate gradients.  The flow is checked
-    against the model once, when the kernel is built (its depth was
-    checked when the FlowId was); flow_field, hamiltonian_gradient and
-    hamiltonian_value are this kernel applied to pack(state).  value reads H off any z of the template's model, so
-    one SupportWriter's z serves the kernels of many flows."""
+    chain rule gives the reduced gradient r, which the layout's sectors
+    turn into the field and the gradient.  The flow is checked against
+    the model once, when the kernel is built (its depth was checked when
+    the FlowId was); flow_field, hamiltonian_gradient and
+    hamiltonian_value are this kernel applied to pack(state).  value reads
+    H off any z of the template's model, so one SupportWriter's z serves
+    the kernels of many flows."""
 
-    __slots__ = ("writer", "plan", "p")
+    __slots__ = ("writer", "plan", "p", "swap", "flip", "scaled", "scale")
 
     def __init__(self, template, f: FlowId):
-        _check_flow(template, f)
         self.writer = SupportWriter(template)
+        _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
         self.p = f.p
+        self.swap, self.flip, self.scaled, self.scale = _canonical(template)
 
-    def sectors(self, y: np.ndarray):
-        """The chain-rule sector gradients of H at y (SupportWriter.sectors)."""
+    def sectors(self, y: np.ndarray) -> np.ndarray:
+        """The reduced gradient of H at y (SupportWriter.sectors)."""
         return self.writer.sectors(y, self.plan(self.writer(y)))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Packed tangent vector of the flow at y."""
-        gq, gp, gx, gX = self.sectors(y)
-        kind = self.writer.kind
-        if kind is TodaState:
-            v = np.concatenate([-gp, gq])
-            if np.abs(v.imag).max() > _IMAG_TOL:
-                raise StructuralError("Toda flow field drifted off the real locus")
-            return v.real
-        if kind is DSTState:
-            return np.concatenate([gX, -gx])
-        # coupled: the beta factors of dH/d(x, X) cancel against 1/beta exactly
-        return np.concatenate([-gp, gq, gX, -gx])
+        writer = self.writer
+        v = writer.sectors(y, self.plan(writer(y)))[self.swap]
+        v[self.flip] = -v[self.flip]
+        return _real(v, "flow field") if writer.real else v
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Full packed gradient dH/d(coords) at y (including beta factors)."""
-        gq, gp, gx, gX = self.sectors(y)
-        kind = self.writer.kind
-        if kind is TodaState:
-            return np.concatenate([gq, gp])
-        if kind is DSTState:
-            return np.concatenate([gx, gX])
-        b = self.writer.beta
-        return np.concatenate([gq, gp, b * gx, b * gX])
+        r = self.sectors(y)
+        r[self.scaled] *= self.scale
+        return r
 
     def value(self, z: np.ndarray) -> complex:
         """H_{p,r} at a support vector z written by a SupportWriter of
@@ -781,14 +832,17 @@ def printed_flow_field(state, f: FlowId) -> np.ndarray:
 
 def kinetic(state, velocity: np.ndarray):
     """Kinetic part of the Lagrangian coefficient for a given coordinate
-    velocity (total-derivative terms at 0 and infinity dropped)."""
-    T = state.T
-    if isinstance(state, TodaState):
-        return complex(-np.dot(state.p, velocity[:T]))
-    if isinstance(state, DSTState):
-        return complex(np.dot(state.X, velocity[:T]))
-    return complex(-np.dot(state.p, velocity[:T])
-                   + state.beta * np.dot(state.X, velocity[2 * T:3 * T]))
+    velocity: the sum over sectors of -sign weight P . dQ/dt, that is
+    -p.dq/dt (Toda), X.dx/dt (DST) and -p.dq/dt + beta X.dx/dt (coupled);
+    total-derivative terms at 0 and infinity dropped."""
+    terms = []
+    for Q, P, sign, weight in _sectors_of(state):
+        q = _offset(state, Q)
+        term = np.dot(getattr(state, P), velocity[q:q + state.T])
+        if weight is not None:
+            term = weight * term
+        terms.append(-term if sign > 0 else term)
+    return complex(sum(terms[1:], terms[0]))
 
 
 def lagrangian_coeff(state, f: FlowId):
@@ -798,14 +852,15 @@ def lagrangian_coeff(state, f: FlowId):
 
 
 def invariants(state) -> dict:
-    """Kinematic invariants: sum p_i and prod a_i (Toda sectors),
-    Tr K_1 = sum x_i X_i (DST sectors)."""
+    """Kinematic invariants: sum p_i and prod a_i (Toda sector),
+    Tr K_1 = sum x_i X_i (DST sector)."""
     out = {}
-    if isinstance(state, (TodaState, CoupledState)):
-        out["sum_p"] = complex(np.sum(state.p))
-        out["prod_a"] = complex(np.prod(_toda_a(np.asarray(state.q, complex))))
-    if isinstance(state, (DSTState, CoupledState)):
-        out["tr_K1"] = complex(np.dot(state.x, state.X))
+    for Q, _, _, _ in state.SECTORS:
+        if Q == "q":
+            out["sum_p"] = complex(np.sum(state.p))
+            out["prod_a"] = complex(np.prod(_toda_a(np.asarray(state.q, complex))))
+        else:
+            out["tr_K1"] = complex(np.dot(state.x, state.X))
     return out
 
 

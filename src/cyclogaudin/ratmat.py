@@ -100,9 +100,6 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def scale(self, a) -> "LaurentSeries":
-        return LaurentSeries(self.dim, self.base, self.low, a * self.coeffs)
-
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Cauchy product; matrix coefficients multiply as matrices, a
         scalar series scales every matrix coefficient."""
@@ -137,12 +134,6 @@ class LaurentSeries:
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by u^k (exact exponent shift)."""
         return LaurentSeries(self.dim, self.base, self.low + k, self.coeffs)
-
-    def truncated(self, trunc: int) -> "LaurentSeries":
-        if trunc < self.low:
-            raise TruncationError("cannot truncate below the lowest order")
-        return LaurentSeries(self.dim, self.base, self.low,
-                             self.coeffs[:trunc - self.low + 1])
 
     def trace_series(self) -> "LaurentSeries":
         return LaurentSeries(self.dim, self.base, self.low,
@@ -198,10 +189,6 @@ class RationalMatrix:
                 raise StructuralError(f"pole order {len(cs)} exceeds {_MAX_POLE_ORDER}")
 
     @classmethod
-    def zero(cls, dim: int) -> "RationalMatrix":
-        return cls(dim)
-
-    @classmethod
     def constant(cls, mat) -> "RationalMatrix":
         mat = np.asarray(mat, dtype=complex)
         return cls(mat.shape[-1], poly=[mat])
@@ -242,11 +229,6 @@ class RationalMatrix:
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix(self.dim, [-c for c in self.poly],
                               [(z, [-c for c in cs]) for z, cs in self.poles],
-                              validate=False)
-
-    def scale(self, a) -> "RationalMatrix":
-        return RationalMatrix(self.dim, [a * c for c in self.poly],
-                              [(z, [a * c for c in cs]) for z, cs in self.poles],
                               validate=False)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -381,12 +363,6 @@ class RationalMatrix:
                 out_poly.pop()
         return RationalMatrix(self.dim, out_poly, out_poles, validate=False)
 
-    def sigma(self, k: int, root: RootOfUnity) -> "RationalMatrix":
-        return RationalMatrix(
-            self.dim, [sigma_pow(c, k, root) for c in self.poly],
-            [(z, [sigma_pow(c, k, root) for c in cs]) for z, cs in self.poles],
-            validate=False)
-
     def __repr__(self):
         ps = ", ".join(f"{z:.3g}^{len(cs)}" for z, cs in self.poles)
         return f"RationalMatrix(dim={self.dim}, deg={len(self.poly)-1}, poles=[{ps}])"
@@ -409,9 +385,6 @@ class LocalTuple:
 
     def __sub__(self, other: "LocalTuple") -> "LocalTuple":
         return LocalTuple(self.points, [a - b for a, b in zip(self.series, other.series)])
-
-    def __add__(self, other: "LocalTuple") -> "LocalTuple":
-        return LocalTuple(self.points, [a + b for a, b in zip(self.series, other.series)])
 
 
 def residue_at_infinity(R: RationalMatrix):

@@ -19,9 +19,10 @@ from .algebra import grade_component, primitive_root, sigma_pow
 from .dynamics import Schedule, VerificationReport
 from .errors import ConfigError, PoleProximityError, StructuralError
 from .gaudin import (FlowId, GaudinCoefficients, PoleConfig, assemble_lax,
-                     hamiltonian, hamiltonian_at_infinity,
+                     dress, hamiltonian, hamiltonian_at_infinity,
                      hamiltonian_coefficient_gradients, lax_partner, lax_rhs)
-from .ratmat import (INF, RationalMatrix, check_equivariance, localize, split)
+from .ratmat import (INF, RationalMatrix, check_equivariance, localize,
+                     residue_at_infinity, split)
 from .rmatrix import (averaging_residual, casimir, cybe_residual,
                       kernel_projection, sklyanin_residual)
 
@@ -166,7 +167,6 @@ def ratmat_suite(cfg: RunConfig) -> VerificationReport:
     rep.add("expansion_consistency",
             np.max(np.abs(s.eval_sum(u) - R1.eval(zetas[0] + u))), 1e-8)
     acc = R1.residue(0j) + sum(R1.residue(z) for z in zetas)
-    from .ratmat import residue_at_infinity
     acc = acc + residue_at_infinity(R1)
     rep.add("residue_theorem", np.max(np.abs(acc)), 1e-10)
     # equivariant weight-1 family: split must reconstruct it locally
@@ -242,6 +242,17 @@ def _random_coefficients(rng, T) -> GaudinCoefficients:
     return GaudinCoefficients(A00, A01, [Ar], Ainf, T)
 
 
+def _residue_sum(L: RationalMatrix, P: PoleConfig, depth: int) -> float:
+    """Worst residue sum |H_p at infinity + sum_r H_{p,r}| over p <= depth."""
+    worst = 0.0
+    for p in range(1, depth + 1):
+        tot = hamiltonian_at_infinity(p, L, P)
+        for r in range(P.N + 1):
+            tot = tot + hamiltonian(FlowId(p, r), L, P)
+        worst = max(worst, abs(tot))
+    return worst
+
+
 def gaudin_suite(cfg: RunConfig) -> VerificationReport:
     rep = _report(cfg, "gaudin")
     (rng,) = _rngs(cfg, 1)
@@ -250,13 +261,7 @@ def gaudin_suite(cfg: RunConfig) -> VerificationReport:
     C = _random_coefficients(rng, T)
     L = assemble_lax(C, P)
     rep.add("lax_equivariance", check_equivariance(L, 1, P.root), 1e-11)
-    worst = 0.0
-    for p in range(1, cfg.depth + 1):
-        tot = hamiltonian_at_infinity(p, L, P)
-        for r in range(P.N + 1):
-            tot = tot + hamiltonian(FlowId(p, r), L, P)
-        worst = max(worst, abs(tot))
-    rep.add("hamiltonian_residue_sum", worst, 1e-10)
+    rep.add("hamiltonian_residue_sum", _residue_sum(L, P, cfg.depth), 1e-10)
     h = lax_partner(FlowId(cfg.depth, 1), L, P)
     rep.add("partner_equivariance", check_equivariance(h, 0, P.root), 1e-11)
     try:
@@ -305,13 +310,7 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
     rep.add("printed_flow_agreement", worst, 1e-11)
     # residue theorem over the Hamiltonians of the model Lax
     L, P = mdl.lax(s), mdl.config_of(s)
-    worst = 0.0
-    for p in range(1, cfg.depth + 1):
-        tot = hamiltonian_at_infinity(p, L, P)
-        for r in range(P.N + 1):
-            tot = tot + hamiltonian(FlowId(p, r), L, P)
-        worst = max(worst, abs(tot))
-    rep.add("hamiltonian_residue_sum", worst, 1e-10)
+    rep.add("hamiltonian_residue_sum", _residue_sum(L, P, cfg.depth), 1e-10)
     # quadratic r-matrix bracket of the Lax matrix
     worst = 0.0
     for _ in range(5):
@@ -324,7 +323,6 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
         u = rng_g.uniform(0.6, 1.5, T)
         v = rng_g.normal(size=T)
         C1 = mdl.coefficients(mdl.toda_from_orbit(u, v))
-        from .gaudin import dress
         C2 = dress(mdl.toda_orbit_data(u, v))
         worst = max(np.max(np.abs(C1.A0_0 - C2.A0_0)),
                     np.max(np.abs(C1.A0_1 - C2.A0_1)))
@@ -336,7 +334,6 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
             rep.add("gauge_map", mdl.dst_gauge_residual(s, 0.55 * np.exp(1.1j)), 1e-11)
             sM = _cmat(rng_g, T) + 2 * np.eye(T)
             cvec = rng_g.normal(size=T)
-            from .gaudin import dress
             C1 = mdl.coefficients(mdl.dst_from_orbit(sM, cvec, cfg.zeta1))
             C2 = dress(mdl.dst_orbit_data(sM, cvec, cfg.zeta1))
             rep.add("orbit_dressing",

@@ -69,6 +69,8 @@ def test_verify_failure_exit_code(tmp_path):
      "--zeta1", "bogus"],
     ["closure", "--flow-a", "0:0", "--model", "coupled", "--T", "2"],
     ["simulate", "--schedule", "7:0:0,1:0:0.002", "--model", "toda", "--T", "3"],
+    ["simulate", "--schedule", "1:1:0,1:0:0.01", "--model", "toda", "--T", "3"],
+    ["closure", "--flow-b", "1:1", "--model", "toda", "--T", "2"],
 ])
 def test_config_errors_exit_2(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "o")]) == 2
@@ -118,15 +120,27 @@ def test_simulate_csv_contract(tmp_path):
     assert drift <= 1e-12
 
 
-def test_simulate_complex_model_headers(tmp_path):
+_DST_COLUMNS = ["x_re1", "x_im1", "x_re2", "x_im2",
+                "X_re1", "X_im1", "X_re2", "X_im2"]
+_TODA_COLUMNS = ["q_re1", "q_im1", "q_re2", "q_im2",
+                 "p_re1", "p_im1", "p_re2", "p_im2"]
+_H_COLUMNS = ["H_1_0_re", "H_1_0_im", "H_1_1_re", "H_1_1_im",
+              "H_2_0_re", "H_2_0_im", "H_2_1_re", "H_2_1_im",
+              "H_3_0_re", "H_3_0_im", "H_3_1_re", "H_3_1_im"]
+
+
+@pytest.mark.parametrize("model, coords", [
+    ("dst", _DST_COLUMNS),
+    ("coupled", _TODA_COLUMNS + _DST_COLUMNS),
+], ids=["dst", "coupled"])
+def test_simulate_complex_model_headers(tmp_path, model, coords):
     out = tmp_path / "c.csv"
-    code = _run(["simulate", "--schedule", "1:1:0.01", "--model", "dst",
+    code = _run(["simulate", "--schedule", "1:1:0.01", "--model", model,
                  "--T", "2", "--seed", "4"], out)
     assert code == 0
     header = out.read_text().splitlines()[0].split(",")
-    assert "x_re1" in header and "X_im2" in header
-    assert "H_1_1_re" in header and "H_1_1_im" in header
-    assert not any(h.startswith("q") for h in header)
+    assert header == (["sample", "seg", "flow_p", "flow_r", "t_local"]
+                      + coords + _H_COLUMNS + ["drift_max"])
 
 
 def test_simulate_divergence_exit_3(tmp_path):

@@ -227,6 +227,12 @@ def test_flow_admissibility_checks(rng):
         mdl.flow_field(toda, FlowId(1, 1))
     with pytest.raises(AdmissibilityError):
         mdl.printed_flow_field(mdl.random_dst(2, rng, zeta1=1.0), FlowId(2, 1))
+    # integrate checks every segment's flow, zero-duration ones included,
+    # before the first step
+    for pairs in ([(FlowId(1, 1), 0.0)],
+                  [(FlowId(1, 0), 0.01), (FlowId(1, 1), 0.0)]):
+        with pytest.raises(AdmissibilityError):
+            dyn.integrate(toda, dyn.Schedule.from_pairs(pairs))
 
 
 def test_flow_fields_match_finite_difference_of_hamiltonian(rng):
@@ -482,7 +488,7 @@ def test_cyclic_coefficient_path_matches_loops(rng):
                 gq[i] = a[i] * g[i] - a[(i - 1) % T] * g[(i - 1) % T]
             scale = np.max(np.abs(a) * np.abs(g))
             np.testing.assert_allclose(
-                mdl.FieldKernel(s, FlowId(2, 0)).sectors(mdl.pack(s))[0], gq,
+                mdl.FieldKernel(s, FlowId(2, 0)).sectors(mdl.pack(s))[:T], gq,
                 rtol=0, atol=8 * eps * scale)
 
 
@@ -644,11 +650,22 @@ def test_beta_zero_hamiltonian_reduction_and_bracket_guard(rng):
         mdl.sectors(s)
 
 
-def test_lagrangian_coeff_value(rng):
-    s = mdl.random_dst(2, rng, zeta1=0.9)
-    f = FlowId(1, 1)
+@pytest.mark.parametrize("model", ["toda", "dst", "coupled"])
+def test_lagrangian_coeff_value(rng, model):
+    # the kinetic terms written out: -p.q' (Toda), X.x' (DST) and
+    # -p.q' + beta X.x' (coupled), with T = 2
+    state, f, kinetic = {
+        "toda": (lambda: mdl.random_toda(2, rng), FlowId(2, 0),
+                 lambda s, v: -np.dot(s.p, v[:2])),
+        "dst": (lambda: mdl.random_dst(2, rng, zeta1=0.9), FlowId(1, 1),
+                lambda s, v: np.dot(s.X, v[:2])),
+        "coupled": (lambda: mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9),
+                    FlowId(1, 1),
+                    lambda s, v: -np.dot(s.p, v[:2]) + s.beta * np.dot(s.X, v[4:6])),
+    }[model]
+    s = state()
     vel = mdl.flow_field(s, f)
-    expect = np.dot(s.X, vel[:2]) - mdl.hamiltonian_value(s, f)
+    expect = kinetic(s, vel) - mdl.hamiltonian_value(s, f)
     assert abs(mdl.lagrangian_coeff(s, f) - expect) <= 1e-12
 
 

@@ -105,17 +105,30 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
 
 def _field_of(template, f: FlowId, scale: float = 1.0):
     """The flow field y -> v of f on the template's states, scaled by
-    scale: a models.FieldKernel, which checks the flow when it is built."""
+    scale: a models.FieldKernel, which checks the flow when it is built.
+    The scaled field carries the kernel's structural-zero flag as zero
+    too, since a scaled zero field is still zero."""
     kernel = models.FieldKernel(template, f)
     if scale == 1.0:
         return kernel
-    return lambda y: scale * kernel(y)
+
+    def scaled(y):
+        return scale * kernel(y)
+    scaled.zero = kernel.zero
+    return scaled
 
 
 def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     """Classical fixed-step RK4 along the schedule (deterministic,
     single-threaded).  With record=False only segment endpoints are kept.
-    Every segment's flow is checked against the model before the first step."""
+    Every segment's flow is checked against the model before the first step.
+
+    A segment whose field is structurally zero (FieldKernel.zero, such as
+    the DST flows (p, 0)) is stepped as y -> y: it keeps every sample and
+    finiteness check, but never evaluates its field, so it cannot raise
+    DivergenceError on a finite state, even where z would overflow.  RK4
+    adds the zero increment to y, which leaves every entry as it is
+    except that it may turn a -0.0 into +0.0."""
     for seg in sched.segments:
         models._check_flow(s0, seg.flow)
     y = models.pack(s0)
@@ -126,7 +139,8 @@ def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
         field = _field_of(s0, seg.flow)
         h = seg.duration / seg.steps
         for n in range(seg.steps):
-            y = rk4_step(field, y, h)
+            if not field.zero:
+                y = rk4_step(field, y, h)
             if not np.all(np.isfinite(y)):
                 raise DivergenceError(
                     f"non-finite state in segment {si} step {n}",
@@ -264,14 +278,16 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
 def _transported_lagrangian(s0, f_eval: FlowId, f_arc: FlowId, t: float,
                             h: float, scale: float = 1.0) -> complex:
     """L_{f_eval} on the point reached from s0 by flowing along f_arc for
-    (signed) time t with RK4 steps of size <= h."""
+    (signed) time t with RK4 steps of size <= h (none for a structurally
+    zero field, as in integrate)."""
     y = models.pack(s0)
     if t != 0.0:
         steps = max(1, int(round(abs(t) / h)))
         step = t / steps
         field = _field_of(s0, f_arc, scale=scale)
-        for _ in range(steps):
-            y = rk4_step(field, y, step)
+        if not field.zero:
+            for _ in range(steps):
+                y = rk4_step(field, y, step)
         if not np.all(np.isfinite(y)):
             raise DivergenceError("closure arc diverged")
     s = models.unpack(s0, y)

@@ -62,6 +62,22 @@ kernel call costs 12-18 us on Toda T = 3, 10-17 us on DST T = 3 and
 against 16-29 us for flow_field on a state object (best of 40 rounds of
 500 calls, Python 3.11, NumPy 2.4, one thread of a shared 2-vCPU x86
 VM).
+
+Structural zeros
+----------------
+Some flows vanish identically: for DST, H_{p,0} = sum_i c_i^(p+1)/(p+1)
+depends on the fixed c alone, so the flows (p, 0) are zero.
+FieldKernel.zero proves this from the sparsity of the plan, never from a
+value of the field: the support pattern of z (entries written from the
+coordinates count as nonzero, constant entries by their value) goes
+through expand, take and readout as boolean matrix products
+(FlowPlan.vanishes), and the field is zero when no entry of dH/dz that
+the chain rule reads can be nonzero.  The flag is worked out once per
+kernel and cached per plan and pattern.  Over the three models, T = 1..5
+and every flow to p = 6 it flags exactly the DST flows (p, 0), the tests
+hold it to flow_field, and dynamics steps a flagged segment as the
+identity.  flow_field and the kernel's call stay the oracle and still
+return the zero vector.
 """
 from __future__ import annotations
 
@@ -404,6 +420,36 @@ def _sectors_of(state):
                None if weight is None else getattr(state, weight))
 
 
+_LAYOUT_CACHE: dict = {}
+
+
+def _layout(state) -> tuple:
+    """(T, the slices of the q, p, x and X blocks in the packed vector,
+    None for a block the model lacks, the cyclic index arrays i+1, i-1, the
+    mask of the support vector entries that are written from the
+    coordinates, and per canonical sector the indices of its P and Q
+    blocks) of the state's class and T (cached; read-only)."""
+    T = state.T
+    key = (type(state), T)
+    out = _LAYOUT_CACHE.get(key)
+    if out is None:
+        at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(state.BLOCKS)}
+        _, nxt, prev = _cyclic(T)
+        # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
+        # the x X^T block from (x, X); the rest is constant
+        coords = np.zeros(_support_index(len(state.POLES) + 3, T).size, bool)
+        coords[:2 * T] = "q" in at
+        coords[2 * T:2 * T + T * T] = "x" in at
+        secs = tuple((np.arange(at[P].start, at[P].stop),
+                      np.arange(at[Q].start, at[Q].stop))
+                     for Q, P, _, _ in state.SECTORS)
+        for a in (coords, *[a for pair in secs for a in pair]):
+            a.setflags(write=False)
+        out = _LAYOUT_CACHE[key] = (T, *map(at.get, ("q", "p", "x", "X")),
+                                    nxt, prev, coords, secs)
+    return out
+
+
 def _real(v: np.ndarray, what: str) -> np.ndarray:
     """A Toda vector on the real locus: the real part of v, after checking
     that no imaginary part exceeds _IMAG_TOL."""
@@ -464,14 +510,13 @@ def sectors(state) -> list:
     """Sector data of the canonical bracket: (P indices, Q indices,
     coefficient) per canonical sector of the packed coordinates, the
     coefficient being the sector sign divided by the sector weight."""
-    idx = np.arange(state.T)
     out = []
-    for Q, P, sign, weight in _sectors_of(state):
+    for (iP, iQ), (Q, P, sign, weight) in zip(_layout(state)[-1],
+                                              _sectors_of(state)):
         if weight == 0.0:
             raise AdmissibilityError(f"the ({Q}, {P}) bracket sector "
                                      "degenerates at beta = 0")
-        sign = sign if weight is None else sign / weight
-        out.append((_offset(state, P) + idx, _offset(state, Q) + idx, sign))
+        out.append((iP, iQ, sign if weight is None else sign / weight))
     return out
 
 
@@ -587,6 +632,20 @@ class FlowPlan:
                 P = W @ P
         return self.readout @ P.reshape(-1)
 
+    def vanishes(self, nonzero: np.ndarray, read: np.ndarray) -> bool:
+        """Whether dH/dz is zero at every read entry for every z that is
+        zero where nonzero is False.  The pattern of z goes through expand,
+        take and readout as boolean matrix products, so an entry comes out
+        False only where every term of its sum has a factor that is
+        exactly zero; the read-out rows alone are not zero, so the whole
+        chain is pushed through."""
+        S = (self.expand != 0) @ nonzero
+        P = S[:-1].reshape(self.take.shape[0], -1)
+        W = S[self.take]
+        for _ in range(self.p - 1):
+            P = W @ P
+        return not ((self.readout != 0) @ P.reshape(-1))[read].any()
+
 
 _PLAN_CACHE: dict = {}
 
@@ -613,21 +672,18 @@ class SupportWriter:
     unpack casts it, since exp rounds differently on real arguments."""
 
     __slots__ = ("T", "real", "z", "zp", "za", "K", "bc", "beta", "nxt",
-                 "prev", "qs", "ps", "xs", "Xs")
+                 "prev", "qs", "ps", "xs", "Xs", "coords")
 
     def __init__(self, template):
         if getattr(template, "BLOCKS", None) is None:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
-        T = self.T = template.T
         self.real = template.REAL
-        at = {b: slice(k * T, (k + 1) * T)
-              for k, b in enumerate(template.BLOCKS)}
-        self.qs, self.ps, self.xs, self.Xs = map(at.get, ("q", "p", "x", "X"))
-        self.z = z = np.empty(
-            _support_index(len(template.POLES) + 3, T).size, complex)
+        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, self.prev,
+         self.coords, _) = _layout(template)
+        self.T = T
+        self.z = z = np.empty(self.coords.size, complex)
         self.zp, self.za = z[:T], z[T:2 * T]
-        _, self.nxt, self.prev = _cyclic(T)
         self.K = self.bc = self.beta = None
         if self.xs is None:
             z[2 * T:] = 1.0
@@ -707,6 +763,9 @@ def _canonical(template) -> tuple:
     return _CANONICAL_CACHE[key]
 
 
+_ZERO_CACHE: dict = {}
+
+
 class FieldKernel:
     """The flow field of one flow (p, r) on the states of one template,
     as a map from the packed vector y: the SupportWriter writes z, the
@@ -719,7 +778,8 @@ class FieldKernel:
     H off any z of the template's model, so one SupportWriter's z serves
     the kernels of many flows."""
 
-    __slots__ = ("writer", "plan", "p", "swap", "flip", "scaled", "scale")
+    __slots__ = ("writer", "plan", "p", "swap", "flip", "scaled", "scale",
+                 "_zero")
 
     def __init__(self, template, f: FlowId):
         self.writer = SupportWriter(template)
@@ -727,6 +787,24 @@ class FieldKernel:
         self.plan = flow_plan(config_of(template), f)
         self.p = f.p
         self.swap, self.flip, self.scaled, self.scale = _canonical(template)
+        self._zero = None
+
+    @property
+    def zero(self) -> bool:
+        """Whether the field is zero at every y whose support vector is
+        finite, proved from the sparsity of the plan (FlowPlan.vanishes)
+        on first use and cached per plan and support pattern: entries of
+        z written from the coordinates count as nonzero, constant entries
+        by their value.  dynamics steps such a flow as the identity."""
+        if self._zero is None:
+            coords, z = self.writer.coords, self.writer.z
+            nonzero = coords | (z != 0)   # the constants are never rewritten
+            key = (self.plan, coords.tobytes(), nonzero.tobytes())
+            zero = _ZERO_CACHE.get(key)
+            if zero is None:
+                zero = _ZERO_CACHE[key] = self.plan.vanishes(nonzero, coords)
+            self._zero = zero
+        return self._zero
 
     def sectors(self, y: np.ndarray) -> np.ndarray:
         """The reduced gradient of H at y (SupportWriter.sectors)."""

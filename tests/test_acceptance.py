@@ -339,6 +339,7 @@ def _assert_commutes(state, fA, fB):
     # fourth-order shrink, asserted only above integrator roundoff
     if d2 >= 1e-12:
         assert d1 / d2 >= 12.0, f"{fA}x{fB}: ratio {d1 / d2:.1f}"
+    return d1
 
 
 def test_flows_commute_toda():
@@ -352,9 +353,14 @@ def test_flows_commute_toda():
 def test_flows_commute_dst():
     s = _dst_state()
     flows = mdl.admissible_flows(s, 3)
+    zero = {f for f in flows if mdl.FieldKernel(s, f).zero}
+    assert zero == {FlowId(p, 0) for p in (1, 2, 3)}
     for i, fA in enumerate(flows):
         for fB in flows[i + 1:]:
-            _assert_commutes(s, fA, fB)
+            d1 = _assert_commutes(s, fA, fB)
+            # a structurally zero flow leaves the state as it is
+            if fA in zero or fB in zero:
+                assert d1 == 0.0, f"{fA}x{fB}: defect {d1:.3e}"
 
 
 def test_flows_commute_coupled():

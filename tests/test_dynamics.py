@@ -72,6 +72,76 @@ def test_integrate_divergence_is_reported():
     assert isinstance(exc.value.last_good, dyn.Trajectory)
 
 
+def _stepped_samples(s0, sched, record=True):
+    """The samples of integrate as (seg, t_local, vec bytes), with every
+    segment of nonzero duration stepped by rk4_step on its kernel, whether
+    or not the kernel is structurally zero."""
+    y = mdl.pack(s0)
+    out = [(0, 0.0, y.tobytes())]
+    for si, seg in enumerate(sched.segments):
+        if seg.duration == 0.0:
+            continue
+        kernel = mdl.FieldKernel(s0, seg.flow)
+        h = seg.duration / seg.steps
+        for n in range(seg.steps):
+            y = dyn.rk4_step(kernel, y, h)
+            if record or n == seg.steps - 1:
+                out.append((si, (n + 1) * h, y.tobytes()))
+    return out
+
+
+def test_structural_zero_skip_matches_stepping_byte_for_byte(rng, monkeypatch):
+    # integrate steps a structurally zero segment as y -> y; every sample
+    # must stay as RK4 on the kernel leaves it, signed zeros included
+    # (tobytes: array_equal would not see a -0.0 turn into +0.0)
+    f10, f11, f20, f21, f30 = (FlowId(1, 0), FlowId(1, 1), FlowId(2, 0),
+                               FlowId(2, 1), FlowId(3, 0))
+    dst = mdl.random_dst(3, rng, zeta1=0.9)
+    coupled = mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)
+    assert [mdl.FieldKernel(dst, f).zero for f in (f10, f11, f20, f30)] \
+        == [True, False, True, True]
+    cases = [(dst, [(f10, 0.01), (f11, 0.01), (f20, 0.005), (f21, 0.0),
+                    (f30, 0.01), (f21, 0.005), (f10, 0.0)]),
+             (dst, [(f20, 0.003)]),
+             (coupled, [(f10, 0.01), (f11, 0.0), (f21, 0.005)])]
+    for s, pairs in cases:
+        sched = dyn.Schedule.from_pairs(pairs, h=1e-3)
+        for record in (True, False):
+            got = [(x.seg, x.t_local, x.vec.tobytes())
+                   for x in dyn.integrate(s, sched, record).samples]
+            assert got == _stepped_samples(s, sched, record)
+    # closure arcs, with the 1.1-scaled field on the fB arcs: the same
+    # residual as with the flag forced off (every arc stepped)
+    pairs = [(dst, f10, f11, 0.0), (dst, f11, f20, 0.002), (coupled, f10, f11, 0.0)]
+    got = [dyn.closure_residual(s, a, b, tau=tau, wrong_hamiltonian=True)
+           for s, a, b, tau in pairs]
+    with monkeypatch.context() as m:
+        m.setattr(mdl.FieldKernel, "zero", property(lambda self: False))
+        ref = [dyn.closure_residual(s, a, b, tau=tau, wrong_hamiltonian=True)
+               for s, a, b, tau in pairs]
+    assert got == ref
+
+
+def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
+    # x X^T overflows: stepping the (1, 0) field would meet inf * 0 = nan
+    # and raise DivergenceError, the skip returns the state unchanged
+    s = mdl.random_dst(2, rng, zeta1=0.9)
+    big = mdl.DSTState(1e200 * s.x, 1e200 * s.X, s.c, s.zeta1)
+    calls = []
+    call = mdl.FieldKernel.__call__
+    monkeypatch.setattr(mdl.FieldKernel, "__call__",
+                        lambda self, y: calls.append(1) or call(self, y))
+    sched = dyn.Schedule.from_pairs([(FlowId(1, 0), 0.01), (FlowId(3, 0), 0.01)],
+                                    h=1e-3)
+    traj = dyn.integrate(big, sched)
+    assert len(traj) == 21 and not calls
+    assert all(x.vec.tobytes() == mdl.pack(big).tobytes() for x in traj.samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            dyn.integrate(big, dyn.Schedule.from_pairs([(FlowId(1, 1), 0.01)],
+                                                       h=1e-3))
+
+
 # ---------------------------------------------------------------------------
 # Poisson brackets
 # ---------------------------------------------------------------------------

@@ -461,6 +461,84 @@ def test_dst_origin_flows_are_exactly_zero(rng, T):
         assert np.all(mdl.flow_field(s, FlowId(p, 0)) == 0.0)
 
 
+def _zero_flag_templates(T, rng):
+    """The kernel templates, plus constant zeros in z: c = 0 on the A0_0
+    diagonal of DST, 1 + beta = 0 on Ainf of the coupled model."""
+    yield from _kernel_templates(T, rng)
+    d = mdl.random_dst(T, rng, zeta1=0.9)
+    yield mdl.DSTState(d.x, d.X, np.zeros(T), d.zeta1)
+    yield mdl.random_coupled(T, rng, beta=-1.0, zeta1=0.9)
+
+
+def _seeded_states(tmpl, rng, n=5):
+    """n states with the template's parameters and perturbed coordinates."""
+    out = []
+    for _ in range(n):
+        y = mdl.pack(tmpl) + 0.3 * rng.normal(size=mdl.nvars(tmpl))
+        if not isinstance(tmpl, mdl.TodaState):
+            y = y + 0.3j * rng.normal(size=y.size)
+        out.append(mdl.unpack(tmpl, y))
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_structural_zero_flag_matches_flow_field(rng, T):
+    # kernel.zero, proved from the plan's sparsity alone, against the
+    # field itself: flagged flows are exactly zero on every state with
+    # the template's parameters, unflagged ones nonzero on every one
+    flagged = set()
+    for tmpl in _zero_flag_templates(T, rng):
+        states = _seeded_states(tmpl, rng)
+        for f in mdl.admissible_flows(tmpl, 6):
+            kernel = mdl.FieldKernel(tmpl, f)
+            assert [not np.any(mdl.flow_field(s, f)) for s in states] \
+                == [kernel.zero] * len(states), (type(tmpl).__name__, f)
+            if kernel.zero:
+                flagged.add((type(tmpl), f))
+    # the flows (p, 0) of DST, whose H depends on the fixed c alone
+    assert flagged == {(mdl.DSTState, FlowId(p, 0)) for p in range(1, 7)}
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_flagged_hamiltonians_depend_on_parameters_alone(rng, T):
+    # the generic route (gaudin.hamiltonian on the assembled Lax matrix,
+    # not the plan) for every flagged flow: unchanged under random changes
+    # of the coordinates, and equal to sum_i c_i^(p+1)/(p+1) times the
+    # slot weight (1 at r = 0, T at r >= 1)
+    checked = 0
+    for tmpl in _zero_flag_templates(T, rng):
+        for f in mdl.admissible_flows(tmpl, 6):
+            if not mdl.FieldKernel(tmpl, f).zero:
+                continue
+            weight = 1.0 if f.r == 0 else T
+            expect = weight * np.sum(tmpl.c ** (f.p + 1)) / (f.p + 1)
+            for s in (tmpl, *_seeded_states(tmpl, rng)):
+                h = hamiltonian(f, mdl.lax(s), mdl.config_of(s))
+                assert abs(h - expect) <= 1e-13 * (1 + abs(expect)), (f, h)
+            checked += 1
+    assert checked == 2 * 6 + 6     # two DST templates with c, one c = 0
+
+
+def test_structural_zero_cache_keys(rng):
+    # one plan, several support patterns: the flag follows the constants
+    # of the template (c = 0 keeps it, a nonzero c keeps it) and the
+    # coordinate entries of the model (the coupled model shares the
+    # plans of DST and is never flagged)
+    d = mdl.random_dst(3, rng, zeta1=0.9)
+    c = mdl.random_coupled(3, rng, beta=0.7, zeta1=0.9)
+    assert mdl.flow_plan(mdl.config_of(d), FlowId(2, 0)) \
+        is mdl.flow_plan(mdl.config_of(c), FlowId(2, 0))
+    for tmpl, zero in ((d, True), (c, False),
+                       (mdl.DSTState(d.x, d.X, np.zeros(3), d.zeta1), True),
+                       (d, True), (c, False)):
+        kernel = mdl.FieldKernel(tmpl, FlowId(2, 0))
+        assert kernel.zero is zero
+        kernel(mdl.pack(tmpl))          # rewrites the coordinate entries
+        assert kernel.zero is zero
+    with pytest.raises(AttributeError):
+        kernel.zero = True
+
+
 def test_cyclic_coefficient_path_matches_loops(rng):
     # the per-element loops and np.roll the cyclic index arrays replace
     eps = np.finfo(float).eps

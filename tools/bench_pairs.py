@@ -1,16 +1,18 @@
 """Alternating paired benchmark runs of two checkouts.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs commute_sweep=10 \
-        --pairs simulate_csv=3 [--output BENCH.json]
+        --pairs simulate_csv=3 [--seed N] [--output BENCH.json]
 
 For each workload W and each of its N pairs, this runs
 
-    python3 perfbench/run.py --workload W --trace 0
+    python3 perfbench/run.py --workload W --trace 0 [--seed N]
 
 once in each checkout, alternating which side goes first from one pair
-to the next, and keeps the result line of every run.  Per end-to-end
-metric of the change's BENCHMARK.json it reports each side's median and
-quartiles (inclusive method), how many pairs the change won and tied,
+to the next, and keeps the result line of every run.  --seed is passed
+on only when it is given, so that a claim can be rechecked on a seed
+other than the benchmark's default.  Per end-to-end metric of the
+change's BENCHMARK.json it reports each side's median and quartiles
+(inclusive method), how many pairs the change won and tied,
 and whether a gain claim holds: the change must win at least 9 in 10 of
 the pairs (a tie counts for neither side) and its median must beat the
 parent's by more than the distance between the parent's quartiles.  The
@@ -33,10 +35,12 @@ import time
 SIDES = ("parent", "change")
 
 
-def _run(checkout: str, workload: str) -> dict:
+def _run(checkout: str, workload: str, seed=None) -> dict:
     """One benchmark run in the checkout: its result line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--trace", "0"]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -104,6 +108,9 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--pairs", action="append", required=True,
                     metavar="WORKLOAD=N", help="workload and pair count")
+    ap.add_argument("--seed", type=int,
+                    help="benchmark seed passed to perfbench/run.py "
+                         "(default: the benchmark's own)")
     ap.add_argument("--output", help="JSON report path (default stdout)")
     args = ap.parse_args(argv)
     plan = []
@@ -117,7 +124,8 @@ def main(argv=None) -> int:
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     report = {
-        "command": "python3 perfbench/run.py --workload W --trace 0",
+        "command": "python3 perfbench/run.py --workload W --trace 0"
+                   + ("" if args.seed is None else f" --seed {args.seed}"),
         "protocol": "pairs alternate which side runs first; quartiles by "
                     "statistics.quantiles(n=4, method='inclusive')",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -134,7 +142,7 @@ def main(argv=None) -> int:
             pair = {"first": order[0]}
             for side in order:
                 t0 = time.time()
-                pair[side] = _run(checkouts[side], workload)
+                pair[side] = _run(checkouts[side], workload, args.seed)
                 print(f"{workload} pair {i + 1}/{n} {side}: "
                       f"{json.dumps(pair[side]['metrics'])} "
                       f"({time.time() - t0:.0f} s)", file=sys.stderr)

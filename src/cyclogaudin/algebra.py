@@ -8,6 +8,7 @@ g^(n) = span{E_{i,i+n}} with indices mod T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -39,20 +40,14 @@ class RootOfUnity:
         return cached
 
 
-_ROOT_CACHE: dict = {}
-
-
+@cache
 def primitive_root(T: int) -> RootOfUnity:
     """omega = exp(2*pi*i/T) with its power table (cached per order)."""
     if T < 1:
         raise InvalidOrderError(f"root-of-unity order must be >= 1, got {T}")
-    root = _ROOT_CACHE.get(T)
-    if root is None:
-        powers = np.exp(2j * np.pi * np.arange(T) / T)
-        root = RootOfUnity(order=T, omega=complex(powers[1] if T > 1 else 1.0),
-                           powers=powers)
-        _ROOT_CACHE[T] = root
-    return root
+    powers = np.exp(2j * np.pi * np.arange(T) / T)
+    return RootOfUnity(order=T, omega=complex(powers[1] if T > 1 else 1.0),
+                       powers=powers)
 
 
 def _check_dim(X: np.ndarray, T: int) -> None:

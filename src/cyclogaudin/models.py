@@ -82,10 +82,11 @@ return the zero vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
-from .algebra import primitive_root, sigma_pow
+from .algebra import primitive_root
 from .errors import AdmissibilityError, StructuralError
 from .gaudin import (FlowId, GaudinCoefficients, OrbitData, PoleConfig,
                      _gradients_from_series, _times_monomial, assemble_lax)
@@ -191,32 +192,18 @@ class CoupledState:
 # elementary matrices
 # ---------------------------------------------------------------------------
 
-_SHIFT_CACHE: dict = {}
-
-
 def _shift_basis(T: int, offset: int) -> np.ndarray:
-    """sum_i E_{i, i+offset} with indices mod T (cached, copy-on-return)."""
-    M = _SHIFT_CACHE.get((T, offset))
-    if M is None:
-        M = np.zeros((T, T), complex)
-        for i in range(T):
-            M[i, (i + offset) % T] = 1.0
-        _SHIFT_CACHE[(T, offset)] = M
-    return M.copy()
+    """sum_i E_{i, i+offset} with indices mod T."""
+    return np.roll(np.eye(T, dtype=complex), offset, axis=1)
 
 
-_CYCLIC_CACHE: dict = {}
-
-
+@cache
 def _cyclic(T: int) -> tuple:
     """Index arrays (i, i+1, i-1) mod T (cached; read-only)."""
-    idx = _CYCLIC_CACHE.get(T)
-    if idx is None:
-        i = np.arange(T)
-        idx = (i, (i + 1) % T, (i - 1) % T)
-        for a in idx:
-            a.setflags(write=False)
-        _CYCLIC_CACHE[T] = idx
+    i = np.arange(T)
+    idx = (i, (i + 1) % T, (i - 1) % T)
+    for a in idx:
+        a.setflags(write=False)
     return idx
 
 
@@ -225,22 +212,17 @@ def _toda_a(q: np.ndarray) -> np.ndarray:
     return np.exp(q - q[_cyclic(q.size)[1]])
 
 
-_SUPPORT_CACHE: dict = {}
-
-
+@cache
 def _support_index(nb: int, T: int) -> np.ndarray:
     """Flat indices, into a stack of nb (T, T) blocks [A0_0, A0_1,
     A_1..A_N, Ainf], of the support vector's entries: the diagonal of
     A0_0, the subdiagonal E_{i+1,i} of A0_1, every entry of A_1..A_N (row
     major) and the superdiagonal E_{i,i+1} of Ainf (cached; read-only)."""
-    idx = _SUPPORT_CACHE.get((nb, T))
-    if idx is None:
-        i, nxt, _ = _cyclic(T)
-        idx = np.concatenate([i * T + i, T * T + nxt * T + i,
-                              np.arange(2 * T * T, (nb - 1) * T * T),
-                              (nb - 1) * T * T + i * T + nxt])
-        idx.setflags(write=False)
-        _SUPPORT_CACHE[(nb, T)] = idx
+    i, nxt, _ = _cyclic(T)
+    idx = np.concatenate([i * T + i, T * T + nxt * T + i,
+                          np.arange(2 * T * T, (nb - 1) * T * T),
+                          (nb - 1) * T * T + i * T + nxt])
+    idx.setflags(write=False)
     return idx
 
 
@@ -274,16 +256,13 @@ def _as_coefficients(B: np.ndarray, T: int) -> GaudinCoefficients:
                               B[..., -1, :, :], T, validate=False)
 
 
-_CONFIG_CACHE: dict = {}
+_pole_config = cache(PoleConfig)
 
 
 def config_of(state) -> PoleConfig:
-    key = (state.T, tuple([complex(getattr(state, z)) for z in state.POLES]))
-    cfg = _CONFIG_CACHE.get(key)
-    if cfg is None:
-        cfg = PoleConfig(key[0], key[1])
-        _CONFIG_CACHE[key] = cfg
-    return cfg
+    """The state's PoleConfig, one object per (T, pole parameters)."""
+    return _pole_config(state.T, tuple([complex(getattr(state, z))
+                                        for z in state.POLES]))
 
 
 def coefficients(state) -> GaudinCoefficients:
@@ -420,34 +399,30 @@ def _sectors_of(state):
                None if weight is None else getattr(state, weight))
 
 
-_LAYOUT_CACHE: dict = {}
-
-
 def _layout(state) -> tuple:
     """(T, the slices of the q, p, x and X blocks in the packed vector,
     None for a block the model lacks, the cyclic index arrays i+1, i-1, the
     mask of the support vector entries that are written from the
     coordinates, and per canonical sector the indices of its P and Q
     blocks) of the state's class and T (cached; read-only)."""
-    T = state.T
-    key = (type(state), T)
-    out = _LAYOUT_CACHE.get(key)
-    if out is None:
-        at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(state.BLOCKS)}
-        _, nxt, prev = _cyclic(T)
-        # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
-        # the x X^T block from (x, X); the rest is constant
-        coords = np.zeros(_support_index(len(state.POLES) + 3, T).size, bool)
-        coords[:2 * T] = "q" in at
-        coords[2 * T:2 * T + T * T] = "x" in at
-        secs = tuple((np.arange(at[P].start, at[P].stop),
-                      np.arange(at[Q].start, at[Q].stop))
-                     for Q, P, _, _ in state.SECTORS)
-        for a in (coords, *[a for pair in secs for a in pair]):
-            a.setflags(write=False)
-        out = _LAYOUT_CACHE[key] = (T, *map(at.get, ("q", "p", "x", "X")),
-                                    nxt, prev, coords, secs)
-    return out
+    return _class_layout(type(state), state.T)
+
+
+@cache
+def _class_layout(cls, T: int) -> tuple:
+    at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(cls.BLOCKS)}
+    _, nxt, prev = _cyclic(T)
+    # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
+    # the x X^T block from (x, X); the rest is constant
+    coords = np.zeros(_support_index(len(cls.POLES) + 3, T).size, bool)
+    coords[:2 * T] = "q" in at
+    coords[2 * T:2 * T + T * T] = "x" in at
+    secs = tuple((np.arange(at[P].start, at[P].stop),
+                  np.arange(at[Q].start, at[Q].stop))
+                 for Q, P, _, _ in cls.SECTORS)
+    for a in (coords, *[a for pair in secs for a in pair]):
+        a.setflags(write=False)
+    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords, secs)
 
 
 def _real(v: np.ndarray, what: str) -> np.ndarray:
@@ -647,15 +622,10 @@ class FlowPlan:
         return not ((self.readout != 0) @ P.reshape(-1))[read].any()
 
 
-_PLAN_CACHE: dict = {}
-
-
+@cache
 def flow_plan(cfg: PoleConfig, f: FlowId) -> FlowPlan:
     """The FlowPlan of (cfg, f), built on first use and cached."""
-    plan = _PLAN_CACHE.get((cfg, f))
-    if plan is None:
-        plan = _PLAN_CACHE[(cfg, f)] = FlowPlan(cfg, f)
-    return plan
+    return FlowPlan(cfg, f)
 
 
 class SupportWriter:
@@ -735,34 +705,34 @@ class SupportWriter:
         return r
 
 
-_CANONICAL_CACHE: dict = {}
-
-
 def _canonical(template) -> tuple:
     """(swap, flip, scaled, scale) of the template's layout, signs and
     weights (cached; read-only).  Per sector dQ/dt = -sign r_P and
     dP/dt = +sign r_Q in the reduced gradient r, so the field is r[swap]
     negated at flip; the gradient is r with r[scaled] times scale."""
-    T, secs = template.T, tuple(_sectors_of(template))
-    key = (type(template), T, secs)
-    if key not in _CANONICAL_CACHE:
-        swap, flip, scaled, scale = list(range(nvars(template))), [], [], []
-        for Q, P, sign, weight in secs:
-            q, p = (range(_offset(template, b), _offset(template, b) + T)
-                    for b in (Q, P))
-            swap[q.start:q.stop], swap[p.start:p.stop] = p, q
-            flip += q if sign > 0 else p
-            if weight is not None:
-                scaled += [*q, *p]
-                scale += [weight] * (2 * T)
-        out = (np.array(swap), np.array(flip, dtype=int),
-               np.array(scaled, dtype=int), np.array(scale))
-        for a in out:
-            a.setflags(write=False)
-        _CANONICAL_CACHE[key] = out
-    return _CANONICAL_CACHE[key]
+    return _class_canonical(type(template), template.T,
+                            tuple(_sectors_of(template)))
 
 
+@cache
+def _class_canonical(cls, T: int, secs: tuple) -> tuple:
+    swap, flip, scaled, scale = list(range(len(cls.BLOCKS) * T)), [], [], []
+    for Q, P, sign, weight in secs:
+        q, p = (range(cls.BLOCKS.index(b) * T, (cls.BLOCKS.index(b) + 1) * T)
+                for b in (Q, P))
+        swap[q.start:q.stop], swap[p.start:p.stop] = p, q
+        flip += q if sign > 0 else p
+        if weight is not None:
+            scaled += [*q, *p]
+            scale += [weight] * (2 * T)
+    out = (np.array(swap), np.array(flip, dtype=int),
+           np.array(scaled, dtype=int), np.array(scale))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+# keyed on the plan and the bytes of the support patterns (ndarrays do not hash)
 _ZERO_CACHE: dict = {}
 
 

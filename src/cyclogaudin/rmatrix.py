@@ -12,10 +12,10 @@ from math import comb
 
 import numpy as np
 
-from .algebra import RootOfUnity, grade_component, primitive_root, sigma_pow
+from .algebra import RootOfUnity, grade_component, sigma_pow
 from .errors import PoleProximityError
 from .ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix, _is_inf,
-                     localize, orbit_family)
+                     orbit_family)
 
 _COLLISION_TOL = 1e-10
 

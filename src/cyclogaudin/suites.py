@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
     rng_s, rng_p, rng_g = _rngs(cfg, 3)
     T = cfg.T
     s = _seeded_state(cfg, rng_s)
-    f10 = FlowId(1, 0)
+    fA, fB = mdl.admissible_flows(s, 2)[:2]
     # printed first-flow equations (DST compared modulo the scaling gauge)
     worst = 0.0
     for f in mdl.admissible_flows(s, 1):
@@ -317,6 +317,7 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
         mu = complex(rng_p.uniform(1.55, 1.8) * np.exp(2j * np.pi * rng_p.uniform()))
         worst = max(worst, sklyanin_residual(s, lam, mu))
     rep.add("sklyanin", worst, 1e-9)
+    # the paper's identities of each realisation
     if cfg.model == "toda":
         rep.add("gauge_map", mdl.toda_gauge_residual(s, 0.85 * np.exp(0.67j)), 1e-11)
         u = rng_g.uniform(0.6, 1.5, T)
@@ -326,48 +327,51 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
         worst = max(np.max(np.abs(C1.A0_0 - C2.A0_0)),
                     np.max(np.abs(C1.A0_1 - C2.A0_1)))
         rep.add("orbit_dressing", worst, 1e-12)
-        rep.add("closure_(1,0)x(2,0)",
-                dyn.closure_residual(s, f10, FlowId(2, 0), h=cfg.h), 1e-6)
+    elif cfg.model == "dst":
+        rep.add("gauge_map", mdl.dst_gauge_residual(s, 0.55 * np.exp(1.1j)), 1e-11)
+        sM = _cmat(rng_g, T) + 2 * np.eye(T)
+        cvec = rng_g.normal(size=T)
+        C1 = mdl.coefficients(mdl.dst_from_orbit(sM, cvec, cfg.zeta1))
+        C2 = dress(mdl.dst_orbit_data(sM, cvec, cfg.zeta1))
+        rep.add("orbit_dressing",
+                np.max(np.abs(C1.A_list[0] - C2.A_list[0])), 1e-12)
+        rep.add("orbit_trace", abs(np.trace(C1.A_list[0]) - 1.0), 1e-12)
     else:
-        if cfg.model == "dst":
-            rep.add("gauge_map", mdl.dst_gauge_residual(s, 0.55 * np.exp(1.1j)), 1e-11)
-            sM = _cmat(rng_g, T) + 2 * np.eye(T)
-            cvec = rng_g.normal(size=T)
-            C1 = mdl.coefficients(mdl.dst_from_orbit(sM, cvec, cfg.zeta1))
-            C2 = dress(mdl.dst_orbit_data(sM, cvec, cfg.zeta1))
-            rep.add("orbit_dressing",
-                    np.max(np.abs(C1.A_list[0] - C2.A_list[0])), 1e-12)
-            rep.add("orbit_trace", abs(np.trace(C1.A_list[0]) - 1.0), 1e-12)
-        else:
-            toda = mdl.random_toda(T, rng_g)
-            s0 = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
-                                  s.x, s.X, s.c, s.zeta1, 0.0)
-            lam = 0.62 * np.exp(0.9j)
-            worst = float(np.max(np.abs(mdl.lax(s0).eval(lam)
-                                        - mdl.lax(toda).eval(lam))))
-            worst = max(worst, abs(mdl.lagrangian_coeff(s0, f10)
-                                   - mdl.lagrangian_coeff(toda, f10)))
-            v = mdl.flow_field(s0, f10)[:2 * T]
-            worst = max(worst, float(np.max(np.abs(v - mdl.flow_field(toda, f10)))))
-            rep.add("beta_zero_reduction", worst, 1e-12)
-        rep.add("closure_(1,0)x(1,1)",
-                dyn.closure_residual(s, f10, FlowId(1, 1), h=cfg.h), 1e-6)
+        toda = mdl.random_toda(T, rng_g)
+        s0 = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
+                              s.x, s.X, s.c, s.zeta1, 0.0)
+        lam = 0.62 * np.exp(0.9j)
+        worst = float(np.max(np.abs(mdl.lax(s0).eval(lam)
+                                    - mdl.lax(toda).eval(lam))))
+        worst = max(worst, abs(mdl.lagrangian_coeff(s0, fA)
+                               - mdl.lagrangian_coeff(toda, fA)))
+        v = mdl.flow_field(s0, fA)[:2 * T]
+        worst = max(worst, float(np.max(np.abs(v - mdl.flow_field(toda, fA)))))
+        rep.add("beta_zero_reduction", worst, 1e-12)
+    rep.add(f"closure_{fA}x{fB}",
+            dyn.closure_residual(s, fA, fB, h=cfg.h), 1e-6)
     return rep
+
+
+# The paper's convention for the canonical brackets, written out here so
+# that canonical_pattern stays independent of models.SECTOR_SIGN_*:
+# {P_i, Q_j} = sign delta_ij / weight per (Q, P) sector.
+_BRACKET_SIGNS = {("q", "p"): 1.0, ("x", "X"): -1.0}
 
 
 def dynamics_suite(cfg: RunConfig) -> VerificationReport:
     rep = _report(cfg, "dynamics")
     rng_s, rng_b = _rngs(cfg, 2)
     s = _seeded_state(cfg, rng_s)
-    f10 = FlowId(1, 0)
-    fB = FlowId(2, 0) if cfg.model == "toda" else FlowId(1, 1)
+    fA, fB = mdl.admissible_flows(s, 2)[:2]
     tau = 0.4
-    sched = Schedule.from_pairs([(f10, tau), (fB, tau)], cfg.h)
+    sched = Schedule.from_pairs([(fA, tau), (fB, tau)], cfg.h)
     t1 = dyn.integrate(s, sched)
     t2 = dyn.integrate(s, sched)
     rep.add("determinism", float(np.max(np.abs(
         t1.samples[-1].vec - t2.samples[-1].vec))), 0.0)
-    h_own = fB if cfg.model == "dst" else f10   # (1,0) is trivial for DST
+    # energy of the first flow that is not structurally zero
+    h_own = next(f for f in (fA, fB) if not mdl.FieldKernel(s, f).zero)
     e0 = mdl.hamiltonian_value(t1.state(0), h_own)
     drift = max(abs(mdl.hamiltonian_value(t1.state(i), h_own) - e0)
                 for i in range(0, len(t1), 50))
@@ -380,18 +384,18 @@ def dynamics_suite(cfg: RunConfig) -> VerificationReport:
     rep.add("invariant_drift",
             max(v for k, v in table.items() if not isinstance(k, tuple)), 1e-10)
     rep.add("commutativity",
-            dyn.commutativity_defect(s, f10, fB, tau=tau, h=2 * cfg.h), 1e-8)
+            dyn.commutativity_defect(s, fA, fB, tau=tau, h=2 * cfg.h), 1e-8)
     flows = mdl.admissible_flows(s, cfg.depth)
     rep.add("involutivity", dyn.involutivity_matrix(s, flows).max(), 1e-9)
     rep.add("el_lax", max(dyn.el_lax_agreement(s, f) for f in flows), 1e-10)
-    # canonical bracket pattern on coordinate observables
-    if cfg.model == "toda":
-        res = abs(dyn.poisson_bracket(s, lambda c: c.p[0], lambda c: c.q[0]) - 1)
-        res = max(res, abs(dyn.poisson_bracket(s, lambda c: c.p[0],
-                                               lambda c: c.q[1 % cfg.T])))
-    else:
-        res = abs(dyn.poisson_bracket(s, lambda c: c.X[0], lambda c: c.x[0])
-                  + 1.0 / (cfg.beta if cfg.model == "coupled" else 1.0))
+    # canonical bracket pattern on coordinate observables, sector by sector
+    res = 0.0
+    for Q, P, _, weight in s.SECTORS:
+        w = 1.0 if weight is None else getattr(s, weight)
+        for j, want in ((0, _BRACKET_SIGNS[Q, P] / w), (1 % cfg.T, 0.0)):
+            res = max(res, abs(dyn.poisson_bracket(
+                s, lambda c: getattr(c, P)[0], lambda c: getattr(c, Q)[j])
+                - want))
     rep.add("canonical_pattern", res, 1e-12)
     rep.add("bracket_antisymmetry", abs(dyn.bracket_of_gradients(
         s, g := mdl.hamiltonian_gradient(s, fB), g)), 1e-13)

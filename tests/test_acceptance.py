@@ -466,6 +466,34 @@ REPORT_SCHEMA = {
 }
 
 
+_MODEL_CASES = {
+    "toda": ["printed_flow_agreement", "hamiltonian_residue_sum", "sklyanin",
+             "gauge_map", "orbit_dressing", "closure_(1,0)x(2,0)"],
+    "dst": ["printed_flow_agreement", "hamiltonian_residue_sum", "sklyanin",
+            "gauge_map", "orbit_dressing", "orbit_trace",
+            "closure_(1,0)x(1,1)"],
+    "coupled": ["printed_flow_agreement", "hamiltonian_residue_sum",
+                "sklyanin", "beta_zero_reduction", "closure_(1,0)x(1,1)"],
+}
+_DYNAMICS_CASES = ["determinism", "energy_drift", "spectral_drift",
+                   "invariant_drift", "commutativity", "involutivity",
+                   "el_lax", "canonical_pattern", "bracket_antisymmetry"]
+ALL_SUITE_CASES = frozenset(
+    [f"algebra.{c}" for c in ("sigma_order", "grade_completeness",
+                              "grade_eigenvalue", "sigma_homomorphism")]
+    + [f"ratmat.{c}" for c in ("pointwise_add", "pointwise_mul",
+                               "expansion_consistency", "residue_theorem",
+                               "split_reconstruction", "split_equivariance")]
+    + [f"rmatrix.{c}" for c in ("cybe", "averaging", "casimir_ad_invariance",
+                                "projection_plus_vs_split",
+                                "projection_minus_vs_split")]
+    + [f"gaudin.{c}" for c in ("lax_equivariance", "hamiltonian_residue_sum",
+                               "partner_equivariance", "rhs_structure",
+                               "gradient_directional")]
+    + [f"models.{m}.{c}" for m, cs in _MODEL_CASES.items() for c in cs]
+    + [f"dynamics.{m}.{c}" for m in _MODEL_CASES for c in _DYNAMICS_CASES])
+
+
 def test_cli_verify_all_suites(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "report.json"
@@ -478,6 +506,10 @@ def test_cli_verify_all_suites(tmp_path):
     rep = json.loads(out.read_text())
     jsonschema.validate(rep, REPORT_SCHEMA)
     assert rep["pass"] is True
+    # the case names are part of the CLI contract: 65, each reported once
+    names = [c["name"] for c in rep["cases"]]
+    assert len(names) == len(ALL_SUITE_CASES) == 65
+    assert set(names) == ALL_SUITE_CASES
     # JSON round-trip is lossless
     assert json.loads(json.dumps(rep)) == rep
 

@@ -25,14 +25,14 @@ the plan against this generic route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
 from .algebra import RootOfUnity, grading_residual, primitive_root
 from .errors import (GradingError, InvalidOrderError, PoleProximityError,
                      StructuralError)
-from .ratmat import INF, LaurentSeries, RationalMatrix, orbit_family
+from .ratmat import (_POLE_TOL, INF, LaurentSeries, RationalMatrix,
+                     binomial_weights, orbit_family, slot_weight)
 
 _GRADE_TOL = 1e-12
 MAX_DEPTH = 6
@@ -77,14 +77,14 @@ class PoleConfig:
         if self.root is None or self.root.order != self.T:
             object.__setattr__(self, "root", primitive_root(self.T))
         for z in self.zetas:
-            if abs(z) <= 1e-12:
+            if abs(z) <= _POLE_TOL:
                 raise PoleProximityError("zeta_r must be nonzero")
         for a, za in enumerate(self.zetas):
             for b, zb in enumerate(self.zetas):
                 if a == b:
                     continue
                 for k in range(self.T):
-                    if abs(self.root.power(k) * za - zb) <= 1e-12:
+                    if abs(self.root.power(k) * za - zb) <= _POLE_TOL:
                         raise PoleProximityError(
                             f"Gamma-orbits of zeta_{a+1} and zeta_{b+1} intersect")
 
@@ -184,58 +184,42 @@ def assemble_lax(C: GaudinCoefficients, P: PoleConfig) -> RationalMatrix:
     return RationalMatrix(P.T, [C.Ainf], poles).trim()
 
 
-def _monomial_series(point, p: int, trunc: int, dim: int) -> LaurentSeries:
-    """Exact expansion of the scalar lambda^p at a finite point (or INF),
-    zero-padded up to trunc (a polynomial is exact at all orders)."""
-    if point == INF:
-        coeffs = [1.0 + 0j] + [0j] * (trunc + p)
-        return LaurentSeries(dim, INF, -p, coeffs[: trunc + p + 1])
-    z = complex(point)
-    coeffs = [comb(p, j) * z ** (p - j) if j <= p else 0j for j in range(trunc + 1)]
-    return LaurentSeries(dim, z, 0, coeffs)
-
-
 def _lax_power_series(L: RationalMatrix, P: PoleConfig, point, p: int,
                       extra: int = 2) -> LaurentSeries:
-    """Series of lambda^p L(lambda)^p at a slot point, with enough retained
-    orders for residue extraction up to exponent +extra."""
-    o = max(L.pole_order(point), 1) if point != INF else 1
-    K = o * p + extra + 2
-    return _times_monomial(L.laurent_expand(point, K).power(p), point, p,
-                           extra)
+    """Series of lambda^p L(lambda)^p at a finite slot point, with enough
+    retained orders for residue extraction up to exponent +extra."""
+    K = max(L.pole_order(point), 1) * p + extra + 2
+    return _times_monomial(L.laurent_expand(point, K).power(p), point, p)
 
 
-def _times_monomial(s: LaurentSeries, point, p: int,
-                    extra: int = 2) -> LaurentSeries:
-    """lambda^p times the series s at a slot point: an exponent shift at
-    0, the product with the exact expansion of lambda^p elsewhere."""
-    if point != INF and abs(complex(point)) <= 1e-12:
+def _times_monomial(s: LaurentSeries, point, p: int) -> LaurentSeries:
+    """lambda^p times the series s at a finite slot point: an exponent
+    shift at 0, elsewhere the product with the exact expansion
+    lambda^p = sum_j binom(p, j) point^(p-j) (lambda - point)^j, padded
+    with zeros to the length of s."""
+    if abs(point) <= _POLE_TOL:
         return s.shift(p)
-    mono = _monomial_series(point, p, s.trunc - s.low + p + extra + 2, s.dim)
-    return s.mul(mono)
+    z = complex(point)
+    return s.mul(LaurentSeries(s.dim, z, 0,
+                               binomial_weights(p, z, len(s.coeffs))))
 
 
 def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig):
-    """H_{p,r} = w_r Res_{slot} (lambda^p/(p+1)) Tr L^(p+1) with w_0 = 1
-    and w_r = T for r >= 1."""
+    """H_{p,r} = w_r Res_{slot} (lambda^p/(p+1)) Tr L^(p+1) with the slot
+    weight w_r: 1 at r = 0 and T for r >= 1."""
     if f.r > P.N:
         raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
     p = f.p
     point = P.slot_point(f.r)
-    o = max(L.pole_order(point), 1)
-    K = o * (p + 1) + 2
+    K = max(L.pole_order(point), 1) * (p + 1) + 2
     tr = L.laurent_expand(point, K).power(p + 1).trace_series()
-    # the scalar residue arithmetic runs on Python complex numbers
-    if f.r == 0:
-        res = complex(tr.coeff(-1 - p))
-        w = 1.0
-    else:
-        z = complex(point)
-        res = 0j
-        for j in range(0, p + 1):
-            res = res + comb(p, j) * z ** (p - j) * complex(tr.coeff(-1 - j))
-        w = float(P.T)
-    return w * res / (p + 1)
+    # Res lambda^p tr = sum_j binom(p, j) point^(p-j) tr_(-1-j), whose
+    # weights are (0, .., 0, 1) at point 0; the scalar residue arithmetic
+    # runs on Python complex numbers
+    res = 0j
+    for j, w in enumerate(binomial_weights(p, point, p + 1)):
+        res = res + complex(w) * complex(tr.coeff(-1 - j))
+    return slot_weight(point, P.T) * res / (p + 1)
 
 
 def hamiltonian_at_infinity(p: int, L: RationalMatrix, P: PoleConfig):
@@ -256,7 +240,7 @@ def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig) -> RationalMatrix:
     point = P.slot_point(f.r)
     prin = _lax_power_series(L, P, point, f.p).principal()
     if f.r == 0:
-        poles = [(0j, list(prin))]
+        poles = [(0j, prin)]
     else:
         poles = orbit_family(complex(point), prin, P.root, 0)
     return RationalMatrix(L.dim, [], poles, validate=False).trim()
@@ -293,12 +277,9 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
     for c in rhs.poly:
         if float(np.max(np.abs(c))) > struct_tol:
             raise StructuralError("commutator has an unexpected polynomial part")
-    reduced_poles = []
-    for z, cs in rhs.poles:
-        cs = cs[: L.pole_order(z)]
-        if cs:
-            reduced_poles.append((z, cs))
-    reduced = RationalMatrix(L.dim, [], reduced_poles, validate=False)
+    reduced = RationalMatrix(L.dim, [], [(z, cs[:L.pole_order(z)])
+                                         for z, cs in rhs.poles
+                                         if L.pole_order(z)], validate=False)
     at0 = reduced.laurent_expand(0j, 0)
     dA0_0 = at0.coeff(-1)
     dA0_1 = at0.coeff(-2)
@@ -313,24 +294,18 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
 # via residue convolutions of the series G = lambda^p L^p at the slot.
 # ---------------------------------------------------------------------------
 
-def _residue_against_profile(G: LaurentSeries, slot_point, profile) -> np.ndarray:
-    """Res_{slot} of rho(lambda) * G(lambda) dlambda for a scalar profile
-    rho that is either ("pole", a, m) = 1/(lambda-a)^m or ("const",)."""
-    if profile[0] == "const":
-        return G.coeff(-1)
-    _, a, m = profile
+def _residue_against_profile(G: LaurentSeries, slot_point, a,
+                             m: int) -> np.ndarray:
+    """Res_{slot} of (lambda - a)^(-m) G(lambda) dlambda: the coefficient
+    G_(m-1) when a is the slot, else the Taylor weights of the profile at
+    the slot against the principal part of G, one scaled add per order."""
     z0 = complex(slot_point)
-    if abs(a - z0) <= 1e-12:
+    if abs(a - z0) <= _POLE_TOL:
         return G.coeff(m - 1)
-    acc = None
-    j = 0
-    while -(1 + j) >= G.low:
-        w = comb(m - 1 + j, j) * (-1) ** j * (z0 - a) ** (-(m + j))
-        term = w * G.coeff(-1 - j)
-        acc = term if acc is None else acc + term
-        j += 1
-    if acc is None:
-        acc = np.zeros((G.dim, G.dim), complex)
+    prin = G.principal()
+    acc = np.zeros(G.coeffs.shape[1:], complex)
+    for w, c in zip(binomial_weights(-m, z0 - a, len(prin)), prin):
+        acc = acc + w * c
     return acc
 
 
@@ -347,17 +322,16 @@ def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
     G = lambda^p L^p at the slot of f by the residue profiles.  Linear in
     G, which is what lets models.FlowPlan compile it."""
     point = P.slot_point(f.r)
-    w = 1.0 if f.r == 0 else float(P.T)
+    w = slot_weight(point, P.T)
     root = P.root
-    M_A00 = w * _residue_against_profile(G, point, ("pole", 0j, 1))
-    M_A01 = w * _residue_against_profile(G, point, ("pole", 0j, 2))
-    M_inf = w * _residue_against_profile(G, point, ("const",))
+    M_A00 = w * _residue_against_profile(G, point, 0j, 1)
+    M_A01 = w * _residue_against_profile(G, point, 0j, 2)
+    M_inf = w * G.coeff(-1)
     M_list = []
     for zr in P.zetas:
         acc = np.zeros((G.dim, G.dim), complex)
         for k in range(P.T):
-            Gk = G.sigma(-k, root)
-            acc += _residue_against_profile(Gk, point,
-                                            ("pole", root.power(k) * zr, 1))
+            acc += _residue_against_profile(G.sigma(-k, root), point,
+                                            root.power(k) * zr, 1)
         M_list.append(w * acc / P.T)
     return M_A00, M_A01, M_list, M_inf

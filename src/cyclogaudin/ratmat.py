@@ -5,6 +5,12 @@ regular/singular splitting, and the residue pairing.
 Conventions:
   * A RationalMatrix is poly(lambda) + sum over poles z of
     sum_k coeffs[k-1] / (lambda - z)^k.
+  * Coefficients are stacked ndarrays, as in a LaurentSeries: poly is one
+    array of shape (m, *shape) and each pole is (z, array (k, *shape)),
+    where shape is (T, T) or a Jacobian stack (n, T, T).
+  * Every move of a pole or monomial term to another point is one rule,
+    (lambda - a)^n = sum_j binom(n, j) (b - a)^(n-j) (lambda - b)^j, with
+    the weights of binomial_weights (the generalised binomial for n < 0).
   * The point at infinity is the float INF; series there are in
     u = 1/lambda.  The residue of R dlambda at infinity is minus the
     coefficient of u^(+1) of the expansion of R in u.
@@ -14,7 +20,8 @@ Conventions:
 """
 from __future__ import annotations
 
-from math import comb, inf, isinf
+from functools import cache
+from math import inf, isinf
 
 import numpy as np
 
@@ -41,6 +48,55 @@ def _same_point(a, b) -> bool:
 
 def _max_abs(c) -> float:
     return float(np.max(np.abs(c)))
+
+
+def slot_weight(point, T: int) -> float:
+    """Weight of a slot in the residue pairing and the Hamiltonians: 1 at
+    0 and at infinity, T at a finite nonzero point, whose residue stands
+    for the T points of its Gamma-orbit."""
+    return 1.0 if _is_inf(point) or abs(point) <= _POLE_TOL else float(T)
+
+
+@cache
+def _binomial_row(n: int, J: int) -> tuple:
+    """binom(n, j) for j < J as exact integers, n (n-1)...(n-j+1) / j!
+    also for n < 0."""
+    row, c = [], 1
+    for j in range(J):
+        row.append(c)
+        c = c * (n - j) // (j + 1)
+    return tuple(row)
+
+
+def binomial_weights(n: int, d, J: int) -> np.ndarray:
+    """binom(n, j) d^(n-j) for j < J: the coefficients of (lambda - b)^j
+    in (lambda - a)^n with d = b - a.  Exact for n >= 0, where d = 0 gives
+    the unit row at j = n; for n < 0 the series converges for
+    |lambda - b| < |d|."""
+    d = complex(d)
+    out = np.zeros(J, complex)
+    for j, c in enumerate(_binomial_row(n, J)):
+        if c:
+            # a negative power divides, one rounding fewer than 1 / d^|e|
+            out[j] = c * d ** (n - j) if j <= n else c / d ** (j - n)
+    return out
+
+
+def _trimmed(cs: np.ndarray, tol: float) -> np.ndarray:
+    """The stack cs without its trailing entries of max-abs <= tol."""
+    m = len(cs)
+    while m and _max_abs(cs[m - 1]) <= tol:
+        m -= 1
+    return cs[:m]
+
+
+def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient stacks of possibly different lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = np.array(a)
+    out[:len(b)] += b
+    return out
 
 
 class LaurentSeries:
@@ -141,9 +197,12 @@ class LaurentSeries:
 
     def principal(self) -> np.ndarray:
         """Stack [c_1, c_2, ...] of the coefficients of u^-1, u^-2, ...
-        down to the lowest order (empty when low >= 0)."""
-        return np.array([self.coeff(-k) for k in range(1, 1 - self.low)],
-                        dtype=complex)
+        down to the lowest order (empty when low >= 0), a reversed slice of
+        coeffs; TruncationError when the series stops below u^-1."""
+        if self.low < 0 and self.trunc < -1:
+            raise TruncationError(
+                f"principal part requested but series truncated at u^{self.trunc}")
+        return self.coeffs[:max(-self.low, 0)][::-1]
 
     def eval_sum(self, u: complex):
         """Resum the truncated series at local coordinate u (u != 0)."""
@@ -162,16 +221,26 @@ class LaurentSeries:
 
 
 class RationalMatrix:
-    """poly(lambda) + partial fractions.  Immutable by convention."""
+    """poly(lambda) + partial fractions.  Immutable by convention.
+
+    poly is the stack (m, *shape) of the coefficients of lambda^0 ..
+    lambda^(m-1); poles is a list of (z, stack (k, *shape)) whose entry
+    n - 1 is the coefficient of (lambda - z)^(-n).  Lists of matrices are
+    stacked; an empty poly takes its shape from the first pole, else
+    (dim, dim).
+    """
 
     __slots__ = ("dim", "poly", "poles")
 
     def __init__(self, dim, poly=None, poles=None, validate=True):
         self.dim = int(dim)
-        self.poly = list(poly) if poly else []
-        # poles: list of (point, [c1, c2, ...]) with c_k the coefficient
-        # of (lambda - point)^(-k)
-        self.poles = [(complex(z), list(cs)) for z, cs in (poles or [])]
+        self.poles = [(complex(z), np.asarray(cs, complex))
+                      for z, cs in (poles or [])]
+        poly = np.asarray([] if poly is None else poly, complex)
+        if poly.ndim == 1:  # an empty list carries no coefficient shape
+            shape = self.poles[0][1].shape[1:] if self.poles else (self.dim,) * 2
+            poly = np.zeros((0,) + shape, complex)
+        self.poly = poly
         if validate:
             self._validate()
 
@@ -183,7 +252,7 @@ class RationalMatrix:
                     raise PoleProximityError(
                         f"pole points {pts[i]} and {pts[j]} closer than {_POLE_TOL}")
         for z, cs in self.poles:
-            if not cs:
+            if not len(cs):
                 raise StructuralError(f"pole at {z} with empty principal part")
             if len(cs) > _MAX_POLE_ORDER:
                 raise StructuralError(f"pole order {len(cs)} exceeds {_MAX_POLE_ORDER}")
@@ -202,21 +271,14 @@ class RationalMatrix:
     def pole_points(self) -> list:
         return [z for z, _ in self.poles]
 
-    def _template(self):
-        if self.poly:
-            return self.poly[0]
-        if self.poles:
-            return self.poles[0][1][0]
-        return np.zeros((self.dim, self.dim), complex)
-
     def eval(self, lam: complex):
         for z, _ in self.poles:
-            if abs(lam - z) <= 1e-12:
+            if abs(lam - z) <= _POLE_TOL:
                 raise PoleProximityError(f"evaluation at {lam} too close to pole {z}")
-        acc = np.zeros_like(self._template())
-        if self.poly:
+        acc = np.zeros(self.poly.shape[1:], complex)
+        if len(self.poly):
             acc = self.poly[-1]
-            for c in reversed(self.poly[:-1]):
+            for c in self.poly[-2::-1]:
                 acc = acc * lam + c
         for z, cs in self.poles:
             w = 1.0 / (lam - z)
@@ -227,141 +289,107 @@ class RationalMatrix:
         return acc
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.dim, [-c for c in self.poly],
-                              [(z, [-c for c in cs]) for z, cs in self.poles],
-                              validate=False)
+        return RationalMatrix(self.dim, -self.poly,
+                              [(z, -cs) for z, cs in self.poles], validate=False)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
             raise DimensionError(f"dims {self.dim} vs {other.dim}")
-        npoly = list(self.poly)
-        for i, c in enumerate(other.poly):
-            if i < len(npoly):
-                npoly[i] = npoly[i] + c
-            else:
-                npoly.append(c)
-        npoles = [(z, list(cs)) for z, cs in self.poles]
+        poles = list(self.poles)
         for z, cs in other.poles:
-            for zz, ccs in npoles:
+            for i, (zz, ccs) in enumerate(poles):
                 if _same_point(z, zz):
-                    for k, c in enumerate(cs):
-                        if k < len(ccs):
-                            ccs[k] = ccs[k] + c
-                        else:
-                            ccs.append(c)
+                    poles[i] = (zz, _added(ccs, cs))
                     break
             else:
-                npoles.append((z, list(cs)))
-        return RationalMatrix(self.dim, npoly, npoles, validate=False).trim()
+                poles.append((z, cs))
+        return RationalMatrix(self.dim, _added(self.poly, other.poly), poles,
+                              validate=False).trim()
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def trim(self, tol: float = 0.0) -> "RationalMatrix":
         """Drop (near-)zero leading poly and highest-order pole coefficients."""
-        poly = list(self.poly)
-        while poly and _max_abs(poly[-1]) <= tol:
-            poly.pop()
-        poles = []
-        for z, cs in self.poles:
-            cs = list(cs)
-            while cs and _max_abs(cs[-1]) <= tol:
-                cs.pop()
-            if cs:
-                poles.append((z, cs))
-        return RationalMatrix(self.dim, poly, poles, validate=False)
+        poles = [(z, _trimmed(cs, tol)) for z, cs in self.poles]
+        return RationalMatrix(self.dim, _trimmed(self.poly, tol),
+                              [(z, cs) for z, cs in poles if len(cs)],
+                              validate=False)
 
     def residue(self, point) -> "np.ndarray":
         """Coefficient of (lambda - point)^(-1), zero matrix if not a pole."""
         for z, cs in self.poles:
             if _same_point(z, point):
                 return cs[0]
-        return np.zeros_like(self._template())
+        return np.zeros(self.poly.shape[1:], complex)
 
     def _order_at_inf(self):
         """Exact order in u = 1/lambda at infinity, or None for the zero function."""
-        if self.poly:
+        if len(self.poly):
             return -(len(self.poly) - 1)
         if self.poles:
             return 1
         return None
 
     def laurent_expand(self, point, trunc: int) -> LaurentSeries:
-        """Expand at a finite point or at INF (in u = 1/lambda) up to u^trunc."""
-        tpl = self._template()
-        terms = {}
+        """Expand at a finite point or at INF (in u = 1/lambda) up to u^trunc.
 
-        def bump(n, c):
-            terms[n] = terms[n] + c if n in terms else c
-
+        Each pole and monomial term moves by its binomial_weights, one
+        scaled add per term in pole order and then the polynomial, so that
+        coefficients which cancel exactly keep doing so."""
+        deg = len(self.poly) - 1
         if _is_inf(point):
-            for m, c in enumerate(self.poly):
-                if -m <= trunc:
-                    bump(-m, c)
+            low = self._order_at_inf()
+            if low is None or low > trunc:
+                low = min(0, trunc)
+            out = np.zeros((trunc - low + 1,) + self.poly.shape[1:], complex)
+            if low == -deg:  # lambda^m = u^-m
+                out[:deg + 1] = self.poly[::-1][:len(out)]
+            # (lambda - z)^-k = u^k (1 + x)^-k with x = -z u
             for z, cs in self.poles:
-                for k1, c in enumerate(cs):
-                    k = k1 + 1
-                    for j in range(0, trunc - k + 1):
-                        bump(k + j, (comb(k - 1 + j, j) * z ** j) * c)
-            low = min(terms) if terms else min(0, trunc)
-        else:
-            zeta = complex(point)
-            low = 0
-            for z, cs in self.poles:
-                if _same_point(z, zeta):
-                    low = -len(cs)
-                    for k1, c in enumerate(cs):
-                        bump(-(k1 + 1), c)
-                else:
-                    a = zeta - z
-                    for k1, c in enumerate(cs):
-                        k = k1 + 1
-                        for j in range(0, trunc + 1):
-                            bump(j, (comb(k - 1 + j, j) * (-1) ** j / a ** (k + j)) * c)
-            for m, c in enumerate(self.poly):
-                for j in range(0, min(m, trunc) + 1):
-                    bump(j, (comb(m, j) * zeta ** (m - j)) * c)
+                for k, c in enumerate(cs, 1):
+                    J = trunc - k + 1
+                    if J > 0:
+                        w = binomial_weights(-k, 1, J) * (-z) ** np.arange(J)
+                        out[k - low:] += np.multiply.outer(w, c)
+            return LaurentSeries(self.dim, INF, low, out)
+        zeta = complex(point)
+        low = -self.pole_order(zeta)
         if trunc < low:
             raise TruncationError("requested truncation below the lowest order")
-        coeffs = np.zeros((trunc - low + 1,) + tpl.shape, complex)
-        for n, c in terms.items():
-            coeffs[n - low] = c
-        return LaurentSeries(self.dim, INF if _is_inf(point) else complex(point),
-                             low, coeffs)
+        out = np.zeros((trunc - low + 1,) + self.poly.shape[1:], complex)
+        for z, cs in self.poles:
+            if _same_point(z, zeta):
+                out[:-low] = cs[::-1][:len(out)]
+            elif trunc >= 0:
+                for k, c in enumerate(cs, 1):
+                    out[-low:] += np.multiply.outer(
+                        binomial_weights(-k, zeta - z, trunc + 1), c)
+        for m, c in enumerate(self.poly):
+            J = min(m, trunc) + 1
+            if J > 0:
+                out[-low:J - low] += np.multiply.outer(
+                    binomial_weights(m, zeta, J), c)
+        return LaurentSeries(self.dim, zeta, low, out)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
             raise DimensionError(f"dims {self.dim} vs {other.dim}")
-        out_poles = []
-        pts = list(self.pole_points())
-        for z in other.pole_points():
-            if not any(_same_point(z, zz) for zz in pts):
-                pts.append(z)
+        pts = self.pole_points() + [z for z in other.pole_points()
+                                    if not self.pole_order(z)]
+        poles = []
         for z in pts:
             o1, o2 = self.pole_order(z), other.pole_order(z)
-            m = o1 + o2
-            s1 = self.laurent_expand(z, o2 - 1 if o2 > 0 else 0)
-            s2 = other.laurent_expand(z, o1 - 1 if o1 > 0 else 0)
-            prod = s1.mul(s2)
-            cs = []
-            for k in range(1, m + 1):
-                cs.append(prod.coeff(-k))
-            while cs and _max_abs(cs[-1]) == 0.0:
-                cs.pop()
-            if cs:
-                out_poles.append((z, cs))
-        # polynomial part via expansion at infinity
+            prod = self.laurent_expand(z, max(o2 - 1, 0)).mul(
+                other.laurent_expand(z, max(o1 - 1, 0)))
+            poles.append((z, prod.principal()))
+        # polynomial part: the orders u^-degree .. u^0 of the product at INF
+        poly = None
         ov1, ov2 = self._order_at_inf(), other._order_at_inf()
-        out_poly = []
         if ov1 is not None and ov2 is not None and ov1 + ov2 <= 0:
-            s1 = self.laurent_expand(INF, -ov2)
-            s2 = other.laurent_expand(INF, -ov1)
-            prod = s1.mul(s2)
-            degree = -(ov1 + ov2)
-            out_poly = [prod.coeff(-mm) for mm in range(0, degree + 1)]
-            while out_poly and _max_abs(out_poly[-1]) == 0.0:
-                out_poly.pop()
-        return RationalMatrix(self.dim, out_poly, out_poles, validate=False)
+            prod = self.laurent_expand(INF, -ov2).mul(other.laurent_expand(INF, -ov1))
+            poly = prod.coeffs[::-1]
+        return RationalMatrix(self.dim, poly, poles, validate=False).trim()
 
     def __repr__(self):
         ps = ", ".join(f"{z:.3g}^{len(cs)}" for z, cs in self.poles)
@@ -420,22 +448,19 @@ def pi_project(X: LocalTuple, root: RootOfUnity, weight: int = 0) -> RationalMat
     (0 for functions, 1 for one-forms); the nonnegative-power part of the
     slot at infinity becomes the polynomial part.
     """
-    dim = X.dim
     poles = []
-    poly = []
+    poly = None
     for pt, s in zip(X.points, X.series):
         if _is_inf(pt):
-            deg = -s.low
-            for m in range(0, deg + 1):
-                c = s.coeff(-m)
-                while len(poly) <= m:
-                    poly.append(np.zeros_like(c))
-                poly[m] = poly[m] + c
+            # u^0, u^-1, ... are lambda^0, lambda^1, ...; coeff(0) raises
+            # when the series stops below u^0
+            s.coeff(0)
+            poly = s.coeffs[:max(1 - s.low, 0)][::-1]
         elif abs(pt) <= _POLE_TOL:
-            poles.append((0j, list(s.principal())))
+            poles.append((0j, s.principal()))
         else:
             poles += orbit_family(pt, s.principal(), root, weight)
-    return RationalMatrix(dim, poly, poles, validate=False).trim()
+    return RationalMatrix(X.dim, poly, poles, validate=False).trim()
 
 
 def split(R: RationalMatrix, root: RootOfUnity, zetas, weight: int = 0,
@@ -494,6 +519,5 @@ def pair(Y: LocalTuple, X: LocalTuple, T: int):
             r = -prod.coeff(1)
         else:
             r = prod.coeff(-1)
-        w = 1.0 if (_is_inf(pt) or abs(pt) <= _POLE_TOL) else float(T)
-        total = total + w * r
+        total = total + slot_weight(pt, T) * r
     return total

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import RootOfUnity, grade_component, sigma_pow
 from .errors import PoleProximityError
 from .ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix, _is_inf,
-                     orbit_family)
+                     orbit_family, slot_weight)
 
 _COLLISION_TOL = 1e-10
 
@@ -100,10 +100,6 @@ def averaging_residual(z1: complex, z2: complex, l: int,
 # (weight-0 function spaces).
 # ---------------------------------------------------------------------------
 
-def _slot_weight(pt, T: int) -> float:
-    return 1.0 if (_is_inf(pt) or abs(pt) <= 1e-12) else float(T)
-
-
 def _poly_coeffs_at_inf(s: LaurentSeries) -> list:
     """[d_0, d_{-1}, ...]: coefficients of u^0, u^-1, ... (poly part)."""
     out = []
@@ -141,7 +137,7 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
                 for k in range(T):
                     res_sum = np.zeros((dim, dim), complex)
                     for pt, s in zip(X.points, X.series):
-                        w = _slot_weight(pt, T)
+                        w = slot_weight(pt, T)
                         if _is_inf(pt):
                             res = -s.coeff(m + 1)
                         else:
@@ -163,7 +159,7 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
                     b = root.power(-k) * zs
                     res_sum = np.zeros((dim, dim), complex)
                     for pt, s in zip(X.points, X.series):
-                        w = _slot_weight(pt, T)
+                        w = slot_weight(pt, T)
                         if _is_inf(pt):
                             res = np.zeros((dim, dim), complex)
                             j = 0

@@ -1,6 +1,8 @@
 """Matrix-valued rational functions: partial-fraction arithmetic, local
 Laurent expansions, residues, the split into regular/singular data, and the
 residue pairing."""
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from cyclogaudin.algebra import primitive_root
 from cyclogaudin.errors import (PoleProximityError, StructuralError,
                                 TruncationError)
 from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
-                                check_equivariance, localize, pair,
-                                residue_at_infinity, split)
+                                binomial_weights, check_equivariance, localize,
+                                pair, residue_at_infinity, split)
 from cyclogaudin import models as mdl
 
 from conftest import random_matrix
@@ -75,6 +77,44 @@ def test_mul_with_shared_pole_keeps_higher_order(rng):
                                atol=1e-11)
 
 
+def test_binomial_weights_exact():
+    # binom(n, j) d^(n-j) against math.comb, with the generalised binomial
+    # binom(n, j) = (-1)^j comb(j - n - 1, j) for n < 0
+    def binom(n, j):
+        return comb(n, j) if n >= 0 else (-1) ** j * comb(j - n - 1, j)
+
+    for n in range(-8, 9):
+        for J in range(1, 13):
+            rows = [binom(n, j) for j in range(J)]
+            # d = 1 is the bare binomial row, exactly
+            assert binomial_weights(n, 1, J).tolist() == rows
+            for d in (2.5, -0.7 + 0.2j):
+                ref = [b * complex(d) ** (n - j) for j, b in enumerate(rows)]
+                np.testing.assert_allclose(binomial_weights(n, d, J), ref,
+                                           rtol=1e-15, atol=0)
+            if n >= 0:
+                # at d = 0, lambda^n moves to the unit row at j = n
+                assert binomial_weights(n, 0, J).tolist() == \
+                    [1.0 if j == n else 0.0 for j in range(J)]
+    assert binomial_weights(3, 2.5, 0).shape == (0,)
+
+
+def _expansion_input(rng, point, order, deg, stack):
+    """A rational matrix with a pole of the given order at point (none for
+    order 0), poles off the point, and poly degree deg; its coefficients
+    are (2, 2) matrices or (4, 2, 2) Jacobian stacks."""
+    shape = (4, 2, 2) if stack else (2, 2)
+
+    def c():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    poles = [(z, [c() for _ in range(2)]) for z in (-1.3, 0.8j)
+             if abs(z - point) > 0.5]
+    if order:
+        poles.append((point, [c() for _ in range(order)]))
+    return RationalMatrix(2, [c() for _ in range(deg + 1)], poles)
+
+
 def test_laurent_expansion_at_finite_point(rng):
     dim = 2
     z0 = 0.4 + 0.9j
@@ -82,6 +122,19 @@ def test_laurent_expansion_at_finite_point(rng):
     s = R.laurent_expand(z0, 6)
     u = 0.01 - 0.003j
     np.testing.assert_allclose(s.eval_sum(u), R.eval(z0 + u), atol=1e-9)
+    # pole orders 0 (a point off every pole) to 3, at 0 and elsewhere,
+    # poly degrees 0..2, matrix and Jacobian-stack coefficients
+    for point in (0j, 0.4 + 0.9j):
+        for order in range(4):
+            for deg in range(3):
+                for stack in (False, True):
+                    R = _expansion_input(rng, point, order, deg, stack)
+                    s = R.laurent_expand(point, 8)
+                    assert s.low == -order and s.trunc == 8
+                    assert s.coeffs.shape[1:] == R.poly.shape[1:]
+                    np.testing.assert_allclose(s.eval_sum(u),
+                                               R.eval(point + u),
+                                               rtol=1e-10, atol=1e-10)
 
 
 def test_laurent_expansion_at_infinity(rng):
@@ -90,12 +143,32 @@ def test_laurent_expansion_at_infinity(rng):
     s = R.laurent_expand(INF, 8)
     lam = 40.0 + 13.0j
     np.testing.assert_allclose(s.eval_sum(1.0 / lam), R.eval(lam), atol=1e-9)
+    # poles of order 1..3 at 0 and at a nonzero point, poly degrees 0..2,
+    # matrix and Jacobian-stack coefficients
+    for point in (0j, 0.4 + 0.9j):
+        for order in range(1, 4):
+            for deg in range(3):
+                for stack in (False, True):
+                    R = _expansion_input(rng, point, order, deg, stack)
+                    s = R.laurent_expand(INF, 10)
+                    assert s.low == -deg and s.trunc == 10
+                    assert s.coeffs.shape[1:] == R.poly.shape[1:]
+                    np.testing.assert_allclose(s.eval_sum(1.0 / lam),
+                                               R.eval(lam),
+                                               rtol=1e-12, atol=1e-12)
 
 
 def test_series_truncation_guard(rng):
     s = _random_rational(rng, 2, [0.5]).laurent_expand(0.5, 3)
     with pytest.raises(TruncationError):
         s.coeff(4)
+    # a series that stops below u^-1 has no principal part to give
+    short = LaurentSeries(2, 0.5, -3, [random_matrix(rng, 2) for _ in range(2)])
+    with pytest.raises(TruncationError):
+        short.principal()
+    # one that reaches u^-1 gives c_1, c_2, c_3
+    full = LaurentSeries(2, 0.5, -3, [random_matrix(rng, 2) for _ in range(3)])
+    np.testing.assert_array_equal(full.principal(), full.coeffs[::-1])
 
 
 def test_series_product_matches_cauchy_loop(rng):

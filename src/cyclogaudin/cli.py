@@ -101,10 +101,6 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    return "%.16e" % x
-
-
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     rep = run_suite(args.suite, cfg)
@@ -122,10 +118,11 @@ def _coord_header(state) -> list:
             for i in range(1, state.T + 1) for sfx in _suffixes(state)]
 
 
-def _coord_cells(state, values) -> list:
-    """The cells of coordinates or H values, as _suffixes names them."""
-    parts = (np.real,) if state.REAL else (np.real, np.imag)
-    return [_fmt(float(part(v))) for v in values for part in parts]
+def _cells(state, rows) -> list:
+    """The cells of rows of coordinates or H values, as _suffixes names
+    them: per row, a list of one float per real value, else of re and im."""
+    rows = np.asarray(rows, complex)
+    return (rows.real if state.REAL else rows.view(float)).tolist()
 
 
 def cmd_simulate(args) -> int:
@@ -148,24 +145,21 @@ def cmd_simulate(args) -> int:
         if traj is None:
             _emit("\n".join(lines) + "\n# diverged\n", args.output)
             return EXIT_DIVERGED
-    # one support vector per row, read by every flow's plan
-    writer = mdl.SupportWriter(s0)
-    kernels = [mdl.FieldKernel(s0, f) for f in ham_flows]
-    base = None
+    # one support vector per row; each flow's plan reads all rows as lanes
+    vecs = [sample.vec for sample in traj.samples]
+    Z = mdl.SupportWriter(s0).stack(vecs)
+    hvals = list(zip(*[mdl.FieldKernel(s0, f).values(Z) for f in ham_flows]))
+    coords = _cells(s0, vecs)
+    hcells = _cells(s0, hvals)
+    fmt = ",".join(["%d"] * 4 + ["%.16e"] * (len(coords[0]) + len(hcells[0])
+                                             + 2))
+    base = hvals[0]
     for idx, sample in enumerate(traj.samples):
-        seg = sample.seg
-        f_seg = sched.segments[seg].flow
-        row = [str(idx), str(seg), str(f_seg.p), str(f_seg.r),
-               _fmt(sample.t_local)]
-        row += _coord_cells(s0, sample.vec)
-        z = writer(sample.vec)
-        hvals = [k.value(z) for k in kernels]
-        if base is None:
-            base = hvals
-        drift = max(abs(h - h0) / (1 + abs(h0)) for h, h0 in zip(hvals, base))
-        row += _coord_cells(s0, hvals)
-        row.append(_fmt(drift))
-        lines.append(",".join(row))
+        f_seg = sched.segments[sample.seg].flow
+        drift = max(abs(h - h0) / (1 + abs(h0))
+                    for h, h0 in zip(hvals[idx], base))
+        lines.append(fmt % (idx, sample.seg, f_seg.p, f_seg.r,
+                            sample.t_local, *coords[idx], *hcells[idx], drift))
     text = "\n".join(lines) + "\n"
     if diverged:
         text += "# diverged\n"

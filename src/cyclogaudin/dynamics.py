@@ -137,11 +137,12 @@ def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
         if seg.duration == 0.0:
             continue
         field = _field_of(s0, seg.flow)
+        zero = field.zero
         h = seg.duration / seg.steps
         for n in range(seg.steps):
-            if not field.zero:
+            if not zero:
                 y = rk4_step(field, y, h)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"non-finite state in segment {si} step {n}",
                     last_good=Trajectory(s0, samples))
@@ -246,15 +247,17 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
     """Relative drift max_t |Tr L(lam*)^m - initial| / (1 + |initial|) per
     (probe, m), plus the kinematic invariant drifts.
 
-    L is assembled once from the Lax coefficients of every sample, stacked
-    along a leading sample axis, and evaluated once per probe; the powers
-    and traces run over that axis (spectral_probe is the per-sample
-    reference the tests hold this to)."""
+    L is assembled once from the Lax coefficients of every sample, written
+    from the packed samples through one SupportWriter and stacked along a
+    leading sample axis, and evaluated once per probe; the powers and
+    traces run over that axis (spectral_probe is the per-sample reference
+    the tests hold this to)."""
     for lam in probes:
         _check_probe(traj.template, lam)
+    L = assemble_lax(models.stacked_coefficients(
+        traj.template, [s.vec for s in traj.samples]),
+        models.config_of(traj.template))
     states = [traj.state(i) for i in range(len(traj))]
-    L = assemble_lax(models.stacked_coefficients(states),
-                     models.config_of(traj.template))
     out = {}
     for lam in probes:
         Ls = L.eval(lam)
@@ -288,7 +291,7 @@ def _transported_lagrangian(s0, f_eval: FlowId, f_arc: FlowId, t: float,
         if not field.zero:
             for _ in range(steps):
                 y = rk4_step(field, y, step)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError("closure arc diverged")
     s = models.unpack(s0, y)
     return complex(models.lagrangian_coeff(s, f_eval))

@@ -54,14 +54,18 @@ chosen depth.
 A FieldKernel, built once per (template state, flow), runs that route
 on packed vectors y with no state object: its SupportWriter writes the
 coordinate entries of z into one buffer whose constant entries are
-filled once, and reads dH/dz back by the chain rule.  dynamics
-integrates on kernels, and flow_field and the Hamiltonian functions are
-kernels applied to pack(state), so the results agree bit for bit.  A
-kernel call costs 12-18 us on Toda T = 3, 10-17 us on DST T = 3 and
-16-21 us on coupled T = 2 for p = 1..3 (of which the plan is 3-9 us),
-against 16-29 us for flow_field on a state object (best of 40 rounds of
-500 calls, Python 3.11, NumPy 2.4, one thread of a shared 2-vCPU x86
-VM).
+filled once, and the chain rule writes the field straight from dH/dz.
+dynamics integrates on kernels, and flow_field and the Hamiltonian
+functions are kernels applied to pack(state), so the results agree bit
+for bit.  FlowPlan.lanes runs a plan on a stack of support vectors as a
+lane axis, bit for bit one call per lane; simulate reads its H columns
+through it (FieldKernel.values).  A kernel call costs 12-19 us on Toda
+T = 3, 10-18 us on DST T = 3 and 17-23 us on coupled T = 2 for
+p = 1..3 (of which the plan is 3-10 us), against 18-33 us for
+flow_field on a state object (best of 40 rounds of 500 calls); over a
+stack of 150 lanes the plan costs 0.6-3.3 us per lane (best of 20
+rounds of 20 calls).  Each figure is the best of 3 processes, Python
+3.11, NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
 
 Structural zeros
 ----------------
@@ -98,6 +102,10 @@ _IMAG_TOL = 1e-9
 # fixed empirically by requiring the quadratic r-matrix bracket to close
 SECTOR_SIGN_PQ = 1.0
 SECTOR_SIGN_XX = -1.0
+
+# lanes per block of FlowPlan.lanes: a block's (lanes, nT, nT) series
+# matrices bound the memory a stack of any length takes
+LANE_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +278,17 @@ def coefficients(state) -> GaudinCoefficients:
     return _as_coefficients(_blocks(state), state.T)
 
 
-def stacked_coefficients(states) -> GaudinCoefficients:
-    """The Lax coefficients of states of one model and pole config,
-    stacked along a leading sample axis: assemble_lax of the result
-    evaluates L at every sample in one call."""
-    return _as_coefficients(np.array([_blocks(s) for s in states]),
-                            states[0].T)
+def stacked_coefficients(template, Y) -> GaudinCoefficients:
+    """The Lax coefficients of the states packed as the rows of Y, with
+    the template's model and parameters, stacked along a leading sample
+    axis: one SupportWriter writes every row's support vector, which is
+    scattered into zero blocks as _blocks scatters one state's.
+    assemble_lax of the result evaluates L at every sample in one call."""
+    Z = SupportWriter(template).stack(Y)
+    nb, T = len(template.POLES) + 3, template.T
+    B = np.zeros((len(Z), nb, T, T), complex)
+    B.reshape(len(Z), -1)[:, _support_index(nb, T)] = Z
+    return _as_coefficients(B, T)
 
 
 def lax(state) -> RationalMatrix:
@@ -607,6 +620,24 @@ class FlowPlan:
                 P = W @ P
         return self.readout @ P.reshape(-1)
 
+    def lanes(self, Z: np.ndarray) -> np.ndarray:
+        """dH/dz at every row of the (m, nz) stack Z of support vectors, bit
+        for bit m calls of the plan.  The rows run as a lane axis through
+        the same products in blocks of LANE_BLOCK lanes: np.matmul of a
+        stack makes the BLAS call per lane that @ makes per call."""
+        G = np.empty(Z.shape, complex)
+        for b in range(0, len(Z), LANE_BLOCK):
+            Zb = Z[b:b + LANE_BLOCK]
+            S = np.matmul(self.expand, Zb[:, :, None])[:, :, 0]
+            P = S[:, :-1].reshape(len(Zb), self.take.shape[0], -1)
+            if self.p > 1:
+                W = S.take(self.take, axis=1)   # C order, as BLAS needs
+                for _ in range(self.p - 1):
+                    P = W @ P
+            G[b:b + LANE_BLOCK] = np.matmul(
+                self.readout, P.reshape(len(Zb), -1, 1))[:, :, 0]
+        return G
+
     def vanishes(self, nonzero: np.ndarray, read: np.ndarray) -> bool:
         """Whether dH/dz is zero at every read entry for every z that is
         zero where nonzero is False.  The pattern of z goes through expand,
@@ -685,51 +716,61 @@ class SupportWriter:
                 np.multiply(self.beta, self.K, out=self.K)
         return self.z
 
-    def sectors(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def stack(self, Y) -> np.ndarray:
+        """The support vectors of the states packed as the rows of Y, as a
+        new (m, nz) array."""
+        Z = np.empty((len(Y), self.z.size), complex)
+        for i, y in enumerate(Y):
+            Z[i] = self(y)
+        return Z
+
+    def sectors(self, y: np.ndarray, g: np.ndarray,
+                swap: bool = False) -> np.ndarray:
         """The reduced gradient r of H, packed like y, from g = dH/dz at
         the z last written for the state packed as y: dH/dq, dH/dp, and
         the beta-reduced DST sector gradients (1/beta) dH/dx,
-        (1/beta) dH/dX, by the chain rule through z."""
+        (1/beta) dH/dX, by the chain rule through z.  With swap, each
+        sector's two gradients are written in each other's blocks (dH/dp
+        at q, dH/dq at p, dH/dX at x, dH/dx at X), as the field takes
+        them."""
         T = self.T
+        qs, ps, xs, Xs = ((self.ps, self.qs, self.Xs, self.xs) if swap
+                          else (self.qs, self.ps, self.xs, self.Xs))
         r = np.empty(len(y), complex)
         if self.qs is not None:
-            r[self.ps] = g[:T]
+            r[ps] = g[:T]
             # da_j/dq_i = a_j (delta_ij - delta_{i,j+1}): a_i g_i - a_{i-1} g_{i-1}
             t = self.za * g[T:2 * T]
-            np.subtract(t, t[self.prev], out=r[self.qs])
+            np.subtract(t, t[self.prev], out=r[qs])
         if self.K is not None:
             # beta-reduced: gradient w.r.t. the family coefficient (beta K_1)
             GK = g[2 * T:2 * T + T * T].reshape(T, T)
-            np.matmul(GK, y[self.Xs], out=r[self.xs])     # sum_j GK[i,j] X_j
-            np.matmul(GK.T, y[self.xs], out=r[self.Xs])   # sum_i x_i GK[i,j]
+            np.matmul(GK, y[self.Xs], out=r[xs])     # sum_j GK[i,j] X_j
+            np.matmul(GK.T, y[self.xs], out=r[Xs])   # sum_i x_i GK[i,j]
         return r
 
 
 def _canonical(template) -> tuple:
-    """(swap, flip, scaled, scale) of the template's layout, signs and
-    weights (cached; read-only).  Per sector dQ/dt = -sign r_P and
-    dP/dt = +sign r_Q in the reduced gradient r, so the field is r[swap]
-    negated at flip; the gradient is r with r[scaled] times scale."""
+    """(flip, weighted) of the template's layout, signs and weights
+    (cached).  Per sector dQ/dt = -sign dH/dP and dP/dt = +sign dH/dQ, so
+    the field is the swapped reduced gradient with the block of each
+    slice of flip negated (Q where the sign is positive, else P); the
+    gradient is the reduced gradient with each slice of weighted times
+    its weight."""
     return _class_canonical(type(template), template.T,
                             tuple(_sectors_of(template)))
 
 
 @cache
 def _class_canonical(cls, T: int, secs: tuple) -> tuple:
-    swap, flip, scaled, scale = list(range(len(cls.BLOCKS) * T)), [], [], []
+    flip, weighted = [], []
     for Q, P, sign, weight in secs:
-        q, p = (range(cls.BLOCKS.index(b) * T, (cls.BLOCKS.index(b) + 1) * T)
+        q, p = (slice(cls.BLOCKS.index(b) * T, (cls.BLOCKS.index(b) + 1) * T)
                 for b in (Q, P))
-        swap[q.start:q.stop], swap[p.start:p.stop] = p, q
-        flip += q if sign > 0 else p
+        flip.append(q if sign > 0 else p)
         if weight is not None:
-            scaled += [*q, *p]
-            scale += [weight] * (2 * T)
-    out = (np.array(swap), np.array(flip, dtype=int),
-           np.array(scaled, dtype=int), np.array(scale))
-    for a in out:
-        a.setflags(write=False)
-    return out
+            weighted += [(q, weight), (p, weight)]
+    return tuple(flip), tuple(weighted)
 
 
 # keyed on the plan and the bytes of the support patterns (ndarrays do not hash)
@@ -740,23 +781,24 @@ class FieldKernel:
     """The flow field of one flow (p, r) on the states of one template,
     as a map from the packed vector y: the SupportWriter writes z, the
     cached FlowPlan of (pole config, flow) gives dH/dz, and the writer's
-    chain rule gives the reduced gradient r, which the layout's sectors
-    turn into the field and the gradient.  The flow is checked against
-    the model once, when the kernel is built (its depth was checked when
-    the FlowId was); flow_field, hamiltonian_gradient and
+    chain rule writes the field straight from dH/dz, each sector's two
+    gradients swapped (SupportWriter.sectors) and one block per sector
+    negated, and the gradient as the reduced gradient times the sector
+    weights.  The sector signs are read from the layout and the flow is
+    checked against the model once, when the kernel is built (its depth
+    was checked when the FlowId was); flow_field, hamiltonian_gradient and
     hamiltonian_value are this kernel applied to pack(state).  value reads
     H off any z of the template's model, so one SupportWriter's z serves
-    the kernels of many flows."""
+    the kernels of many flows, and values reads it off a stack of them."""
 
-    __slots__ = ("writer", "plan", "p", "swap", "flip", "scaled", "scale",
-                 "_zero")
+    __slots__ = ("writer", "plan", "p", "flip", "weighted", "_zero")
 
     def __init__(self, template, f: FlowId):
         self.writer = SupportWriter(template)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
         self.p = f.p
-        self.swap, self.flip, self.scaled, self.scale = _canonical(template)
+        self.flip, self.weighted = _canonical(template)
         self._zero = None
 
     @property
@@ -783,14 +825,16 @@ class FieldKernel:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Packed tangent vector of the flow at y."""
         writer = self.writer
-        v = writer.sectors(y, self.plan(writer(y)))[self.swap]
-        v[self.flip] = -v[self.flip]
+        v = writer.sectors(y, self.plan(writer(y)), swap=True)
+        for blk in self.flip:
+            np.negative(v[blk], out=v[blk])
         return _real(v, "flow field") if writer.real else v
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Full packed gradient dH/d(coords) at y (including beta factors)."""
         r = self.sectors(y)
-        r[self.scaled] *= self.scale
+        for blk, weight in self.weighted:
+            r[blk] *= weight
         return r
 
     def value(self, z: np.ndarray) -> complex:
@@ -802,6 +846,13 @@ class FieldKernel:
         slot weight w_r and the sigma phases are already in the plan's
         read-out."""
         return complex(z @ self.plan(z)) / (self.p + 1)
+
+    def values(self, Z: np.ndarray) -> list:
+        """H_{p,r} at every row of an (m, nz) stack of support vectors, bit
+        for bit value per row: FlowPlan.lanes gives the gradients, and
+        each row's z . dH/dz stays its own dot product."""
+        dots = np.matmul(Z[:, None, :], self.plan.lanes(Z)[:, :, None])
+        return [complex(d) / (self.p + 1) for d in dots[:, 0, 0]]
 
 
 def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:

@@ -143,6 +143,41 @@ def test_simulate_complex_model_headers(tmp_path, model, coords):
                       + coords + _H_COLUMNS + ["drift_max"])
 
 
+@pytest.mark.parametrize("model, T, schedule", [
+    ("toda", 3, "1:0:0.01,2:0:0.01"),
+    ("dst", 2, "1:1:0.01,2:0:0.005"),
+    ("coupled", 2, "1:0:0.01,2:1:0.01"),
+])
+def test_simulate_hamiltonian_cells_match_per_row_values(tmp_path, model, T,
+                                                         schedule):
+    # every H cell is "%.16e" of hamiltonian_value at the state rebuilt
+    # from its row's coordinate cells, which %.16e keeps lossless
+    from cyclogaudin import models as mdl
+    from cyclogaudin.suites import RunConfig, _rngs, _seeded_state
+    out = tmp_path / "h.csv"
+    assert _run(["simulate", "--schedule", schedule, "--model", model,
+                 "--T", str(T), "--seed", "5"], out) == 0
+    cfg = RunConfig(model=model, T=T, seed=5)
+    s0 = _seeded_state(cfg, _rngs(cfg, 1)[0])
+    flows = mdl.admissible_flows(s0, cfg.depth)
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    first_h = header.index(f"H_{flows[0].p}_{flows[0].r}"
+                           + ("" if s0.REAL else "_re"))
+    assert len(lines) > 10
+    for line in lines[1:]:
+        cells = line.split(",")
+        vals = [float(c) for c in cells[5:first_h]]
+        vec = (np.array(vals) if s0.REAL
+               else np.array(vals[0::2]) + 1j * np.array(vals[1::2]))
+        state = mdl.unpack(s0, vec)
+        expect = []
+        for f in flows:
+            h = mdl.hamiltonian_value(state, f)
+            expect += [h.real] if s0.REAL else [h.real, h.imag]
+        assert cells[first_h:-1] == ["%.16e" % v for v in expect]
+
+
 def test_simulate_divergence_exit_3(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     out = tmp_path / "d.csv"

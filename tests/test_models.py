@@ -607,7 +607,7 @@ def _kernel_templates(T, rng):
     yield mdl.random_toda(T, rng)
     for zeta1 in (0.9, 0.7 + 0.4j):
         yield mdl.random_dst(T, rng, zeta1=zeta1)
-    for beta in (0.1, -1.3, 0.0):
+    for beta in (0.1, 0.7, -1.3, 0.0):
         yield mdl.random_coupled(T, rng, beta=beta, zeta1=0.9)
 
 
@@ -706,6 +706,77 @@ def test_field_kernel_guards(rng):
         mdl.FieldKernel(mdl.random_dst(2, rng, zeta1=0.9), FlowId(7, 1))
     with pytest.raises(InvalidOrderError):
         dyn._field_of(toda, FlowId(7, 0))
+
+
+def _packed_near(tmpl, rng, m, real=False):
+    """m packed vectors near the template's, complex off Toda unless real."""
+    ys = [mdl.pack(tmpl) + 0.3 * rng.normal(size=mdl.nvars(tmpl))
+          for _ in range(m)]
+    if real or tmpl.REAL:
+        return [y.real for y in ys]
+    return [y + 0.3j * rng.normal(size=y.size) for y in ys]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_flow_plan_lanes_match_calls_bit_for_bit(rng, T):
+    # lane counts below, at and above one block; the lanes must run the
+    # per-call products (W @ P per lane, not ndarray.dot), so that T = 1,
+    # where P is a column, rounds as the call does too
+    counts = (1, 2, 7, mdl.LANE_BLOCK + 5)
+    for tmpl in _kernel_templates(T, rng):
+        writer = mdl.SupportWriter(tmpl)
+        stacks = [writer.stack(_packed_near(tmpl, rng, m)) for m in counts]
+        for f in mdl.admissible_flows(tmpl, 6):
+            kernel = mdl.FieldKernel(tmpl, f)
+            for Z in stacks:
+                G = kernel.plan.lanes(Z)
+                assert G.shape == Z.shape
+                assert np.array_equal(G, [kernel.plan(z) for z in Z])
+                assert kernel.values(Z) == [kernel.value(z) for z in Z]
+
+
+def test_stacked_coefficients_match_per_state_blocks(rng):
+    # the stack written from packed vectors through one SupportWriter
+    # against _blocks of each unpacked state; real packed vectors too,
+    # which unpack casts to complex off Toda
+    for T in (1, 2, 3, 5):
+        for tmpl in _kernel_templates(T, rng):
+            for real in (False, True):
+                ys = _packed_near(tmpl, rng, 6, real=real)
+                C = mdl.stacked_coefficients(tmpl, ys)
+                B = np.array([mdl._blocks(mdl.unpack(tmpl, y)) for y in ys])
+                for got, k in ((C.A0_0, 0), (C.A0_1, 1), (C.Ainf, -1),
+                               *zip(C.A_list, range(2, B.shape[1] - 1))):
+                    assert got.dtype == B.dtype
+                    assert np.array_equal(got, B[:, k])
+                assert len(C.A_list) == B.shape[1] - 3
+
+
+@pytest.mark.parametrize("name", ["SECTOR_SIGN_PQ", "SECTOR_SIGN_XX"])
+def test_flipped_sector_sign_negates_that_sector(rng, monkeypatch, name):
+    # a kernel reads the signs when it is built: one built under a flipped
+    # sign negates both blocks of that sector and nothing else, and one
+    # built before the flip keeps its field
+    for tmpl in _kernel_templates(2, rng):
+        ys = _packed_near(tmpl, rng, 3)
+        for f in mdl.admissible_flows(tmpl, 3):
+            kernel = mdl.FieldKernel(tmpl, f)
+            ref = [kernel(y) for y in ys]
+            with monkeypatch.context() as m:
+                m.setattr(mdl, name, -getattr(mdl, name))
+                flipped = mdl.FieldKernel(tmpl, f)
+                assert all(np.array_equal(kernel(y), r)
+                           for y, r in zip(ys, ref))
+                got = [flipped(y) for y in ys]
+            expect = [r.copy() for r in ref]
+            for Q, P, sign, _ in tmpl.SECTORS:
+                if sign == name:
+                    for e in expect:
+                        for b in (Q, P):
+                            at = mdl._offset(tmpl, b)
+                            e[at:at + tmpl.T] = -e[at:at + tmpl.T]
+            for g, e in zip(got, expect):
+                assert np.array_equal(g, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Flow-field kernel evaluations and builds per round of each benchmark
-workload.
+"""Flow-field kernel evaluations and builds, and flow-plan calls and lanes,
+per round of each benchmark workload.
 
     python3 tools/field_calls.py [CHECKOUT] [--workload W] [--seed N]
 
 For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
 inputs, warms up, and runs one round of its operations in this process,
-with models.FieldKernel.__call__ and models.FieldKernel.__init__ wrapped
-from the outside to count them.  It prints one line per workload: the
-kernel evaluations and builds of the round, and the SHA-256 fingerprint of
-the round's outputs (perfbench/worker.py), so that two checkouts can be
-compared for bit-identical results.  The `perfbench/run.py --trace 1`
+with models.FieldKernel.__call__, models.FieldKernel.__init__,
+models.FlowPlan.__call__ and models.FlowPlan.lanes (where the checkout
+has it) wrapped from the outside to count them.  It prints one line per
+workload: the kernel evaluations and builds of the round, the plan's
+per-call evaluations, its lane calls and the lanes (stacked support
+vectors) those took, and the SHA-256 fingerprint of the round's outputs
+(perfbench/worker.py), so that two checkouts can be compared for
+bit-identical results.  The `perfbench/run.py --trace 1`
 counters wrap models.flow_field by name and do not see the kernels that
 dynamics.integrate and the simulate command call.
 """
@@ -39,8 +42,11 @@ def main(argv=None) -> int:
     from cyclogaudin import models
     from workloads import WORKLOADS
 
-    counts = {"calls": 0, "builds": 0}
+    counts = dict.fromkeys(("calls", "builds", "plan_calls", "lane_calls",
+                            "lanes"), 0)
     call, init = models.FieldKernel.__call__, models.FieldKernel.__init__
+    plan_call = models.FlowPlan.__call__
+    lanes = getattr(models.FlowPlan, "lanes", None)
 
     def counted_call(self, y):
         counts["calls"] += 1
@@ -50,12 +56,24 @@ def main(argv=None) -> int:
         counts["builds"] += 1
         init(self, template, f)
 
+    def counted_plan_call(self, z):
+        counts["plan_calls"] += 1
+        return plan_call(self, z)
+
+    def counted_lanes(self, Z):
+        counts["lane_calls"] += 1
+        counts["lanes"] += len(Z)
+        return lanes(self, Z)
+
     models.FieldKernel.__call__ = counted_call
     models.FieldKernel.__init__ = counted_init
+    models.FlowPlan.__call__ = counted_plan_call
+    if lanes is not None:
+        models.FlowPlan.lanes = counted_lanes
     for name in args.workload or sorted(WORKLOADS):
         wl = WORKLOADS[name](args.seed)
         wl.warm_up()
-        counts.update(calls=0, builds=0)
+        counts.update(dict.fromkeys(counts, 0))
         outputs = []
         for op in wl.ops:
             try:
@@ -65,7 +83,9 @@ def main(argv=None) -> int:
                 print(f"{name}: operation {op.name} failed: {exc!r}",
                       file=sys.stderr)
         print(f"{name}: kernel_calls {counts['calls']} kernel_builds "
-              f"{counts['builds']} failed {outputs.count(None)} outputs "
+              f"{counts['builds']} plan_calls {counts['plan_calls']} "
+              f"lane_calls {counts['lane_calls']} lanes {counts['lanes']} "
+              f"failed {outputs.count(None)} outputs "
               f"{worker.fingerprint(outputs)}")
     return 0
 

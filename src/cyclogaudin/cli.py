@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .suites import (MODELS, SUITES, RunConfig, _rngs, _seeded_state,
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_DIVERGED = 0, 1, 2, 3
 
 
+@cache   # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cyclogaudin",
                                  description="cyclotomic Gaudin hierarchy "
@@ -196,9 +198,8 @@ def cmd_closure(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -251,13 +251,13 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
     from the packed samples through one SupportWriter and stacked along a
     leading sample axis, and evaluated once per probe; the powers and
     traces run over that axis (spectral_probe is the per-sample reference
-    the tests hold this to)."""
+    the tests hold this to).  The invariants are read off the packed
+    samples too (models.stacked_invariants)."""
     for lam in probes:
         _check_probe(traj.template, lam)
-    L = assemble_lax(models.stacked_coefficients(
-        traj.template, [s.vec for s in traj.samples]),
-        models.config_of(traj.template))
-    states = [traj.state(i) for i in range(len(traj))]
+    vecs = [s.vec for s in traj.samples]
+    L = assemble_lax(models.stacked_coefficients(traj.template, vecs),
+                     models.config_of(traj.template))
     out = {}
     for lam in probes:
         Ls = L.eval(lam)
@@ -268,13 +268,8 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
             tr = np.trace(P, axis1=1, axis2=2)
             out[(lam, m)] = float(np.max(np.abs(tr - tr[0]))
                                   / (1 + abs(tr[0])))
-    inv0 = models.invariants(states[0])
-    inv_drift = {k: 0.0 for k in inv0}
-    for s in states[1:]:
-        inv = models.invariants(s)
-        for k in inv0:
-            inv_drift[k] = max(inv_drift[k], abs(inv[k] - inv0[k]))
-    out.update(inv_drift)
+    for k, vals in models.stacked_invariants(traj.template, vecs).items():
+        out[k] = max([0.0] + [abs(v - vals[0]) for v in vals[1:]])
     return out
 
 

@@ -52,20 +52,20 @@ admissible_flows(state, depth) only lists the flows of a model up to a
 chosen depth.
 
 A FieldKernel, built once per (template state, flow), runs that route
-on packed vectors y with no state object: its SupportWriter writes the
-coordinate entries of z into one buffer whose constant entries are
-filled once, and the chain rule writes the field straight from dH/dz.
-dynamics integrates on kernels, and flow_field and the Hamiltonian
-functions are kernels applied to pack(state), so the results agree bit
-for bit.  FlowPlan.lanes runs a plan on a stack of support vectors as a
-lane axis, bit for bit one call per lane; simulate reads its H columns
-through it (FieldKernel.values).  A kernel call costs 12-19 us on Toda
-T = 3, 10-18 us on DST T = 3 and 17-23 us on coupled T = 2 for
-p = 1..3 (of which the plan is 3-10 us), against 18-33 us for
-flow_field on a state object (best of 40 rounds of 500 calls); over a
-stack of 150 lanes the plan costs 0.6-3.3 us per lane (best of 20
-rounds of 20 calls).  Each figure is the best of 3 processes, Python
-3.11, NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
+on packed vectors y with no state object, in one call: its SupportWriter
+writes the coordinate entries of z into a buffer whose constant entries
+are filled once, the plan product writes dH/dz and the chain rule the
+field.  dynamics integrates on kernels, and flow_field and the
+Hamiltonian functions are kernels applied to pack(state), so the results
+agree bit for bit.  FlowPlan.lanes runs a plan on a stack of support
+vectors as a lane axis, bit for bit one call per lane; simulate reads its
+H columns through it (FieldKernel.values).  For p = 1..3 a kernel call
+costs 7.9-13.2 us on Toda T = 3, 6.5-11.2 us on DST T = 3 and 9.9-15.2
+us on coupled T = 2 and 3, against 10.0-15.3, 8.5-13.0 and 13.1-18.3 us
+before the call was one frame (c212b16; best single call of 5000, the
+two interleaved, best of 3 processes); over 150 lanes the plan costs
+0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,
+NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
 
 Structural zeros
 ----------------
@@ -315,9 +315,7 @@ def toda_from_orbit(u: np.ndarray, v: np.ndarray) -> TodaState:
 
 def toda_orbit_data(u: np.ndarray, v: np.ndarray) -> OrbitData:
     T = len(u)
-    phi01 = np.zeros((T, T), complex)
-    for i in range(T):
-        phi01[i, (i + 1) % T] = v[i]
+    phi01 = np.roll(np.diag(np.asarray(v, complex)), 1, axis=1)
     return OrbitData(Lam0_0=np.zeros((T, T), complex),
                      Lam0_1=_shift_basis(T, -1),
                      Lam_list=[], Laminf=_shift_basis(T, 1),
@@ -360,9 +358,7 @@ def toda_gauge_residual(s: TodaState, lam: complex) -> float:
     mu = lam ** T
     Lt = np.diag(np.asarray(s.p, complex))
     ra = np.sqrt(a.astype(complex))
-    for i in range(T - 1):
-        Lt[i, i + 1] += ra[i]
-        Lt[i + 1, i] += ra[i]
+    Lt += np.diag(ra[:-1], 1) + np.diag(ra[:-1], -1)
     Lt[0, T - 1] += ra[T - 1] / mu
     Lt[T - 1, 0] += ra[T - 1] * mu
     Q = np.diag(np.exp(-s.q / 2.0) * lam ** (-np.arange(1, T + 1, dtype=float)))
@@ -388,8 +384,7 @@ def dst_gauge_residual(s: DSTState, lam: complex) -> float:
     lower = idx[:, None] >= idx[None, :]
     Lh += np.where(lower, b ** (idx[:, None] - idx[None, :]) * xXt, 0.0)
     Lh += np.diag(s.c)
-    for i in range(T - 1):
-        Lh[i, i + 1] += 1.0
+    Lh += np.eye(T, k=1)
     D = np.diag(lam ** (-np.arange(1, T + 1, dtype=float)))
     rhs = (D @ Lh @ np.linalg.inv(D)) / lam
     return float(np.max(np.abs(lax(s).eval(lam) - rhs)))
@@ -416,7 +411,7 @@ def _layout(state) -> tuple:
     """(T, the slices of the q, p, x and X blocks in the packed vector,
     None for a block the model lacks, the cyclic index arrays i+1, i-1, the
     mask of the support vector entries that are written from the
-    coordinates, and per canonical sector the indices of its P and Q
+    coordinates, and per canonical sector the slices of its P and Q
     blocks) of the state's class and T (cached; read-only)."""
     return _class_layout(type(state), state.T)
 
@@ -430,11 +425,8 @@ def _class_layout(cls, T: int) -> tuple:
     coords = np.zeros(_support_index(len(cls.POLES) + 3, T).size, bool)
     coords[:2 * T] = "q" in at
     coords[2 * T:2 * T + T * T] = "x" in at
-    secs = tuple((np.arange(at[P].start, at[P].stop),
-                  np.arange(at[Q].start, at[Q].stop))
-                 for Q, P, _, _ in cls.SECTORS)
-    for a in (coords, *[a for pair in secs for a in pair]):
-        a.setflags(write=False)
+    coords.setflags(write=False)
+    secs = tuple((at[P], at[Q]) for Q, P, _, _ in cls.SECTORS)
     return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords, secs)
 
 
@@ -471,31 +463,30 @@ def coefficient_jets(state) -> GaudinCoefficients:
     coordinates, as (n, T, T) stacks: slice i of each stack is the
     derivative of that coefficient along coordinate i."""
     T = state.T
+    i, nxt, prev = _cyclic(T)
     J00, J01, *A_list, Ainf = np.zeros(
         (len(state.POLES) + 3, nvars(state), T, T), complex)
     for Q, P, _, weight in _sectors_of(state):
-        q, p = _offset(state, Q), _offset(state, P)
+        q, p = _offset(state, Q) + i, _offset(state, P) + i
         if Q == "q":
             # Toda sector: J00 = diag(p), J01 = sum_i a_i E_{i+1,i} with
             # da_j/dq_i = a_j (delta_{ij} - delta_{i, j+1})
             a = _toda_a(np.asarray(state.q, complex))
-            for i in range(T):
-                J00[p + i, i, i] = 1.0
-                J01[q + i, (i + 1) % T, i] += a[i]
-                J01[q + i, i, (i - 1) % T] -= a[(i - 1) % T]
+            J00[p, i, i] = 1.0
+            J01[q, nxt, i] += a
+            J01[q, i, prev] -= a[prev]
         else:
             # DST sector: K_1 = x X^T, times its weight
             K1 = A_list[0]
-            for i in range(T):
-                K1[q + i, i, :] = state.X
-                K1[p + i, :, i] = state.x
+            K1[q, i, :] = state.X
+            K1[p, :, i] = state.x
             if weight is not None:
                 K1 *= weight
     return GaudinCoefficients(J00, J01, A_list, Ainf, T, validate=False)
 
 
 def sectors(state) -> list:
-    """Sector data of the canonical bracket: (P indices, Q indices,
+    """Sector data of the canonical bracket: (P block, Q block,
     coefficient) per canonical sector of the packed coordinates, the
     coefficient being the sector sign divided by the sector weight."""
     out = []
@@ -662,7 +653,7 @@ def flow_plan(cfg: PoleConfig, f: FlowId) -> FlowPlan:
 class SupportWriter:
     """Writes the support vector z of the states that share a template's
     model, T and parameters straight from their packed vectors y, with no
-    state object, and reads dH/dz back onto the coordinates.
+    state object.
 
     z lives in one buffer whose constant entries (c and the zero A0_1
     entries for DST, 1 or 1 + beta on Ainf) are filled once; a call writes
@@ -695,13 +686,13 @@ class SupportWriter:
             self.za[:] = 0.0
             z[-T:] = 1.0
         else:
-            self.beta = template.beta
-            self.bc = self.beta * template.c
-            z[-T:] = 1.0 + self.beta
+            self.bc = template.beta * template.c
+            z[-T:] = 1.0 + template.beta
+            self.beta = np.array(template.beta, complex)   # as 0-d: converted once
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
+    def write(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer)."""
-        if self.real:
+        if self.real and y.dtype.kind == "c":
             y = _real(y, "state")
         if self.qs is not None:
             if self.bc is None:
@@ -716,90 +707,49 @@ class SupportWriter:
                 np.multiply(self.beta, self.K, out=self.K)
         return self.z
 
+    __call__ = write
+
     def stack(self, Y) -> np.ndarray:
         """The support vectors of the states packed as the rows of Y, as a
         new (m, nz) array."""
         Z = np.empty((len(Y), self.z.size), complex)
         for i, y in enumerate(Y):
-            Z[i] = self(y)
+            Z[i] = self.write(y)
         return Z
-
-    def sectors(self, y: np.ndarray, g: np.ndarray,
-                swap: bool = False) -> np.ndarray:
-        """The reduced gradient r of H, packed like y, from g = dH/dz at
-        the z last written for the state packed as y: dH/dq, dH/dp, and
-        the beta-reduced DST sector gradients (1/beta) dH/dx,
-        (1/beta) dH/dX, by the chain rule through z.  With swap, each
-        sector's two gradients are written in each other's blocks (dH/dp
-        at q, dH/dq at p, dH/dX at x, dH/dx at X), as the field takes
-        them."""
-        T = self.T
-        qs, ps, xs, Xs = ((self.ps, self.qs, self.Xs, self.xs) if swap
-                          else (self.qs, self.ps, self.xs, self.Xs))
-        r = np.empty(len(y), complex)
-        if self.qs is not None:
-            r[ps] = g[:T]
-            # da_j/dq_i = a_j (delta_ij - delta_{i,j+1}): a_i g_i - a_{i-1} g_{i-1}
-            t = self.za * g[T:2 * T]
-            np.subtract(t, t[self.prev], out=r[qs])
-        if self.K is not None:
-            # beta-reduced: gradient w.r.t. the family coefficient (beta K_1)
-            GK = g[2 * T:2 * T + T * T].reshape(T, T)
-            np.matmul(GK, y[self.Xs], out=r[xs])     # sum_j GK[i,j] X_j
-            np.matmul(GK.T, y[self.xs], out=r[Xs])   # sum_i x_i GK[i,j]
-        return r
-
-
-def _canonical(template) -> tuple:
-    """(flip, weighted) of the template's layout, signs and weights
-    (cached).  Per sector dQ/dt = -sign dH/dP and dP/dt = +sign dH/dQ, so
-    the field is the swapped reduced gradient with the block of each
-    slice of flip negated (Q where the sign is positive, else P); the
-    gradient is the reduced gradient with each slice of weighted times
-    its weight."""
-    return _class_canonical(type(template), template.T,
-                            tuple(_sectors_of(template)))
-
-
-@cache
-def _class_canonical(cls, T: int, secs: tuple) -> tuple:
-    flip, weighted = [], []
-    for Q, P, sign, weight in secs:
-        q, p = (slice(cls.BLOCKS.index(b) * T, (cls.BLOCKS.index(b) + 1) * T)
-                for b in (Q, P))
-        flip.append(q if sign > 0 else p)
-        if weight is not None:
-            weighted += [(q, weight), (p, weight)]
-    return tuple(flip), tuple(weighted)
 
 
 # keyed on the plan and the bytes of the support patterns (ndarrays do not hash)
 _ZERO_CACHE: dict = {}
 
 
-class FieldKernel:
-    """The flow field of one flow (p, r) on the states of one template,
-    as a map from the packed vector y: the SupportWriter writes z, the
-    cached FlowPlan of (pole config, flow) gives dH/dz, and the writer's
-    chain rule writes the field straight from dH/dz, each sector's two
-    gradients swapped (SupportWriter.sectors) and one block per sector
-    negated, and the gradient as the reduced gradient times the sector
-    weights.  The sector signs are read from the layout and the flow is
-    checked against the model once, when the kernel is built (its depth
-    was checked when the FlowId was); flow_field, hamiltonian_gradient and
-    hamiltonian_value are this kernel applied to pack(state).  value reads
-    H off any z of the template's model, so one SupportWriter's z serves
-    the kernels of many flows, and values reads it off a stack of them."""
+class FieldKernel(SupportWriter):
+    """The flow field of one flow (p, r) on the states of one template, as
+    a map from the packed vector y, in one call over views bound when the
+    kernel is built: the SupportWriter writes z, the plan product of the
+    cached FlowPlan of (pole config, flow) writes dH/dz and the chain rule
+    each sector's gradients straight into the field, with the sector signs
+    read, and the flow checked, when the kernel is built.  A call returns a
+    new array, so RK4 can hold its four stages; a Toda field must sit on
+    the real locus and comes back real.  value reads H off any z of the
+    model, values off a stack of them."""
 
-    __slots__ = ("writer", "plan", "p", "flip", "weighted", "_zero")
+    __slots__ = ("plan", "p", "n", "neg_q", "neg_x", "weight", "_zero", "g",
+                 "gp", "ga", "GK")
 
     def __init__(self, template, f: FlowId):
-        self.writer = SupportWriter(template)
+        super().__init__(template)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
-        self.p = f.p
-        self.flip, self.weighted = _canonical(template)
-        self._zero = None
+        self.p, self.n, self._zero = f.p, nvars(template), None
+        # per sector: is its Q block the negated one (sign > 0), its weight
+        signs = {Q: (sign > 0, w) for Q, _, sign, w in _sectors_of(template)}
+        self.neg_q = signs.get("q", (None,))[0]
+        self.neg_x, self.weight = signs.get("x", (None, None))
+        # dH/dz goes to a buffer of the kernel, read through views of its
+        # p, a and K_1 parts
+        self.g = g = np.empty(self.z.size, complex)
+        T = self.T
+        self.gp, self.ga, self.GK = g[:T], g[T:2 * T], g[2 * T:-T].reshape(-1, T)
 
     @property
     def zero(self) -> bool:
@@ -809,8 +759,8 @@ class FieldKernel:
         z written from the coordinates count as nonzero, constant entries
         by their value.  dynamics steps such a flow as the identity."""
         if self._zero is None:
-            coords, z = self.writer.coords, self.writer.z
-            nonzero = coords | (z != 0)   # the constants are never rewritten
+            coords = self.coords
+            nonzero = coords | (self.z != 0)   # the constants are never rewritten
             key = (self.plan, coords.tobytes(), nonzero.tobytes())
             zero = _ZERO_CACHE.get(key)
             if zero is None:
@@ -818,23 +768,55 @@ class FieldKernel:
             self._zero = zero
         return self._zero
 
-    def sectors(self, y: np.ndarray) -> np.ndarray:
-        """The reduced gradient of H at y (SupportWriter.sectors)."""
-        return self.writer.sectors(y, self.plan(self.writer(y)))
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Packed tangent vector of the flow at y."""
-        writer = self.writer
-        v = writer.sectors(y, self.plan(writer(y)), swap=True)
-        for blk in self.flip:
-            np.negative(v[blk], out=v[blk])
-        return _real(v, "flow field") if writer.real else v
+        """Packed tangent vector of the flow at y (a new array)."""
+        # plan product: S = E z, P = W P p - 1 times, g = R P
+        plan = self.plan
+        S = plan.expand @ self.write(y)
+        P = S[:-1]
+        if self.p > 1:
+            W, P = S[plan.take], P.reshape(plan.take.shape[0], -1)
+            for _ in range(self.p - 1):
+                P = W @ P
+            P = P.reshape(-1)
+        np.matmul(plan.readout, P, out=self.g)
+        # chain rule, as in sectors, each block written with its sign
+        v = np.empty(self.n, complex)
+        if self.qs is not None:
+            qs, ps, t = self.qs, self.ps, self.za * self.ga
+            if self.neg_q:
+                np.negative(self.gp, out=v[qs])
+                np.subtract(t, t[self.prev], out=v[ps])
+            else:
+                v[qs] = self.gp
+                np.negative(t - t[self.prev], out=v[ps])
+        if self.K is not None:
+            xs, Xs, GK = self.xs, self.Xs, self.GK
+            if self.neg_x:
+                np.negative(GK.T @ y[xs], out=v[xs])
+                np.matmul(GK, y[Xs], out=v[Xs])
+            else:
+                np.matmul(GK.T, y[xs], out=v[xs])
+                np.negative(GK @ y[Xs], out=v[Xs])
+        if self.real and np.abs(v.imag).max() > _IMAG_TOL:
+            raise StructuralError("Toda flow field drifted off the real locus")
+        return v.real if self.real else v
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """Full packed gradient dH/d(coords) at y (including beta factors)."""
-        r = self.sectors(y)
-        for blk, weight in self.weighted:
-            r[blk] *= weight
+    def sectors(self, y: np.ndarray) -> np.ndarray:
+        """The reduced gradient of H at y, packed like y: dH/dq, dH/dp and
+        the beta-reduced (1/beta) dH/dx, (1/beta) dH/dX."""
+        T, g = self.T, self.plan(self.write(y))
+        r = np.empty(len(y), complex)
+        if self.qs is not None:
+            r[self.ps] = g[:T]
+            # da_j/dq_i = a_j (delta_ij - delta_{i,j+1}): a_i g_i - a_{i-1} g_{i-1}
+            t = self.za * g[T:2 * T]
+            np.subtract(t, t[self.prev], out=r[self.qs])
+        if self.K is not None:
+            # beta-reduced: gradient w.r.t. the family coefficient (beta K_1)
+            GK = g[2 * T:2 * T + T * T].reshape(T, T)
+            np.matmul(GK, y[self.Xs], out=r[self.xs])     # sum_j GK[i,j] X_j
+            np.matmul(GK.T, y[self.xs], out=r[self.Xs])   # sum_i x_i GK[i,j]
         return r
 
     def value(self, z: np.ndarray) -> complex:
@@ -856,8 +838,14 @@ class FieldKernel:
 
 
 def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
-    """Full packed gradient dH/d(coords) (including beta factors)."""
-    return FieldKernel(state, f).gradient(pack(state))
+    """Full packed gradient dH/d(coords): the reduced gradient
+    (FieldKernel.sectors), its (x, X) sector times the weight beta."""
+    kernel = FieldKernel(state, f)
+    r = kernel.sectors(pack(state))
+    if kernel.weight is not None:
+        r[kernel.xs] *= kernel.weight
+        r[kernel.Xs] *= kernel.weight
+    return r
 
 
 def hamiltonian_value(state, f: FlowId) -> complex:
@@ -865,7 +853,7 @@ def hamiltonian_value(state, f: FlowId) -> complex:
     the gradient of its FlowPlan by Euler's identity (FieldKernel.value).
     gaudin.hamiltonian is the oracle the tests hold this value to."""
     kernel = FieldKernel(state, f)
-    return kernel.value(kernel.writer(pack(state)))
+    return kernel.value(kernel.write(pack(state)))
 
 
 def flow_field(state, f: FlowId) -> np.ndarray:
@@ -961,6 +949,22 @@ def invariants(state) -> dict:
         else:
             out["tr_K1"] = complex(np.dot(state.x, state.X))
     return out
+
+
+def stacked_invariants(template, Y) -> dict:
+    """The invariants of the states packed as the rows of Y, read straight
+    off the rows: per name one complex per row, bit for bit invariants of
+    each row unpacked with the template's parameters."""
+    Y = _real(np.asarray(Y), "state") if template.REAL else np.asarray(Y)
+    _, qs, ps, xs, Xs, nxt, *_ = _layout(template)
+    out = {}
+    if qs is not None:
+        q = np.asarray(Y[:, qs], complex)
+        out.update(sum_p=np.sum(Y[:, ps], axis=1),
+                   prod_a=np.prod(np.exp(q - q[:, nxt]), axis=1))
+    if xs is not None:   # per row a (1, T) @ (T, 1) product rounds as np.dot
+        out["tr_K1"] = np.matmul(Y[:, None, xs], Y[:, Xs, None])[:, 0, 0]
+    return {k: np.asarray(v, complex).tolist() for k, v in out.items()}
 
 
 def coefficient_velocity(state, f: FlowId):

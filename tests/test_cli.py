@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, JSON report schema, CSV trajectory
 format, configuration handling."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cyclogaudin
 from cyclogaudin.cli import main
 
 REPORT_SCHEMA = {
@@ -74,6 +78,35 @@ def test_verify_failure_exit_code(tmp_path):
 ])
 def test_config_errors_exit_2(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+
+
+def _lone_call(argv):
+    """(exit code, stdout, stderr) of main(argv) in a fresh process."""
+    src = os.path.dirname(os.path.dirname(cyclogaudin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from cyclogaudin.cli import main;"
+         " sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=300)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_main_calls_in_one_process_match_lone_calls(capsys, monkeypatch):
+    # main parses with one parser per process: a usage error, then verify,
+    # then simulate, in that order, each give what a lone call gives
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to it
+    calls = [["simulate", "--model", "toda", "--T", "2"],   # no --schedule
+             ["verify", "--suite", "algebra", "--T", "2", "--seed", "7"],
+             ["simulate", "--schedule", "1:0:0.01", "--model", "toda",
+              "--T", "2", "--seed", "3", "--h", "5e-3"]]
+    got = []
+    for argv in calls:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    assert [g[0] for g in got] == [2, 0, 0]
+    assert "required: --schedule" in got[0][2]
+    assert got == [_lone_call(argv) for argv in calls]
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -241,6 +241,19 @@ def test_conservation_drift_matches_probe_loop(rng):
         assert max(ref.values()) > 1e-9
         for key, val in ref.items():
             assert abs(drift[key] - val) <= 1e-13
+        # the invariants read off the packed samples against
+        # models.invariants of each unpacked sample, bit for bit; the Toda
+        # trajectory is real
+        vecs = [x.vec for x in traj.samples]
+        assert all(v.dtype.kind == ("f" if s.REAL else "c") for v in vecs)
+        per = [mdl.invariants(traj.state(i)) for i in range(len(traj))]
+        stacked = mdl.stacked_invariants(s, vecs)
+        assert list(stacked) == list(per[0])
+        for key, vals in stacked.items():
+            assert np.array(vals).tobytes() == np.array(
+                [inv[key] for inv in per]).tobytes()
+            assert drift[key] == max(abs(inv[key] - per[0][key])
+                                     for inv in per)
         # one sample (zero duration): nothing to drift from
         one = dyn.integrate(s, dyn.Schedule.from_pairs([(f, 0.0)]))
         assert len(one) == 1

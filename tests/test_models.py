@@ -367,13 +367,16 @@ def _assert_plan_matches_generic(s, f, monkeypatch):
     calls = []
     close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
 
-    def routes():
-        return [mdl.flow_field(s, f), mdl.hamiltonian_gradient(s, f),
+    def routes(field):
+        return [field(), mdl.hamiltonian_gradient(s, f),
                 mdl.hamiltonian_value(s, f)]
-    got = routes()
+    got = routes(lambda: mdl.flow_field(s, f))
+    # the kernel's call runs the plan product over the plan's arrays, so the
+    # field's reference is the chain rule written out on the state, which
+    # reads dH/dz off the installed plan as the other two routes do
     with monkeypatch.context() as m:
         m.setattr(mdl, "flow_plan", lambda c, g: _generic_plan(c, g, calls))
-        ref = routes()
+        ref = routes(lambda: _concatenated_route_field(s, mdl.pack(s), f))
     # one direct call, then one per route through the installed generic plan
     assert calls == [f] * 4
     for g, r in zip(got, ref):
@@ -674,6 +677,15 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
                 assert np.array_equal(v, ref)
                 assert np.array_equal(v, _concatenated_route_field(tmpl, y, f))
                 assert np.array_equal(scaled(y), 1.1 * ref)
+            # RK4 holds k1..k4 at once: two calls of one kernel return
+            # distinct arrays, and a result held from the first call is
+            # unchanged by the second
+            first = kernel(ys[0])
+            held = first.copy()
+            second = kernel(ys[1])
+            assert second is not first and not np.shares_memory(first, second)
+            assert first.tobytes() == held.tobytes()
+            assert second.tobytes() == refs[1].tobytes()
         # the coordinate entries of z differ between the inputs
         writer = mdl.SupportWriter(tmpl)
         zs = [writer(y).copy() for y in ys]

@@ -1,5 +1,6 @@
-"""Flow-field kernel evaluations and builds, and flow-plan calls and lanes,
-per round of each benchmark workload.
+"""Flow-field kernel evaluations and builds, and the flow-plan calls and
+lanes of the H value and gradient routes, per round of each benchmark
+workload.
 
     python3 tools/field_calls.py [CHECKOUT] [--workload W] [--seed N]
 
@@ -9,13 +10,26 @@ inputs, warms up, and runs one round of its operations in this process,
 with models.FieldKernel.__call__, models.FieldKernel.__init__,
 models.FlowPlan.__call__ and models.FlowPlan.lanes (where the checkout
 has it) wrapped from the outside to count them.  It prints one line per
-workload: the kernel evaluations and builds of the round, the plan's
-per-call evaluations, its lane calls and the lanes (stacked support
-vectors) those took, and the SHA-256 fingerprint of the round's outputs
-(perfbench/worker.py), so that two checkouts can be compared for
-bit-identical results.  The `perfbench/run.py --trace 1`
-counters wrap models.flow_field by name and do not see the kernels that
-dynamics.integrate and the simulate command call.
+workload, each counter named by the route it counts:
+
+    kernel_calls          field evaluations, FieldKernel.__call__ (the
+                          RK4 stages, flow_field, closure arcs)
+    kernel_builds         FieldKernel constructions
+    value_grad_plan_calls FlowPlan.__call__: one H value (FieldKernel.value)
+                          or reduced gradient (FieldKernel.sectors) each
+    values_lane_calls     FlowPlan.lanes: the H columns of simulate
+                          (FieldKernel.values), and the lanes (stacked
+                          support vectors) those took
+
+and the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
+so that two checkouts can be compared for bit-identical results.  The
+kernel's call runs its plan product itself and is not counted by
+value_grad_plan_calls; in checkouts older than the one-frame kernel
+(c212b16 and before) it called FlowPlan.__call__, so that counter there
+reads the kernel calls plus the value and gradient calls.  The
+`perfbench/run.py --trace 1` counters wrap models.flow_field by name and
+do not see the kernels that dynamics.integrate and the simulate command
+call.
 """
 from __future__ import annotations
 
@@ -83,8 +97,9 @@ def main(argv=None) -> int:
                 print(f"{name}: operation {op.name} failed: {exc!r}",
                       file=sys.stderr)
         print(f"{name}: kernel_calls {counts['calls']} kernel_builds "
-              f"{counts['builds']} plan_calls {counts['plan_calls']} "
-              f"lane_calls {counts['lane_calls']} lanes {counts['lanes']} "
+              f"{counts['builds']} value_grad_plan_calls "
+              f"{counts['plan_calls']} values_lane_calls "
+              f"{counts['lane_calls']} lanes {counts['lanes']} "
               f"failed {outputs.count(None)} outputs "
               f"{worker.fingerprint(outputs)}")
     return 0

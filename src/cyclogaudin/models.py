@@ -60,8 +60,8 @@ Hamiltonian functions are kernels applied to pack(state), so the results
 agree bit for bit.  FlowPlan.lanes runs a plan on a stack of support
 vectors as a lane axis, bit for bit one call per lane; simulate reads its
 H columns through it (FieldKernel.values).  For p = 1..3 a kernel call
-costs 7.9-13.2 us on Toda T = 3, 6.5-11.2 us on DST T = 3 and 9.9-15.2
-us on coupled T = 2 and 3, against 10.0-15.3, 8.5-13.0 and 13.1-18.3 us
+costs 8.8-14.5 us on Toda T = 3, 7.4-12.7 us on DST T = 3 and 11.2-17.1
+us on coupled T = 2 and 3, against 11.0-16.3, 9.4-14.5 and 14.6-20.0 us
 before the call was one frame (c212b16; best single call of 5000, the
 two interleaved, best of 3 processes); over 150 lanes the plan costs
 0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,

@@ -688,7 +688,7 @@ class SupportWriter:
         else:
             self.bc = template.beta * template.c
             z[-T:] = 1.0 + template.beta
-            self.beta = np.array(template.beta, complex)   # as 0-d: converted once
+            self.beta = np.array(template.beta, complex)  # 0-d: converted once
 
     def write(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer)."""
@@ -731,7 +731,7 @@ class FieldKernel(SupportWriter):
     read, and the flow checked, when the kernel is built.  A call returns a
     new array, so RK4 can hold its four stages; a Toda field must sit on
     the real locus and comes back real.  value reads H off any z of the
-    model, values off a stack of them."""
+    model, values off a stack of them.  Timings: the module docstring."""
 
     __slots__ = ("plan", "p", "n", "neg_q", "neg_x", "weight", "_zero", "g",
                  "gp", "ga", "GK")

@@ -204,6 +204,12 @@ class LaurentSeries:
                 f"principal part requested but series truncated at u^{self.trunc}")
         return self.coeffs[:max(-self.low, 0)][::-1]
 
+    def polynomial(self) -> np.ndarray:
+        """Stack of the coefficients of u^0, u^-1, ... down to the lowest order
+        (lambda^0, lambda^1, ... at INF); TruncationError if it stops below u^0."""
+        self.coeff(0)
+        return self.coeffs[:max(1 - self.low, 0)][::-1]
+
     def eval_sum(self, u: complex):
         """Resum the truncated series at local coordinate u (u != 0)."""
         acc = np.zeros_like(self.coeffs[0])
@@ -452,10 +458,7 @@ def pi_project(X: LocalTuple, root: RootOfUnity, weight: int = 0) -> RationalMat
     poly = None
     for pt, s in zip(X.points, X.series):
         if _is_inf(pt):
-            # u^0, u^-1, ... are lambda^0, lambda^1, ...; coeff(0) raises
-            # when the series stops below u^0
-            s.coeff(0)
-            poly = s.coeffs[:max(1 - s.low, 0)][::-1]
+            poly = s.polynomial()
         elif abs(pt) <= _POLE_TOL:
             poles.append((0j, s.principal()))
         else:

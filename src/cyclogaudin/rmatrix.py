@@ -5,77 +5,84 @@ R_+ / R_-, and the quadratic (Sklyanin-type) bracket of the Lax matrix.
 Tensor convention: an element of g (x) g is a (T^2, T^2) array whose row
 index is the composite (slot1_row * T + slot2_row) and likewise for
 columns, i.e. exactly numpy.kron(slot1, slot2).
+
+r_12(lam, mu) = sum_ij c_ij E_ij (x) E_ji is a weighted leg swap: each row
+holds one nonzero, c_ij at the column with the two legs swapped, and c_ij
+depends on j - i mod T only.  Embedded on legs (a, b) of the triple tensor
+space it stays monomial, so cybe_residual multiplies two kernels by one
+gather and one multiply: O(T^3) work plus the zero fill of the T^6
+residual, where dense (T^3, T^3) products cost O(T^9).  kernel_projection
+contracts, per (slot, k), an (order m, coefficient j) table of residue
+weights with the slot's stacked coefficients, and applies sigma^k and the
+omega phases as one phase tensor summed over k.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 import numpy as np
 
-from .algebra import RootOfUnity, grade_component, sigma_pow
+from .algebra import RootOfUnity, grade_component
 from .errors import PoleProximityError
-from .ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix, _is_inf,
-                     orbit_family, slot_weight)
+from .ratmat import (_POLE_TOL, INF, LaurentSeries, LocalTuple, RationalMatrix,
+                     _is_inf, orbit_family, slot_weight)
 
 _COLLISION_TOL = 1e-10
 
 
 def casimir(T: int) -> np.ndarray:
     """C_12 = sum_ij E_ij (x) E_ji on the (T^2, T^2) tensor space."""
-    C = np.zeros((T * T, T * T), dtype=complex)
-    for i in range(T):
-        for j in range(T):
-            C[i * T + j, j * T + i] = 1.0
-    return C
+    return _on_swap(np.ones((T, T)))
+
+
+def _on_swap(c: np.ndarray) -> np.ndarray:
+    """sum_ij c_ij E_ij (x) E_ji: row i*T + j holds c_ij at column j*T + i."""
+    T = len(c)
+    out = np.zeros((T * T, T * T), dtype=complex)
+    out[np.arange(T * T), np.arange(T * T).reshape(T, T).T.ravel()] = c.ravel()
+    return out
+
+
+def _coefficients(lam: complex, mu: complex, root: RootOfUnity) -> np.ndarray:
+    """The (T, T) table c with r_12(lam, mu) = sum_ij c_ij E_ij (x) E_ji,
+    c_ij = (1/T) sum_k omega^(k(j-i)) / (mu - omega^(-k) lam)."""
+    T = root.order
+    gaps = [mu - root.power(-k) * lam for k in range(T)]
+    for k, gap in enumerate(gaps):
+        if abs(gap) <= _COLLISION_TOL:
+            raise PoleProximityError(
+                f"mu={mu} collides with omega^(-{k}) lam={lam}")
+    # c_ij depends on j - i mod T only; its T values are summed over k with
+    # scalar products, rounded as per entry (array products may fuse them)
+    powers, dens = root.powers.tolist(), [complex(1.0 / g) for g in gaps]
+    values = [sum((powers[k * n % T] * d for k, d in enumerate(dens)), 0j)
+              for n in range(T)]
+    return np.array([values[-i:] + values[:-i] for i in range(T)]) / T
 
 
 def r_kernel(lam: complex, mu: complex, root: RootOfUnity) -> np.ndarray:
     """r_12(lam, mu) = (1/T) sum_k sum_ij omega^(k(j-i))
     / (mu - omega^(-k) lam) E_ij (x) E_ji."""
-    T = root.order
-    for k in range(T):
-        if abs(mu - root.power(-k) * lam) <= _COLLISION_TOL:
-            raise PoleProximityError(
-                f"mu={mu} collides with omega^(-{k}) lam={lam}")
-    R = np.zeros((T * T, T * T), dtype=complex)
-    for k in range(T):
-        den = 1.0 / (mu - root.power(-k) * lam)
-        for i in range(T):
-            for j in range(T):
-                R[i * T + j, j * T + i] += root.power(k * (j - i)) * den
-    return R / T
-
-
-def _embed(K: np.ndarray, slots: tuple, T: int) -> np.ndarray:
-    """Embed a (T^2,T^2) two-slot kernel into the triple tensor space.
-
-    slots is the (first, second) tensor-leg assignment, e.g. (0, 1) for
-    r_12, (2, 1) for r_32.
-    """
-    K4 = K.reshape(T, T, T, T)  # [row1, row2, col1, col2]
-    eye = np.eye(T)
-    a, b = slots
-    spare = ({0, 1, 2} - {a, b}).pop()
-    letters_r = ["a", "b", "c"]
-    letters_c = ["d", "e", "f"]
-    sub = (letters_r[a] + letters_r[b] + letters_c[a] + letters_c[b]
-           + "," + letters_r[spare] + letters_c[spare]
-           + "->" + "".join(letters_r) + "".join(letters_c))
-    out = np.einsum(sub, K4, eye)
-    return out.reshape(T ** 3, T ** 3)
+    return _on_swap(_coefficients(lam, mu, root))
 
 
 def cybe_residual(lam: complex, mu: complex, nu: complex,
                   root: RootOfUnity) -> float:
     """Max-abs of [r_12(l,m), r_13(l,n)] + [r_12(l,m), r_23(m,n)]
-    + [r_32(n,m), r_13(l,n)] on the triple tensor space."""
+    + [r_32(n,m), r_13(l,n)] on the triple tensor space, with each r_ab
+    held as (value per row, column per row)."""
     T = root.order
-    r12 = _embed(r_kernel(lam, mu, root), (0, 1), T)
-    r13 = _embed(r_kernel(lam, nu, root), (0, 2), T)
-    r23 = _embed(r_kernel(mu, nu, root), (1, 2), T)
-    r32 = _embed(r_kernel(nu, mu, root), (2, 1), T)
-    acc = (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) \
-        + (r32 @ r13 - r13 @ r32)
+    legs, cube = np.indices((T, T, T)).reshape(3, -1), np.arange(T ** 3).reshape(T, T, T)
+    r12, r13, r23, r32 = [
+        (_coefficients(x, y, root)[legs[a], legs[b]], cube.swapaxes(a, b).ravel())
+        for x, y, a, b in ((lam, mu, 0, 1), (lam, nu, 0, 2), (mu, nu, 1, 2),
+                           (nu, mu, 2, 1))]
+    row = np.arange(T ** 3) * T ** 3  # flat offset of each row
+    acc = np.zeros(T ** 6, dtype=complex)
+    for (va, ca), (vb, cb) in ((r12, r13), (r12, r23), (r32, r13)):
+        acc[row + cb[ca]] += va * vb[ca]
+        acc[row + ca[cb]] -= vb * va[cb]
     return float(np.max(np.abs(acc)))
 
 
@@ -95,19 +102,54 @@ def averaging_residual(z1: complex, z2: complex, l: int,
 
 
 # ---------------------------------------------------------------------------
-# Kernel projections R_+ / R_- of the regular/singular decomposition,
-# realised through the residue sums of the pairing with the r-kernel
-# (weight-0 function spaces).
+# Kernel projections R_+ / R_- of the regular/singular decomposition (weight
+# 0), realised through the residue sums of the pairing with the r-kernel.
 # ---------------------------------------------------------------------------
 
-def _poly_coeffs_at_inf(s: LaurentSeries) -> list:
-    """[d_0, d_{-1}, ...]: coefficients of u^0, u^-1, ... (poly part)."""
-    out = []
-    m = 0
-    while -m >= s.low:
-        out.append(s.coeff(-m))
-        m += 1
-    return out
+def _orders(s: LaurentSeries, lo: int, hi: int) -> np.ndarray:
+    """Stack of the coefficients of u^lo .. u^(hi-1)."""
+    return np.array([s.coeff(n) for n in range(lo, hi)],
+                    dtype=complex).reshape(hi - lo, *s.coeffs.shape[1:])
+
+
+@cache
+def _residue_table(kind: str, M: int, J: int):
+    """(weight, exponent) over (m < M, j < J) of the residue weight
+    W[m, j] = weight x^exponent of stacked coefficient j in output order m:
+    'taylor' comb(m, j) x^(m-j), 'laurent' comb(m+j, j) (-1)^j x^(m+1+j),
+    'poly' -comb(j, m) x^(j-m); math.comb is zero off the support."""
+    m, j = np.ogrid[:M, :J]
+    pascal = np.array([[comb(a, c) for c in range(M + J)]
+                       for a in range(M + J)], dtype=float)
+    return {"taylor": (pascal[m, j], np.maximum(m - j, 0)),
+            "laurent": (pascal[m + j, j] * (-1.0) ** j, m + 1 + j),
+            "poly": (-pascal[j, m], np.maximum(j - m, 0))}[kind]
+
+
+def _slot_residues(pt, s: LaurentSeries, b, M: int) -> np.ndarray:
+    """sum_j W[m, j] c_j for m < M: the residues of slot pt's series against
+    the kernel pole at b (None: the output slot at infinity), with c_j its
+    principal part, or at infinity its polynomial part."""
+    if b is None:
+        if _is_inf(pt):
+            return -_orders(s, 1, M + 1)
+        kind, x, stack = "taylor", pt, s.principal()
+    elif _is_inf(pt):
+        kind, x, stack = "poly", b, s.polynomial()
+    elif abs(pt - b) <= _POLE_TOL:
+        return _orders(s, 0, M)  # the kernel pole sits on this slot
+    else:
+        kind, x, stack = "laurent", 1.0 / (complex(pt) - b), s.principal()
+    weight, exponent = _residue_table(kind, M, len(stack))
+    powers = np.cumprod([1.0] + [x] * (M + len(stack)))
+    return np.tensordot(weight * powers[exponent], stack, 1)
+
+
+def _phases(root: RootOfUnity, ex: np.ndarray) -> np.ndarray:
+    """omega^(k ex_m) sigma^k as phases omega^(k (ex_m + j - i)) over (k, m, i, j)."""
+    k = idx = np.arange(root.order)
+    return root.powers[k[:, None, None, None]
+                       * (ex[:, None, None] + idx - idx[:, None]) % root.order]
 
 
 def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
@@ -124,62 +166,22 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
         return _r_minus(X, root)
     if sign != "+":
         raise ValueError("sign must be '+' or '-'")
-    dim = X.dim
+    slots = [(pt, slot_weight(pt, T), s) for pt, s in zip(X.points, X.series)]
     out_series = []
-    fin_pts = [pt for pt in X.points if not _is_inf(pt)]
     for spt in X.points:
-        coeffs = []
         if _is_inf(spt):
-            # coefficient of u^(m+1), u = 1/lambda; u^0 coefficient is 0
-            coeffs.append(np.zeros((dim, dim), complex))
-            for m in range(0, out_trunc):
-                acc = np.zeros((dim, dim), complex)
-                for k in range(T):
-                    res_sum = np.zeros((dim, dim), complex)
-                    for pt, s in zip(X.points, X.series):
-                        w = slot_weight(pt, T)
-                        if _is_inf(pt):
-                            res = -s.coeff(m + 1)
-                        else:
-                            cs = s.principal()
-                            res = np.zeros((dim, dim), complex)
-                            for j, c in enumerate(cs):
-                                if j > m:
-                                    break
-                                res = res + comb(m, j) * pt ** (m - j) * c
-                        res_sum = res_sum + w * res
-                    acc = acc + root.power(k * (m + 1)) * sigma_pow(res_sum, k, root)
-                coeffs.append(-acc / T)
-            out_series.append(LaurentSeries(dim, INF, 0, coeffs))
+            # u^(m+1), u = 1/lambda, m < out_trunc (u^0 is 0); no k dependence
+            res = sum(w * _slot_residues(pt, s, None, out_trunc)
+                      for pt, w, s in slots)
+            acc = _phases(root, np.arange(1, out_trunc + 1)).sum(axis=0) * res
+            coeffs = np.concatenate([np.zeros((1, X.dim, X.dim)), -acc / T])
+            out_series.append(LaurentSeries(X.dim, INF, 0, coeffs))
         else:
-            zs = complex(spt)
-            for m in range(0, out_trunc + 1):
-                acc = np.zeros((dim, dim), complex)
-                for k in range(T):
-                    b = root.power(-k) * zs
-                    res_sum = np.zeros((dim, dim), complex)
-                    for pt, s in zip(X.points, X.series):
-                        w = slot_weight(pt, T)
-                        if _is_inf(pt):
-                            res = np.zeros((dim, dim), complex)
-                            j = 0
-                            while -(m + j) >= s.low:
-                                res = res - comb(m + j, j) * b ** j * s.coeff(-(m + j))
-                                j += 1
-                        elif abs(pt - b) <= 1e-12:
-                            # kernel pole sits on this slot: pick the Taylor
-                            # coefficient directly
-                            res = s.coeff(m)
-                        else:
-                            a = complex(pt) - b
-                            res = np.zeros((dim, dim), complex)
-                            for j, c in enumerate(s.principal()):
-                                res = res + (comb(m + j, j) * (-1) ** j
-                                             * a ** (-(m + 1 + j))) * c
-                        res_sum = res_sum + w * res
-                    acc = acc + root.power(-k * m) * sigma_pow(res_sum, k, root)
-                coeffs.append(acc / T)
-            out_series.append(LaurentSeries(dim, zs, 0, coeffs))
+            M = out_trunc + 1
+            res = np.array([sum(w * _slot_residues(pt, s, root.power(-k) * spt, M)
+                                for pt, w, s in slots) for k in range(T)])
+            acc = (_phases(root, -np.arange(M)) * res).sum(axis=0)
+            out_series.append(LaurentSeries(X.dim, complex(spt), 0, acc / T))
     return LocalTuple(list(X.points), out_series)
 
 
@@ -188,22 +190,18 @@ def _r_minus(X: LocalTuple, root: RootOfUnity) -> RationalMatrix:
     grade projections at 0/infinity and sigma-averaged orbit families at
     the finite nonzero slots (weight-0 phases)."""
     T = root.order
-    dim = X.dim
     poles = []
     poly = []
     for pt, s in zip(X.points, X.series):
         if _is_inf(pt):
-            for m, d in enumerate(_poly_coeffs_at_inf(s)):
-                while len(poly) <= m:
-                    poly.append(np.zeros((dim, dim), complex))
-                poly[m] = poly[m] - grade_component(d, m, T)
-        elif abs(pt) <= 1e-12:
+            poly = [-grade_component(d, m, T) for m, d in enumerate(s.polynomial())]
+        elif abs(pt) <= _POLE_TOL:
             cs = [-grade_component(c, -(n + 1), T)
                   for n, c in enumerate(s.principal())]
             poles.append((0j, cs))
         else:
             poles += orbit_family(pt, -s.principal(), root, 0)
-    return RationalMatrix(dim, poly, poles, validate=False).trim()
+    return RationalMatrix(X.dim, poly, poles, validate=False).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +237,7 @@ def sklyanin_residual(state, lam: complex, mu: complex) -> float:
     lhs_mat = lhs.transpose(0, 2, 1, 3).reshape(T * T, T * T)
 
     r12 = r_kernel(lam, mu, root)
-    r21 = r_kernel(mu, lam, root).reshape(T, T, T, T).transpose(1, 0, 3, 2) \
-        .reshape(T * T, T * T)
+    r21 = _on_swap(_coefficients(mu, lam, root).T)  # legs of r_12(mu, lam) swapped
     eye = np.eye(T)
     L1m = np.kron(L1, eye)
     L2m = np.kron(eye, L2)

@@ -1,13 +1,17 @@
 """The cyclotomic r-matrix kernel: Yang-Baxter equation, the
 partial-fraction averaging identity, kernel projections, and the quadratic
 bracket of Lax matrix entries."""
+from math import comb
+
 import numpy as np
 import pytest
 
-from cyclogaudin.algebra import grade_component, primitive_root
+from cyclogaudin import rmatrix
+from cyclogaudin.algebra import grade_component, primitive_root, sigma_pow
 from cyclogaudin.errors import PoleProximityError
 from cyclogaudin.gaudin import FlowId, PoleConfig, assemble_lax, lax_partner
-from cyclogaudin.ratmat import RationalMatrix, localize, split
+from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
+                                _is_inf, localize, slot_weight, split)
 from cyclogaudin.rmatrix import (averaging_residual, casimir, cybe_residual,
                                  kernel_projection, r_kernel,
                                  sklyanin_residual)
@@ -52,6 +56,101 @@ def test_cybe_residual_vanishes(rng):
             except PoleProximityError:
                 continue
             assert res <= 1e-12
+
+
+def _r_kernel_loop(lam, mu, root):
+    """r_12(lam, mu) entry by entry, accumulated over k = 0..T-1."""
+    T = root.order
+    R = np.zeros((T * T, T * T), dtype=complex)
+    for k in range(T):
+        den = 1.0 / (mu - root.power(-k) * lam)
+        for i in range(T):
+            for j in range(T):
+                R[i * T + j, j * T + i] += root.power(k * (j - i)) * den
+    return R / T
+
+
+def test_r_kernel_bit_for_bit_against_loop(rng):
+    for T in range(1, 7):
+        root = primitive_root(T)
+        for _ in range(20):
+            lam, mu = _draw_point(rng), _draw_point(rng)
+            R = r_kernel(lam, mu, root)
+            np.testing.assert_array_equal(
+                R.view(np.int64), _r_kernel_loop(lam, mu, root).view(np.int64))
+            np.testing.assert_array_equal(R != 0, casimir(T) != 0)
+
+
+def _embed(K, slots, T):
+    """Dense embedding of a two-slot kernel into the triple tensor space on
+    the tensor legs slots = (first, second)."""
+    a, b = slots
+    spare = ({0, 1, 2} - {a, b}).pop()
+    rows, cols = "abc", "def"
+    sub = (rows[a] + rows[b] + cols[a] + cols[b] + "," + rows[spare]
+           + cols[spare] + "->" + rows + cols)
+    return np.einsum(sub, K.reshape(T, T, T, T), np.eye(T)).reshape(T ** 3, T ** 3)
+
+
+def _cybe_dense(lam, mu, nu, root, r32_args=None):
+    """(residual, max |r_ab| |r_cd| over the six products) from dense
+    (T^3, T^3) kernels; r32_args replaces the arguments (nu, mu) of r_32."""
+    T = root.order
+    r12 = _embed(r_kernel(lam, mu, root), (0, 1), T)
+    r13 = _embed(r_kernel(lam, nu, root), (0, 2), T)
+    r23 = _embed(r_kernel(mu, nu, root), (1, 2), T)
+    r32 = _embed(r_kernel(*(r32_args or (nu, mu)), root), (2, 1), T)
+    acc = (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) \
+        + (r32 @ r13 - r13 @ r32)
+    size = {id(r): np.max(np.abs(r)) for r in (r12, r13, r23, r32)}
+    scale = max(size[id(a)] * size[id(b)]
+                for a, b in ((r12, r13), (r12, r23), (r32, r13)))
+    return float(np.max(np.abs(acc))), scale
+
+
+def _cybe_draws(rng, T, n):
+    """n generic (lam, mu, nu) triples, then n with one pair 1e-3..1e-2 from
+    a collision mu = omega^(-k) lam (still above the collision guard)."""
+    root = primitive_root(T)
+    for i in range(2 * n):
+        pts = [_draw_point(rng) for _ in range(3)]
+        if i >= n:
+            a, b = rng.choice(3, size=2, replace=False)
+            k = int(rng.integers(T))
+            gap = rng.uniform(1e-3, 1e-2) * np.exp(2j * np.pi * rng.uniform())
+            pts[b] = complex(root.power(-k) * pts[a] + gap)
+        yield tuple(pts)
+
+
+def test_cybe_residual_matches_dense_reference(rng):
+    eps = np.finfo(float).eps
+    for T in range(1, 7):
+        root = primitive_root(T)
+        for lam, mu, nu in _cybe_draws(rng, T, 6):
+            try:
+                dense, scale = _cybe_dense(lam, mu, nu, root)
+            except PoleProximityError:
+                continue
+            assert abs(cybe_residual(lam, mu, nu, root) - dense) <= 8 * eps * scale
+
+
+def test_cybe_residual_detects_wrong_r32(rng, monkeypatch):
+    # control: r_32 built as r(mu, nu) instead of r(nu, mu) breaks the CYBE
+    # on both the structured and the dense route (at T = 1 every kernel is
+    # a scalar and every commutator vanishes)
+    coefficients = rmatrix._coefficients
+    for T in range(2, 7):
+        root = primitive_root(T)
+        lam, mu, nu = next(_cybe_draws(rng, T, 1))
+
+        def wrong_r32(x, y, root):
+            return coefficients(*((y, x) if (x, y) == (nu, mu) else (x, y)), root)
+
+        assert _cybe_dense(lam, mu, nu, root, r32_args=(mu, nu))[0] > 1e-3
+        with monkeypatch.context() as m:
+            m.setattr(rmatrix, "_coefficients", wrong_r32)
+            assert cybe_residual(lam, mu, nu, root) > 1e-3
+        assert cybe_residual(lam, mu, nu, root) <= 1e-12
 
 
 def test_averaging_identity(rng):
@@ -111,6 +210,82 @@ def test_kernel_projection_difference_is_identity(rng):
     u = 0.03 - 0.01j
     np.testing.assert_allclose(Rp.series[0].eval_sum(u) - Rm.eval(u),
                                R0.eval(u), atol=1e-9)
+
+
+def _projection_plus_loop(X, root, out_trunc=6):
+    """R_+(X) by the residue sums, order by order, k by k and slot by slot."""
+    T = root.order
+    dim = X.dim
+    out_series = []
+    for spt in X.points:
+        coeffs = []
+        if _is_inf(spt):
+            coeffs.append(np.zeros((dim, dim), complex))
+            for m in range(0, out_trunc):
+                acc = np.zeros((dim, dim), complex)
+                for k in range(T):
+                    res_sum = np.zeros((dim, dim), complex)
+                    for pt, s in zip(X.points, X.series):
+                        if _is_inf(pt):
+                            res = -s.coeff(m + 1)
+                        else:
+                            res = np.zeros((dim, dim), complex)
+                            for j, c in enumerate(s.principal()):
+                                if j > m:
+                                    break
+                                res = res + comb(m, j) * pt ** (m - j) * c
+                        res_sum = res_sum + slot_weight(pt, T) * res
+                    acc = acc + root.power(k * (m + 1)) * sigma_pow(res_sum, k, root)
+                coeffs.append(-acc / T)
+            out_series.append(LaurentSeries(dim, INF, 0, coeffs))
+        else:
+            zs = complex(spt)
+            for m in range(0, out_trunc + 1):
+                acc = np.zeros((dim, dim), complex)
+                for k in range(T):
+                    b = root.power(-k) * zs
+                    res_sum = np.zeros((dim, dim), complex)
+                    for pt, s in zip(X.points, X.series):
+                        if _is_inf(pt):
+                            res = np.zeros((dim, dim), complex)
+                            j = 0
+                            while -(m + j) >= s.low:
+                                res = res - comb(m + j, j) * b ** j * s.coeff(-(m + j))
+                                j += 1
+                        elif abs(pt - b) <= 1e-12:
+                            res = s.coeff(m)
+                        else:
+                            a = complex(pt) - b
+                            res = np.zeros((dim, dim), complex)
+                            for j, c in enumerate(s.principal()):
+                                res = res + (comb(m + j, j) * (-1) ** j
+                                             * a ** (-(m + 1 + j))) * c
+                        res_sum = res_sum + slot_weight(pt, T) * res
+                    acc = acc + root.power(-k * m) * sigma_pow(res_sum, k, root)
+                coeffs.append(acc / T)
+            out_series.append(LaurentSeries(dim, zs, 0, coeffs))
+    return LocalTuple(list(X.points), out_series)
+
+
+def test_kernel_projection_plus_matches_loop(rng):
+    for T in range(1, 6):
+        root = primitive_root(T)
+        for N in range(3):
+            points = [0j] + [complex((0.8 + 0.55 * r)
+                                     * np.exp(2j * np.pi * rng.uniform()))
+                             for r in range(N)] + [INF]
+            series = []
+            for pt in points:
+                low = -int(rng.integers(0, 4))
+                series.append(LaurentSeries(
+                    T, pt, low, [random_matrix(rng, T) for _ in range(9 - low)]))
+            X = LocalTuple(points, series)
+            got = kernel_projection(X, "+", root)
+            ref = _projection_plus_loop(X, root)
+            for a, b in zip(got.series, ref.series):
+                assert (a.low, a.trunc) == (b.low, b.trunc)
+                for ca, cb in zip(a.coeffs, b.coeffs):
+                    assert np.max(np.abs(ca - cb)) <= 1e-13 * np.max(np.abs(cb))
 
 
 def test_kernel_projection_sign_validation(rng):

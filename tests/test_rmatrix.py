@@ -100,11 +100,9 @@ def _cybe_dense(lam, mu, nu, root, r32_args=None):
     r13 = _embed(r_kernel(lam, nu, root), (0, 2), T)
     r23 = _embed(r_kernel(mu, nu, root), (1, 2), T)
     r32 = _embed(r_kernel(*(r32_args or (nu, mu)), root), (2, 1), T)
-    acc = (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) \
-        + (r32 @ r13 - r13 @ r32)
-    size = {id(r): np.max(np.abs(r)) for r in (r12, r13, r23, r32)}
-    scale = max(size[id(a)] * size[id(b)]
-                for a, b in ((r12, r13), (r12, r23), (r32, r13)))
+    pairs = ((r12, r13), (r12, r23), (r32, r13))
+    acc = sum(a @ b - b @ a for a, b in pairs)
+    scale = max(np.max(np.abs(a)) * np.max(np.abs(b)) for a, b in pairs)
     return float(np.max(np.abs(acc))), scale
 
 

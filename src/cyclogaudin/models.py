@@ -54,18 +54,21 @@ chosen depth.
 A FieldKernel, built once per (template state, flow), runs that route
 on packed vectors y with no state object, in one call: its SupportWriter
 writes the coordinate entries of z into a buffer whose constant entries
-are filled once, the plan product writes dH/dz and the chain rule the
-field.  dynamics integrates on kernels, and flow_field and the
-Hamiltonian functions are kernels applied to pack(state), so the results
-agree bit for bit.  FlowPlan.lanes runs a plan on a stack of support
-vectors as a lane axis, bit for bit one call per lane; simulate reads its
-H columns through it (FieldKernel.values).  For p = 1..3 a kernel call
-costs 8.8-14.5 us on Toda T = 3, 7.4-12.7 us on DST T = 3 and 11.2-17.1
-us on coupled T = 2 and 3, against 11.0-16.3, 9.4-14.5 and 14.6-20.0 us
-before the call was one frame (c212b16; best single call of 5000, the
-two interleaved, best of 3 processes); over 150 lanes the plan costs
-0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,
-NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
+are filled once, and the plan's product chain ends in a pair read-out,
+one product that applies the read-out and the chain rule together
+(pair_readout).  dynamics integrates on kernels and flow_field is a
+kernel applied to pack(state), so the two agree bit for bit; the
+Hamiltonian functions read dH/dz through the plan's own call, and the
+field differs from that route's chain rule by roundoff only.
+FlowPlan.lanes runs a plan on a stack of support vectors as a lane axis,
+bit for bit one call per lane; simulate reads its H columns through it
+(FieldKernel.values).  For p = 1..3 a kernel call costs 4.1-7.0 us on
+Toda T = 3, 3.6-8.6 us on DST T = 3 and 5.7-11.3 us on coupled T = 2 and
+3, against 8.7-14.8, 7.6-12.9 and 11.2-17.2 us with the chain rule read
+off dH/dz (tools/kernel_timing.py: best single call of 5000, 3 processes
+per checkout, interleaved); over 150 lanes the plan costs 0.6-3.3 us per
+lane (best of 20 rounds of 20 calls).  Python 3.11, NumPy 2.4, one
+thread of a shared 2-vCPU x86 VM.
 
 Structural zeros
 ----------------
@@ -663,18 +666,21 @@ class SupportWriter:
     unpack rejects it; a real coupled y has its q read as complex, as
     unpack casts it, since exp rounds differently on real arguments."""
 
-    __slots__ = ("T", "real", "z", "zp", "za", "K", "bc", "beta", "nxt",
-                 "prev", "qs", "ps", "xs", "Xs", "coords")
+    __slots__ = ("T", "real", "buf", "z", "zp", "za", "K", "bc", "beta",
+                 "nxt", "prev", "qs", "ps", "xs", "Xs", "coords")
 
-    def __init__(self, template):
+    def __init__(self, template, factors: bool = False):
         if getattr(template, "BLOCKS", None) is None:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
         self.real = template.REAL
         (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, self.prev,
          self.coords, _) = _layout(template)
-        self.T = T
-        self.z = z = np.empty(self.coords.size, complex)
+        self.T, nz = T, self.coords.size
+        # a FieldKernel's z heads its buffer [z | y | 1], real on a real model
+        self.buf = np.empty(nz + nvars(template) + 1, float if self.real
+                            else complex) if factors else np.empty(nz, complex)
+        self.z = z = self.buf[:nz]
         self.zp, self.za = z[:T], z[T:2 * T]
         self.K = self.bc = self.beta = None
         if self.xs is None:
@@ -700,7 +706,10 @@ class SupportWriter:
             else:
                 np.add(y[self.ps], self.bc, out=self.zp)
             q = np.asarray(y[self.qs], complex)
-            np.exp(q - q[self.nxt], out=self.za)
+            if self.za.dtype.kind == "c":
+                np.exp(q - q[self.nxt], out=self.za)
+            else:   # a real buffer keeps the real part of the same exp
+                self.za[:] = np.exp(q - q[self.nxt]).real
         if self.K is not None:
             np.multiply(y[self.xs, None], y[None, self.Xs], out=self.K)
             if self.beta is not None:
@@ -720,36 +729,67 @@ class SupportWriter:
 
 # keyed on the plan and the bytes of the support patterns (ndarrays do not hash)
 _ZERO_CACHE: dict = {}
+# keyed on (plan, state class, T, neg_q, neg_x), as FieldKernel.key
+_PAIR_CACHE: dict = {}
+
+
+def pair_readout(plan, cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
+    """A FieldKernel's chain rule as (field entry, factor, g = dH/dz entry)
+    pairs over its buffer aug = [z | y | 1]: Q holds each pair's signed
+    row of plan.readout, at its factor's index into aug, and the 0/1
+    (n, m) matrix C sums the pairs of each field entry, so the field is
+    C @ ((Q @ P) * aug[at]) for the plan's product chain P.  dq_i reads
+    g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1), dx_j GK[i, j]
+    (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket cancels the
+    beta of z's x X^T block.  neg_q, neg_x: the sector's Q block is the
+    negated one."""
+    _, qs, ps, xs, Xs, _, prev, coords, _ = _class_layout(cls, T)
+    nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
+    pairs = []   # (field entries, factors in aug, rows of readout, negated)
+    if qs is not None:
+        pairs += [(qs.start + i, nz + n, i, neg_q),
+                  (ps.start + i, T + i, T + i, not neg_q),
+                  (ps.start + i, T + prev, T + prev, neg_q)]
+    if xs is not None:
+        a, b = np.divmod(np.arange(T * T), T)   # GK[a, b] = g[2T + aT + b]
+        pairs += [(xs.start + b, nz + xs.start + a, 2 * T + a * T + b, neg_x),
+                  (Xs.start + a, nz + Xs.start + b, 2 * T + a * T + b,
+                   not neg_x)]
+    k, at, rows, neg = (np.concatenate(c) for c in zip(
+        *(np.broadcast_arrays(*t) for t in pairs)))
+    Q = plan.readout[rows]
+    Q[neg] = -Q[neg]
+    return Q, at, (np.arange(n)[:, None] == k).astype(float)
 
 
 class FieldKernel(SupportWriter):
     """The flow field of one flow (p, r) on the states of one template, as
-    a map from the packed vector y, in one call over views bound when the
-    kernel is built: the SupportWriter writes z, the plan product of the
-    cached FlowPlan of (pole config, flow) writes dH/dz and the chain rule
-    each sector's gradients straight into the field, with the sector signs
-    read, and the flow checked, when the kernel is built.  A call returns a
-    new array, so RK4 can hold its four stages; a Toda field must sit on
-    the real locus and comes back real.  value reads H off any z of the
-    model, values off a stack of them.  Timings: the module docstring."""
+    a map from the packed vector y, in one call: the SupportWriter writes
+    z into the head of the kernel's buffer aug = [z | y | 1], the plan's
+    product chain gives P (the series of L^p) and the pair read-out the
+    field, C @ ((Q @ P) * aug[at]) (pair_readout), with the sector signs
+    read, and the flow checked, when the kernel is built.  The tensors are
+    built on the first call and cached per key; at p = 1, Q is folded into
+    E, so the call is the z write and one product chain.  A Toda kernel
+    holds z, E and Q in float64 once E and Q are proved real, so its field
+    is real by construction.  A call returns a new array, so RK4 can hold
+    its four stages.  value reads H off any z of the model, values off a
+    stack of them.  Timings: the module docstring."""
 
-    __slots__ = ("plan", "p", "n", "neg_q", "neg_x", "weight", "_zero", "g",
-                 "gp", "ga", "GK")
+    __slots__ = ("plan", "p", "key", "weight", "yc", "_zero", "_pairs")
 
     def __init__(self, template, f: FlowId):
-        super().__init__(template)
+        super().__init__(template, factors=True)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
-        self.p, self.n, self._zero = f.p, nvars(template), None
+        self.p, self._zero, self._pairs = f.p, None, None
+        self.yc = self.buf[self.z.size:-1]
+        self.buf[-1] = 1.0
         # per sector: is its Q block the negated one (sign > 0), its weight
         signs = {Q: (sign > 0, w) for Q, _, sign, w in _sectors_of(template)}
-        self.neg_q = signs.get("q", (None,))[0]
-        self.neg_x, self.weight = signs.get("x", (None, None))
-        # dH/dz goes to a buffer of the kernel, read through views of its
-        # p, a and K_1 parts
-        self.g = g = np.empty(self.z.size, complex)
-        T = self.T
-        self.gp, self.ga, self.GK = g[:T], g[T:2 * T], g[2 * T:-T].reshape(-1, T)
+        self.weight = signs.get("x", (None, None))[1]
+        self.key = (self.plan, type(template), self.T,
+                    *(signs.get(Q, (None,))[0] for Q in "qx"))
 
     @property
     def zero(self) -> bool:
@@ -770,37 +810,35 @@ class FieldKernel(SupportWriter):
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Packed tangent vector of the flow at y (a new array)."""
-        # plan product: S = E z, P = W P p - 1 times, g = R P
-        plan = self.plan
-        S = plan.expand @ self.write(y)
-        P = S[:-1]
-        if self.p > 1:
-            W, P = S[plan.take], P.reshape(plan.take.shape[0], -1)
-            for _ in range(self.p - 1):
-                P = W @ P
-            P = P.reshape(-1)
-        np.matmul(plan.readout, P, out=self.g)
-        # chain rule, as in sectors, each block written with its sign
-        v = np.empty(self.n, complex)
-        if self.qs is not None:
-            qs, ps, t = self.qs, self.ps, self.za * self.ga
-            if self.neg_q:
-                np.negative(self.gp, out=v[qs])
-                np.subtract(t, t[self.prev], out=v[ps])
-            else:
-                v[qs] = self.gp
-                np.negative(t - t[self.prev], out=v[ps])
+        E, Q, at, C = self._pairs or self._pair_tensors()
+        P = self.write(y)   # z: at p = 1, Q is already Q E
         if self.K is not None:
-            xs, Xs, GK = self.xs, self.Xs, self.GK
-            if self.neg_x:
-                np.negative(GK.T @ y[xs], out=v[xs])
-                np.matmul(GK, y[Xs], out=v[Xs])
-            else:
-                np.matmul(GK.T, y[xs], out=v[xs])
-                np.negative(GK @ y[Xs], out=v[Xs])
-        if self.real and np.abs(v.imag).max() > _IMAG_TOL:
-            raise StructuralError("Toda flow field drifted off the real locus")
-        return v.real if self.real else v
+            self.yc[:] = y
+        if self.p > 1:
+            S, take = E.dot(P), self.plan.take
+            W, P = S[take], S[:-1].reshape(take.shape[0], -1)
+            for _ in range(self.p - 1):
+                P = W.dot(P)
+            P = P.reshape(-1)
+        return C.dot(Q.dot(P) * self.buf[at])
+
+    def _pair_tensors(self) -> tuple:
+        """(E, Q, at, C): the plan's expand and pair_readout, in float64 on
+        a real model once proved real, with Q @ E folded at p = 1."""
+        pairs = _PAIR_CACHE.get(self.key)
+        if pairs is None:
+            E, (Q, at, C) = self.plan.expand, pair_readout(*self.key)
+            if self.real:
+                if E.imag.any() or Q.imag.any():
+                    raise StructuralError("Toda flow plan is not real")
+                E, Q = E.real.copy(), Q.real.copy()
+            if self.p == 1:
+                Q = Q @ E[:-1]
+            pairs = _PAIR_CACHE[self.key] = (E, Q, at, C.astype(Q.dtype))
+            for arr in pairs:
+                arr.setflags(write=False)
+        self._pairs = pairs
+        return pairs
 
     def sectors(self, y: np.ndarray) -> np.ndarray:
         """The reduced gradient of H at y, packed like y: dH/dq, dH/dp and

@@ -651,6 +651,31 @@ def _concatenated_route_field(tmpl, y, f):
     return np.concatenate([-gp, gq, gX, -gx])
 
 
+def _route_error_bound(tmpl, y, f):
+    """k eps s for the field of the concatenated route at y: s is the same
+    product chain and chain rule on absolute values, and k the longest
+    inner product of the chain (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3)."""
+    s = mdl.unpack(tmpl, y)
+    T = s.T
+    plan = mdl.flow_plan(mdl.config_of(s), f)
+    z = np.abs(_concatenated_support(s))
+    S = np.abs(plan.expand) @ z
+    P = S[:-1].reshape(plan.take.shape[0], -1)
+    for _ in range(f.p - 1):
+        P = S[plan.take] @ P
+    g = np.abs(plan.readout) @ P.reshape(-1)
+    parts = []
+    if not isinstance(s, mdl.DSTState):
+        t = z[T:2 * T] * g[T:2 * T]
+        parts += [g[:T], t + np.roll(t, 1)]
+    if not isinstance(s, mdl.TodaState):
+        GK = g[2 * T:2 * T + T * T].reshape(T, T)
+        parts += [GK.T @ np.abs(s.x), GK @ np.abs(s.X)]
+    k = max(plan.expand.shape[1], plan.readout.shape[1])
+    return k * np.finfo(float).eps * np.concatenate(parts)
+
+
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
     # one kernel per (template, flow), applied in turn to the packed
@@ -675,7 +700,8 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
                 v = kernel(y)
                 assert v.dtype == ref.dtype
                 assert np.array_equal(v, ref)
-                assert np.array_equal(v, _concatenated_route_field(tmpl, y, f))
+                assert np.all(np.abs(v - _concatenated_route_field(tmpl, y, f))
+                              <= _route_error_bound(tmpl, y, f))
                 assert np.array_equal(scaled(y), 1.1 * ref)
             # RK4 holds k1..k4 at once: two calls of one kernel return
             # distinct arrays, and a result held from the first call is
@@ -700,11 +726,118 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
                 writer(y), _concatenated_support(mdl.unpack(tmpl, y)))
 
 
-def test_field_kernel_guards(rng):
+def _parent_chain_rule(tmpl, g, a, y, neg_q, neg_x):
+    """The field from dH/dz = g as the kernel wrote it before the pair
+    read-out: a holds the z entries a_i, y is the packed vector, and
+    neg_q, neg_x say whether a sector's Q block is the negated one."""
+    T, v = tmpl.T, np.zeros(mdl.nvars(tmpl), complex)
+    at = {b: slice(mdl._offset(tmpl, b), mdl._offset(tmpl, b) + T)
+          for b in tmpl.BLOCKS}
+    if "q" in at:
+        t = a * g[T:2 * T]
+        dq = t - np.roll(t, 1)                   # a_i g_i - a_{i-1} g_{i-1}
+        v[at["q"]], v[at["p"]] = (-g[:T], dq) if neg_q else (g[:T], -dq)
+    if "x" in at:
+        GK = g[2 * T:2 * T + T * T].reshape(T, T)
+        gx, gX = GK.T @ y[at["x"]], GK @ y[at["X"]]
+        v[at["x"]], v[at["X"]] = (-gx, gX) if neg_x else (gx, -gX)
+    return v
+
+
+def _chain_rule_coefficients(tmpl, nz, neg_q, neg_x):
+    """coef[k, f, l]: the factor aug[f] times dH/dz_l that field entry k
+    reads in _parent_chain_rule, over aug = [z | y | 1], found by probing
+    it with unit g and unit factors (it is affine in the factors)."""
+    T, n = tmpl.T, mdl.nvars(tmpl)
+    coef = np.zeros((n, nz + n + 1, nz))
+    factors = [nz + j for j in range(n)]
+    if "q" in tmpl.BLOCKS:
+        factors += [T + i for i in range(T)]
+    units = np.eye(nz + n + 1)
+    for l in range(nz):
+        g = units[l, :nz]
+        base = _parent_chain_rule(tmpl, g, np.zeros(T), np.zeros(n),
+                                  neg_q, neg_x)
+        coef[:, -1, l] = base.real
+        for f in factors:
+            aug = units[f]
+            coef[:, f, l] = (_parent_chain_rule(
+                tmpl, g, aug[T:2 * T], aug[nz:-1], neg_q, neg_x) - base).real
+    return coef
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
+    # the pairs of the tensor against the parent chain rule, probed with
+    # unit g and unit factors: on a plan whose read-out is the identity
+    # each row of Q is the signed unit row of its dH/dz entry, and on the
+    # real plan that signed read-out row, bit for bit; at T = 1 the two
+    # p-row pairs cancel, as a_0 g_0 - a_0 g_0 does
+    templates = [mdl.random_toda(T, rng)]
+    templates += [mdl.random_dst(T, rng, zeta1=z) for z in (0.9, 0.7 + 0.4j)]
+    templates += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
+                  for b in (0.1, -1.3, 0.0)]
+    signs = [(pq, xx) for pq in (1.0, -1.0) for xx in (1.0, -1.0)]
+    for tmpl in templates:
+        cls, nz, n = type(tmpl), mdl.support_vector(tmpl).size, mdl.nvars(tmpl)
+        unit = type("UnitPlan", (), {"readout": np.eye(nz, dtype=complex)})
+        for neg_q, neg_x in [(pq > 0, xx > 0) for pq, xx in signs]:
+            Qu, at, C = mdl.pair_readout(unit, cls, T, neg_q, neg_x)
+            assert np.array_equal(C.sum(axis=0), np.ones(len(at)))
+            assert set(np.unique(C)) <= {0.0, 1.0}
+            coef = np.zeros((n, nz + n + 1, nz))
+            for r, k in enumerate(C.argmax(axis=0)):
+                coef[k, at[r]] += Qu[r].real
+            assert np.array_equal(
+                coef, _chain_rule_coefficients(tmpl, nz, neg_q, neg_x))
+            rows = np.abs(Qu).argmax(axis=1)
+            neg = Qu[np.arange(len(rows)), rows].real < 0
+            for f in mdl.admissible_flows(tmpl, 3):
+                plan = mdl.flow_plan(mdl.config_of(tmpl), f)
+                Q, at2, C2 = mdl.pair_readout(plan, cls, T, neg_q, neg_x)
+                assert np.array_equal(at2, at) and np.array_equal(C2, C)
+                R = plan.readout[rows]
+                assert Q.tobytes() == np.where(neg[:, None], -R, R).tobytes()
+        # the kernels' fields under every pair of sector signs against the
+        # chain rule on the plan's dH/dz; a kernel built before a flip keeps
+        # its field after one, and after kernels of the flipped signs ran
+        y = _packed_near(tmpl, rng, 1)[0]
+        for f in mdl.admissible_flows(tmpl, 3):
+            before = mdl.FieldKernel(tmpl, f)
+            held = before(y)
+            for pq, xx in signs:
+                with monkeypatch.context() as m:
+                    m.setattr(mdl, "SECTOR_SIGN_PQ", pq)
+                    m.setattr(mdl, "SECTOR_SIGN_XX", xx)
+                    kernel = mdl.FieldKernel(tmpl, f)
+                    z = mdl.SupportWriter(tmpl)(y)
+                    ref = _parent_chain_rule(tmpl, kernel.plan(z), z[T:2 * T],
+                                             y, pq > 0, xx > 0)
+                    v = kernel(y)
+                    assert np.max(np.abs(v - ref)) <= \
+                        1e-13 * (1 + np.max(np.abs(ref)))
+                assert before(y).tobytes() == held.tobytes()
+
+
+def test_field_kernel_guards(rng, monkeypatch):
     toda = mdl.random_toda(3, rng)
     kernel = mdl.FieldKernel(toda, FlowId(2, 0))
     y = mdl.pack(toda).astype(complex)
     assert np.array_equal(kernel(y), mdl.flow_field(toda, FlowId(2, 0)))
+    # a Toda field is float64 by construction: the kernel proves its plan's
+    # E and Q real on its first call, and one imaginary read-out entry,
+    # however small, is refused there
+    assert kernel(y).dtype == np.float64
+    bad = object.__new__(mdl.FlowPlan)
+    for name in mdl.FlowPlan.__slots__:
+        setattr(bad, name, getattr(kernel.plan, name))
+    bad.readout = kernel.plan.readout.copy()
+    bad.readout.imag[0, 0] = 1e-300
+    with monkeypatch.context() as m:
+        m.setattr(mdl, "flow_plan", lambda cfg, f: bad)
+        refused = mdl.FieldKernel(toda, FlowId(2, 0))
+        with pytest.raises(StructuralError):
+            refused(y)
     y[1] += 1e-6j
     with pytest.raises(StructuralError):
         mdl.unpack(toda, y)

@@ -733,33 +733,32 @@ _ZERO_CACHE: dict = {}
 _PAIR_CACHE: dict = {}
 
 
-def pair_readout(plan, cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
+@cache
+def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     """A FieldKernel's chain rule as (field entry, factor, g = dH/dz entry)
-    pairs over its buffer aug = [z | y | 1]: Q holds each pair's signed
-    row of plan.readout, at its factor's index into aug, and the 0/1
-    (n, m) matrix C sums the pairs of each field entry, so the field is
-    C @ ((Q @ P) * aug[at]) for the plan's product chain P.  dq_i reads
-    g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1), dx_j GK[i, j]
-    (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket cancels the
-    beta of z's x X^T block.  neg_q, neg_x: the sector's Q block is the
-    negated one."""
+    pairs over its buffer aug = [z | y | 1], shared by the plans of a
+    class: pair j reads g[rows[j]] times aug[at[j]], and the (n, m) matrix
+    C of signs (neg_q, neg_x: the sector's Q block is the negated one)
+    sums each field entry's pairs, so the field is C @ (g[rows] * aug[at]).
+    dq_i reads g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1),
+    dx_j GK[i, j] (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket
+    cancels the beta of z's x X^T block."""
     _, qs, ps, xs, Xs, _, prev, coords, _ = _class_layout(cls, T)
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
-    pairs = []   # (field entries, factors in aug, rows of readout, negated)
+    sq, sx = (-1.0 if neg else 1.0 for neg in (neg_q, neg_x))
+    pairs = []   # (field entries, factors in aug, rows of g, sign)
     if qs is not None:
-        pairs += [(qs.start + i, nz + n, i, neg_q),
-                  (ps.start + i, T + i, T + i, not neg_q),
-                  (ps.start + i, T + prev, T + prev, neg_q)]
+        pairs += [(qs.start + i, nz + n, i, sq),
+                  (ps.start + i, T + i, T + i, -sq),
+                  (ps.start + i, T + prev, T + prev, sq)]
     if xs is not None:
         a, b = np.divmod(np.arange(T * T), T)   # GK[a, b] = g[2T + aT + b]
-        pairs += [(xs.start + b, nz + xs.start + a, 2 * T + a * T + b, neg_x),
-                  (Xs.start + a, nz + Xs.start + b, 2 * T + a * T + b,
-                   not neg_x)]
-    k, at, rows, neg = (np.concatenate(c) for c in zip(
+        pairs += [(xs.start + b, nz + xs.start + a, 2 * T + a * T + b, sx),
+                  (Xs.start + a, nz + Xs.start + b, 2 * T + a * T + b, -sx)]
+    k, at, rows, sign = (np.concatenate(c) for c in zip(
         *(np.broadcast_arrays(*t) for t in pairs)))
-    Q = plan.readout[rows]
-    Q[neg] = -Q[neg]
-    return Q, at, (np.arange(n)[:, None] == k).astype(float)
+    C = np.where(np.arange(n)[:, None] == k, sign, 0.0)
+    return rows, at, C.astype(float if cls.REAL else complex)
 
 
 class FieldKernel(SupportWriter):
@@ -767,14 +766,15 @@ class FieldKernel(SupportWriter):
     a map from the packed vector y, in one call: the SupportWriter writes
     z into the head of the kernel's buffer aug = [z | y | 1], the plan's
     product chain gives P (the series of L^p) and the pair read-out the
-    field, C @ ((Q @ P) * aug[at]) (pair_readout), with the sector signs
-    read, and the flow checked, when the kernel is built.  The tensors are
-    built on the first call and cached per key; at p = 1, Q is folded into
-    E, so the call is the z write and one product chain.  A Toda kernel
-    holds z, E and Q in float64 once E and Q are proved real, so its field
-    is real by construction.  A call returns a new array, so RK4 can hold
-    its four stages.  value reads H off any z of the model, values off a
-    stack of them.  Timings: the module docstring."""
+    field, C @ ((Q @ P)[rows] * aug[at]) (pair_readout), with the sector
+    signs read, and the flow checked, when the kernel is built.  Q holds
+    the read-out rows the pairs read, once each.  The tensors are built on
+    the first call and cached per key; at p = 1, Q is folded into E, so
+    the call is the z write and one product chain.
+    A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
+    so its field is real by construction.  A call returns a new array, so
+    RK4 can hold its four stages.  value reads H off any z of the model,
+    values off a stack of them.  Timings: the module docstring."""
 
     __slots__ = ("plan", "p", "key", "weight", "yc", "_zero", "_pairs")
 
@@ -810,7 +810,7 @@ class FieldKernel(SupportWriter):
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Packed tangent vector of the flow at y (a new array)."""
-        E, Q, at, C = self._pairs or self._pair_tensors()
+        E, Q, rows, at, C = self._pairs or self._pair_tensors()
         P = self.write(y)   # z: at p = 1, Q is already Q E
         if self.K is not None:
             self.yc[:] = y
@@ -820,21 +820,23 @@ class FieldKernel(SupportWriter):
             for _ in range(self.p - 1):
                 P = W.dot(P)
             P = P.reshape(-1)
-        return C.dot(Q.dot(P) * self.buf[at])
+        return C.dot(Q.dot(P)[rows] * self.buf[at])
 
     def _pair_tensors(self) -> tuple:
-        """(E, Q, at, C): the plan's expand and pair_readout, in float64 on
-        a real model once proved real, with Q @ E folded at p = 1."""
+        """The key's (E, Q, rows, at, C): the plan's E and read-out span, in
+        float64 on a real model once proved real, Q @ E at p = 1."""
         pairs = _PAIR_CACHE.get(self.key)
         if pairs is None:
-            E, (Q, at, C) = self.plan.expand, pair_readout(*self.key)
+            rows, at, C = pair_readout(*self.key[1:])
+            lo = rows.min()
+            E, Q = self.plan.expand, self.plan.readout[lo:rows.max() + 1]
             if self.real:
                 if E.imag.any() or Q.imag.any():
                     raise StructuralError("Toda flow plan is not real")
                 E, Q = E.real.copy(), Q.real.copy()
             if self.p == 1:
                 Q = Q @ E[:-1]
-            pairs = _PAIR_CACHE[self.key] = (E, Q, at, C.astype(Q.dtype))
+            pairs = _PAIR_CACHE[self.key] = (E, Q, rows - lo, at, C)
             for arr in pairs:
                 arr.setflags(write=False)
         self._pairs = pairs

@@ -652,10 +652,16 @@ def _concatenated_route_field(tmpl, y, f):
 
 
 def _route_error_bound(tmpl, y, f):
-    """k eps s for the field of the concatenated route at y: s is the same
-    product chain and chain rule on absolute values, and k the longest
-    inner product of the chain (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 3)."""
+    """A bound on |kernel field - concatenated route field| at y, from the
+    forward error of a product chain (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.3 and sec. 3.5-3.6): both
+    routes compute the same chain on the same z, each within
+    sqrt(2) gamma_K s of the exact field, so the two differ by at most
+    twice that.  s is the chain and chain rule on absolute values.  K sums
+    the inner lengths k + 2 of the chain's complex products (sqrt(2)
+    gamma_2 per complex multiply): p factors S = E z, p - 1 products by W,
+    the read-out and the chain rule (a factor times g, summed over at most
+    T terms).  At p = 1 the kernel's Q E is the same two inner products."""
     s = mdl.unpack(tmpl, y)
     T = s.T
     plan = mdl.flow_plan(mdl.config_of(s), f)
@@ -672,8 +678,10 @@ def _route_error_bound(tmpl, y, f):
     if not isinstance(s, mdl.TodaState):
         GK = g[2 * T:2 * T + T * T].reshape(T, T)
         parts += [GK.T @ np.abs(s.x), GK @ np.abs(s.X)]
-    k = max(plan.expand.shape[1], plan.readout.shape[1])
-    return k * np.finfo(float).eps * np.concatenate(parts)
+    nE, kW, kR = plan.expand.shape[1], plan.take.shape[1], plan.readout.shape[1]
+    K = f.p * (nE + 2) + (f.p - 1) * (kW + 2) + (kR + 2) + (T + 2)
+    u = np.finfo(float).eps / 2
+    return 2 * np.sqrt(2) * K * u / (1 - K * u) * np.concatenate(parts)
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
@@ -768,11 +776,10 @@ def _chain_rule_coefficients(tmpl, nz, neg_q, neg_x):
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
-    # the pairs of the tensor against the parent chain rule, probed with
-    # unit g and unit factors: on a plan whose read-out is the identity
-    # each row of Q is the signed unit row of its dH/dz entry, and on the
-    # real plan that signed read-out row, bit for bit; at T = 1 the two
-    # p-row pairs cancel, as a_0 g_0 - a_0 g_0 does
+    # the pairs against the parent chain rule, probed with unit g and unit
+    # factors: each pair's signed read of g is a (field entry, factor, g)
+    # entry that the chain rule reads; at T = 1 the two p-row pairs cancel,
+    # as a_0 g_0 - a_0 g_0 does
     templates = [mdl.random_toda(T, rng)]
     templates += [mdl.random_dst(T, rng, zeta1=z) for z in (0.9, 0.7 + 0.4j)]
     templates += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
@@ -780,27 +787,20 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
     signs = [(pq, xx) for pq in (1.0, -1.0) for xx in (1.0, -1.0)]
     for tmpl in templates:
         cls, nz, n = type(tmpl), mdl.support_vector(tmpl).size, mdl.nvars(tmpl)
-        unit = type("UnitPlan", (), {"readout": np.eye(nz, dtype=complex)})
         for neg_q, neg_x in [(pq > 0, xx > 0) for pq, xx in signs]:
-            Qu, at, C = mdl.pair_readout(unit, cls, T, neg_q, neg_x)
-            assert np.array_equal(C.sum(axis=0), np.ones(len(at)))
-            assert set(np.unique(C)) <= {0.0, 1.0}
+            rows, at, C = mdl.pair_readout(cls, T, neg_q, neg_x)
+            assert np.array_equal(np.abs(C).sum(axis=0), np.ones(len(at)))
+            assert set(np.unique(C)) <= {-1.0, 0.0, 1.0}
             coef = np.zeros((n, nz + n + 1, nz))
-            for r, k in enumerate(C.argmax(axis=0)):
-                coef[k, at[r]] += Qu[r].real
+            for j, k in enumerate(np.abs(C).argmax(axis=0)):
+                coef[k, at[j], rows[j]] += C[k, j].real
             assert np.array_equal(
                 coef, _chain_rule_coefficients(tmpl, nz, neg_q, neg_x))
-            rows = np.abs(Qu).argmax(axis=1)
-            neg = Qu[np.arange(len(rows)), rows].real < 0
-            for f in mdl.admissible_flows(tmpl, 3):
-                plan = mdl.flow_plan(mdl.config_of(tmpl), f)
-                Q, at2, C2 = mdl.pair_readout(plan, cls, T, neg_q, neg_x)
-                assert np.array_equal(at2, at) and np.array_equal(C2, C)
-                R = plan.readout[rows]
-                assert Q.tobytes() == np.where(neg[:, None], -R, R).tobytes()
         # the kernels' fields under every pair of sector signs against the
         # chain rule on the plan's dH/dz; a kernel built before a flip keeps
-        # its field after one, and after kernels of the flipped signs ran
+        # its field after one, and after kernels of the flipped signs ran.
+        # At p > 1 the kernel's Q reads the plan's read-out rows bit for bit,
+        # on a complex model as a view of them
         y = _packed_near(tmpl, rng, 1)[0]
         for f in mdl.admissible_flows(tmpl, 3):
             before = mdl.FieldKernel(tmpl, f)
@@ -816,6 +816,12 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     v = kernel(y)
                     assert np.max(np.abs(v - ref)) <= \
                         1e-13 * (1 + np.max(np.abs(ref)))
+                    _, Q, r, _, _ = kernel._pairs
+                    rows = mdl.pair_readout(cls, T, pq > 0, xx > 0)[0]
+                    R = kernel.plan.readout
+                    if f.p > 1:
+                        assert np.array_equal(Q[r], R[rows])
+                        assert tmpl.REAL or np.shares_memory(Q, R)
                 assert before(y).tobytes() == held.tobytes()
 
 

@@ -1,17 +1,17 @@
 """Microseconds per flow-field kernel call, for one or more checkouts.
 
-    python3 tools/kernel_timing.py [CHECKOUT ...] [--calls N] [--rounds R]
+    python3 tools/kernel_timing.py [CHECKOUT ...]
 
 For Toda, DST (zeta1 = 0.9) and coupled (beta = 0.7, zeta1 = 0.9)
 states drawn at seed 0, T = 2 and 3, and the flows (p, r) with
 p = 1..3 and r the model's last pole (r = 0 for Toda, 1 otherwise), this
-builds the checkout's models.FieldKernel and times N single calls
-(default 5000) on the packed state after 200 warm-up calls.  Each figure
-is the best single call, in us.  Every checkout (default: the one that
-holds this script) runs in R fresh single-threaded processes (default
-3), and the processes of the checkouts are interleaved: round k runs
-each checkout once, the order reversed from one round to the next, so
-that the sides share the machine's drift.  A figure is the best over a
+builds the checkout's models.FieldKernel and times CALLS = 5000 single
+calls on the packed state after 200 warm-up calls.  Each figure is the
+best single call, in us.  Every checkout (default: the one that holds
+this script) runs in ROUNDS = 3 fresh single-threaded processes, and
+the processes of the checkouts are interleaved: round k runs each
+checkout once, the order reversed from one round to the next, so that
+the sides share the machine's drift.  A figure is the best over a
 checkout's processes.  It prints one row per (model, T, p) and one
 column per checkout.
 """
@@ -25,9 +25,10 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODELS = ("toda", "dst", "coupled")
+CALLS, ROUNDS = 5000, 3   # the method behind the figures quoted from here
 
 
-def _worker(checkout: str, calls: int) -> dict:
+def _worker(checkout: str) -> dict:
     """Best single call per (model, T, p) of the checkout, in us (runs in
     the child process)."""
     sys.path.insert(0, os.path.join(checkout, "src"))
@@ -52,7 +53,7 @@ def _worker(checkout: str, calls: int) -> dict:
                 for _ in range(200):
                     kernel(y)
                 dt = []
-                for _ in range(calls):
+                for _ in range(CALLS):
                     t0 = perf_counter_ns()
                     kernel(y)
                     dt.append(perf_counter_ns() - t0)
@@ -64,14 +65,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)],
                     help="checkouts to time (default: this one)")
-    ap.add_argument("--calls", type=int, default=5000,
-                    help="timed single calls per kernel (default 5000)")
-    ap.add_argument("--rounds", type=int, default=3,
-                    help="processes per checkout (default 3)")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        print(json.dumps(_worker(args.worker, args.calls)))
+        print(json.dumps(_worker(args.worker)))
         return 0
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -79,12 +76,11 @@ def main(argv=None) -> int:
         env[var] = "1"
     paths = [os.path.abspath(c) for c in args.checkouts]
     best = [{} for _ in paths]
-    for k in range(args.rounds):
+    for k in range(ROUNDS):
         order = list(enumerate(paths))
         for i, path in (order if k % 2 == 0 else order[::-1]):
             out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--worker", path,
-                 "--calls", str(args.calls)],
+                [sys.executable, os.path.abspath(__file__), "--worker", path],
                 env=env, capture_output=True, text=True, check=True).stdout
             for key, us in json.loads(out.strip().splitlines()[-1]).items():
                 best[i][key] = min(us, best[i].get(key, us))

@@ -62,9 +62,9 @@ Hamiltonian functions read dH/dz through the plan's own call, and the
 field differs from that route's chain rule by roundoff only.
 FlowPlan.lanes runs a plan on a stack of support vectors as a lane axis,
 bit for bit one call per lane; simulate reads its H columns through it
-(FieldKernel.values).  For p = 1..3 a kernel call costs 4.1-7.0 us on
-Toda T = 3, 3.6-8.6 us on DST T = 3 and 5.7-11.3 us on coupled T = 2 and
-3, against 8.7-14.8, 7.6-12.9 and 11.2-17.2 us with the chain rule read
+(FieldKernel.values).  For p = 1..3 a kernel call costs 4.4-7.7 us on
+Toda T = 3, 4.0-8.8 us on DST T = 3 and 6.3-11.9 us on coupled T = 2 and
+3, against 9.2-14.8, 7.6-12.7 and 11.3-17.1 us with the chain rule read
 off dH/dz (tools/kernel_timing.py: best single call of 5000, 3 processes
 per checkout, interleaved); over 150 lanes the plan costs 0.6-3.3 us per
 lane (best of 20 rounds of 20 calls).  Python 3.11, NumPy 2.4, one

@@ -196,8 +196,8 @@ def poisson_bracket(state, F, G) -> complex:
 
 
 def involutivity_matrix(state, flows, max_depth: int = MAX_DEPTH) -> np.ndarray:
-    """Grid of |{H_f, H_g}| over the flow list (exact adjoint gradients;
-    the diagonal is exactly zero by antisymmetry of the contraction).
+    """Grid of |{H_f, H_g}| over the flow list (gradients read off the
+    fields; the diagonal is exactly zero by antisymmetry of the contraction).
 
     A flow deeper than max_depth raises InvalidOrderError.  FlowId already
     bounds every flow by MAX_DEPTH; the parameter stays only because

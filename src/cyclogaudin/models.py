@@ -37,10 +37,10 @@ flow_field, hamiltonian_gradient, coefficient_velocity and
 hamiltonian_value share one route: the support vector z of the state
 (its structurally nonzero Lax coefficients) goes through the FlowPlan of
 its (pole config, flow), built on first use and cached, which returns
-dH/dz from a few matrix products.  The coordinate gradients follow by
-the chain rule through z, and since L is linear in z, H_{p,r} is
-homogeneous of degree p + 1 and Euler's identity reads the value off
-the same gradient: H_{p,r} = z . dH/dz / (p + 1).  The plan weights are
+dH/dz from a few matrix products.  The flow field follows by the chain
+rule through z, and since L is linear in z, H_{p,r} is homogeneous of
+degree p + 1 and Euler's identity reads the value off the same
+gradient: H_{p,r} = z . dH/dz / (p + 1).  The plan weights are
 read off the generic ratmat/gaudin code, and the tests hold the plan to
 that generic route: its gradients to hamiltonian_coefficient_gradients
 and to finite differences of gaudin.hamiltonian, its values to
@@ -56,19 +56,19 @@ on packed vectors y with no state object, in one call: its SupportWriter
 writes the coordinate entries of z into a buffer whose constant entries
 are filled once, and the plan's product chain ends in a pair read-out,
 one product that applies the read-out and the chain rule together
-(pair_readout).  dynamics integrates on kernels and flow_field is a
-kernel applied to pack(state), so the two agree bit for bit; the
-Hamiltonian functions read dH/dz through the plan's own call, and the
-field differs from that route's chain rule by roundoff only.
-FlowPlan.lanes runs a plan on a stack of support vectors as a lane axis,
-bit for bit one call per lane; simulate reads its H columns through it
-(FieldKernel.values).  For p = 1..3 a kernel call costs 4.4-7.7 us on
-Toda T = 3, 4.0-8.8 us on DST T = 3 and 6.3-11.9 us on coupled T = 2 and
-3, against 9.2-14.8, 7.6-12.7 and 11.3-17.1 us with the chain rule read
-off dH/dz (tools/kernel_timing.py: best single call of 5000, 3 processes
-per checkout, interleaved); over 150 lanes the plan costs 0.6-3.3 us per
-lane (best of 20 rounds of 20 calls).  Python 3.11, NumPy 2.4, one
-thread of a shared 2-vCPU x86 VM.
+(pair_readout, the one chain rule here).  dynamics integrates on kernels
+and flow_field is a kernel applied to pack(state), so the two agree bit
+for bit.  Every flow is Hamiltonian, the field being the bracket
+applied to dH, so hamiltonian_gradient reads the gradient off the field
+sector by sector.  hamiltonian_value reads dH/dz through the plan's own
+call, which is one lane of FlowPlan.lanes: the plan run on a stack of
+support vectors as a lane axis, bit for bit one call per lane; simulate
+reads its H columns through it (FieldKernel.values).  For p = 1..3 a
+kernel call costs 4.4-7.7 us on Toda T = 3, 4.0-8.8 us on DST T = 3 and
+6.3-11.9 us on coupled T = 2 and 3 (tools/kernel_timing.py: best single
+call of 5000); over 150 lanes the plan costs 0.6-3.3 us per lane (best
+of 20 rounds of 20 calls).  Python 3.11, NumPy 2.4, one thread of a
+shared 2-vCPU x86 VM.
 
 Structural zeros
 ----------------
@@ -242,20 +242,22 @@ def support_vector(state) -> np.ndarray:
     coefficients in the order of _support_index.  Toda [p, a, 1],
     DST [c, 0, x X^T, 1], coupled [p + beta c, a, beta x X^T, 1 + beta],
     with a_i = exp(q_i - q_{i+1}) the subdiagonal entry J01[i+1, i]."""
-    return SupportWriter(state)(pack(state))
+    return SupportWriter(state).write(pack(state))
 
 
-def _blocks(state) -> np.ndarray:
+def _blocks(state, Z=None) -> np.ndarray:
     """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] of a model state,
     stacked: the support vector scattered into zero blocks.  Toda
     J00 = diag(p), J01 = sum_i a_i E_{i+1,i}; DST diag(c), 0,
     K_1 = x X^T; coupled J00 + beta diag(c), J01, beta K_1.  Ainf is the
     unit shift sum_i E_{i,i+1} for Toda and DST, and (1 + beta) times it
-    for the coupled model."""
-    z = support_vector(state)
-    nb = len(state.POLES) + 3
-    B = np.zeros((nb, state.T, state.T), complex)
-    B.reshape(-1)[_support_index(nb, state.T)] = z
+    for the coupled model.  Given support vectors Z (..., nz) of the
+    state's model, their blocks (..., nb, T, T) instead."""
+    if Z is None:
+        Z = support_vector(state)
+    nb, T = len(state.POLES) + 3, state.T
+    B = np.zeros((*Z.shape[:-1], nb, T, T), complex)
+    B.reshape(*Z.shape[:-1], -1)[..., _support_index(nb, T)] = Z
     return B
 
 
@@ -284,14 +286,11 @@ def coefficients(state) -> GaudinCoefficients:
 def stacked_coefficients(template, Y) -> GaudinCoefficients:
     """The Lax coefficients of the states packed as the rows of Y, with
     the template's model and parameters, stacked along a leading sample
-    axis: one SupportWriter writes every row's support vector, which is
-    scattered into zero blocks as _blocks scatters one state's.
-    assemble_lax of the result evaluates L at every sample in one call."""
+    axis: one SupportWriter writes every row's support vector, and
+    _blocks scatters them into zero blocks.  assemble_lax of the result
+    evaluates L at every sample in one call."""
     Z = SupportWriter(template).stack(Y)
-    nb, T = len(template.POLES) + 3, template.T
-    B = np.zeros((len(Z), nb, T, T), complex)
-    B.reshape(len(Z), -1)[:, _support_index(nb, T)] = Z
-    return _as_coefficients(B, T)
+    return _as_coefficients(_blocks(template, Z), template.T)
 
 
 def lax(state) -> RationalMatrix:
@@ -546,11 +545,12 @@ class FlowPlan:
     definition of both maps; the tests compare the plan against that
     generic route.  Only the series orders the profiles read are kept.
 
-    A call maps z to dH/dz: S = E z is the local series of L (n orders of
-    (T, T) coefficients, flattened, plus a trailing zero), W = S[take] its
-    lower block-Toeplitz matrix (nT, nT), so that p - 1 products
+    The plan maps z to dH/dz: S = E z is the local series of L (n orders
+    of (T, T) coefficients, flattened, plus a trailing zero), W = S[take]
+    its lower block-Toeplitz matrix (nT, nT), so that p - 1 products
     P = W P starting from the first block column give the truncated
-    series of L^p, and dH/dz = R P.ravel().
+    series of L^p, and dH/dz = R P.ravel().  lanes runs that chain on a
+    stack of support vectors, and a call is one lane of it.
     """
 
     __slots__ = ("p", "expand", "take", "readout")
@@ -606,19 +606,13 @@ class FlowPlan:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """dH/dz from the support vector z of the state."""
-        S = self.expand @ z
-        P = S[:-1].reshape(self.take.shape[0], -1)
-        if self.p > 1:
-            W = S[self.take]
-            for _ in range(self.p - 1):
-                P = W @ P
-        return self.readout @ P.reshape(-1)
+        return self.lanes(z[None])[0]
 
     def lanes(self, Z: np.ndarray) -> np.ndarray:
-        """dH/dz at every row of the (m, nz) stack Z of support vectors, bit
-        for bit m calls of the plan.  The rows run as a lane axis through
-        the same products in blocks of LANE_BLOCK lanes: np.matmul of a
-        stack makes the BLAS call per lane that @ makes per call."""
+        """dH/dz at every row of the (m, nz) stack Z of support vectors.
+        The rows run as a lane axis through the products in blocks of
+        LANE_BLOCK lanes; np.matmul of a stack makes one BLAS call per
+        lane, so a row's result is bit for bit that of a call on it."""
         G = np.empty(Z.shape, complex)
         for b in range(0, len(Z), LANE_BLOCK):
             Zb = Z[b:b + LANE_BLOCK]
@@ -658,28 +652,30 @@ class SupportWriter:
     model, T and parameters straight from their packed vectors y, with no
     state object.
 
-    z lives in one buffer whose constant entries (c and the zero A0_1
-    entries for DST, 1 or 1 + beta on Ainf) are filled once; a call writes
-    the coordinate entries p or p + beta c, a_i = exp(q_i - q_{i+1}) and
-    the x X^T block, and returns the buffer itself, valid until the next
-    call.  A Toda y with an imaginary part above _IMAG_TOL is rejected, as
-    unpack rejects it; a real coupled y has its q read as complex, as
-    unpack casts it, since exp rounds differently on real arguments."""
+    z heads one buffer [z | y | 1], in float64 on a real model, whose
+    constant entries (c and the zero A0_1 entries for DST, 1 or 1 + beta
+    on Ainf, the trailing 1) are filled once; a FieldKernel copies y into
+    the middle.  A call writes the coordinate entries p or p + beta c,
+    a_i = exp(q_i - q_{i+1}) and the x X^T block, and returns z, a view
+    of the buffer valid until the next call.  A Toda y with an imaginary
+    part above _IMAG_TOL is rejected, as unpack rejects it; a real coupled
+    y has its q read as complex, as unpack casts it, since exp rounds
+    differently on real arguments."""
 
     __slots__ = ("T", "real", "buf", "z", "zp", "za", "K", "bc", "beta",
-                 "nxt", "prev", "qs", "ps", "xs", "Xs", "coords")
+                 "nxt", "qs", "ps", "xs", "Xs", "coords")
 
-    def __init__(self, template, factors: bool = False):
+    def __init__(self, template):
         if getattr(template, "BLOCKS", None) is None:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
         self.real = template.REAL
-        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, self.prev,
-         self.coords, _) = _layout(template)
+        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, _, self.coords,
+         _) = _layout(template)
         self.T, nz = T, self.coords.size
-        # a FieldKernel's z heads its buffer [z | y | 1], real on a real model
-        self.buf = np.empty(nz + nvars(template) + 1, float if self.real
-                            else complex) if factors else np.empty(nz, complex)
+        self.buf = np.empty(nz + nvars(template) + 1,
+                            float if self.real else complex)
+        self.buf[-1] = 1.0
         self.z = z = self.buf[:nz]
         self.zp, self.za = z[:T], z[T:2 * T]
         self.K = self.bc = self.beta = None
@@ -697,7 +693,7 @@ class SupportWriter:
             self.beta = np.array(template.beta, complex)  # 0-d: converted once
 
     def write(self, y: np.ndarray) -> np.ndarray:
-        """The support vector of the state packed as y (the buffer)."""
+        """The support vector of the state packed as y (the buffer's z)."""
         if self.real and y.dtype.kind == "c":
             y = _real(y, "state")
         if self.qs is not None:
@@ -706,17 +702,15 @@ class SupportWriter:
             else:
                 np.add(y[self.ps], self.bc, out=self.zp)
             q = np.asarray(y[self.qs], complex)
-            if self.za.dtype.kind == "c":
-                np.exp(q - q[self.nxt], out=self.za)
-            else:   # a real buffer keeps the real part of the same exp
+            if self.real:   # the real part of the same exp
                 self.za[:] = np.exp(q - q[self.nxt]).real
+            else:
+                np.exp(q - q[self.nxt], out=self.za)
         if self.K is not None:
             np.multiply(y[self.xs, None], y[None, self.Xs], out=self.K)
             if self.beta is not None:
                 np.multiply(self.beta, self.K, out=self.K)
         return self.z
-
-    __call__ = write
 
     def stack(self, Y) -> np.ndarray:
         """The support vectors of the states packed as the rows of Y, as a
@@ -727,10 +721,12 @@ class SupportWriter:
         return Z
 
 
-# keyed on the plan and the bytes of the support patterns (ndarrays do not hash)
-_ZERO_CACHE: dict = {}
-# keyed on (plan, state class, T, neg_q, neg_x), as FieldKernel.key
-_PAIR_CACHE: dict = {}
+@cache
+def _vanishes(plan: FlowPlan, nonzero: bytes, read: bytes) -> bool:
+    """FlowPlan.vanishes, cached per plan and support patterns, which come
+    as bytes since ndarrays do not hash."""
+    return plan.vanishes(np.frombuffer(nonzero, bool),
+                         np.frombuffer(read, bool))
 
 
 @cache
@@ -761,6 +757,27 @@ def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     return rows, at, C.astype(float if cls.REAL else complex)
 
 
+@cache
+def pair_tensors(plan: FlowPlan, cls, T: int, neg_q: bool,
+                 neg_x: bool) -> tuple:
+    """The (E, Q, rows, at, C) of a FieldKernel key: the plan's E and the
+    span of read-out rows the pairs read, in float64 on a real model once
+    proved real, Q @ E at p = 1 (read-only)."""
+    rows, at, C = pair_readout(cls, T, neg_q, neg_x)
+    lo = rows.min()
+    E, Q = plan.expand, plan.readout[lo:rows.max() + 1]
+    if cls.REAL:
+        if E.imag.any() or Q.imag.any():
+            raise StructuralError("Toda flow plan is not real")
+        E, Q = E.real.copy(), Q.real.copy()
+    if plan.p == 1:
+        Q = Q @ E[:-1]
+    pairs = (E, Q, rows - lo, at, C)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
 class FieldKernel(SupportWriter):
     """The flow field of one flow (p, r) on the states of one template, as
     a map from the packed vector y, in one call: the SupportWriter writes
@@ -769,27 +786,25 @@ class FieldKernel(SupportWriter):
     field, C @ ((Q @ P)[rows] * aug[at]) (pair_readout), with the sector
     signs read, and the flow checked, when the kernel is built.  Q holds
     the read-out rows the pairs read, once each.  The tensors are built on
-    the first call and cached per key; at p = 1, Q is folded into E, so
-    the call is the z write and one product chain.
+    the first call and cached per key (pair_tensors); at p = 1, Q is
+    folded into E, so the call is the z write and one product chain.
     A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
     so its field is real by construction.  A call returns a new array, so
     RK4 can hold its four stages.  value reads H off any z of the model,
     values off a stack of them.  Timings: the module docstring."""
 
-    __slots__ = ("plan", "p", "key", "weight", "yc", "_zero", "_pairs")
+    __slots__ = ("plan", "p", "key", "yc", "_zero", "_pairs")
 
     def __init__(self, template, f: FlowId):
-        super().__init__(template, factors=True)
+        super().__init__(template)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
         self.p, self._zero, self._pairs = f.p, None, None
         self.yc = self.buf[self.z.size:-1]
-        self.buf[-1] = 1.0
-        # per sector: is its Q block the negated one (sign > 0), its weight
-        signs = {Q: (sign > 0, w) for Q, _, sign, w in _sectors_of(template)}
-        self.weight = signs.get("x", (None, None))[1]
+        # per sector: is its Q block the negated one (sign > 0)
+        neg = {Q: sign > 0 for Q, _, sign, _ in _sectors_of(template)}
         self.key = (self.plan, type(template), self.T,
-                    *(signs.get(Q, (None,))[0] for Q in "qx"))
+                    *(neg.get(Q) for Q in "qx"))
 
     @property
     def zero(self) -> bool:
@@ -799,18 +814,15 @@ class FieldKernel(SupportWriter):
         z written from the coordinates count as nonzero, constant entries
         by their value.  dynamics steps such a flow as the identity."""
         if self._zero is None:
-            coords = self.coords
-            nonzero = coords | (self.z != 0)   # the constants are never rewritten
-            key = (self.plan, coords.tobytes(), nonzero.tobytes())
-            zero = _ZERO_CACHE.get(key)
-            if zero is None:
-                zero = _ZERO_CACHE[key] = self.plan.vanishes(nonzero, coords)
-            self._zero = zero
+            nonzero = self.coords | (self.z != 0)   # the constants are never rewritten
+            self._zero = _vanishes(self.plan, nonzero.tobytes(),
+                                   self.coords.tobytes())
         return self._zero
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Packed tangent vector of the flow at y (a new array)."""
-        E, Q, rows, at, C = self._pairs or self._pair_tensors()
+        self._pairs = self._pairs or pair_tensors(*self.key)
+        E, Q, rows, at, C = self._pairs
         P = self.write(y)   # z: at p = 1, Q is already Q E
         if self.K is not None:
             self.yc[:] = y
@@ -821,43 +833,6 @@ class FieldKernel(SupportWriter):
                 P = W.dot(P)
             P = P.reshape(-1)
         return C.dot(Q.dot(P)[rows] * self.buf[at])
-
-    def _pair_tensors(self) -> tuple:
-        """The key's (E, Q, rows, at, C): the plan's E and read-out span, in
-        float64 on a real model once proved real, Q @ E at p = 1."""
-        pairs = _PAIR_CACHE.get(self.key)
-        if pairs is None:
-            rows, at, C = pair_readout(*self.key[1:])
-            lo = rows.min()
-            E, Q = self.plan.expand, self.plan.readout[lo:rows.max() + 1]
-            if self.real:
-                if E.imag.any() or Q.imag.any():
-                    raise StructuralError("Toda flow plan is not real")
-                E, Q = E.real.copy(), Q.real.copy()
-            if self.p == 1:
-                Q = Q @ E[:-1]
-            pairs = _PAIR_CACHE[self.key] = (E, Q, rows - lo, at, C)
-            for arr in pairs:
-                arr.setflags(write=False)
-        self._pairs = pairs
-        return pairs
-
-    def sectors(self, y: np.ndarray) -> np.ndarray:
-        """The reduced gradient of H at y, packed like y: dH/dq, dH/dp and
-        the beta-reduced (1/beta) dH/dx, (1/beta) dH/dX."""
-        T, g = self.T, self.plan(self.write(y))
-        r = np.empty(len(y), complex)
-        if self.qs is not None:
-            r[self.ps] = g[:T]
-            # da_j/dq_i = a_j (delta_ij - delta_{i,j+1}): a_i g_i - a_{i-1} g_{i-1}
-            t = self.za * g[T:2 * T]
-            np.subtract(t, t[self.prev], out=r[self.qs])
-        if self.K is not None:
-            # beta-reduced: gradient w.r.t. the family coefficient (beta K_1)
-            GK = g[2 * T:2 * T + T * T].reshape(T, T)
-            np.matmul(GK, y[self.Xs], out=r[self.xs])     # sum_j GK[i,j] X_j
-            np.matmul(GK.T, y[self.xs], out=r[self.Xs])   # sum_i x_i GK[i,j]
-        return r
 
     def value(self, z: np.ndarray) -> complex:
         """H_{p,r} at a support vector z written by a SupportWriter of
@@ -878,14 +853,17 @@ class FieldKernel(SupportWriter):
 
 
 def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
-    """Full packed gradient dH/d(coords): the reduced gradient
-    (FieldKernel.sectors), its (x, X) sector times the weight beta."""
-    kernel = FieldKernel(state, f)
-    r = kernel.sectors(pack(state))
-    if kernel.weight is not None:
-        r[kernel.xs] *= kernel.weight
-        r[kernel.Xs] *= kernel.weight
-    return r
+    """Full packed gradient dH/d(coords), read off the flow field sector by
+    sector: dH/dP = -sign w dQ/dt and dH/dQ = sign w dP/dt, w = 1 or beta
+    (a product, so at beta = 0 the (x, X) block is exactly zero)."""
+    v = flow_field(state, f)
+    g = np.empty(v.size, complex)
+    for (iP, iQ), (_, _, sign, weight) in zip(_layout(state)[-1],
+                                              _sectors_of(state)):
+        sw = sign if weight is None else sign * weight
+        g[iP] = -sw * v[iQ]
+        g[iQ] = sw * v[iP]
+    return g
 
 
 def hamiltonian_value(state, f: FlowId) -> complex:
@@ -898,7 +876,7 @@ def hamiltonian_value(state, f: FlowId) -> complex:
 
 def flow_field(state, f: FlowId) -> np.ndarray:
     """Packed tangent vector of the flow t_p^r at the state (normative
-    convention; exact adjoint gradients)."""
+    convention; FieldKernel)."""
     return FieldKernel(state, f)(pack(state))
 
 

@@ -358,6 +358,17 @@ def _generic_plan(cfg, f, calls):
     return gradient
 
 
+def _bracket_gradient(s, v):
+    """dH from the flow field v of the state by the sector brackets:
+    dH/dP = -sign w dQ/dt and dH/dQ = sign w dP/dt, w = 1 or the weight."""
+    T, g = s.T, np.empty(v.size, complex)
+    for Q, P, sign, weight in s.SECTORS:
+        sw = getattr(mdl, sign) * (1.0 if weight is None else getattr(s, weight))
+        q, p = mdl._offset(s, Q), mdl._offset(s, P)
+        g[p:p + T], g[q:q + T] = -sw * v[q:q + T], sw * v[p:p + T]
+    return g
+
+
 def _assert_plan_matches_generic(s, f, monkeypatch):
     def close(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
@@ -366,19 +377,18 @@ def _assert_plan_matches_generic(s, f, monkeypatch):
     assert np.array_equal(_scatter(z, cfg.N + 3, s.T), mdl._blocks(s))
     calls = []
     close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
-
-    def routes(field):
-        return [field(), mdl.hamiltonian_gradient(s, f),
-                mdl.hamiltonian_value(s, f)]
-    got = routes(lambda: mdl.flow_field(s, f))
+    got = [mdl.flow_field(s, f), mdl.hamiltonian_gradient(s, f),
+           mdl.hamiltonian_value(s, f)]
     # the kernel's call runs the plan product over the plan's arrays, so the
     # field's reference is the chain rule written out on the state, which
-    # reads dH/dz off the installed plan as the other two routes do
+    # reads dH/dz off the installed plan as the value does; the gradient's
+    # is the bracket map of that field
     with monkeypatch.context() as m:
         m.setattr(mdl, "flow_plan", lambda c, g: _generic_plan(c, g, calls))
-        ref = routes(lambda: _concatenated_route_field(s, mdl.pack(s), f))
+        field = _concatenated_route_field(s, mdl.pack(s), f)
+        ref = [field, _bracket_gradient(s, field), mdl.hamiltonian_value(s, f)]
     # one direct call, then one per route through the installed generic plan
-    assert calls == [f] * 4
+    assert calls == [f] * 3
     for g, r in zip(got, ref):
         close(g, r)
 
@@ -569,7 +579,7 @@ def test_cyclic_coefficient_path_matches_loops(rng):
                 gq[i] = a[i] * g[i] - a[(i - 1) % T] * g[(i - 1) % T]
             scale = np.max(np.abs(a) * np.abs(g))
             np.testing.assert_allclose(
-                mdl.FieldKernel(s, FlowId(2, 0)).sectors(mdl.pack(s))[:T], gq,
+                mdl.hamiltonian_gradient(s, FlowId(2, 0))[:T], gq,
                 rtol=0, atol=8 * eps * scale)
 
 
@@ -722,7 +732,7 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
             assert second.tobytes() == refs[1].tobytes()
         # the coordinate entries of z differ between the inputs
         writer = mdl.SupportWriter(tmpl)
-        zs = [writer(y).copy() for y in ys]
+        zs = [writer.write(y).copy() for y in ys]
         assert not any(np.array_equal(zs[0], z) for z in zs[1:])
         assert all(np.array_equal(z, mdl.support_vector(mdl.unpack(tmpl, y)))
                    for z, y in zip(zs, ys))
@@ -731,7 +741,7 @@ def test_field_kernel_matches_flow_field_bit_for_bit(rng, T):
         for _ in range(100):
             y = mdl.pack(tmpl).real + rng.normal(size=mdl.nvars(tmpl))
             assert np.array_equal(
-                writer(y), _concatenated_support(mdl.unpack(tmpl, y)))
+                writer.write(y), _concatenated_support(mdl.unpack(tmpl, y)))
 
 
 def _parent_chain_rule(tmpl, g, a, y, neg_q, neg_x):
@@ -810,7 +820,7 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     m.setattr(mdl, "SECTOR_SIGN_PQ", pq)
                     m.setattr(mdl, "SECTOR_SIGN_XX", xx)
                     kernel = mdl.FieldKernel(tmpl, f)
-                    z = mdl.SupportWriter(tmpl)(y)
+                    z = mdl.SupportWriter(tmpl).write(y)
                     ref = _parent_chain_rule(tmpl, kernel.plan(z), z[T:2 * T],
                                              y, pq > 0, xx > 0)
                     v = kernel(y)
@@ -928,6 +938,39 @@ def test_flipped_sector_sign_negates_that_sector(rng, monkeypatch, name):
                             e[at:at + tmpl.T] = -e[at:at + tmpl.T]
             for g, e in zip(got, expect):
                 assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("name", ["SECTOR_SIGN_PQ", "SECTOR_SIGN_XX"])
+def test_hamiltonian_gradient_ignores_sector_signs(rng, monkeypatch, name):
+    # H does not depend on the bracket convention: a flipped sign negates
+    # that sector's field, and the gradient read off the field keeps
+    for T in (1, 2, 3):
+        for tmpl in _kernel_templates(T, rng):
+            for f in mdl.admissible_flows(tmpl, 3):
+                ref = mdl.hamiltonian_gradient(tmpl, f)
+                with monkeypatch.context() as m:
+                    m.setattr(mdl, name, -getattr(mdl, name))
+                    assert np.array_equal(mdl.hamiltonian_gradient(tmpl, f),
+                                          ref)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_beta_zero_gradient_reduces_to_toda(rng, T):
+    # at beta = 0, H depends on (q, p) alone: the (x, X) block is exactly
+    # zero (read off the finite field by a product with beta, never a
+    # division), and the origin flows' (q, p) block is the Toda gradient
+    toda = mdl.random_toda(T, rng)
+    dst = mdl.random_dst(T, rng, zeta1=0.9)
+    s = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
+                         dst.x, dst.X, dst.c, dst.zeta1, 0.0)
+    for f in mdl.admissible_flows(s, 3):
+        g = mdl.hamiltonian_gradient(s, f)
+        assert np.all(np.isfinite(mdl.flow_field(s, f)))
+        assert np.all(g[2 * T:] == 0.0)
+        if f.r == 0:
+            ref = mdl.hamiltonian_gradient(toda, f)
+            assert np.max(np.abs(g[:2 * T] - ref)) <= \
+                1e-13 * (1 + np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Flow-field kernel evaluations and builds, and the flow-plan calls and
-lanes of the H value and gradient routes, per round of each benchmark
-workload.
+"""Flow-field kernel evaluations and builds, and the H value calls and
+lanes, per round of each benchmark workload.
 
     python3 tools/field_calls.py [CHECKOUT] [--workload W] [--seed N]
 
@@ -8,28 +7,25 @@ For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
 inputs, warms up, and runs one round of its operations in this process,
 with models.FieldKernel.__call__, models.FieldKernel.__init__,
-models.FlowPlan.__call__ and models.FlowPlan.lanes (where the checkout
-has it) wrapped from the outside to count them.  It prints one line per
-workload, each counter named by the route it counts:
+models.FieldKernel.value and models.FieldKernel.values (where the
+checkout has it) wrapped from the outside to count them.  It prints one
+line per workload, each counter named by the route it counts:
 
-    kernel_calls          field evaluations, FieldKernel.__call__ (the
-                          RK4 stages, flow_field, closure arcs)
-    kernel_builds         FieldKernel constructions
-    value_grad_plan_calls FlowPlan.__call__: one H value (FieldKernel.value)
-                          or reduced gradient (FieldKernel.sectors) each
-    values_lane_calls     FlowPlan.lanes: the H columns of simulate
-                          (FieldKernel.values), and the lanes (stacked
-                          support vectors) those took
+    kernel_calls       field evaluations, FieldKernel.__call__ (the RK4
+                       stages, flow_field, closure arcs and the fields
+                       that hamiltonian_gradient reads its gradient off)
+    kernel_builds      FieldKernel constructions
+    value_calls        one H value each, FieldKernel.value
+    values_lane_calls  the H columns of simulate, FieldKernel.values, and
+                       the lanes (stacked support vectors) those took
 
 and the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
-so that two checkouts can be compared for bit-identical results.  The
-kernel's call runs its plan product itself and is not counted by
-value_grad_plan_calls; in checkouts older than the one-frame kernel
-(c212b16 and before) it called FlowPlan.__call__, so that counter there
-reads the kernel calls plus the value and gradient calls.  The
-`perfbench/run.py --trace 1` counters wrap models.flow_field by name and
-do not see the kernels that dynamics.integrate and the simulate command
-call.
+so that two checkouts can be compared for bit-identical results.  In
+checkouts where hamiltonian_gradient ran the plan itself (FieldKernel
+had a sectors method), a gradient is counted by neither kernel_calls
+nor value_calls.  The `perfbench/run.py --trace 1` counters wrap
+models.flow_field by name and do not see the kernels that
+dynamics.integrate and the simulate command call.
 """
 from __future__ import annotations
 
@@ -56,11 +52,11 @@ def main(argv=None) -> int:
     from cyclogaudin import models
     from workloads import WORKLOADS
 
-    counts = dict.fromkeys(("calls", "builds", "plan_calls", "lane_calls",
+    counts = dict.fromkeys(("calls", "builds", "value_calls", "lane_calls",
                             "lanes"), 0)
     call, init = models.FieldKernel.__call__, models.FieldKernel.__init__
-    plan_call = models.FlowPlan.__call__
-    lanes = getattr(models.FlowPlan, "lanes", None)
+    value = models.FieldKernel.value
+    values = getattr(models.FieldKernel, "values", None)
 
     def counted_call(self, y):
         counts["calls"] += 1
@@ -70,20 +66,20 @@ def main(argv=None) -> int:
         counts["builds"] += 1
         init(self, template, f)
 
-    def counted_plan_call(self, z):
-        counts["plan_calls"] += 1
-        return plan_call(self, z)
+    def counted_value(self, z):
+        counts["value_calls"] += 1
+        return value(self, z)
 
-    def counted_lanes(self, Z):
+    def counted_values(self, Z):
         counts["lane_calls"] += 1
         counts["lanes"] += len(Z)
-        return lanes(self, Z)
+        return values(self, Z)
 
     models.FieldKernel.__call__ = counted_call
     models.FieldKernel.__init__ = counted_init
-    models.FlowPlan.__call__ = counted_plan_call
-    if lanes is not None:
-        models.FlowPlan.lanes = counted_lanes
+    models.FieldKernel.value = counted_value
+    if values is not None:
+        models.FieldKernel.values = counted_values
     for name in args.workload or sorted(WORKLOADS):
         wl = WORKLOADS[name](args.seed)
         wl.warm_up()
@@ -97,8 +93,8 @@ def main(argv=None) -> int:
                 print(f"{name}: operation {op.name} failed: {exc!r}",
                       file=sys.stderr)
         print(f"{name}: kernel_calls {counts['calls']} kernel_builds "
-              f"{counts['builds']} value_grad_plan_calls "
-              f"{counts['plan_calls']} values_lane_calls "
+              f"{counts['builds']} value_calls "
+              f"{counts['value_calls']} values_lane_calls "
               f"{counts['lane_calls']} lanes {counts['lanes']} "
               f"failed {outputs.count(None)} outputs "
               f"{worker.fingerprint(outputs)}")

@@ -7,7 +7,7 @@ g^(n) = span{E_{i,i+n}} with indices mod T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -22,22 +22,10 @@ class RootOfUnity:
     order: int
     omega: complex
     powers: np.ndarray  # omega^0 .. omega^(T-1)
-    _sigma_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def power(self, k: int) -> complex:
         """omega^k for any integer k (reduced mod order)."""
         return self.powers[k % self.order]
-
-    def _sigma_phase(self, k: int) -> np.ndarray:
-        """Entrywise phase matrix of sigma^k: phase[i,j] = omega^(k(j-i))."""
-        k = k % self.order
-        cached = self._sigma_cache.get(k)
-        if cached is None:
-            idx = np.arange(self.order)
-            grid = (k * (idx[None, :] - idx[:, None])) % self.order
-            cached = self.powers[grid]
-            self._sigma_cache[k] = cached
-        return cached
 
 
 @cache
@@ -48,6 +36,17 @@ def primitive_root(T: int) -> RootOfUnity:
     powers = np.exp(2j * np.pi * np.arange(T) / T)
     return RootOfUnity(order=T, omega=complex(powers[1] if T > 1 else 1.0),
                        powers=powers)
+
+
+@cache
+def _sigma_phase(T: int, k: int) -> np.ndarray:
+    """Entrywise phase matrix of sigma^k: phase[i,j] = omega^(k(j-i))
+    (cached; read-only)."""
+    idx = np.arange(T)
+    grid = (k % T * (idx[None, :] - idx[:, None])) % T
+    phase = primitive_root(T).powers[grid]
+    phase.setflags(write=False)
+    return phase
 
 
 def _check_dim(X: np.ndarray, T: int) -> None:
@@ -63,7 +62,7 @@ def sigma_pow(X, k: int, root: RootOfUnity) -> np.ndarray:
     """
     X = np.asarray(X)
     _check_dim(X, root.order)
-    return X * root._sigma_phase(k)
+    return X * _sigma_phase(root.order, k)
 
 
 def grade_component(X, n: int, T: int) -> np.ndarray:

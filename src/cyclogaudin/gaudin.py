@@ -35,6 +35,7 @@ from .ratmat import (_POLE_TOL, INF, LaurentSeries, RationalMatrix,
                      binomial_weights, orbit_family, slot_weight)
 
 _GRADE_TOL = 1e-12
+_STRUCT_TOL = 1e-10  # lax_rhs: commutator dust allowed off L's pole orders
 MAX_DEPTH = 6
 
 
@@ -66,16 +67,16 @@ class FlowId:
 
 @dataclass(frozen=True)
 class PoleConfig:
-    """Gamma-orbit pole data: order T and finite nonzero points zeta_r."""
+    """Gamma-orbit pole data: order T and finite nonzero points zeta_r.
+    The root of unity is derived, always primitive_root(T)."""
 
     T: int
     zetas: tuple
-    root: RootOfUnity = field(repr=False, compare=False, default=None)
+    root: RootOfUnity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zetas", tuple(complex(z) for z in self.zetas))
-        if self.root is None or self.root.order != self.T:
-            object.__setattr__(self, "root", primitive_root(self.T))
+        object.__setattr__(self, "root", primitive_root(self.T))
         for z in self.zetas:
             if abs(z) <= _POLE_TOL:
                 raise PoleProximityError("zeta_r must be nonzero")
@@ -184,11 +185,11 @@ def assemble_lax(C: GaudinCoefficients, P: PoleConfig) -> RationalMatrix:
     return RationalMatrix(P.T, [C.Ainf], poles).trim()
 
 
-def _lax_power_series(L: RationalMatrix, P: PoleConfig, point, p: int,
-                      extra: int = 2) -> LaurentSeries:
+def _lax_power_series(L: RationalMatrix, P: PoleConfig, point,
+                      p: int) -> LaurentSeries:
     """Series of lambda^p L(lambda)^p at a finite slot point, with enough
-    retained orders for residue extraction up to exponent +extra."""
-    K = max(L.pole_order(point), 1) * p + extra + 2
+    retained orders for residue extraction up to exponent +2."""
+    K = max(L.pole_order(point), 1) * p + 4
     return _times_monomial(L.laurent_expand(point, K).power(p), point, p)
 
 
@@ -256,13 +257,13 @@ class CoefficientDerivative:
     dAinf: np.ndarray
 
 
-def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
-            struct_tol: float = 1e-10):
+def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
     """-[h_r^{(p)}, L] = [L, h_r^{(p)}] reduced to the pole structure of L.
 
-    Returns (rhs RationalMatrix, CoefficientDerivative).  Any principal
-    coefficient beyond the orders present in L larger than struct_tol is a
-    structural error (the commutator must close on the coefficient space).
+    Returns (rhs RationalMatrix, CoefficientDerivative).  A principal
+    coefficient beyond the orders present in L, or a polynomial
+    coefficient, larger than _STRUCT_TOL (1e-10) in max-abs raises
+    StructuralError: the commutator must close on the coefficient space.
     """
     h = lax_partner(f, L, P)
     rhs = L.mul(h) - h.mul(L)
@@ -271,11 +272,11 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig,
         allowed = L.pole_order(z)
         for k in range(allowed, len(cs)):
             mx = float(np.max(np.abs(cs[k])))
-            if mx > struct_tol:
+            if mx > _STRUCT_TOL:
                 raise StructuralError(
                     f"commutator pole at {z} of order {k+1} (magnitude {mx:.2e})")
     for c in rhs.poly:
-        if float(np.max(np.abs(c))) > struct_tol:
+        if float(np.max(np.abs(c))) > _STRUCT_TOL:
             raise StructuralError("commutator has an unexpected polynomial part")
     reduced = RationalMatrix(L.dim, [], [(z, cs[:L.pole_order(z)])
                                          for z, cs in rhs.poles

@@ -958,15 +958,8 @@ def lagrangian_coeff(state, f: FlowId):
 
 def invariants(state) -> dict:
     """Kinematic invariants: sum p_i and prod a_i (Toda sector),
-    Tr K_1 = sum x_i X_i (DST sector)."""
-    out = {}
-    for Q, _, _, _ in state.SECTORS:
-        if Q == "q":
-            out["sum_p"] = complex(np.sum(state.p))
-            out["prod_a"] = complex(np.prod(_toda_a(np.asarray(state.q, complex))))
-        else:
-            out["tr_K1"] = complex(np.dot(state.x, state.X))
-    return out
+    Tr K_1 = sum x_i X_i (DST sector); row 0 of stacked_invariants."""
+    return {k: v[0] for k, v in stacked_invariants(state, [pack(state)]).items()}
 
 
 def stacked_invariants(template, Y) -> dict:
@@ -1010,23 +1003,18 @@ def _random_unit(rng, T):
     return rng.normal(size=(T, T)) + 1j * rng.normal(size=(T, T))
 
 
-def random_dst(T: int, rng: np.random.Generator, zeta1: complex = None,
-               real: bool = False) -> DSTState:
+def random_dst(T: int, rng: np.random.Generator, zeta1: complex) -> DSTState:
     while True:
-        sMat = (rng.normal(size=(T, T)) if real else _random_unit(rng, T))
+        sMat = _random_unit(rng, T)
         if abs(np.linalg.det(sMat)) > 0.1:
             break
-    c = rng.uniform(-0.8, 0.8, T) + (0 if real else 1j * rng.uniform(-0.4, 0.4, T))
-    if zeta1 is None:
-        zeta1 = complex(rng.uniform(0.8, 1.4)
-                        * np.exp(2j * np.pi * rng.uniform())) if not real \
-            else rng.uniform(0.8, 1.4)
+    c = rng.uniform(-0.8, 0.8, T) + 1j * rng.uniform(-0.4, 0.4, T)
     return dst_from_orbit(sMat, c, zeta1)
 
 
-def random_coupled(T: int, rng: np.random.Generator, beta: float = 0.7,
-                   zeta1: complex = None, real: bool = False) -> CoupledState:
+def random_coupled(T: int, rng: np.random.Generator, beta: float = 0.7, *,
+                   zeta1: complex) -> CoupledState:
     toda = random_toda(T, rng)
-    dst = random_dst(T, rng, zeta1=zeta1, real=real)
+    dst = random_dst(T, rng, zeta1)
     return CoupledState(toda.q.astype(complex), toda.p.astype(complex),
                         dst.x, dst.X, dst.c, dst.zeta1, beta)

@@ -152,16 +152,17 @@ def _phases(root: RootOfUnity, ex: np.ndarray) -> np.ndarray:
                        * (ex[:, None, None] + idx - idx[:, None]) % root.order]
 
 
-def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity,
-                      out_trunc: int = 6):
+def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
     """R_+(X) (sign '+', a regular LocalTuple) or R_-(X) (sign '-', a
     RationalMatrix) via the residue sums defining the pairing against the
     two opposite double expansions of the r-kernel.
 
     Satisfies R_+ - R_- = id on equivariant weight-0 tuples; R_+ agrees
     with the regular part of split and R_- with minus its singular part.
+    The series of R_+ run to order 6 at every slot (u^6 at infinity).
     """
     T = root.order
+    out_trunc = 6
     if sign == "-":
         return _r_minus(X, root)
     if sign != "+":

@@ -7,6 +7,7 @@ from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, DivergenceError,
                                 InvalidOrderError, PoleProximityError)
 from cyclogaudin.gaudin import FlowId
+from conftest import mis_scaled_closure
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +113,12 @@ def test_structural_zero_skip_matches_stepping_byte_for_byte(rng, monkeypatch):
             assert got == _stepped_samples(s, sched, record)
     # closure arcs, with the 1.1-scaled field on the fB arcs: the same
     # residual as with the flag forced off (every arc stepped)
-    pairs = [(dst, f10, f11, 0.0), (dst, f11, f20, 0.002), (coupled, f10, f11, 0.0)]
-    got = [dyn.closure_residual(s, a, b, tau=tau, wrong_hamiltonian=True)
-           for s, a, b, tau in pairs]
+    moved = dyn.endpoint(dst, dyn.Schedule.from_pairs([(f11, 0.002)]))
+    pairs = [(dst, f10, f11), (moved, f11, f20), (coupled, f10, f11)]
+    got = [mis_scaled_closure(s, a, b) for s, a, b in pairs]
     with monkeypatch.context() as m:
         m.setattr(mdl.FieldKernel, "zero", property(lambda self: False))
-        ref = [dyn.closure_residual(s, a, b, tau=tau, wrong_hamiltonian=True)
-               for s, a, b, tau in pairs]
+        ref = [mis_scaled_closure(s, a, b) for s, a, b in pairs]
     assert got == ref
 
 
@@ -273,8 +273,7 @@ def test_closure_residual_coupled_pair(rng):
     fA, fB = FlowId(1, 0), FlowId(1, 1)
     r = dyn.closure_residual(s, fA, fB)
     assert r <= 1e-6
-    wrong = dyn.closure_residual(s, fA, fB, wrong_hamiltonian=True)
-    assert wrong > 1e-3
+    assert mis_scaled_closure(s, fA, fB) > 1e-3
 
 
 def test_closure_residual_trivial_cases(rng):

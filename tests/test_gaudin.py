@@ -148,6 +148,30 @@ def test_lax_rhs_matches_finite_difference_of_flow(rng):
     assert np.max(np.abs(D.dA0_0 - dA00)) <= 1e-11
 
 
+def test_lax_rhs_structural_guard_fires(rng, monkeypatch):
+    # a constant eps M (M diagonal) added to the partner leaves [L, h] a
+    # polynomial part eps [Ainf, M] that no flow may have: the guard's
+    # 1e-10 must reject eps = 1e-8 and pass roundoff-sized eps = 1e-13
+    from cyclogaudin import gaudin
+    from cyclogaudin import models as mdl
+    from cyclogaudin.ratmat import RationalMatrix
+    partner = gaudin.lax_partner
+    for s in (mdl.random_toda(3, rng), mdl.random_dst(3, rng, zeta1=0.9),
+              mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)):
+        L, P = mdl.lax(s), mdl.config_of(s)
+        f = mdl.admissible_flows(s, 1)[0]
+        M = np.diag(rng.normal(size=s.T))
+        for eps in (1e-8, 1e-13):
+            monkeypatch.setattr(gaudin, "lax_partner", lambda *a, eps=eps: (
+                partner(*a) + RationalMatrix.constant(eps * M)))
+            if eps > 1e-10:
+                with pytest.raises(StructuralError,
+                                   match="unexpected polynomial part"):
+                    lax_rhs(f, L, P)
+            else:
+                lax_rhs(f, L, P)
+
+
 def test_coefficient_gradients_give_directional_derivatives(rng):
     P, C, L = _setup(rng)
     T = P.T

@@ -25,13 +25,14 @@ CLOSURE_DELTA = 1e-4
 
 @dataclass(frozen=True)
 class Segment:
+    """One leg of a schedule: the flow, its signed duration (negative runs
+    the flow backward, as a closure arc does) and its RK4 step count."""
+
     flow: FlowId
     duration: float
     steps: int
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise AdmissibilityError("segment duration must be >= 0")
         if self.steps < 1:
             raise AdmissibilityError("segment step count must be >= 1")
 
@@ -44,12 +45,10 @@ class Schedule:
 
     @classmethod
     def from_pairs(cls, pairs, h: float = DEFAULT_H) -> "Schedule":
-        """Build from (FlowId, duration) pairs with step count ~ duration/h."""
-        segs = []
-        for f, dur in pairs:
-            steps = max(1, int(round(dur / h))) if dur > 0 else 1
-            segs.append(Segment(f, float(dur), steps))
-        return cls(tuple(segs))
+        """Build from (FlowId, signed duration) pairs, each with
+        max(1, round(|duration|/h)) steps."""
+        return cls(tuple(Segment(f, float(d), max(1, int(round(abs(d) / h))))
+                         for f, d in pairs))
 
     @classmethod
     def parse(cls, text: str, h: float = DEFAULT_H) -> "Schedule":
@@ -106,8 +105,8 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
 def _field_of(template, f: FlowId):
     """The flow field y -> v of f on the template's states: a
     models.FieldKernel, which checks the flow when it is built.  The one
-    place integrate and the closure arcs get a field, so a test can
-    substitute one here."""
+    place integrate gets a field (the closure arcs too, through endpoint),
+    so a test can substitute one here."""
     return models.FieldKernel(template, f)
 
 
@@ -269,19 +268,10 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
 def _transported_lagrangian(s0, f_eval: FlowId, f_arc: FlowId, t: float,
                             h: float) -> complex:
     """L_{f_eval} on the point reached from s0 by flowing along f_arc for
-    (signed) time t with RK4 steps of size <= h (none for a structurally
-    zero field, as in integrate)."""
-    y = models.pack(s0)
-    if t != 0.0:
-        steps = max(1, int(round(abs(t) / h)))
-        step = t / steps
-        field = _field_of(s0, f_arc)
-        if not field.zero:
-            for _ in range(steps):
-                y = rk4_step(field, y, step)
-        if not np.isfinite(y).all():
-            raise DivergenceError("closure arc diverged")
-    s = models.unpack(s0, y)
+    signed time t: the endpoint of the one-segment schedule [(f_arc, t)],
+    so the arc is integrate's RK4 (max(1, round(|t|/h)) steps, none for a
+    structurally zero field, DivergenceError on a non-finite state)."""
+    s = endpoint(s0, Schedule.from_pairs([(f_arc, t)], h))
     return complex(models.lagrangian_coeff(s, f_eval))
 
 

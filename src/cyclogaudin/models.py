@@ -29,7 +29,9 @@ removes).  Equivalently, df/dt = {f, H} with the sector brackets
 empirically by the quadratic r-matrix bracket check and deliberately
 differs from a uniform +delta_ij convention.  Brackets and fields read
 the signs PQ and XX from SECTOR_SIGN_PQ and SECTOR_SIGN_XX when built.
-A Toda state stays real: _real rejects an imaginary part above _IMAG_TOL.
+One constructor (_ModelState) builds every state from the layout, and a
+Toda state stays real: _real rejects an imaginary part above _IMAG_TOL
+there, in unpack and in the SupportWriter.
 
 Compiled flow plans and field kernels
 -------------------------------------
@@ -44,7 +46,8 @@ gradient: H_{p,r} = z . dH/dz / (p + 1).  The plan weights are
 read off the generic ratmat/gaudin code, and the tests hold the plan to
 that generic route: its gradients to hamiltonian_coefficient_gradients
 and to finite differences of gaudin.hamiltonian, its values to
-gaudin.hamiltonian.
+gaudin.hamiltonian.  SupportWriter.write gives z of a packed y and
+SupportWriter.tangent dz = (dz/dy) dy, which coefficient_jets reads.
 
 Every flow p = 1..gaudin.MAX_DEPTH (6) has a plan and is certified;
 FlowId rejects deeper ones, so no function here takes a depth argument.
@@ -88,7 +91,7 @@ return the zero vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 
 import numpy as np
@@ -115,33 +118,59 @@ LANE_BLOCK = 16
 # states
 # ---------------------------------------------------------------------------
 
-def _length(state) -> int:
-    """T, the length of the state's first packed block."""
-    return getattr(state, state.BLOCKS[0]).size
+@cache
+def _field_roles(cls) -> tuple:
+    """(the vector fields, that is the blocks and c, and the sector weights)
+    of a state class, read once: fields() on every construction made the
+    peak RSS creep over long runs."""
+    weights = tuple(w for *_, w in cls.SECTORS if w is not None)
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in (*cls.POLES, *weights)), weights
+
+
+class _ModelState:
+    """A state built and checked against its class's layout: the BLOCKS
+    float on a REAL model (through _real, as unpack) and complex otherwise,
+    the POLES complex and farther than 1e-12 from zero, the weights float,
+    every other field (c) complex, and the blocks and c vectors of length T."""
+
+    @property
+    def T(self) -> int:
+        return getattr(self, self.BLOCKS[0]).size
+
+    def __post_init__(self):
+        vectors, weights = _field_roles(type(self))
+        for name in vectors:
+            v = getattr(self, name)
+            setattr(self, name, np.asarray(_real(np.asarray(v), name), float)
+                    if self.REAL and name in self.BLOCKS
+                    else np.asarray(v, complex))
+        if {getattr(self, name).shape for name in vectors} != {(self.T,)}:
+            raise StructuralError(f"{', '.join(vectors)} must be "
+                                  "equal-length vectors")
+        for name in self.POLES:
+            setattr(self, name, complex(getattr(self, name)))
+            if abs(getattr(self, name)) <= 1e-12:
+                raise StructuralError(f"{name} must be nonzero")
+        for name in weights:
+            setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass
-class TodaState:
+class TodaState(_ModelState):
     """Periodic Toda chain: real canonical pairs (q_i, p_i), i mod T."""
 
     BLOCKS = ("q", "p")
     SECTORS = (("q", "p", "SECTOR_SIGN_PQ", None),)
     POLES = ()
     REAL = True
-    T = property(_length)
 
     q: np.ndarray
     p: np.ndarray
 
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.q.shape != self.p.shape or self.q.ndim != 1:
-            raise StructuralError("q and p must be equal-length vectors")
-
 
 @dataclass
-class DSTState:
+class DSTState(_ModelState):
     """DST model: complex canonical pairs (x_i, X_i), parameters c_i and
     the pole location zeta_1."""
 
@@ -149,26 +178,15 @@ class DSTState:
     SECTORS = (("x", "X", "SECTOR_SIGN_XX", None),)
     POLES = ("zeta1",)
     REAL = False
-    T = property(_length)
 
     x: np.ndarray
     X: np.ndarray
     c: np.ndarray
     zeta1: complex
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=complex)
-        self.X = np.asarray(self.X, dtype=complex)
-        self.c = np.asarray(self.c, dtype=complex)
-        self.zeta1 = complex(self.zeta1)
-        if not (self.x.shape == self.X.shape == self.c.shape) or self.x.ndim != 1:
-            raise StructuralError("x, X, c must be equal-length vectors")
-        if abs(self.zeta1) <= 1e-12:
-            raise StructuralError("zeta1 must be nonzero")
-
 
 @dataclass
-class CoupledState:
+class CoupledState(_ModelState):
     """Coupled Toda-DST system; (q, p) may drift complex under the coupled
     holomorphic flows, so all four coordinate vectors are complex here."""
 
@@ -177,7 +195,6 @@ class CoupledState:
                ("x", "X", "SECTOR_SIGN_XX", "beta"))
     POLES = ("zeta1",)
     REAL = False
-    T = property(_length)
 
     q: np.ndarray
     p: np.ndarray
@@ -186,17 +203,6 @@ class CoupledState:
     c: np.ndarray
     zeta1: complex
     beta: float
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=complex)
-        self.p = np.asarray(self.p, dtype=complex)
-        self.x = np.asarray(self.x, dtype=complex)
-        self.X = np.asarray(self.X, dtype=complex)
-        self.c = np.asarray(self.c, dtype=complex)
-        self.zeta1 = complex(self.zeta1)
-        self.beta = float(self.beta)
-        if len({self.q.size, self.p.size, self.x.size, self.X.size, self.c.size}) != 1:
-            raise StructuralError("all coordinate vectors must share length T")
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +402,24 @@ def dst_gauge_residual(s: DSTState, lam: complex) -> float:
 # packed coordinates, coefficient Jacobians and gradients
 # ---------------------------------------------------------------------------
 
-def _offset(state, block: str) -> int:
-    """Offset of a named block in the packed vector of the state."""
-    return state.BLOCKS.index(block) * state.T
-
-
 def _sectors_of(state):
-    """(Q block, P block, sign, weight) per canonical sector of the state,
-    with the current SECTOR_SIGN_* value and the weight's value or None."""
+    """(Q, P, Q slice, P slice, sign, weight) per canonical sector of the
+    state: its block names and their slices in the packed vector, the
+    current SECTOR_SIGN_* value and the weight's value or None."""
+    T = state.T
     for Q, P, sign, weight in state.SECTORS:
-        yield (Q, P, globals()[sign],
+        iQ, iP = (slice(k * T, (k + 1) * T)
+                  for k in map(state.BLOCKS.index, (Q, P)))
+        yield (Q, P, iQ, iP, globals()[sign],
                None if weight is None else getattr(state, weight))
-
-
-def _layout(state) -> tuple:
-    """(T, the slices of the q, p, x and X blocks in the packed vector,
-    None for a block the model lacks, the cyclic index arrays i+1, i-1, the
-    mask of the support vector entries that are written from the
-    coordinates, and per canonical sector the slices of its P and Q
-    blocks) of the state's class and T (cached; read-only)."""
-    return _class_layout(type(state), state.T)
 
 
 @cache
 def _class_layout(cls, T: int) -> tuple:
+    """(T, the slices of the q, p, x and X blocks in the packed vector,
+    None for a block the model lacks, the cyclic index arrays i+1, i-1, and
+    the mask of the support vector entries that are written from the
+    coordinates) of a state class and T (cached; read-only)."""
     at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(cls.BLOCKS)}
     _, nxt, prev = _cyclic(T)
     # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
@@ -428,15 +428,14 @@ def _class_layout(cls, T: int) -> tuple:
     coords[:2 * T] = "q" in at
     coords[2 * T:2 * T + T * T] = "x" in at
     coords.setflags(write=False)
-    secs = tuple((at[P], at[Q]) for Q, P, _, _ in cls.SECTORS)
-    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords, secs)
+    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords)
 
 
 def _real(v: np.ndarray, what: str) -> np.ndarray:
     """A Toda vector on the real locus: the real part of v, after checking
     that no imaginary part exceeds _IMAG_TOL."""
     if v.dtype.kind == "c":
-        if np.abs(v.imag).max() > _IMAG_TOL:
+        if (np.abs(v.imag) > _IMAG_TOL).any():
             raise StructuralError(f"Toda {what} drifted off the real locus")
         v = v.real
     return v
@@ -463,28 +462,11 @@ def nvars(state) -> int:
 def coefficient_jets(state) -> GaudinCoefficients:
     """Exact Jacobians of the Lax coefficients with respect to the packed
     coordinates, as (n, T, T) stacks: slice i of each stack is the
-    derivative of that coefficient along coordinate i."""
-    T = state.T
-    i, nxt, prev = _cyclic(T)
-    J00, J01, *A_list, Ainf = np.zeros(
-        (len(state.POLES) + 3, nvars(state), T, T), complex)
-    for Q, P, _, weight in _sectors_of(state):
-        q, p = _offset(state, Q) + i, _offset(state, P) + i
-        if Q == "q":
-            # Toda sector: J00 = diag(p), J01 = sum_i a_i E_{i+1,i} with
-            # da_j/dq_i = a_j (delta_{ij} - delta_{i, j+1})
-            a = _toda_a(np.asarray(state.q, complex))
-            J00[p, i, i] = 1.0
-            J01[q, nxt, i] += a
-            J01[q, i, prev] -= a[prev]
-        else:
-            # DST sector: K_1 = x X^T, times its weight
-            K1 = A_list[0]
-            K1[q, i, :] = state.X
-            K1[p, :, i] = state.x
-            if weight is not None:
-                K1 *= weight
-    return GaudinCoefficients(J00, J01, A_list, Ainf, T, validate=False)
+    derivative of that coefficient along coordinate i, the tangent of the
+    support vector along unit vector i (SupportWriter.tangent) scattered
+    into zero blocks."""
+    dZ = SupportWriter(state).tangent(pack(state), np.eye(nvars(state)))
+    return _as_coefficients(_blocks(state, dZ), state.T)
 
 
 def sectors(state) -> list:
@@ -492,8 +474,7 @@ def sectors(state) -> list:
     coefficient) per canonical sector of the packed coordinates, the
     coefficient being the sector sign divided by the sector weight."""
     out = []
-    for (iP, iQ), (Q, P, sign, weight) in zip(_layout(state)[-1],
-                                              _sectors_of(state)):
+    for Q, P, iQ, iP, sign, weight in _sectors_of(state):
         if weight == 0.0:
             raise AdmissibilityError(f"the ({Q}, {P}) bracket sector "
                                      "degenerates at beta = 0")
@@ -670,8 +651,8 @@ class SupportWriter:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
         self.real = template.REAL
-        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, _, self.coords,
-         _) = _layout(template)
+        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, _,
+         self.coords) = _class_layout(type(template), template.T)
         self.T, nz = T, self.coords.size
         self.buf = np.empty(nz + nvars(template) + 1,
                             float if self.real else complex)
@@ -712,6 +693,27 @@ class SupportWriter:
                 np.multiply(self.beta, self.K, out=self.K)
         return self.z
 
+    def tangent(self, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """dz = (dz/dy) dy at the state packed as y for a vector dy or a
+        (..., n) stack of them, a new complex (..., nz) array: dp, a_i (dq_i
+        - dq_{i+1}) and dx (beta X)^T + (beta x) dX^T (beta = 1 but on the
+        coupled model); the constant entries have zero tangent."""
+        T, lead = self.T, dy.shape[:-1]
+        dz = np.zeros((*lead, self.z.size), complex)
+        if self.qs is not None:
+            q = np.asarray(y[self.qs], complex)
+            a, dq = np.exp(q - q[self.nxt]), dy[..., self.qs]
+            dz[..., :T] = dy[..., self.ps]
+            dz[..., T:2 * T] = a * dq - a * dq[..., self.nxt]
+        if self.K is not None:
+            x, X = y[self.xs], y[self.Xs]
+            if self.beta is not None:
+                x, X = self.beta * x, self.beta * X
+            dK = (dy[..., self.xs, None] * X
+                  + x[:, None] * dy[..., None, self.Xs])
+            dz[..., 2 * T:2 * T + T * T] = dK.reshape(*lead, T * T)
+        return dz
+
     def stack(self, Y) -> np.ndarray:
         """The support vectors of the states packed as the rows of Y, as a
         new (m, nz) array."""
@@ -739,7 +741,7 @@ def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     dq_i reads g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1),
     dx_j GK[i, j] (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket
     cancels the beta of z's x X^T block."""
-    _, qs, ps, xs, Xs, _, prev, coords, _ = _class_layout(cls, T)
+    _, qs, ps, xs, Xs, _, prev, coords = _class_layout(cls, T)
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
     sq, sx = (-1.0 if neg else 1.0 for neg in (neg_q, neg_x))
     pairs = []   # (field entries, factors in aug, rows of g, sign)
@@ -802,7 +804,7 @@ class FieldKernel(SupportWriter):
         self.p, self._zero, self._pairs = f.p, None, None
         self.yc = self.buf[self.z.size:-1]
         # per sector: is its Q block the negated one (sign > 0)
-        neg = {Q: sign > 0 for Q, _, sign, _ in _sectors_of(template)}
+        neg = {Q: sign > 0 for Q, *_, sign, _ in _sectors_of(template)}
         self.key = (self.plan, type(template), self.T,
                     *(neg.get(Q) for Q in "qx"))
 
@@ -858,8 +860,7 @@ def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
     (a product, so at beta = 0 the (x, X) block is exactly zero)."""
     v = flow_field(state, f)
     g = np.empty(v.size, complex)
-    for (iP, iQ), (_, _, sign, weight) in zip(_layout(state)[-1],
-                                              _sectors_of(state)):
+    for *_, iQ, iP, sign, weight in _sectors_of(state):
         sw = sign if weight is None else sign * weight
         g[iP] = -sw * v[iQ]
         g[iQ] = sw * v[iP]
@@ -940,10 +941,9 @@ def kinetic(state, velocity: np.ndarray):
     velocity: the sum over sectors of -sign weight P . dQ/dt, that is
     -p.dq/dt (Toda), X.dx/dt (DST) and -p.dq/dt + beta X.dx/dt (coupled);
     total-derivative terms at 0 and infinity dropped."""
-    terms = []
-    for Q, P, sign, weight in _sectors_of(state):
-        q = _offset(state, Q)
-        term = np.dot(getattr(state, P), velocity[q:q + state.T])
+    y, terms = pack(state), []
+    for *_, iQ, iP, sign, weight in _sectors_of(state):
+        term = np.dot(y[iP], velocity[iQ])
         if weight is not None:
             term = weight * term
         terms.append(-term if sign > 0 else term)
@@ -967,7 +967,7 @@ def stacked_invariants(template, Y) -> dict:
     off the rows: per name one complex per row, bit for bit invariants of
     each row unpacked with the template's parameters."""
     Y = _real(np.asarray(Y), "state") if template.REAL else np.asarray(Y)
-    _, qs, ps, xs, Xs, nxt, *_ = _layout(template)
+    _, qs, ps, xs, Xs, nxt, *_ = _class_layout(type(template), template.T)
     out = {}
     if qs is not None:
         q = np.asarray(Y[:, qs], complex)
@@ -1016,5 +1016,4 @@ def random_coupled(T: int, rng: np.random.Generator, beta: float = 0.7, *,
                    zeta1: complex) -> CoupledState:
     toda = random_toda(T, rng)
     dst = random_dst(T, rng, zeta1)
-    return CoupledState(toda.q.astype(complex), toda.p.astype(complex),
-                        dst.x, dst.X, dst.c, dst.zeta1, beta)
+    return CoupledState(toda.q, toda.p, dst.x, dst.X, dst.c, dst.zeta1, beta)

@@ -338,8 +338,7 @@ def models_suite(cfg: RunConfig) -> VerificationReport:
         rep.add("orbit_trace", abs(np.trace(C1.A_list[0]) - 1.0), 1e-12)
     else:
         toda = mdl.random_toda(T, rng_g)
-        s0 = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
-                              s.x, s.X, s.c, s.zeta1, 0.0)
+        s0 = mdl.CoupledState(toda.q, toda.p, s.x, s.X, s.c, s.zeta1, 0.0)
         lam = 0.62 * np.exp(0.9j)
         worst = float(np.max(np.abs(mdl.lax(s0).eval(lam)
                                     - mdl.lax(toda).eval(lam))))

@@ -20,6 +20,10 @@ def test_schedule_parse_roundtrip():
     assert sched.segments[0].flow == FlowId(1, 0)
     assert sched.segments[0].steps == 50
     assert sched.segments[1].duration == 0.25
+    # the library takes signed durations (backward arcs), parse does not
+    back = dyn.Schedule.from_pairs([(FlowId(1, 1), -0.004)], h=1e-3)
+    assert back.segments[0].duration == -0.004
+    assert back.segments[0].steps == 4
 
 
 @pytest.mark.parametrize("bad", ["", "1:0", "1;0;1", "1:0:-2", "a:b:c",
@@ -101,8 +105,11 @@ def test_structural_zero_skip_matches_stepping_byte_for_byte(rng, monkeypatch):
     coupled = mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)
     assert [mdl.FieldKernel(dst, f).zero for f in (f10, f11, f20, f30)] \
         == [True, False, True, True]
+    # signed durations: (f11, -0.004) and (f10, -0.01) run backward, as
+    # the closure arcs do
     cases = [(dst, [(f10, 0.01), (f11, 0.01), (f20, 0.005), (f21, 0.0),
-                    (f30, 0.01), (f21, 0.005), (f10, 0.0)]),
+                    (f30, 0.01), (f21, 0.005), (f10, 0.0), (f11, -0.004),
+                    (f10, -0.01)]),
              (dst, [(f20, 0.003)]),
              (coupled, [(f10, 0.01), (f11, 0.0), (f21, 0.005)])]
     for s, pairs in cases:

@@ -15,6 +15,54 @@ from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, assemble_lax,
 
 
 # ---------------------------------------------------------------------------
+# state construction
+# ---------------------------------------------------------------------------
+
+_STATE_ARGS = {
+    "toda": (mdl.TodaState, dict(q=[0.5, -0.2], p=[0.1, 0.3])),
+    "dst": (mdl.DSTState, dict(x=[0.5, -0.2], X=[0.1, 0.3j], c=[0.2, -0.1],
+                               zeta1=0.9)),
+    "coupled": (mdl.CoupledState, dict(q=[0.5, -0.2], p=[0.1, 0.3],
+                                       x=[0.4, 0.2], X=[0.1, 0.3j],
+                                       c=[0.2, -0.1], zeta1=0.9, beta=0.5)),
+}
+
+
+@pytest.mark.filterwarnings("error")   # a ComplexWarning fails the test
+@pytest.mark.parametrize("model", sorted(_STATE_ARGS))
+def test_state_constructors_check_the_declared_layout(model):
+    # one constructor for every class, read off BLOCKS, POLES, SECTORS and
+    # REAL: the blocks and c are vectors of one length, the poles nonzero,
+    # and a Toda block is real up to _IMAG_TOL
+    cls, kw = _STATE_ARGS[model]
+    s = cls(**kw)
+    assert s.T == 2
+    for b in cls.BLOCKS:
+        assert getattr(s, b).dtype == (float if cls.REAL else complex)
+    assert all(type(getattr(s, z)) is complex for z in cls.POLES)
+    vectors = [n for n in kw if n not in cls.POLES and n != "beta"]
+    for name in vectors:
+        with pytest.raises(StructuralError):   # unequal lengths
+            cls(**{**kw, name: [0.1, 0.2, 0.3]})
+        with pytest.raises(StructuralError):   # one 2-D block
+            cls(**{**kw, name: np.ones((2, 2))})
+    with pytest.raises(StructuralError):       # every block 2-D
+        cls(**{**kw, **{n: np.ones((2, 2)) for n in vectors}})
+    for z in cls.POLES:
+        with pytest.raises(StructuralError):
+            cls(**{**kw, z: 0.0})
+    first = cls.BLOCKS[0]
+    tiny = cls(**{**kw, first: [0.5 + 1e-12j, -0.2]})
+    if cls.REAL:
+        assert getattr(tiny, first).tobytes() \
+            == np.array([0.5, -0.2]).tobytes()
+        with pytest.raises(StructuralError):
+            cls(**{**kw, first: [0.5 + 1.0j, -0.2]})
+    else:
+        assert getattr(tiny, first)[0] == 0.5 + 1e-12j
+
+
+# ---------------------------------------------------------------------------
 # Lax structure
 # ---------------------------------------------------------------------------
 
@@ -294,6 +342,24 @@ def test_coefficient_jets_match_finite_differences(rng, T):
                                            atol=1e-8)
 
 
+def test_support_tangent_is_the_derivative_of_the_write(rng):
+    # dz = (dz/dy) dy against central differences of the written z, and a
+    # stack of directions row by row as single directions
+    eps = 1e-6
+    for s in (mdl.random_toda(3, rng), mdl.random_dst(3, rng, zeta1=1.1),
+              mdl.random_coupled(3, rng, beta=0.6, zeta1=0.9)):
+        w, y = mdl.SupportWriter(s), mdl.pack(s)
+        dY = rng.normal(size=(4, y.size))
+        if not s.REAL:
+            dY = dY + 1j * rng.normal(size=(4, y.size))
+        stacked = w.tangent(y, dY)
+        for dy, dz in zip(dY, stacked):
+            assert dz.tobytes() == w.tangent(y, dy).tobytes()
+            plus = w.write(y + eps * dy).copy()   # write reuses its buffer
+            fd = (plus - w.write(y - eps * dy)) / (2 * eps)
+            np.testing.assert_allclose(dz, fd, atol=1e-7)
+
+
 def test_coupled_beta_zero_sector_field_is_toda(rng):
     toda = mdl.random_toda(3, rng)
     s = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
@@ -364,7 +430,7 @@ def _bracket_gradient(s, v):
     T, g = s.T, np.empty(v.size, complex)
     for Q, P, sign, weight in s.SECTORS:
         sw = getattr(mdl, sign) * (1.0 if weight is None else getattr(s, weight))
-        q, p = mdl._offset(s, Q), mdl._offset(s, P)
+        q, p = s.BLOCKS.index(Q) * T, s.BLOCKS.index(P) * T
         g[p:p + T], g[q:q + T] = -sw * v[q:q + T], sw * v[p:p + T]
     return g
 
@@ -747,8 +813,7 @@ def _parent_chain_rule(tmpl, g, a, y, neg_q, neg_x):
     read-out: a holds the z entries a_i, y is the packed vector, and
     neg_q, neg_x say whether a sector's Q block is the negated one."""
     T, v = tmpl.T, np.zeros(mdl.nvars(tmpl), complex)
-    at = {b: slice(mdl._offset(tmpl, b), mdl._offset(tmpl, b) + T)
-          for b in tmpl.BLOCKS}
+    at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(tmpl.BLOCKS)}
     if "q" in at:
         t = a * g[T:2 * T]
         dq = t - np.roll(t, 1)                   # a_i g_i - a_{i-1} g_{i-1}
@@ -932,7 +997,7 @@ def test_flipped_sector_sign_negates_that_sector(rng, monkeypatch, name):
                 if sign == name:
                     for e in expect:
                         for b in (Q, P):
-                            at = mdl._offset(tmpl, b)
+                            at = tmpl.BLOCKS.index(b) * tmpl.T
                             e[at:at + tmpl.T] = -e[at:at + tmpl.T]
             for g, e in zip(got, expect):
                 assert np.array_equal(g, e)

@@ -187,13 +187,13 @@ def cmd_closure(args) -> int:
     r1 = dyn.closure_residual(s0, fA, fB, h=cfg.h, delta=dyn.CLOSURE_DELTA)
     r2 = dyn.closure_residual(s0, fA, fB, h=cfg.h / 2,
                               delta=dyn.CLOSURE_DELTA / 2)
-    ratio = r1 / r2 if r2 > 0 else float("inf")
+    ratio = r1 / r2 if r2 > 0 else None   # null: RFC 8259 has no Infinity
     out = {"model": cfg.model, "seed": int(cfg.seed),
            "config_digest": cfg.digest(),
            "flow_a": str(fA), "flow_b": str(fB),
            "residual": r1, "residual_refined": r2, "ratio": ratio,
            "h": cfg.h, "delta": dyn.CLOSURE_DELTA}
-    _emit(json.dumps(out, indent=1) + "\n", args.output)
+    _emit(json.dumps(out, indent=1, allow_nan=False) + "\n", args.output)
     return EXIT_PASS
 
 

@@ -95,10 +95,14 @@ class Trajectory:
 
 
 def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = field(y).  A stage hands the field
+    its point as (y, c, k), meaning y + c * k, so that a FieldKernel writes
+    the point into its own buffer with the roundings of y + c * k; any
+    field(y, c=None, k=None) that evaluates at that point will do."""
     k1 = field(y)
-    k2 = field(y + 0.5 * h * k1)
-    k3 = field(y + 0.5 * h * k2)
-    k4 = field(y + h * k3)
+    k2 = field(y, 0.5 * h, k1)
+    k3 = field(y, 0.5 * h, k2)
+    k4 = field(y, h, k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

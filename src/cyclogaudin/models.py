@@ -56,9 +56,10 @@ chosen depth.
 
 A FieldKernel, built once per (template state, flow), runs that route
 on packed vectors y with no state object, in one call: its SupportWriter
-writes the coordinate entries of z into a buffer whose constant entries
-are filled once, and the plan's product chain ends in a pair read-out,
-one product that applies the read-out and the chain rule together
+writes the coordinate entries of z from views of the y slot of one
+buffer [z | y | 1] whose constant entries are filled once, and the
+plan's product chain ends in a pair read-out, one product that applies
+the read-out and the chain rule together
 (pair_readout, the one chain rule here).  dynamics integrates on kernels
 and flow_field is a kernel applied to pack(state), so the two agree bit
 for bit.  Every flow is Hamiltonian, the field being the bracket
@@ -66,12 +67,15 @@ applied to dH, so hamiltonian_gradient reads the gradient off the field
 sector by sector.  hamiltonian_value reads dH/dz through the plan's own
 call, which is one lane of FlowPlan.lanes: the plan run on a stack of
 support vectors as a lane axis, bit for bit one call per lane; simulate
-reads its H columns through it (FieldKernel.values).  For p = 1..3 a
-kernel call costs 4.4-7.7 us on Toda T = 3, 4.0-8.8 us on DST T = 3 and
-6.3-11.9 us on coupled T = 2 and 3 (tools/kernel_timing.py: best single
-call of 5000); over 150 lanes the plan costs 0.6-3.3 us per lane (best
-of 20 rounds of 20 calls).  Python 3.11, NumPy 2.4, one thread of a
-shared 2-vCPU x86 VM.
+reads its H columns through it (FieldKernel.values).  dynamics.rk4_step
+hands the kernel each stage as (y, c, k), and the kernel writes the
+point y + c k into its buffer's y slot.  For p = 1..3 a kernel call
+costs 3.7-5.7 us on Toda T = 3, 3.3-7.2 us on DST T = 3 and 4.9-9.1 us
+on coupled T = 2 and 3, and one RK4 step on a kernel 20.2-29.1 us,
+20.4-35.8 us and 26.8-44.7 us (tools/kernel_timing.py: best single call
+of 5000, best single step of 2000); over 150 lanes the plan costs
+0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,
+NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
 
 Structural zeros
 ----------------
@@ -628,6 +632,17 @@ def flow_plan(cfg: PoleConfig, f: FlowId) -> FlowPlan:
     return FlowPlan(cfg, f)
 
 
+@cache
+def _difference(T: int) -> np.ndarray:
+    """The complex (T, T) matrix D with (D q)_i = q_i - q_{i+1}, i mod T,
+    and D = [[0]] at T = 1 (cached; read-only).  Each row has one +1 and
+    one -1, so D q rounds as the difference itself; exp(D q) is the
+    complex exp whatever the dtype of q."""
+    D = np.eye(T, dtype=complex) - _shift_basis(T, 1)
+    D.setflags(write=False)
+    return D
+
+
 class SupportWriter:
     """Writes the support vector z of the states that share a template's
     model, T and parameters straight from their packed vectors y, with no
@@ -635,16 +650,20 @@ class SupportWriter:
 
     z heads one buffer [z | y | 1], in float64 on a real model, whose
     constant entries (c and the zero A0_1 entries for DST, 1 or 1 + beta
-    on Ainf, the trailing 1) are filled once; a FieldKernel copies y into
-    the middle.  A call writes the coordinate entries p or p + beta c,
-    a_i = exp(q_i - q_{i+1}) and the x X^T block, and returns z, a view
-    of the buffer valid until the next call.  A Toda y with an imaginary
-    part above _IMAG_TOL is rejected, as unpack rejects it; a real coupled
-    y has its q read as complex, as unpack casts it, since exp rounds
-    differently on real arguments."""
+    on Ainf, the trailing 1) are filled once.  y goes into its slot, and
+    the one z write (fill, chosen for the model when the writer is built)
+    writes the coordinate entries from views of the slot fixed at build:
+    p or p + beta c from the p block, a_i = exp(D q) (_difference) from
+    the q block, and x X^T from the x column and the X row.  write
+    returns z, a view of the buffer valid until the next write.  A Toda y
+    with an imaginary part above _IMAG_TOL is rejected, as unpack rejects
+    it; a real y of a complex model is cast into the slot, as unpack
+    casts it.  The complex D makes a_i the complex exp on Toda too, of
+    which z keeps the real part, since exp rounds differently on real
+    arguments."""
 
-    __slots__ = ("T", "real", "buf", "z", "zp", "za", "K", "bc", "beta",
-                 "nxt", "qs", "ps", "xs", "Xs", "coords")
+    __slots__ = ("T", "real", "buf", "z", "y", "K", "beta", "nxt", "qs",
+                 "ps", "xs", "Xs", "coords", "fill")
 
     def __init__(self, template):
         if getattr(template, "BLOCKS", None) is None:
@@ -654,44 +673,56 @@ class SupportWriter:
         (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, _,
          self.coords) = _class_layout(type(template), template.T)
         self.T, nz = T, self.coords.size
-        self.buf = np.empty(nz + nvars(template) + 1,
-                            float if self.real else complex)
-        self.buf[-1] = 1.0
-        self.z = z = self.buf[:nz]
-        self.zp, self.za = z[:T], z[T:2 * T]
-        self.K = self.bc = self.beta = None
-        if self.xs is None:
+        self.buf = buf = np.empty(nz + nvars(template) + 1,
+                                  float if self.real else complex)
+        buf[-1] = 1.0
+        self.z, self.y = z, y = buf[:nz], buf[nz:-1]
+        zp, za = z[:T], z[T:2 * T]
+        self.K = self.beta = None
+        if self.xs is None:   # Toda
             z[2 * T:] = 1.0
+            yp, yq, D = y[self.ps], y[self.qs], _difference(T)
+            qa = np.empty(T, complex)
+            qa_re = qa.real
+
+            def fill():
+                zp[...] = yp
+                np.exp(np.dot(D, yq, qa), qa)
+                za[...] = qa_re
+                return z
+            self.fill = fill
             return
-        self.K = z[2 * T:2 * T + T * T].reshape(T, T)
-        if self.qs is None:
-            self.zp[:] = template.c
-            self.za[:] = 0.0
+        self.K = K = z[2 * T:2 * T + T * T].reshape(T, T)
+        yx, yX = y[self.xs, None], y[None, self.Xs]
+        if self.qs is None:   # DST
+            zp[:] = template.c
+            za[:] = 0.0
             z[-T:] = 1.0
-        else:
-            self.bc = template.beta * template.c
-            z[-T:] = 1.0 + template.beta
-            self.beta = np.array(template.beta, complex)  # 0-d: converted once
+
+            def fill():
+                np.multiply(yx, yX, K)
+                return z
+            self.fill = fill
+            return
+        bc = template.beta * template.c   # coupled
+        z[-T:] = 1.0 + template.beta
+        self.beta = beta = np.array(template.beta, complex)  # 0-d: cast once
+        yp, yq, D = y[self.ps], y[self.qs], _difference(T)
+
+        def fill():
+            np.add(yp, bc, zp)
+            np.exp(np.dot(D, yq, za), za)
+            np.multiply(yx, yX, K)
+            np.multiply(beta, K, K)
+            return z
+        self.fill = fill
 
     def write(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer's z)."""
         if self.real and y.dtype.kind == "c":
             y = _real(y, "state")
-        if self.qs is not None:
-            if self.bc is None:
-                self.zp[:] = y[self.ps]
-            else:
-                np.add(y[self.ps], self.bc, out=self.zp)
-            q = np.asarray(y[self.qs], complex)
-            if self.real:   # the real part of the same exp
-                self.za[:] = np.exp(q - q[self.nxt]).real
-            else:
-                np.exp(q - q[self.nxt], out=self.za)
-        if self.K is not None:
-            np.multiply(y[self.xs, None], y[None, self.Xs], out=self.K)
-            if self.beta is not None:
-                np.multiply(self.beta, self.K, out=self.K)
-        return self.z
+        self.y[...] = y
+        return self.fill()
 
     def tangent(self, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """dz = (dz/dy) dy at the state packed as y for a vector dy or a
@@ -791,22 +822,25 @@ class FieldKernel(SupportWriter):
     the first call and cached per key (pair_tensors); at p = 1, Q is
     folded into E, so the call is the z write and one product chain.
     A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
-    so its field is real by construction.  A call returns a new array, so
-    RK4 can hold its four stages.  value reads H off any z of the model,
-    values off a stack of them.  Timings: the module docstring."""
+    so its field is real by construction.  The first call also binds the
+    tensors, the buffer's views and the model's z write into the field
+    the later calls run.  A call takes an RK4 stage as (y, c, k), the
+    field at y + c k: the point is written straight into the buffer's y
+    slot, rounded as y + c * k.  A call returns a new array, so RK4 can
+    hold its four stages.  value reads H off any z of the model, values
+    off a stack of them.  Timings: the module docstring."""
 
-    __slots__ = ("plan", "p", "key", "yc", "_zero", "_pairs")
+    __slots__ = ("plan", "p", "key", "_zero", "_pairs", "_field")
 
     def __init__(self, template, f: FlowId):
         super().__init__(template)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
         self.p, self._zero, self._pairs = f.p, None, None
-        self.yc = self.buf[self.z.size:-1]
         # per sector: is its Q block the negated one (sign > 0)
-        neg = {Q: sign > 0 for Q, *_, sign, _ in _sectors_of(template)}
+        neg = {Q: globals()[sign] > 0 for Q, _, sign, _ in template.SECTORS}
         self.key = (self.plan, type(template), self.T,
-                    *(neg.get(Q) for Q in "qx"))
+                    neg.get("q"), neg.get("x"))
 
     @property
     def zero(self) -> bool:
@@ -821,20 +855,49 @@ class FieldKernel(SupportWriter):
                                    self.coords.tobytes())
         return self._zero
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Packed tangent vector of the flow at y (a new array)."""
-        self._pairs = self._pairs or pair_tensors(*self.key)
-        E, Q, rows, at, C = self._pairs
-        P = self.write(y)   # z: at p = 1, Q is already Q E
-        if self.K is not None:
-            self.yc[:] = y
-        if self.p > 1:
-            S, take = E.dot(P), self.plan.take
-            W, P = S[take], S[:-1].reshape(take.shape[0], -1)
-            for _ in range(self.p - 1):
-                P = W.dot(P)
-            P = P.reshape(-1)
-        return C.dot(Q.dot(P)[rows] * self.buf[at])
+    def __call__(self, y: np.ndarray, c=None, k=None) -> np.ndarray:
+        """Packed tangent vector of the flow at y, or at y + c k given the
+        RK4 stage (c, k) (a new array; y is never written)."""
+        try:
+            field = self._field
+        except AttributeError:   # the first call
+            field = self._bind()
+        return field(y, c, k)
+
+    def _bind(self):
+        """The kernel's field, with the pair tensors, the buffer's views,
+        the model's z write and the plan's chain bound in; set as _field.
+        The chain runs in buffers of its own: S = E z, then the p - 1
+        products P = W P from the view of S's first block column, each
+        into the other of two buffers, the pair read-out reading the last
+        one flat (z itself at p = 1, where Q is already Q E)."""
+        self._pairs = E, Q, rows, at, C = pair_tensors(*self.key)
+        buf, ys, fill, real = self.buf, self.y, self.fill, self.real
+        take, S = self.plan.take, np.empty(len(E), E.dtype)
+        outs = [np.empty((len(take), self.T), E.dtype)
+                for _ in range(min(2, self.p - 1))]
+        products, P = [], S[:-1].reshape(len(take), -1)   # (in, out) of P = W P
+        for i in range(self.p - 1):
+            products.append((P, outs[i % 2]))
+            P = outs[i % 2]
+        P = P.reshape(-1) if products else self.z
+
+        def field(y, c=None, k=None):
+            if real and y.dtype.kind == "c":
+                y = _real(y, "state")
+            if k is None:
+                ys[...] = y
+            else:   # y + c * k, rounded as RK4 writes it
+                np.multiply(c, k, ys)
+                np.add(y, ys, ys)
+            z = fill()
+            if products:
+                W = E.dot(z, S)[take]
+                for a, b in products:
+                    W.dot(a, b)
+            return C.dot(Q.dot(P)[rows] * buf[at])
+        self._field = field
+        return field
 
     def value(self, z: np.ndarray) -> complex:
         """H_{p,r} at a support vector z written by a SupportWriter of

@@ -24,8 +24,8 @@ def mis_scaled_closure(s, fA, fB, **kw):
         if f != fB:
             return kernel
 
-        def scaled(y):
-            return 1.1 * kernel(y)
+        def scaled(y, *stage):
+            return 1.1 * kernel(y, *stage)
         scaled.zero = kernel.zero
         return scaled
 

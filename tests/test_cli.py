@@ -241,3 +241,14 @@ def test_closure_command_json(tmp_path):
             "residual_refined", "ratio", "h", "delta"} <= set(rep)
     assert rep["residual"] <= 1e-6
     assert rep["ratio"] >= 3.0 or rep["residual_refined"] < 1e-12
+    # DST (1, 0) is structurally zero, so both residuals are exactly 0 and
+    # the ratio is null: the report parses as strict JSON (no Infinity)
+    code = _run(["closure", "--flow-a", "1:0", "--flow-b", "1:1",
+                 "--model", "dst", "--T", "3", "--seed", "42"], out)
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    rep = json.loads(out.read_text(), parse_constant=reject)
+    assert rep["residual"] == rep["residual_refined"] == 0.0
+    assert rep["ratio"] is None

@@ -34,8 +34,9 @@ def test_schedule_parse_rejects_malformed(bad):
 
 
 def test_rk4_is_fourth_order():
-    # y' = y, y(0) = 1: error against exp should shrink ~16x per halving
-    field = lambda y: y
+    # y' = y, y(0) = 1: error against exp should shrink ~16x per halving;
+    # rk4_step hands a stage's point as (y, c, k), meaning y + c * k
+    field = lambda y, c=0.0, k=0.0: y + c * k
     errs = []
     for h in (0.1, 0.05):
         y = np.array([1.0])
@@ -65,7 +66,18 @@ def test_integrate_energy_conservation(rng):
     assert abs(mdl.hamiltonian_value(end, f) - h0) <= 1e-12
 
 
+def _out_of_place_step(field, y, h):
+    """RK4 with every stage point formed out of place as y + c * k and the
+    field called on it alone: the reference for the (y, c, k) stages."""
+    k1 = field(y)
+    k2 = field(y + 0.5 * h * k1)
+    k3 = field(y + 0.5 * h * k2)
+    k4 = field(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def test_integrate_divergence_is_reported():
+    # pinned: the step that reports, the samples kept and their bytes
     T = 2
     s = mdl.CoupledState(np.zeros(T), np.zeros(T),
                          60.0 * np.ones(T), 60.0 * np.ones(T),
@@ -74,7 +86,50 @@ def test_integrate_divergence_is_reported():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as exc:
             dyn.integrate(s, sched)
-    assert isinstance(exc.value.last_good, dyn.Trajectory)
+        y = mdl.pack(s)
+        y1 = dyn.rk4_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
+        ref = _out_of_place_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
+    assert str(exc.value) == "non-finite state in segment 0 step 1"
+    last = exc.value.last_good
+    assert isinstance(last, dyn.Trajectory) and len(last) == 2
+    assert [(x.seg, x.t_local) for x in last.samples] == [(0, 0.0), (0, 0.5)]
+    assert np.isfinite(y1).all() and y1.tobytes() == ref.tobytes()
+    assert [x.vec.tobytes() for x in last.samples] == [y.tobytes(),
+                                                       y1.tobytes()]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_rk4_stages_match_the_out_of_place_route(rng, T):
+    # rk4_step hands the kernel each stage as (y, c, k), which it writes
+    # into its own buffer: byte for byte the out-of-place stages, forward
+    # and backward, on a contiguous and on a strided y, with the caller's
+    # y never written and two kernels of one template called alternately
+    templates = [mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+                 mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)]
+    for s in templates:
+        y = mdl.pack(s) + 0.05 * rng.normal(size=mdl.nvars(s))
+        wide = np.zeros(2 * y.size, y.dtype)
+        wide[::2] = y
+        ys = [y, wide[::2]]   # the strided y is a view of a stack
+        if s.REAL:   # a Toda y may arrive complex, read as its real part
+            ys.append(y + 1e-12j)
+        flows = mdl.admissible_flows(s, 3)
+        for f, g in zip(flows, flows[1:] + flows[:1]):
+            for h in (1e-2, -4e-3):
+                for v in ys:
+                    before = v.tobytes(), wide.tobytes()
+                    ref = _out_of_place_step(mdl.FieldKernel(s, f), v, h)
+                    got = dyn.rk4_step(mdl.FieldKernel(s, f), v, h)
+                    assert got.tobytes() == ref.tobytes()
+                    assert (v.tobytes(), wide.tobytes()) == before
+                    kf, kg = mdl.FieldKernel(s, f), mdl.FieldKernel(s, g)
+
+                    def alternate(x, *stage):
+                        kg(x + 1.0, *stage)   # a write to the other buffer
+                        return kf(x, *stage)
+                    assert dyn.rk4_step(alternate, v, h).tobytes() \
+                        == ref.tobytes()
+                    assert (v.tobytes(), wide.tobytes()) == before
 
 
 def _stepped_samples(s0, sched, record=True):
@@ -137,7 +192,7 @@ def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
     calls = []
     call = mdl.FieldKernel.__call__
     monkeypatch.setattr(mdl.FieldKernel, "__call__",
-                        lambda self, y: calls.append(1) or call(self, y))
+                        lambda self, *a: calls.append(1) or call(self, *a))
     sched = dyn.Schedule.from_pairs([(FlowId(1, 0), 0.01), (FlowId(3, 0), 0.01)],
                                     h=1e-3)
     traj = dyn.integrate(big, sched)

@@ -2,6 +2,7 @@
 lanes, per round of each benchmark workload.
 
     python3 tools/field_calls.py [CHECKOUT] [--workload W] [--seed N]
+        [--compare OTHER]
 
 For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
@@ -26,11 +27,16 @@ had a sectors method), a gradient is counted by neither kernel_calls
 nor value_calls.  The `perfbench/run.py --trace 1` counters wrap
 models.flow_field by name and do not see the kernels that
 dynamics.integrate and the simulate command call.
+
+With --compare OTHER, each of CHECKOUT and OTHER is measured in its own
+process, both sets of lines are printed, and the exit status is 1 when
+any count or fingerprint differs between them, 0 when all are equal.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -44,7 +50,12 @@ def main(argv=None) -> int:
                     help="workload name (repeatable; default: all)")
     ap.add_argument("--seed", type=int, default=2024,
                     help="benchmark seed (default 2024, as perfbench/run.py)")
+    ap.add_argument("--compare", metavar="OTHER",
+                    help="also measure checkout OTHER; exit 1 on any "
+                         "difference")
     args = ap.parse_args(argv)
+    if args.compare:
+        return _compare(args)
     # worker pins the BLAS threads and puts the checkout's src first
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout),
                                     "perfbench"))
@@ -58,9 +69,9 @@ def main(argv=None) -> int:
     value = models.FieldKernel.value
     values = getattr(models.FieldKernel, "values", None)
 
-    def counted_call(self, y):
+    def counted_call(self, *args, **kwargs):   # an RK4 stage is (y, c, k)
         counts["calls"] += 1
-        return call(self, y)
+        return call(self, *args, **kwargs)
 
     def counted_init(self, template, f):
         counts["builds"] += 1
@@ -99,6 +110,25 @@ def main(argv=None) -> int:
               f"failed {outputs.count(None)} outputs "
               f"{worker.fingerprint(outputs)}")
     return 0
+
+
+def _compare(args) -> int:
+    """Measure args.checkout and args.compare in one process each, print
+    their lines and return 1 when any line differs."""
+    opts = ["--seed", str(args.seed)]
+    for name in args.workload or ():
+        opts += ["--workload", name]
+    lines = []
+    for checkout in (args.checkout, args.compare):
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                               checkout, *opts], capture_output=True,
+                              text=True, check=True)
+        lines.append(proc.stdout.splitlines())
+        print(f"{checkout}:")
+        print("\n".join(f"  {line}" for line in lines[-1]))
+    same = lines[0] == lines[1]
+    print("identical counts and fingerprints" if same else "DIFFERENT")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

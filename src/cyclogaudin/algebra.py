@@ -27,6 +27,11 @@ class RootOfUnity:
         """omega^k for any integer k (reduced mod order)."""
         return self.powers[k % self.order]
 
+    def orbit(self, z: complex) -> list:
+        """The Gamma-orbit of z: the T points omega^k z, k = 0..T-1, each
+        the scalar product power(k) * z."""
+        return [w * z for w in self.powers]
+
 
 @cache
 def primitive_root(T: int) -> RootOfUnity:

@@ -46,9 +46,14 @@ class Schedule:
     @classmethod
     def from_pairs(cls, pairs, h: float = DEFAULT_H) -> "Schedule":
         """Build from (FlowId, signed duration) pairs, each with
-        max(1, round(|duration|/h)) steps."""
-        return cls(tuple(Segment(f, float(d), max(1, int(round(abs(d) / h))))
-                         for f, d in pairs))
+        max(1, round(|duration|/h)) steps, which must be finite."""
+        segments = [(f, float(d), abs(d) / h) for f, d in pairs]
+        for f, d, n in segments:
+            if not np.isfinite(n):
+                raise AdmissibilityError(f"segment {f}: |duration|/h = "
+                                         f"{abs(d)}/{h} is not finite")
+        return cls(tuple(Segment(f, d, max(1, int(round(n))))
+                         for f, d, n in segments))
 
     @classmethod
     def parse(cls, text: str, h: float = DEFAULT_H) -> "Schedule":
@@ -233,8 +238,7 @@ def spectral_probe(state, lam: complex, m: int) -> complex:
 
 def _check_probe(template, lam: complex) -> None:
     cfg = models.config_of(template)
-    pts = [0j] + [cfg.root.power(k) * z for z in cfg.zetas
-                  for k in range(cfg.T)]
+    pts = [0j] + [w for z in cfg.zetas for w in cfg.root.orbit(z)]
     if min(abs(lam - z) for z in pts) <= 1e-6:
         raise PoleProximityError(f"probe {lam} sits on a Lax pole orbit")
 

@@ -82,12 +82,10 @@ class PoleConfig:
                 raise PoleProximityError("zeta_r must be nonzero")
         for a, za in enumerate(self.zetas):
             for b, zb in enumerate(self.zetas):
-                if a == b:
-                    continue
-                for k in range(self.T):
-                    if abs(self.root.power(k) * za - zb) <= _POLE_TOL:
-                        raise PoleProximityError(
-                            f"Gamma-orbits of zeta_{a+1} and zeta_{b+1} intersect")
+                if a != b and any(abs(w - zb) <= _POLE_TOL
+                                  for w in self.root.orbit(za)):
+                    raise PoleProximityError(
+                        f"Gamma-orbits of zeta_{a+1} and zeta_{b+1} intersect")
 
     @property
     def N(self) -> int:

@@ -47,7 +47,9 @@ read off the generic ratmat/gaudin code, and the tests hold the plan to
 that generic route: its gradients to hamiltonian_coefficient_gradients
 and to finite differences of gaudin.hamiltonian, its values to
 gaudin.hamiltonian.  SupportWriter.write gives z of a packed y and
-SupportWriter.tangent dz = (dz/dy) dy, which coefficient_jets reads.
+SupportWriter.tangent dz = (dz/dy) dy, a_i read off that z; _scatter
+maps support vectors to Lax coefficients for coefficients,
+stacked_coefficients and coefficient_jets.
 
 Every flow p = 1..gaudin.MAX_DEPTH (6) has a plan and is certified;
 FlowId rejects deeper ones, so no function here takes a depth argument.
@@ -64,10 +66,11 @@ the read-out and the chain rule together
 and flow_field is a kernel applied to pack(state), so the two agree bit
 for bit.  Every flow is Hamiltonian, the field being the bracket
 applied to dH, so hamiltonian_gradient reads the gradient off the field
-sector by sector.  hamiltonian_value reads dH/dz through the plan's own
-call, which is one lane of FlowPlan.lanes: the plan run on a stack of
-support vectors as a lane axis, bit for bit one call per lane; simulate
-reads its H columns through it (FieldKernel.values).  dynamics.rk4_step
+sector by sector.  The H values belong to the plan, not to a kernel:
+hamiltonian_value applies Euler's identity to the plan's own call, which
+is one lane of FlowPlan.lanes, the plan run on a stack of support
+vectors as a lane axis, bit for bit one call per lane; simulate reads
+its H columns through the lanes (FlowPlan.values).  dynamics.rk4_step
 hands the kernel each stage as (y, c, k), and the kernel writes the
 point y + c k into its buffer's y slot.  For p = 1..3 a kernel call
 costs 3.7-5.7 us on Toda T = 3, 3.3-7.2 us on DST T = 3 and 4.9-9.1 us
@@ -255,27 +258,20 @@ def support_vector(state) -> np.ndarray:
     return SupportWriter(state).write(pack(state))
 
 
-def _blocks(state, Z=None) -> np.ndarray:
-    """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] of a model state,
-    stacked: the support vector scattered into zero blocks.  Toda
-    J00 = diag(p), J01 = sum_i a_i E_{i+1,i}; DST diag(c), 0,
-    K_1 = x X^T; coupled J00 + beta diag(c), J01, beta K_1.  Ainf is the
-    unit shift sum_i E_{i,i+1} for Toda and DST, and (1 + beta) times it
-    for the coupled model.  Given support vectors Z (..., nz) of the
-    state's model, their blocks (..., nb, T, T) instead."""
-    if Z is None:
-        Z = support_vector(state)
-    nb, T = len(state.POLES) + 3, state.T
-    B = np.zeros((*Z.shape[:-1], nb, T, T), complex)
-    B.reshape(*Z.shape[:-1], -1)[..., _support_index(nb, T)] = Z
-    return B
-
-
-def _as_coefficients(B: np.ndarray, T: int) -> GaudinCoefficients:
-    """Split a block stack (..., nb, T, T) into Lax coefficients; leading
-    axes ride along as stack axes."""
-    orbit = [B[..., k, :, :] for k in range(2, B.shape[-3] - 1)]
-    return GaudinCoefficients(B[..., 0, :, :], B[..., 1, :, :], orbit,
+def _scatter(template, Z) -> GaudinCoefficients:
+    """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] of the support
+    vectors Z (..., nz) of the template's model: Z scattered into zero
+    blocks, leading axes riding along as stack axes.  Toda J00 = diag(p),
+    J01 = sum_i a_i E_{i+1,i}; DST diag(c), 0, K_1 = x X^T; coupled
+    J00 + beta diag(c), J01, beta K_1.  Ainf is the unit shift
+    sum_i E_{i,i+1} for Toda and DST, and (1 + beta) times it for the
+    coupled model.  coefficients, stacked_coefficients and
+    coefficient_jets all scatter here."""
+    nb, T, lead = len(template.POLES) + 3, template.T, Z.shape[:-1]
+    B = np.zeros((*lead, nb, T, T), complex)
+    B.reshape(*lead, -1)[..., _support_index(nb, T)] = Z
+    return GaudinCoefficients(B[..., 0, :, :], B[..., 1, :, :],
+                              [B[..., k, :, :] for k in range(2, nb - 1)],
                               B[..., -1, :, :], T, validate=False)
 
 
@@ -290,17 +286,16 @@ def config_of(state) -> PoleConfig:
 
 def coefficients(state) -> GaudinCoefficients:
     """Plain (value) Lax coefficients of the model state."""
-    return _as_coefficients(_blocks(state), state.T)
+    return _scatter(state, support_vector(state))
 
 
 def stacked_coefficients(template, Y) -> GaudinCoefficients:
     """The Lax coefficients of the states packed as the rows of Y, with
     the template's model and parameters, stacked along a leading sample
     axis: one SupportWriter writes every row's support vector, and
-    _blocks scatters them into zero blocks.  assemble_lax of the result
+    _scatter scatters them into zero blocks.  assemble_lax of the result
     evaluates L at every sample in one call."""
-    Z = SupportWriter(template).stack(Y)
-    return _as_coefficients(_blocks(template, Z), template.T)
+    return _scatter(template, SupportWriter(template).stack(Y))
 
 
 def lax(state) -> RationalMatrix:
@@ -469,8 +464,8 @@ def coefficient_jets(state) -> GaudinCoefficients:
     derivative of that coefficient along coordinate i, the tangent of the
     support vector along unit vector i (SupportWriter.tangent) scattered
     into zero blocks."""
-    dZ = SupportWriter(state).tangent(pack(state), np.eye(nvars(state)))
-    return _as_coefficients(_blocks(state, dZ), state.T)
+    return _scatter(state, SupportWriter(state).tangent(
+        pack(state), np.eye(nvars(state))))
 
 
 def sectors(state) -> list:
@@ -535,7 +530,8 @@ class FlowPlan:
     its lower block-Toeplitz matrix (nT, nT), so that p - 1 products
     P = W P starting from the first block column give the truncated
     series of L^p, and dH/dz = R P.ravel().  lanes runs that chain on a
-    stack of support vectors, and a call is one lane of it.
+    stack of support vectors, and a call is one lane of it.  H_{p,r} is
+    the plan's too: values, and hamiltonian_value, by Euler's identity.
     """
 
     __slots__ = ("p", "expand", "take", "readout")
@@ -611,6 +607,13 @@ class FlowPlan:
                 self.readout, P.reshape(len(Zb), -1, 1))[:, :, 0]
         return G
 
+    def values(self, Z: np.ndarray) -> list:
+        """H_{p,r} at every row of an (m, nz) stack Z of support vectors, bit
+        for bit hamiltonian_value per row: lanes gives the gradients, and
+        each row's z . dH/dz stays its own dot product."""
+        dots = np.matmul(Z[:, None, :], self.lanes(Z)[:, :, None])
+        return [complex(d) / (self.p + 1) for d in dots[:, 0, 0]]
+
     def vanishes(self, nonzero: np.ndarray, read: np.ndarray) -> bool:
         """Whether dH/dz is zero at every read entry for every z that is
         zero where nonzero is False.  The pattern of z goes through expand,
@@ -655,22 +658,23 @@ class SupportWriter:
     writes the coordinate entries from views of the slot fixed at build:
     p or p + beta c from the p block, a_i = exp(D q) (_difference) from
     the q block, and x X^T from the x column and the X row.  write
-    returns z, a view of the buffer valid until the next write.  A Toda y
+    returns z, a view of the buffer valid until the next write, which
+    tangent reads a_i off.  A Toda y
     with an imaginary part above _IMAG_TOL is rejected, as unpack rejects
     it; a real y of a complex model is cast into the slot, as unpack
     casts it.  The complex D makes a_i the complex exp on Toda too, of
     which z keeps the real part, since exp rounds differently on real
     arguments."""
 
-    __slots__ = ("T", "real", "buf", "z", "y", "K", "beta", "nxt", "qs",
-                 "ps", "xs", "Xs", "coords", "fill")
+    __slots__ = ("T", "real", "buf", "z", "y", "beta", "qs", "ps", "xs",
+                 "Xs", "coords", "fill")
 
     def __init__(self, template):
         if getattr(template, "BLOCKS", None) is None:
             raise AdmissibilityError(
                 f"unknown model state {type(template).__name__}")
         self.real = template.REAL
-        (T, self.qs, self.ps, self.xs, self.Xs, self.nxt, _,
+        (T, self.qs, self.ps, self.xs, self.Xs, _, _,
          self.coords) = _class_layout(type(template), template.T)
         self.T, nz = T, self.coords.size
         self.buf = buf = np.empty(nz + nvars(template) + 1,
@@ -678,7 +682,7 @@ class SupportWriter:
         buf[-1] = 1.0
         self.z, self.y = z, y = buf[:nz], buf[nz:-1]
         zp, za = z[:T], z[T:2 * T]
-        self.K = self.beta = None
+        self.beta = None
         if self.xs is None:   # Toda
             z[2 * T:] = 1.0
             yp, yq, D = y[self.ps], y[self.qs], _difference(T)
@@ -692,7 +696,7 @@ class SupportWriter:
                 return z
             self.fill = fill
             return
-        self.K = K = z[2 * T:2 * T + T * T].reshape(T, T)
+        K = z[2 * T:2 * T + T * T].reshape(T, T)
         yx, yX = y[self.xs, None], y[None, self.Xs]
         if self.qs is None:   # DST
             zp[:] = template.c
@@ -728,15 +732,15 @@ class SupportWriter:
         """dz = (dz/dy) dy at the state packed as y for a vector dy or a
         (..., n) stack of them, a new complex (..., nz) array: dp, a_i (dq_i
         - dq_{i+1}) and dx (beta X)^T + (beta x) dX^T (beta = 1 but on the
-        coupled model); the constant entries have zero tangent."""
-        T, lead = self.T, dy.shape[:-1]
-        dz = np.zeros((*lead, self.z.size), complex)
+        coupled model), a_i read off z = write(y), left in the buffer; the
+        constant entries have zero tangent."""
+        T, lead, z = self.T, dy.shape[:-1], self.write(y)
+        dz = np.zeros((*lead, z.size), complex)
         if self.qs is not None:
-            q = np.asarray(y[self.qs], complex)
-            a, dq = np.exp(q - q[self.nxt]), dy[..., self.qs]
+            a, dq = z[T:2 * T], dy[..., self.qs]
             dz[..., :T] = dy[..., self.ps]
-            dz[..., T:2 * T] = a * dq - a * dq[..., self.nxt]
-        if self.K is not None:
+            dz[..., T:2 * T] = a * dq - a * dq[..., _cyclic(T)[1]]
+        if self.xs is not None:
             x, X = y[self.xs], y[self.Xs]
             if self.beta is not None:
                 x, X = self.beta * x, self.beta * X
@@ -827,16 +831,16 @@ class FieldKernel(SupportWriter):
     the later calls run.  A call takes an RK4 stage as (y, c, k), the
     field at y + c k: the point is written straight into the buffer's y
     slot, rounded as y + c * k.  A call returns a new array, so RK4 can
-    hold its four stages.  value reads H off any z of the model, values
-    off a stack of them.  Timings: the module docstring."""
+    hold its four stages.  H values are the plan's (FlowPlan.values).
+    Timings: the module docstring."""
 
-    __slots__ = ("plan", "p", "key", "_zero", "_pairs", "_field")
+    __slots__ = ("plan", "key", "_zero", "_field")
 
     def __init__(self, template, f: FlowId):
         super().__init__(template)
         _check_flow(template, f)
         self.plan = flow_plan(config_of(template), f)
-        self.p, self._zero, self._pairs = f.p, None, None
+        self._zero = None
         # per sector: is its Q block the negated one (sign > 0)
         neg = {Q: globals()[sign] > 0 for Q, _, sign, _ in template.SECTORS}
         self.key = (self.plan, type(template), self.T,
@@ -871,13 +875,13 @@ class FieldKernel(SupportWriter):
         products P = W P from the view of S's first block column, each
         into the other of two buffers, the pair read-out reading the last
         one flat (z itself at p = 1, where Q is already Q E)."""
-        self._pairs = E, Q, rows, at, C = pair_tensors(*self.key)
+        E, Q, rows, at, C = pair_tensors(*self.key)
         buf, ys, fill, real = self.buf, self.y, self.fill, self.real
         take, S = self.plan.take, np.empty(len(E), E.dtype)
         outs = [np.empty((len(take), self.T), E.dtype)
-                for _ in range(min(2, self.p - 1))]
+                for _ in range(min(2, self.plan.p - 1))]
         products, P = [], S[:-1].reshape(len(take), -1)   # (in, out) of P = W P
-        for i in range(self.p - 1):
+        for i in range(self.plan.p - 1):
             products.append((P, outs[i % 2]))
             P = outs[i % 2]
         P = P.reshape(-1) if products else self.z
@@ -899,23 +903,6 @@ class FieldKernel(SupportWriter):
         self._field = field
         return field
 
-    def value(self, z: np.ndarray) -> complex:
-        """H_{p,r} at a support vector z written by a SupportWriter of
-        the template's model.
-
-        L is linear in z, so H_{p,r} is homogeneous of degree p + 1 in z,
-        and Euler's identity gives H exactly: (p + 1) H = z . dH/dz.  The
-        slot weight w_r and the sigma phases are already in the plan's
-        read-out."""
-        return complex(z @ self.plan(z)) / (self.p + 1)
-
-    def values(self, Z: np.ndarray) -> list:
-        """H_{p,r} at every row of an (m, nz) stack of support vectors, bit
-        for bit value per row: FlowPlan.lanes gives the gradients, and
-        each row's z . dH/dz stays its own dot product."""
-        dots = np.matmul(Z[:, None, :], self.plan.lanes(Z)[:, :, None])
-        return [complex(d) / (self.p + 1) for d in dots[:, 0, 0]]
-
 
 def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
     """Full packed gradient dH/d(coords), read off the flow field sector by
@@ -932,10 +919,14 @@ def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
 
 def hamiltonian_value(state, f: FlowId) -> complex:
     """H_{p,r} = w_r Res lambda^p/(p+1) Tr L^(p+1) of the state, read off
-    the gradient of its FlowPlan by Euler's identity (FieldKernel.value).
-    gaudin.hamiltonian is the oracle the tests hold this value to."""
-    kernel = FieldKernel(state, f)
-    return kernel.value(kernel.write(pack(state)))
+    the gradient of its FlowPlan by Euler's identity: L is linear in the
+    support vector z, so H_{p,r} is homogeneous of degree p + 1 in z and
+    (p + 1) H = z . dH/dz, the slot weight w_r and the sigma phases being
+    in the plan's read-out already.  gaudin.hamiltonian is the oracle the
+    tests hold this value to."""
+    _check_flow(state, f)
+    z = support_vector(state)
+    return complex(z @ flow_plan(config_of(state), f)(z)) / (f.p + 1)
 
 
 def flow_field(state, f: FlowId) -> np.ndarray:
@@ -1062,13 +1053,9 @@ def random_toda(T: int, rng: np.random.Generator, scale: float = 0.7) -> TodaSta
     return TodaState(rng.uniform(-scale, scale, T), rng.uniform(-scale, scale, T))
 
 
-def _random_unit(rng, T):
-    return rng.normal(size=(T, T)) + 1j * rng.normal(size=(T, T))
-
-
 def random_dst(T: int, rng: np.random.Generator, zeta1: complex) -> DSTState:
     while True:
-        sMat = _random_unit(rng, T)
+        sMat = rng.normal(size=(T, T)) + 1j * rng.normal(size=(T, T))
         if abs(np.linalg.det(sMat)) > 0.1:
             break
     c = rng.uniform(-0.8, 0.8, T) + 1j * rng.uniform(-0.4, 0.4, T)

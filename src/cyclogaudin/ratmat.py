@@ -475,13 +475,9 @@ def split(R: RationalMatrix, root: RootOfUnity, zetas, weight: int = 0):
     part); the regular part is the tuple of Taylor remainders.  Locally at
     each slot, remainder + expansion of singular == expansion of R.
     """
+    orbits = [w for zr in zetas for w in root.orbit(zr)]
     for z in R.pole_points():
-        ok = abs(z) <= _POLE_TOL
-        for zr in zetas:
-            for k in range(root.order):
-                if _same_point(z, root.power(k) * zr):
-                    ok = True
-        if not ok:
+        if abs(z) > _POLE_TOL and not any(_same_point(z, w) for w in orbits):
             raise StructuralError(f"pole at {z} outside the declared orbit set")
     X = localize(R, zetas, _SPLIT_TRUNC)
     sing = pi_project(X, root, weight)

@@ -200,7 +200,7 @@ def rmatrix_suite(cfg: RunConfig) -> VerificationReport:
 
     def averaging_draw():
         z1, z2 = draw_point(rng_a), draw_point(rng_a)
-        if min(abs(z1 - root.power(k) * z2) for k in range(T)) < 0.25:
+        if min(abs(z1 - w) for w in root.orbit(z2)) < 0.25:
             return None
         return averaging_residual(z1, z2, int(rng_a.integers(0, 2 * T)), root)
 

@@ -80,6 +80,27 @@ def test_config_errors_exit_2(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "toda", "--T", "2", "--schedule", "1:0:1e308"],
+    ["closure", "--model", "toda", "--T", "2", "--h", "1e-320"],
+    ["verify", "--suite", "dynamics", "--model", "toda", "--T", "2",
+     "--h", "1e-320"],
+])
+def test_unrepresentable_step_count_exits_2(tmp_path, capsys, monkeypatch,
+                                            argv):
+    # |duration|/h overflows to inf: a usage error reported on one line,
+    # raised before any RK4 step runs
+    from cyclogaudin import dynamics as dyn
+
+    def no_step(*args):
+        raise AssertionError("an RK4 step ran")
+    monkeypatch.setattr(dyn, "rk4_step", no_step)
+    assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not finite" in err
+    assert "Traceback" not in err
+
+
 def _lone_call(argv):
     """(exit code, stdout, stderr) of main(argv) in a fresh process."""
     src = os.path.dirname(os.path.dirname(cyclogaudin.__file__))

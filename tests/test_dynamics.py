@@ -33,6 +33,17 @@ def test_schedule_parse_rejects_malformed(bad):
         dyn.Schedule.parse(bad)
 
 
+@pytest.mark.parametrize("duration, h", [(np.inf, 1e-3), (-np.inf, 1e-3),
+                                         (np.nan, 1e-3), (1e308, 1e-3),
+                                         (0.5, 1e-320)])
+def test_schedule_from_pairs_rejects_a_non_finite_step_count(duration, h):
+    # an infinite or NaN |duration|/h has no step count: AdmissibilityError,
+    # not the OverflowError or ValueError of int(round(...))
+    with pytest.raises(AdmissibilityError, match="not finite"):
+        dyn.Schedule.from_pairs([(FlowId(1, 0), 0.1), (FlowId(1, 0), duration)],
+                                h=h)
+
+
 def test_rk4_is_fourth_order():
     # y' = y, y(0) = 1: error against exp should shrink ~16x per halving;
     # rk4_step hands a stage's point as (y, c, k), meaning y + c * k

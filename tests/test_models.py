@@ -360,6 +360,58 @@ def test_support_tangent_is_the_derivative_of_the_write(rng):
             np.testing.assert_allclose(dz, fd, atol=1e-7)
 
 
+def _tangent_by_formula(s, y, dy):
+    """dz = (dz/dy) dy written out on the packed blocks: dp; a dq - a dq[nxt]
+    with a = exp(q - q[nxt]) of the complex q; dx (beta X)^T + (beta x) dX^T,
+    x and X scaled by the 0-d complex beta on the coupled model."""
+    T, lead = s.T, dy.shape[:-1]
+    at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(s.BLOCKS)}
+    nxt = (np.arange(T) + 1) % T
+    dz = np.zeros((*lead, mdl.support_vector(s).size), complex)
+    if "q" in at:
+        q = np.asarray(y[at["q"]], complex)
+        a, dq = np.exp(q - q[nxt]), dy[..., at["q"]]
+        dz[..., :T] = dy[..., at["p"]]
+        dz[..., T:2 * T] = a * dq - a * dq[..., nxt]
+    if "x" in at:
+        x, X = y[at["x"]], y[at["X"]]
+        if isinstance(s, mdl.CoupledState):
+            beta = np.array(s.beta, complex)
+            x, X = beta * x, beta * X
+        dK = dy[..., at["x"], None] * X + x[:, None] * dy[..., None, at["X"]]
+        dz[..., 2 * T:2 * T + T * T] = dK.reshape(*lead, T * T)
+    return dz
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_support_tangent_matches_the_formula_bit_for_bit(rng, T):
+    # tangent reads a_i off the z it writes; its dz against the formula on
+    # the packed blocks, for one direction, a stack of them and the unit
+    # directions of coefficient_jets; and since the write goes into the
+    # buffer, a kernel's field at y is unchanged by a tangent on the kernel
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.0, zeta1=0.7 + 0.4j)):
+        writer, n = mdl.SupportWriter(s), mdl.nvars(s)
+        for y in [mdl.pack(s), *_packed_near(s, rng, 2)]:
+            dY = rng.normal(size=(3, n))
+            if not s.REAL:
+                dY = dY + 1j * rng.normal(size=(3, n))
+            for dy in (dY[0], dY, np.eye(n)):
+                assert writer.tangent(y, dy).tobytes() == \
+                    _tangent_by_formula(s, y, dy).tobytes()
+        y, other = _packed_near(s, rng, 2)
+        for f in mdl.admissible_flows(s, 2):
+            kernel = mdl.FieldKernel(s, f)
+            held = kernel(y).tobytes()
+            kernel.tangent(other, dY)
+            assert kernel(y).tobytes() == held
+            kernel.tangent(y, dY[0])
+            assert kernel(y).tobytes() == held
+            assert kernel(y, 0.5, dY[0].real).tobytes() == \
+                mdl.FieldKernel(s, f)(y + 0.5 * dY[0].real).tobytes()
+
+
 def test_coupled_beta_zero_sector_field_is_toda(rng):
     toda = mdl.random_toda(3, rng)
     s = mdl.CoupledState(toda.q.astype(complex), toda.p.astype(complex),
@@ -440,7 +492,8 @@ def _assert_plan_matches_generic(s, f, monkeypatch):
         assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
     cfg, z = mdl.config_of(s), mdl.support_vector(s)
-    assert np.array_equal(_scatter(z, cfg.N + 3, s.T), mdl._blocks(s))
+    assert np.array_equal(_scatter(z, cfg.N + 3, s.T),
+                          _as_blocks(mdl.coefficients(s)))
     calls = []
     close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
     got = [mdl.flow_field(s, f), mdl.hamiltonian_gradient(s, f),
@@ -649,9 +702,15 @@ def test_cyclic_coefficient_path_matches_loops(rng):
                 rtol=0, atol=8 * eps * scale)
 
 
+def _as_blocks(C):
+    """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] as one block stack
+    (..., nb, T, T)."""
+    return np.stack([C.A0_0, C.A0_1, *C.A_list, C.Ainf], axis=-3)
+
+
 def _blocks_by_assignment(state):
     # the stack built from a fresh zero array, fancy-index assignments and
-    # np.outer: the reference for the support-vector scatter of _blocks
+    # np.outer: the reference for the support-vector scatter, mdl._scatter
     T = state.T
     i, nxt = np.arange(T), (np.arange(T) + 1) % T
     B = np.zeros((3 if isinstance(state, mdl.TodaState) else 4, T, T), complex)
@@ -677,9 +736,10 @@ def test_blocks_template_path_matches_assignment(rng):
         states += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
                    for b in (0.0, 0.1, -1.3)]
         for s in states + states:   # the second pass reads cached indices
-            B = mdl._blocks(s)
-            assert np.array_equal(B, _blocks_by_assignment(s))
-            assert B.flags.writeable
+            C = mdl.coefficients(s)
+            assert np.array_equal(_as_blocks(C), _blocks_by_assignment(s))
+            assert all(A.flags.writeable
+                       for A in (C.A0_0, C.A0_1, *C.A_list, C.Ainf))
 
 
 def _kernel_templates(T, rng):
@@ -889,7 +949,7 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     v = kernel(y)
                     assert np.max(np.abs(v - ref)) <= \
                         1e-13 * (1 + np.max(np.abs(ref)))
-                    _, Q, r, _, _ = kernel._pairs
+                    _, Q, r, _, _ = mdl.pair_tensors(*kernel.key)
                     rows = mdl.pair_readout(cls, T, pq > 0, xx > 0)[0]
                     R = kernel.plan.readout
                     if f.p > 1:
@@ -956,19 +1016,22 @@ def test_flow_plan_lanes_match_calls_bit_for_bit(rng, T):
                 G = kernel.plan.lanes(Z)
                 assert G.shape == Z.shape
                 assert np.array_equal(G, [kernel.plan(z) for z in Z])
-                assert kernel.values(Z) == [kernel.value(z) for z in Z]
+                # Euler's identity per row on the plan's call
+                assert kernel.plan.values(Z) == [
+                    complex(z @ kernel.plan(z)) / (f.p + 1) for z in Z]
 
 
 def test_stacked_coefficients_match_per_state_blocks(rng):
     # the stack written from packed vectors through one SupportWriter
-    # against _blocks of each unpacked state; real packed vectors too,
-    # which unpack casts to complex off Toda
+    # against the coefficients of each unpacked state; real packed vectors
+    # too, which unpack casts to complex off Toda
     for T in (1, 2, 3, 5):
         for tmpl in _kernel_templates(T, rng):
             for real in (False, True):
                 ys = _packed_near(tmpl, rng, 6, real=real)
                 C = mdl.stacked_coefficients(tmpl, ys)
-                B = np.array([mdl._blocks(mdl.unpack(tmpl, y)) for y in ys])
+                B = np.array([_as_blocks(mdl.coefficients(mdl.unpack(tmpl, y)))
+                              for y in ys])
                 for got, k in ((C.A0_0, 0), (C.A0_1, 1), (C.Ainf, -1),
                                *zip(C.A_list, range(2, B.shape[1] - 1))):
                     assert got.dtype == B.dtype

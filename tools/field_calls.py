@@ -8,17 +8,21 @@ For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
 inputs, warms up, and runs one round of its operations in this process,
 with models.FieldKernel.__call__, models.FieldKernel.__init__,
-models.FieldKernel.value and models.FieldKernel.values (where the
-checkout has it) wrapped from the outside to count them.  It prints one
-line per workload, each counter named by the route it counts:
+models.hamiltonian_value and models.FlowPlan.values wrapped from the
+outside to count them.  A checkout whose FieldKernel still has value and
+values (where H was read off a kernel) has those counted instead, so the
+counts of the two designs compare.  It prints one line per workload, each
+counter named by the route it counts:
 
     kernel_calls       field evaluations, FieldKernel.__call__ (the RK4
                        stages, flow_field, closure arcs and the fields
                        that hamiltonian_gradient reads its gradient off)
     kernel_builds      FieldKernel constructions
-    value_calls        one H value each, FieldKernel.value
-    values_lane_calls  the H columns of simulate, FieldKernel.values, and
-                       the lanes (stacked support vectors) those took
+    value_calls        one H value each, models.hamiltonian_value
+                       (FieldKernel.value)
+    values_lane_calls  the H columns of simulate, FlowPlan.values
+                       (FieldKernel.values), and the lanes (stacked
+                       support vectors) those took
 
 and the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
 so that two checkouts can be compared for bit-identical results.  In
@@ -29,8 +33,10 @@ models.flow_field by name and do not see the kernels that
 dynamics.integrate and the simulate command call.
 
 With --compare OTHER, each of CHECKOUT and OTHER is measured in its own
-process, both sets of lines are printed, and the exit status is 1 when
-any count or fingerprint differs between them, 0 when all are equal.
+process, both sets of lines are printed, then each count that differs
+(per workload, CHECKOUT -> OTHER) and whether the fingerprints are
+identical; the exit status is 1 when any count or fingerprint differs
+between them, 0 when all are equal.
 """
 from __future__ import annotations
 
@@ -65,32 +71,29 @@ def main(argv=None) -> int:
 
     counts = dict.fromkeys(("calls", "builds", "value_calls", "lane_calls",
                             "lanes"), 0)
-    call, init = models.FieldKernel.__call__, models.FieldKernel.__init__
-    value = models.FieldKernel.value
-    values = getattr(models.FieldKernel, "values", None)
 
-    def counted_call(self, *args, **kwargs):   # an RK4 stage is (y, c, k)
-        counts["calls"] += 1
-        return call(self, *args, **kwargs)
+    def count(owner, name, key, lanes=False):
+        """Wrap owner.name so that each call adds 1 to counts[key] and, with
+        lanes, the rows of its last argument (a stack) to counts["lanes"]."""
+        fn = getattr(owner, name)
 
-    def counted_init(self, template, f):
-        counts["builds"] += 1
-        init(self, template, f)
+        def counted(*args, **kwargs):   # an RK4 stage is (y, c, k)
+            counts[key] += 1
+            if lanes:
+                counts["lanes"] += len(args[-1])
+            return fn(*args, **kwargs)
+        setattr(owner, name, counted)
 
-    def counted_value(self, z):
-        counts["value_calls"] += 1
-        return value(self, z)
-
-    def counted_values(self, Z):
-        counts["lane_calls"] += 1
-        counts["lanes"] += len(Z)
-        return values(self, Z)
-
-    models.FieldKernel.__call__ = counted_call
-    models.FieldKernel.__init__ = counted_init
-    models.FieldKernel.value = counted_value
-    if values is not None:
-        models.FieldKernel.values = counted_values
+    kernel = models.FieldKernel
+    count(kernel, "__call__", "calls")
+    count(kernel, "__init__", "builds")
+    if hasattr(kernel, "value"):   # H read off a kernel
+        count(kernel, "value", "value_calls")
+    else:
+        count(models, "hamiltonian_value", "value_calls")
+    lanes_owner = kernel if hasattr(kernel, "values") else models.FlowPlan
+    if hasattr(lanes_owner, "values"):
+        count(lanes_owner, "values", "lane_calls", lanes=True)
     for name in args.workload or sorted(WORKLOADS):
         wl = WORKLOADS[name](args.seed)
         wl.warm_up()
@@ -114,7 +117,8 @@ def main(argv=None) -> int:
 
 def _compare(args) -> int:
     """Measure args.checkout and args.compare in one process each, print
-    their lines and return 1 when any line differs."""
+    their lines, the counts that differ and whether the fingerprints are
+    identical, and return 1 when any line differs."""
     opts = ["--seed", str(args.seed)]
     for name in args.workload or ():
         opts += ["--workload", name]
@@ -126,6 +130,16 @@ def _compare(args) -> int:
         lines.append(proc.stdout.splitlines())
         print(f"{checkout}:")
         print("\n".join(f"  {line}" for line in lines[-1]))
+    same_outputs = True
+    for mine, other in zip(*lines):
+        a, b = ({k: v for k, v in zip(w[::2], w[1::2])} for w in
+                (line.partition(": ")[2].split() for line in (mine, other)))
+        same_outputs &= a.pop("outputs") == b.pop("outputs")
+        moved = [f"{k} {a[k]} -> {b.get(k)}" for k in a if a[k] != b.get(k)]
+        if moved:
+            print(f"{mine.partition(':')[0]}: {', '.join(moved)}")
+    print("identical fingerprints" if same_outputs
+          else "DIFFERENT fingerprints")
     same = lines[0] == lines[1]
     print("identical counts and fingerprints" if same else "DIFFERENT")
     return 0 if same else 1

@@ -4,6 +4,7 @@ conservation monitoring, closure-relation residuals, and the agreement
 between the coordinate flows and the Lax-pair equations."""
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -17,6 +18,11 @@ from .jets import Jet
 
 DEFAULT_H = 1e-3
 CLOSURE_DELTA = 1e-4
+# RK4 steps per segment: 50 times the longest segment that any suite, test,
+# tool or benchmark of the project runs (2000: duration 1 at h = 5e-4), so
+# that one segment stays within seconds and its recorded samples within
+# tens of MB
+MAX_SEGMENT_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +52,17 @@ class Schedule:
     @classmethod
     def from_pairs(cls, pairs, h: float = DEFAULT_H) -> "Schedule":
         """Build from (FlowId, signed duration) pairs, each with
-        max(1, round(|duration|/h)) steps, which must be finite."""
+        max(1, round(|duration|/h)) steps, which must be finite and at most
+        MAX_SEGMENT_STEPS."""
         segments = [(f, float(d), abs(d) / h) for f, d in pairs]
         for f, d, n in segments:
             if not np.isfinite(n):
                 raise AdmissibilityError(f"segment {f}: |duration|/h = "
                                          f"{abs(d)}/{h} is not finite")
+            if round(n) > MAX_SEGMENT_STEPS:
+                raise AdmissibilityError(
+                    f"segment {f}: |duration|/h = {abs(d)}/{h} = {n:.6g} "
+                    f"steps exceed the cap of {MAX_SEGMENT_STEPS} per segment")
         return cls(tuple(Segment(f, d, max(1, int(round(n))))
                          for f, d, n in segments))
 
@@ -112,17 +123,27 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _field_of(template, f: FlowId):
-    """The flow field y -> v of f on the template's states: a
-    models.FieldKernel, which checks the flow when it is built.  The one
-    place integrate gets a field (the closure arcs too, through endpoint),
-    so a test can substitute one here."""
-    return models.FieldKernel(template, f)
+    """The flow field y -> v of f on the template's states: the memoised
+    models.FieldKernel of models.field_kernel, which checks the flow.  The
+    one place integrate gets a field (the closure arcs too, through
+    endpoint), so a test can substitute one here."""
+    return models.field_kernel(template, f)
 
 
 def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     """Classical fixed-step RK4 along the schedule (deterministic,
     single-threaded).  With record=False only segment endpoints are kept.
     Every segment's flow is checked against the model before the first step.
+    A sample holds the state array itself, not a copy (the packed s0, the
+    fresh array each rk4_step returns, or for a zero segment the array it
+    keeps), so samples may share one array and are not to be written.
+
+    Each step checks finiteness with one reduction, the real part of
+    y* . y = sum |y_i|^2: any NaN or infinite entry makes it non-finite,
+    and only then (or when a finite y overflows it) does the exact
+    per-entry check run, so DivergenceError fires at the same segment and
+    step as the per-entry check alone.  np.vdot raises no floating-point
+    warning, where y.dot(y) would warn on the overflow.
 
     A segment whose field is structurally zero (FieldKernel.zero, such as
     the DST flows (p, 0)) is stepped as y -> y: it keeps every sample and
@@ -133,7 +154,7 @@ def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     for seg in sched.segments:
         models._check_flow(s0, seg.flow)
     y = models.pack(s0)
-    samples = [Sample(0, 0.0, y.copy())]
+    samples = [Sample(0, 0.0, y)]
     for si, seg in enumerate(sched.segments):
         if seg.duration == 0.0:
             continue
@@ -143,12 +164,13 @@ def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
         for n in range(seg.steps):
             if not zero:
                 y = rk4_step(field, y, h)
-            if not np.isfinite(y).all():
+            if (not cmath.isfinite(np.vdot(y, y))
+                    and not np.isfinite(y).all()):
                 raise DivergenceError(
                     f"non-finite state in segment {si} step {n}",
                     last_good=Trajectory(s0, samples))
             if record or n == seg.steps - 1:
-                samples.append(Sample(si, (n + 1) * h, y.copy()))
+                samples.append(Sample(si, (n + 1) * h, y))
     return Trajectory(s0, samples)
 
 
@@ -249,25 +271,30 @@ def conservation_drift(traj: Trajectory, probes, m_max: int = 4) -> dict:
 
     L is assembled once from the Lax coefficients of every sample, written
     from the packed samples through one SupportWriter and stacked along a
-    leading sample axis, and evaluated once per probe; the powers and
-    traces run over that axis (spectral_probe is the per-sample reference
-    the tests hold this to).  The invariants are read off the packed
-    samples too (models.stacked_invariants)."""
+    leading sample axis, and evaluated once per probe.  The evaluations
+    form one (probe * sample, T, T) stack, whose powers and traces run as
+    one product and one trace per m, and the numerators as one reduction
+    (spectral_probe is the per-sample reference the tests hold this to).
+    Each denominator 1 + |initial| stays a scalar abs, which rounds as the
+    per-probe loop did where an array abs need not.  The invariants are
+    read off the packed samples too (models.stacked_invariants)."""
     for lam in probes:
         _check_probe(traj.template, lam)
     vecs = [s.vec for s in traj.samples]
     L = assemble_lax(models.stacked_coefficients(traj.template, vecs),
                      models.config_of(traj.template))
+    Ls = np.reshape([L.eval(lam) for lam in probes], (-1, L.dim, L.dim))
+    P, tr = Ls, []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            P = P @ Ls
+        tr.append(np.trace(P, axis1=1, axis2=2))
+    tr = np.reshape(tr, (m_max, len(probes), len(vecs)))
+    num = np.abs(tr - tr[..., :1]).max(axis=2)
     out = {}
-    for lam in probes:
-        Ls = L.eval(lam)
-        P = Ls
+    for k, lam in enumerate(probes):
         for m in range(1, m_max + 1):
-            if m > 1:
-                P = P @ Ls
-            tr = np.trace(P, axis1=1, axis2=2)
-            out[(lam, m)] = float(np.max(np.abs(tr - tr[0]))
-                                  / (1 + abs(tr[0])))
+            out[(lam, m)] = float(num[m - 1, k] / (1 + abs(tr[m - 1, k, 0])))
     for k, vals in models.stacked_invariants(traj.template, vecs).items():
         out[k] = max([0.0] + [abs(v - vals[0]) for v in vals[1:]])
     return out

@@ -56,17 +56,19 @@ FlowId rejects deeper ones, so no function here takes a depth argument.
 admissible_flows(state, depth) only lists the flows of a model up to a
 chosen depth.
 
-A FieldKernel, built once per (template state, flow), runs that route
-on packed vectors y with no state object, in one call: its SupportWriter
+A FieldKernel, memoised per (plan, state class and T, the constants its
+writer puts into z, sector signs) by field_kernel, runs that route on
+packed vectors y with no state object, in one call: its SupportWriter
 writes the coordinate entries of z from views of the y slot of one
 buffer [z | y | 1] whose constant entries are filled once, and the
 plan's product chain ends in a pair read-out, one product that applies
 the read-out and the chain rule together
 (pair_readout, the one chain rule here).  dynamics integrates on kernels
-and flow_field is a kernel applied to pack(state), so the two agree bit
-for bit.  Every flow is Hamiltonian, the field being the bracket
-applied to dH, so hamiltonian_gradient reads the gradient off the field
-sector by sector.  The H values belong to the plan, not to a kernel:
+and flow_field is a kernel applied to pack(state), both from
+field_kernel, so the two agree bit for bit.  Every flow is Hamiltonian,
+the field being the bracket applied to dH, so hamiltonian_gradient
+reads the gradient off the field sector by sector.  The H values belong
+to the plan, not to a kernel:
 hamiltonian_value applies Euler's identity to the plan's own call, which
 is one lane of FlowPlan.lanes, the plan run on a stack of support
 vectors as a lane axis, bit for bit one call per lane; simulate reads
@@ -127,12 +129,15 @@ LANE_BLOCK = 16
 
 @cache
 def _field_roles(cls) -> tuple:
-    """(the vector fields, that is the blocks and c, and the sector weights)
+    """(the vector fields, that is the blocks and c, the sector weights, and
+    the constants a SupportWriter writes into z, that is c and the weights)
     of a state class, read once: fields() on every construction made the
     peak RSS creep over long runs."""
     weights = tuple(w for *_, w in cls.SECTORS if w is not None)
-    return tuple(f.name for f in fields(cls)
-                 if f.name not in (*cls.POLES, *weights)), weights
+    vectors = tuple(f.name for f in fields(cls)
+                    if f.name not in (*cls.POLES, *weights))
+    return vectors, weights, tuple(
+        n for n in vectors if n not in cls.BLOCKS) + weights
 
 
 class _ModelState:
@@ -146,7 +151,7 @@ class _ModelState:
         return getattr(self, self.BLOCKS[0]).size
 
     def __post_init__(self):
-        vectors, weights = _field_roles(type(self))
+        vectors, weights, _ = _field_roles(type(self))
         for name in vectors:
             v = getattr(self, name)
             setattr(self, name, np.asarray(_real(np.asarray(v), name), float)
@@ -505,7 +510,14 @@ def admissible_flows(state, depth: int = 3) -> list:
             for r in range(len(state.POLES) + 1)]
 
 
+def _check_model(template) -> None:
+    if getattr(template, "BLOCKS", None) is None:
+        raise AdmissibilityError(
+            f"unknown model state {type(template).__name__}")
+
+
 def _check_flow(state, f: FlowId) -> None:
+    _check_model(state)
     if f.r > len(state.POLES):
         raise AdmissibilityError(f"flow {f} not admissible for "
                                  f"{type(state).__name__}")
@@ -670,9 +682,7 @@ class SupportWriter:
                  "Xs", "coords", "fill")
 
     def __init__(self, template):
-        if getattr(template, "BLOCKS", None) is None:
-            raise AdmissibilityError(
-                f"unknown model state {type(template).__name__}")
+        _check_model(template)
         self.real = template.REAL
         (T, self.qs, self.ps, self.xs, self.Xs, _, _,
          self.coords) = _class_layout(type(template), template.T)
@@ -832,6 +842,10 @@ class FieldKernel(SupportWriter):
     field at y + c k: the point is written straight into the buffer's y
     slot, rounded as y + c * k.  A call returns a new array, so RK4 can
     hold its four stages.  H values are the plan's (FlowPlan.values).
+    A call rewrites every buffer it reads and zero reads only constants,
+    so field_kernel memoises one kernel per (plan, state class and T, c
+    and the sector weights, SECTOR_SIGN_* values), for every caller: both
+    dynamics and flow_field take their kernels from it.
     Timings: the module docstring."""
 
     __slots__ = ("plan", "key", "_zero", "_field")
@@ -904,6 +918,32 @@ class FieldKernel(SupportWriter):
         return field
 
 
+_KERNELS = {}
+
+
+def field_kernel(template, f: FlowId) -> FieldKernel:
+    """The FieldKernel of f on the template's states, memoised: the one
+    route by which dynamics and flow_field get a kernel, so that each key
+    builds, binds and proves zero once.  The key is everything a kernel
+    bakes in: the plan flow_plan(config_of(template), f) itself (a patched
+    flow_plan gets a fresh kernel), the state class and T, the constants
+    the SupportWriter writes into z (c and the sector weights, as bytes, so
+    that signed zeros count) and the current SECTOR_SIGN_* values.  The
+    coordinates are not in the key.  The memo is not bounded: it holds
+    about 4-8 KB per key (T = 2..5), so a process that draws many
+    templates keeps a kernel for each of their flows."""
+    _check_flow(template, f)
+    cls = type(template)
+    key = (flow_plan(config_of(template), f), cls, template.T,
+           *[np.asarray(getattr(template, name)).tobytes()
+             for name in _field_roles(cls)[2]],
+           SECTOR_SIGN_PQ, SECTOR_SIGN_XX)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        kernel = _KERNELS[key] = FieldKernel(template, f)
+    return kernel
+
+
 def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
     """Full packed gradient dH/d(coords), read off the flow field sector by
     sector: dH/dP = -sign w dQ/dt and dH/dQ = sign w dP/dt, w = 1 or beta
@@ -931,8 +971,8 @@ def hamiltonian_value(state, f: FlowId) -> complex:
 
 def flow_field(state, f: FlowId) -> np.ndarray:
     """Packed tangent vector of the flow t_p^r at the state (normative
-    convention; FieldKernel)."""
-    return FieldKernel(state, f)(pack(state))
+    convention; the memoised FieldKernel of field_kernel)."""
+    return field_kernel(state, f)(pack(state))
 
 
 def printed_flow_field(state, f: FlowId) -> np.ndarray:

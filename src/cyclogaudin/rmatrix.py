@@ -10,8 +10,9 @@ r_12(lam, mu) = sum_ij c_ij E_ij (x) E_ji is a weighted leg swap: each row
 holds one nonzero, c_ij at the column with the two legs swapped, and c_ij
 depends on j - i mod T only.  Embedded on legs (a, b) of the triple tensor
 space it stays monomial, so cybe_residual multiplies two kernels by one
-gather and one multiply: O(T^3) work plus the zero fill of the T^6
-residual, where dense (T^3, T^3) products cost O(T^9).  kernel_projection
+gather and one multiply, and each row of the residual holds at most six
+nonzeros: O(T^3) work and memory, where dense (T^3, T^3) products cost
+O(T^9) work and the dense residual O(T^6) memory.  kernel_projection
 contracts, per (slot, k), an (order m, coefficient j) table of residue
 weights with the slot's stacked coefficients, and applies sigma^k and the
 omega phases as one phase tensor summed over k.
@@ -67,22 +68,50 @@ def r_kernel(lam: complex, mu: complex, root: RootOfUnity) -> np.ndarray:
     return _on_swap(_coefficients(lam, mu, root))
 
 
+# the legs (a, b) of r_12, r_13, r_23 and r_32, and the commutators
+# [r_12, r_13] + [r_12, r_23] + [r_32, r_13] of the CYBE as index pairs
+_CYBE_LEGS = ((0, 1), (0, 2), (1, 2), (2, 1))
+_CYBE_PAIRS = ((0, 1), (0, 2), (3, 1))
+
+
+@cache
+def _cybe_layout(T: int) -> tuple:
+    """The index arrays of cybe_residual at order T (cached): per kernel
+    r_ab, the flat index into its (T, T) coefficient table of the value
+    each row of the triple tensor space holds, and the row's column (legs a
+    and b of the row swapped); and per product of two kernels, in the order
+    of the commutators (A B, then B A), and per row, the slot of the
+    product's column among the row's: the first product with that column,
+    times T^3, plus the row."""
+    n = T ** 3
+    legs, cube = np.indices((T, T, T)).reshape(3, -1), np.arange(n).reshape(T, T, T)
+    at = [legs[a] * T + legs[b] for a, b in _CYBE_LEGS]
+    col = [cube.swapaxes(a, b).ravel() for a, b in _CYBE_LEGS]
+    cols = np.array([c for A, B in _CYBE_PAIRS
+                     for c in (col[B][col[A]], col[A][col[B]])])
+    slot = ((cols[:, None] == cols).argmax(axis=1) * n + np.arange(n)).ravel()
+    for arr in (*at, *col, slot):
+        arr.setflags(write=False)
+    return at, col, slot
+
+
 def cybe_residual(lam: complex, mu: complex, nu: complex,
                   root: RootOfUnity) -> float:
     """Max-abs of [r_12(l,m), r_13(l,n)] + [r_12(l,m), r_23(m,n)]
     + [r_32(n,m), r_13(l,n)] on the triple tensor space, with each r_ab
-    held as (value per row, column per row)."""
-    T = root.order
-    legs, cube = np.indices((T, T, T)).reshape(3, -1), np.arange(T ** 3).reshape(T, T, T)
-    r12, r13, r23, r32 = [
-        (_coefficients(x, y, root)[legs[a], legs[b]], cube.swapaxes(a, b).ravel())
-        for x, y, a, b in ((lam, mu, 0, 1), (lam, nu, 0, 2), (mu, nu, 1, 2),
-                           (nu, mu, 2, 1))]
-    row = np.arange(T ** 3) * T ** 3  # flat offset of each row
-    acc = np.zeros(T ** 6, dtype=complex)
-    for (va, ca), (vb, cb) in ((r12, r13), (r12, r23), (r32, r13)):
-        acc[row + cb[ca]] += va * vb[ca]
-        acc[row + ca[cb]] -= vb * va[cb]
+    held as (value per row, column per row).  Each of the six products
+    holds one (column, value) pair per row, so a row of the residual has
+    at most six nonzeros: the pairs are summed into one slot per distinct
+    column of the row, in the order of the commutators, from zero, as a
+    dense (T^6) accumulator would sum them; the other entries are zero."""
+    at, col, slot = _cybe_layout(root.order)
+    v = [_coefficients(x, y, root).ravel()[i] for (x, y), i in
+         zip(((lam, mu), (lam, nu), (mu, nu), (nu, mu)), at)]
+    terms = []   # B A is subtracted as its negation, which rounds the same
+    for A, B in _CYBE_PAIRS:
+        terms += [v[A] * v[B][col[A]], -(v[B] * v[A][col[B]])]
+    acc = np.zeros(slot.size, dtype=complex)
+    np.add.at(acc, slot, np.concatenate(terms))   # in index order
     return float(np.max(np.abs(acc)))
 
 

@@ -101,6 +101,30 @@ def test_unrepresentable_step_count_exits_2(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "toda", "--T", "2", "--schedule", "1:0:1e9"],
+    ["simulate", "--model", "dst", "--T", "2", "--schedule",
+     "1:1:0.01,2:1:100.001"],
+    ["closure", "--model", "coupled", "--T", "2", "--h", "1e-300"],
+    ["verify", "--suite", "dynamics", "--model", "toda", "--T", "2",
+     "--h", "1e-300"],
+])
+def test_step_count_above_the_cap_exits_2(tmp_path, capsys, monkeypatch,
+                                          argv):
+    # a finite |duration|/h above MAX_SEGMENT_STEPS: a usage error on one
+    # line, raised before any RK4 step runs
+    from cyclogaudin import dynamics as dyn
+
+    def no_step(*args):
+        raise AssertionError("an RK4 step ran")
+    monkeypatch.setattr(dyn, "rk4_step", no_step)
+    assert main(argv + ["--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"exceed the cap of {dyn.MAX_SEGMENT_STEPS} per segment" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _lone_call(argv):
     """(exit code, stdout, stderr) of main(argv) in a fresh process."""
     src = os.path.dirname(os.path.dirname(cyclogaudin.__file__))

@@ -1,4 +1,8 @@
 """Multi-time integration and the verification engine."""
+import itertools
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from cyclogaudin import dynamics as dyn
 from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, DivergenceError,
                                 InvalidOrderError, PoleProximityError)
-from cyclogaudin.gaudin import FlowId
+from cyclogaudin.gaudin import FlowId, assemble_lax
 from conftest import mis_scaled_closure
 
 
@@ -42,6 +46,21 @@ def test_schedule_from_pairs_rejects_a_non_finite_step_count(duration, h):
     with pytest.raises(AdmissibilityError, match="not finite"):
         dyn.Schedule.from_pairs([(FlowId(1, 0), 0.1), (FlowId(1, 0), duration)],
                                 h=h)
+
+
+def test_schedule_caps_the_steps_of_a_segment():
+    # a finite but huge |duration|/h is refused before any step, at the
+    # segment that exceeds the cap; a segment at the cap is accepted
+    cap = dyn.MAX_SEGMENT_STEPS
+    sched = dyn.Schedule.from_pairs([(FlowId(1, 0), cap * 1e-3)], h=1e-3)
+    assert sched.segments[0].steps == cap
+    for duration, h in (((cap + 1) * 1e-3, 1e-3), (1e9, 1e-3), (0.5, 1e-300)):
+        with pytest.raises(AdmissibilityError,
+                           match=r"segment \(2,0\): .* steps exceed the cap"):
+            dyn.Schedule.from_pairs([(FlowId(1, 0), 0.0),
+                                     (FlowId(2, 0), -duration)], h=h)
+    with pytest.raises(AdmissibilityError, match="exceed the cap"):
+        dyn.Schedule.parse("1:0:0.1,1:0:1e9")
 
 
 def test_rk4_is_fourth_order():
@@ -215,6 +234,99 @@ def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
                                                        h=1e-3))
 
 
+def _guarded_run(s, sched, at, i, bad, record):
+    """integrate on a substitute field that is 1e-3 everywhere but puts
+    `bad` into entry i at its call `at` (counted over every segment): the
+    DivergenceError's message, last_good samples (as bytes) and the
+    warnings raised on the way."""
+    calls = itertools.count()
+
+    def field_of(template, f):
+        def field(y, c=None, k=None):
+            v = np.full(y.shape, 1e-3, y.dtype)
+            if next(calls) == at:
+                v[i] = bad
+            return v
+        field.zero = False
+        return field
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dyn, "_field_of", field_of)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as exc:
+                dyn.integrate(s, sched, record)
+    last = exc.value.last_good.samples
+    return (str(exc.value), [(x.seg, x.t_local, x.vec.tobytes()) for x in last],
+            [(w.category, str(w.message)) for w in caught])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0),
+                                 complex(-np.inf, 0), complex(0, np.inf),
+                                 complex(0, -np.inf), complex(np.nan, 0),
+                                 complex(0, np.nan), complex(np.inf, np.nan)])
+def test_finiteness_guard_raises_where_the_per_entry_check_did(rng, bad):
+    # the one-op guard against the per-entry check alone (its fallback,
+    # forced on every step): the same segment, step, samples and warnings
+    templates = [mdl.random_dst(2, rng, zeta1=0.9),
+                 mdl.random_coupled(3, rng, beta=0.7, zeta1=0.9)]
+    if not isinstance(bad, complex):
+        templates.append(mdl.random_toda(3, rng))
+    f = FlowId(1, 0)
+    sched = dyn.Schedule.from_pairs([(f, 0.005), (f, -0.004)], h=1e-3)
+    exact = SimpleNamespace(isfinite=lambda v: False)
+    # (call, entry, segment, step): 4 calls a step, 5 steps in segment 0
+    for s in templates:
+        for at, i, seg, step in ((0, 0, 0, 0), (3, 1, 0, 0), (6, 2, 0, 1),
+                                 (19, 0, 0, 4), (22, 3, 1, 0), (35, 1, 1, 3)):
+            for record in (True, False):
+                got = _guarded_run(s, sched, at, i, bad, record)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(dyn, "cmath", exact)
+                    assert got == _guarded_run(s, sched, at, i, bad, record)
+                assert got[0] == f"non-finite state in segment {seg} step {step}"
+        # a bad entry in the initial state, which the finite field keeps
+        # (an infinite imaginary part alone stays so): step 0
+        for i in (0, mdl.nvars(s) - 1):
+            y = mdl.pack(s).copy()
+            y[i] = bad
+            s_bad = mdl.unpack(s, y)
+            got = _guarded_run(s_bad, sched, -1, 0, 0.0, True)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dyn, "cmath", exact)
+                assert got == _guarded_run(s_bad, sched, -1, 0, 0.0, True)
+            assert got[0] == "non-finite state in segment 0 step 0"
+
+
+def test_finiteness_guard_passes_a_finite_state_whose_square_overflows(rng):
+    # sum |y_i|^2 overflows, so the guard falls back to the per-entry check,
+    # which passes every sample: no DivergenceError and no floating-point
+    # signal, where y.dot(y) would signal the overflow
+    s = mdl.random_dst(2, rng, zeta1=0.9)
+    big = mdl.DSTState(1e200 * s.x, s.X, s.c, s.zeta1)
+    toda = mdl.random_toda(3, rng)
+    toda = mdl.TodaState(toda.q, 1e200 * toda.p)
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            mdl.pack(big).dot(mdl.pack(big))
+
+    def zero(y, c=None, k=None):   # a field of zeros, stepped by RK4
+        return np.zeros_like(y)
+    zero.zero = False
+    for state, field_of in ((big, dyn._field_of), (toda, lambda t, f: zero)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dyn, "_field_of", field_of)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                traj = dyn.integrate(state, dyn.Schedule.from_pairs(
+                    [(FlowId(1, 0), 0.01)], h=1e-3))
+        assert len(traj) == 11
+        assert not np.isfinite(np.vdot(traj.samples[-1].vec,
+                                       traj.samples[-1].vec))
+        assert all(x.vec.tobytes() == mdl.pack(state).tobytes()
+                   for x in traj.samples)
+
+
 # ---------------------------------------------------------------------------
 # Poisson brackets
 # ---------------------------------------------------------------------------
@@ -332,6 +444,48 @@ def test_conservation_drift_matches_probe_loop(rng):
         assert len(one) == 1
         assert all(v == 0.0 for v in
                    dyn.conservation_drift(one, probes, m_max=4).values())
+
+
+def _drift_per_probe(traj, probes, m_max):
+    """conservation_drift's spectral entries as the loop over probes ran
+    them before the probes were stacked: per probe, the powers and traces
+    of L over the sample axis and a scalar abs in the denominator."""
+    vecs = [x.vec for x in traj.samples]
+    L = assemble_lax(mdl.stacked_coefficients(traj.template, vecs),
+                     mdl.config_of(traj.template))
+    out = {}
+    for lam in probes:
+        Ls = L.eval(lam)
+        P = Ls
+        for m in range(1, m_max + 1):
+            if m > 1:
+                P = P @ Ls
+            tr = np.trace(P, axis1=1, axis2=2)
+            out[(lam, m)] = float(np.max(np.abs(tr - tr[0]))
+                                  / (1 + abs(tr[0])))
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_stacked_conservation_drift_matches_the_per_probe_loop(rng, T):
+    # the probes as one (probe * sample, T, T) stack: bit for bit the loop
+    # over probes, in its key order; one probe, no probe and m_max = 0 too
+    probes = [0.41 + 0.23j, -0.36 + 0.49j, 1.31 + 0.52j, -1.22 - 0.35j,
+              0.15 - 0.62j]
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
+        for f in mdl.admissible_flows(s, 2)[-2:]:
+            traj = dyn.integrate(s, dyn.Schedule.from_pairs([(f, 0.05)],
+                                                            h=0.005))
+            for some, m_max in ((probes, 4), (probes[3:4], 2), ([], 3),
+                                (probes, 0), (probes[:2], 5)):
+                got = dyn.conservation_drift(traj, some, m_max)
+                want = _drift_per_probe(traj, some, m_max)
+                spectral = {k: v for k, v in got.items()
+                            if isinstance(k, tuple)}
+                assert list(spectral) == list(want)
+                assert np.array(list(spectral.values()), float).tobytes() \
+                    == np.array(list(want.values()), float).tobytes()
 
 
 def test_conservation_probe_guard(rng):

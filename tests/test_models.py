@@ -2,6 +2,8 @@
 orbit parameterisations, gauge maps, printed flow equations, Hamiltonian
 gradients, compiled flow plans, Lagrangian coefficients, and kinematic
 invariants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -990,6 +992,93 @@ def test_field_kernel_guards(rng, monkeypatch):
         mdl.FieldKernel(mdl.random_dst(2, rng, zeta1=0.9), FlowId(7, 1))
     with pytest.raises(InvalidOrderError):
         dyn._field_of(toda, FlowId(7, 0))
+
+
+def test_field_kernel_memo_keys(rng, monkeypatch):
+    # one memoised kernel per (plan, class and T, the writer's constants c
+    # and beta as bytes, sector signs): templates that differ in any of
+    # them get distinct kernels, each bit for bit a kernel built fresh for
+    # its template, and templates equal in all of them share one, whatever
+    # their coordinates
+    T = 3
+    dst = mdl.random_dst(T, rng, zeta1=0.9)
+    cpl = mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)
+    toda = mdl.random_toda(T, rng)
+    c0 = dst.c.copy()
+    c0[1] = complex(0.0, c0[1].imag)
+    cn = c0.copy()
+    cn[1] = complex(-0.0, c0[1].imag)
+    variants = [
+        dst, replace(dst, c=np.nextafter(dst.c.real, 9) + 1j * dst.c.imag),
+        replace(dst, c=c0), replace(dst, c=cn), replace(dst, zeta1=0.7 + 0.4j),
+        cpl, replace(cpl, beta=np.nextafter(cpl.beta, 9.0)),
+        replace(cpl, c=dst.c), replace(cpl, beta=0.0), replace(cpl, beta=-0.0),
+        replace(cpl, zeta1=0.9j), toda]
+
+    def flow(t):
+        return FlowId(2, len(t.POLES))
+    kernels = [mdl.field_kernel(t, flow(t)) for t in variants]
+    assert len({id(k) for k in kernels}) == len(variants)
+    for t, kernel in zip(variants, kernels):
+        y = _packed_near(t, rng, 1)[0]
+        assert kernel(y).tobytes() == mdl.FieldKernel(t, flow(t))(y).tobytes()
+        moved = replace(t, **{b: getattr(t, b) + 0.25 for b in t.BLOCKS})
+        assert mdl.field_kernel(moved, flow(t)) is kernel
+        assert mdl.field_kernel(t, FlowId(1, 0)) is not kernel
+    # a flipped sector sign gets fresh kernels, memoised under it; the old
+    # kernels come back once the flip is undone
+    for name in ("SECTOR_SIGN_PQ", "SECTOR_SIGN_XX"):
+        with monkeypatch.context() as m:
+            m.setattr(mdl, name, -getattr(mdl, name))
+            for t, kernel in zip(variants, kernels):
+                fresh = mdl.field_kernel(t, flow(t))
+                assert fresh is not kernel
+                assert mdl.field_kernel(t, flow(t)) is fresh
+                y = _packed_near(t, rng, 1)[0]
+                assert fresh(y).tobytes() \
+                    == mdl.FieldKernel(t, flow(t))(y).tobytes()
+    assert all(mdl.field_kernel(t, flow(t)) is kernel
+               for t, kernel in zip(variants, kernels))
+    # a patched flow_plan, a fresh kernel on the plan it returns
+    for t, kernel in zip(variants, kernels):
+        copy = mdl.FlowPlan(mdl.config_of(t), flow(t))
+        with monkeypatch.context() as m:
+            m.setattr(mdl, "flow_plan", lambda cfg, g: copy)
+            patched = mdl.field_kernel(t, flow(t))
+        assert patched.plan is copy and patched is not kernel
+        assert mdl.field_kernel(t, flow(t)) is kernel
+    with pytest.raises(AdmissibilityError):
+        mdl.field_kernel(toda, FlowId(1, 1))
+    with pytest.raises(AdmissibilityError, match="unknown model state"):
+        mdl.field_kernel(object(), FlowId(1, 0))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_interleaved_memoised_kernels_match_fresh_kernels(rng, T):
+    # two memoised kernels of one key and of another template, called in
+    # turn (fields, RK4 stages, zero), give what kernels built fresh for
+    # each call give, by bytes
+    for tmpl in _kernel_templates(T, rng):
+        other = replace(tmpl, **{b: getattr(tmpl, b) + 0.5
+                                 for b in tmpl.BLOCKS})
+        flows = mdl.admissible_flows(tmpl, 3)
+        ys = _packed_near(tmpl, rng, 3)
+        for f, g in zip(flows, flows[1:] + flows[:1]):
+            kf, kg = mdl.field_kernel(tmpl, f), mdl.field_kernel(other, g)
+            assert mdl.field_kernel(other, f) is kf
+            for y in ys:
+                w = y[::-1].copy()
+                for _ in range(2):
+                    assert kf(y).tobytes() == mdl.FieldKernel(tmpl, f)(y).tobytes()
+                    assert kg(w).tobytes() == mdl.FieldKernel(tmpl, g)(w).tobytes()
+                    assert kf.zero == mdl.FieldKernel(tmpl, f).zero
+                    assert kg.zero == mdl.FieldKernel(tmpl, g).zero
+
+                def alternate(x, *stage):
+                    kg(w, *stage)
+                    return kf(x, *stage)
+                assert dyn.rk4_step(alternate, y, 1e-2).tobytes() \
+                    == dyn.rk4_step(mdl.FieldKernel(tmpl, f), y, 1e-2).tobytes()
 
 
 def _packed_near(tmpl, rng, m, real=False):

@@ -132,6 +132,38 @@ def test_cybe_residual_matches_dense_reference(rng):
             assert abs(cybe_residual(lam, mu, nu, root) - dense) <= 8 * eps * scale
 
 
+def _cybe_dense_accumulator(lam, mu, nu, root):
+    """The CYBE residual with every product's (column, value) pairs added
+    into a dense T^6 accumulator, one product after the other."""
+    T = root.order
+    legs = np.indices((T, T, T)).reshape(3, -1)
+    cube = np.arange(T ** 3).reshape(T, T, T)
+    r12, r13, r23, r32 = [
+        (rmatrix._coefficients(x, y, root)[legs[a], legs[b]],
+         cube.swapaxes(a, b).ravel())
+        for x, y, a, b in ((lam, mu, 0, 1), (lam, nu, 0, 2), (mu, nu, 1, 2),
+                           (nu, mu, 2, 1))]
+    row = np.arange(T ** 3) * T ** 3
+    acc = np.zeros(T ** 6, dtype=complex)
+    for (va, ca), (vb, cb) in ((r12, r13), (r12, r23), (r32, r13)):
+        acc[row + cb[ca]] += va * vb[ca]
+        acc[row + ca[cb]] -= vb * va[cb]
+    return float(np.max(np.abs(acc)))
+
+
+def test_cybe_residual_equals_the_dense_accumulator(rng):
+    # the per-row slots sum each entry's pairs in the dense accumulator's
+    # order: equal by ==, generic and near-collision draws, T = 1..7
+    for T in range(1, 8):
+        root = primitive_root(T)
+        for lam, mu, nu in _cybe_draws(rng, T, 8):
+            try:
+                want = _cybe_dense_accumulator(lam, mu, nu, root)
+            except PoleProximityError:
+                continue
+            assert cybe_residual(lam, mu, nu, root) == want
+
+
 def test_cybe_residual_detects_wrong_r32(rng, monkeypatch):
     # control: r_32 built as r(mu, nu) instead of r(nu, mu) breaks the CYBE
     # on both the structured and the dense route (at T = 1 every kernel is

@@ -3,6 +3,7 @@ evaluate, unexpected failures must surface instead of turning into a
 reported residual, and a case must fail when the fact it checks breaks."""
 import pytest
 
+from cyclogaudin import dynamics as dyn
 from cyclogaudin import models as mdl
 from cyclogaudin import suites
 from cyclogaudin.errors import PoleProximityError, StructuralError
@@ -55,3 +56,21 @@ def test_canonical_pattern_fails_on_a_flipped_sector_sign(monkeypatch, sign,
         rep = suites.dynamics_suite(RunConfig(model=model, T=3, seed=42))
         (case,) = [c for c in rep.cases if c.name == "canonical_pattern"]
         assert not case.ok, model
+
+
+@pytest.mark.parametrize("model", ["toda", "dst", "coupled"])
+def test_energy_drift_matches_per_sample_hamiltonian_values(model):
+    # the case reads H at every 50th sample through FlowPlan.values on one
+    # stack: bit for bit hamiltonian_value on each unpacked sample
+    cfg = RunConfig(model=model, T=3, seed=42)
+    (case,) = [c for c in suites.dynamics_suite(cfg).cases
+               if c.name == "energy_drift"]
+    s = suites._seeded_state(cfg, suites._rngs(cfg, 2)[0])
+    fA, fB = mdl.admissible_flows(s, 2)[:2]
+    traj = dyn.integrate(s, dyn.Schedule.from_pairs([(fA, 0.4), (fB, 0.4)],
+                                                    cfg.h))
+    f = next(f for f in (fA, fB) if not mdl.FieldKernel(s, f).zero)
+    e0 = mdl.hamiltonian_value(traj.state(0), f)
+    drift = max(abs(mdl.hamiltonian_value(traj.state(i), f) - e0)
+                for i in range(0, len(traj), 50))
+    assert drift > 0 and case.residual == drift / (1 + abs(e0))

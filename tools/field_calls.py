@@ -17,7 +17,10 @@ counter named by the route it counts:
     kernel_calls       field evaluations, FieldKernel.__call__ (the RK4
                        stages, flow_field, closure arcs and the fields
                        that hamiltonian_gradient reads its gradient off)
-    kernel_builds      FieldKernel constructions
+    kernel_builds      FieldKernel constructions: in a checkout with
+                       models.field_kernel, the misses of its memo, so
+                       a round after the warm-up counts only the keys
+                       the warm-up did not meet
     value_calls        one H value each, models.hamiltonian_value
                        (FieldKernel.value)
     values_lane_calls  the H columns of simulate, FlowPlan.values

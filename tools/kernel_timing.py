@@ -1,5 +1,5 @@
-"""Microseconds per flow-field kernel call and per RK4 step on a
-kernel, for one or more checkouts.
+"""Microseconds per flow-field kernel call, per RK4 step on a kernel
+and per short endpoint run, for one or more checkouts.
 
     python3 tools/kernel_timing.py [CHECKOUT ...]
 
@@ -9,14 +9,18 @@ p = 1..3 and r the model's last pole (r = 0 for Toda, 1 otherwise), this
 builds the checkout's models.FieldKernel and times CALLS = 5000 single
 calls on the packed state after 200 warm-up calls, then STEPS = 2000
 single dynamics.rk4_step(kernel, y, H) on the same state (H = 1e-3,
-each from y, so every step does the same work) after 50 warm-up steps.
-Each figure is the best single call or step, in us.  Every checkout
+each from y, so every step does the same work) after 50 warm-up steps,
+then ENDPOINTS = 200 single dynamics.endpoint runs of the 2-segment,
+20-step schedule [((p, r), 10 H), ((1, r), 10 H)] from the state after 5
+warm-up runs: the steps plus a trajectory's fixed costs (getting the two
+kernels, packing, the finiteness checks, unpacking the end state).  Each
+figure is the best single call, step or run, in us.  Every checkout
 (default: the one that holds this script) runs in ROUNDS = 3 fresh
 single-threaded processes, and the processes of the checkouts are
 interleaved: round k runs each checkout once, the order reversed from
 one round to the next, so that the sides share the machine's drift.  A
 figure is the best over a checkout's processes.  It prints one row per
-(model, T, p) and, per checkout, a call and a step column.
+(model, T, p) and, per checkout, a call, a step and an endpoint column.
 """
 from __future__ import annotations
 
@@ -28,13 +32,14 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODELS = ("toda", "dst", "coupled")
-CALLS, STEPS, ROUNDS = 5000, 2000, 3   # the method behind the quoted figures
+# the method behind the quoted figures
+CALLS, STEPS, ENDPOINTS, ROUNDS = 5000, 2000, 200, 3
 H = 1e-3
 
 
 def _worker(checkout: str) -> dict:
-    """Best single call and best single RK4 step per (model, T, p) of the
-    checkout, in us (runs in the child process)."""
+    """Best single call, RK4 step and endpoint run per (model, T, p) of
+    the checkout, in us (runs in the child process)."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from time import perf_counter_ns
 
@@ -68,7 +73,18 @@ def _worker(checkout: str) -> dict:
                     t0 = perf_counter_ns()
                     dynamics.rk4_step(kernel, y, H)
                     ds.append(perf_counter_ns() - t0)
-                best[f"{name} {T} {p}"] = [min(dt) / 1e3, min(ds) / 1e3]
+                r = len(s.POLES)
+                sched = dynamics.Schedule.from_pairs(
+                    [(FlowId(p, r), 10 * H), (FlowId(1, r), 10 * H)], H)
+                for _ in range(5):
+                    dynamics.endpoint(s, sched)
+                de = []
+                for _ in range(ENDPOINTS):
+                    t0 = perf_counter_ns()
+                    dynamics.endpoint(s, sched)
+                    de.append(perf_counter_ns() - t0)
+                best[f"{name} {T} {p}"] = [min(dt) / 1e3, min(ds) / 1e3,
+                                           min(de) / 1e3]
     return best
 
 
@@ -97,13 +113,13 @@ def main(argv=None) -> int:
                 best[i][key] = [min(a, b) for a, b in
                                 zip(us, best[i].get(key, us))]
     names = [os.path.basename(p) or p for p in paths]
-    print("model    T p  " + "  ".join(f"{'call ' + n:>14}  {'step ' + n:>14}"
-                                       for n in names))
+    print("model    T p  " + "  ".join(
+        f"{col + ' ' + n:>14}" for n in names
+        for col in ("call", "step", "endpoint")))
     for key in best[0]:
         name, T, p = key.split()
         print(f"{name:<8} {T} {p}  "
-              + "  ".join(f"{b[key][0]:14.1f}  {b[key][1]:14.1f}"
-                          for b in best))
+              + "  ".join(f"{us:14.1f}" for b in best for us in b[key]))
     return 0
 
 

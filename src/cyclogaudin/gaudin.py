@@ -263,12 +263,11 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
     coefficient, larger than _STRUCT_TOL (1e-10) in max-abs raises
     StructuralError: the commutator must close on the coefficient space.
     """
-    h = lax_partner(f, L, P)
-    rhs = L.mul(h) - h.mul(L)
+    rhs = L.commutator(lax_partner(f, L, P))
+    allowed = [L.pole_order(z) for z, _ in rhs.poles]
     # check pole orders do not exceed those of L, then trim the dust
-    for z, cs in rhs.poles:
-        allowed = L.pole_order(z)
-        for k in range(allowed, len(cs)):
+    for (z, cs), o in zip(rhs.poles, allowed):
+        for k in range(o, len(cs)):
             mx = float(np.max(np.abs(cs[k])))
             if mx > _STRUCT_TOL:
                 raise StructuralError(
@@ -276,9 +275,9 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
     for c in rhs.poly:
         if float(np.max(np.abs(c))) > _STRUCT_TOL:
             raise StructuralError("commutator has an unexpected polynomial part")
-    reduced = RationalMatrix(L.dim, [], [(z, cs[:L.pole_order(z)])
-                                         for z, cs in rhs.poles
-                                         if L.pole_order(z)], validate=False)
+    reduced = RationalMatrix(L.dim, [], [(z, cs[:o]) for (z, cs), o
+                                         in zip(rhs.poles, allowed) if o],
+                             validate=False)
     at0 = reduced.laurent_expand(0j, 0)
     dA0_0 = at0.coeff(-1)
     dA0_1 = at0.coeff(-2)

@@ -11,6 +11,9 @@ Conventions:
   * Every move of a pole or monomial term to another point is one rule,
     (lambda - a)^n = sum_j binom(n, j) (b - a)^(n-j) (lambda - b)^j, with
     the weights of binomial_weights (the generalised binomial for n < 0).
+  * RationalMatrix.mul and .commutator are one product routine, which
+    expands each operand once per point and call: A B - B A makes each
+    expansion once.
   * The point at infinity is the float INF; series there are in
     u = 1/lambda.  The residue of R dlambda at infinity is minus the
     coefficient of u^(+1) of the expansion of R in u.
@@ -159,7 +162,9 @@ class LaurentSeries:
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Cauchy product; matrix coefficients multiply as matrices, a
-        scalar series scales every matrix coefficient."""
+        scalar series scales every matrix coefficient, and a Jacobian
+        stack (n, T, T) multiplies as n matrices, index by index against
+        another stack."""
         self._check_compat(other)
         low = self.low + other.low
         trunc = min(self.low + other.trunc, other.low + self.trunc)
@@ -167,12 +172,13 @@ class LaurentSeries:
             raise TruncationError("product of series has empty known range")
         n_out = trunc - low + 1
         A, B = self.coeffs, other.coeffs
-        if A.ndim == B.ndim == 3:
-            prod = np.matmul
-        else:
-            prod = np.multiply
-            if A.ndim == 3 and B.ndim == 1:
-                B = B[:, None, None]
+        if (not {A.ndim, B.ndim} <= {1, 3, 4}
+                or A.ndim == B.ndim == 4 and len(A[0]) != len(B[0])):
+            raise DimensionError(f"series coefficients {A.shape[1:]} and "
+                                 f"{B.shape[1:]} do not multiply")
+        prod = np.matmul if min(A.ndim, B.ndim) > 1 else np.multiply
+        if A.ndim > B.ndim:  # B broadcasts over A's stack (or matrix) axes
+            B = B.reshape(B.shape[:1] + (1,) * (A.ndim - B.ndim) + B.shape[1:])
         C = np.zeros((n_out,) + np.broadcast_shapes(A.shape[1:], B.shape[1:]),
                      complex)
         for i in range(min(len(A), n_out)):
@@ -194,7 +200,7 @@ class LaurentSeries:
 
     def trace_series(self) -> "LaurentSeries":
         return LaurentSeries(self.dim, self.base, self.low,
-                             np.trace(self.coeffs, axis1=1, axis2=2))
+                             np.trace(self.coeffs, axis1=-2, axis2=-1))
 
     def principal(self) -> np.ndarray:
         """Stack [c_1, c_2, ...] of the coefficients of u^-1, u^-2, ...
@@ -269,11 +275,18 @@ class RationalMatrix:
         mat = np.asarray(mat, dtype=complex)
         return cls(mat.shape[-1], poly=[mat])
 
+    def _pole_index(self, point):
+        """Index of the first pole within _POLE_TOL of point, or None (also
+        at INF)."""
+        if not _is_inf(point):
+            for i, (z, _) in enumerate(self.poles):
+                if abs(z - point) <= _POLE_TOL:
+                    return i
+        return None
+
     def pole_order(self, point) -> int:
-        for z, cs in self.poles:
-            if _same_point(z, point):
-                return len(cs)
-        return 0
+        i = self._pole_index(point)
+        return 0 if i is None else len(self.poles[i][1])
 
     def pole_points(self) -> list:
         return [z for z, _ in self.poles]
@@ -361,12 +374,17 @@ class RationalMatrix:
                         out[k - low:] += np.multiply.outer(w, c)
             return LaurentSeries(self.dim, INF, low, out)
         zeta = complex(point)
-        low = -self.pole_order(zeta)
+        return self._expand_at(zeta, trunc, self._pole_index(zeta))
+
+    def _expand_at(self, zeta: complex, trunc: int, at) -> LaurentSeries:
+        """laurent_expand at the finite point zeta, where self has its
+        pole of index at (None: no pole)."""
+        low = 0 if at is None else -len(self.poles[at][1])
         if trunc < low:
             raise TruncationError("requested truncation below the lowest order")
         out = np.zeros((trunc - low + 1,) + self.poly.shape[1:], complex)
-        for z, cs in self.poles:
-            if _same_point(z, zeta):
+        for i, (z, cs) in enumerate(self.poles):
+            if i == at:
                 out[:-low] = cs[::-1][:len(out)]
             elif trunc >= 0:
                 for k, c in enumerate(cs, 1):
@@ -380,23 +398,55 @@ class RationalMatrix:
         return LaurentSeries(self.dim, zeta, low, out)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._products(other, False)[0]
+
+    def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
+        """self other - other self."""
+        ab, ba = self._products(other, True)
+        return ab - ba
+
+    def _products(self, other: "RationalMatrix", both: bool) -> list:
+        """[A B], or [A B, B A] when both, for A = self and B = other: at
+        each pole point of either, the principal part of the product of
+        the two local expansions, each to the order the other's pole
+        needs; the polynomial part from the product at INF.  The pole
+        index and the expansion are memoised per call on (operand, point),
+        since the other operand's pole fixes the order there."""
         if self.dim != other.dim:
             raise DimensionError(f"dims {self.dim} vs {other.dim}")
-        pts = self.pole_points() + [z for z in other.pole_points()
-                                    if not self.pole_order(z)]
-        poles = []
-        for z in pts:
-            o1, o2 = self.pole_order(z), other.pole_order(z)
-            prod = self.laurent_expand(z, max(o2 - 1, 0)).mul(
-                other.laurent_expand(z, max(o1 - 1, 0)))
-            poles.append((z, prod.principal()))
-        # polynomial part: the orders u^-degree .. u^0 of the product at INF
-        poly = None
-        ov1, ov2 = self._order_at_inf(), other._order_at_inf()
-        if ov1 is not None and ov2 is not None and ov1 + ov2 <= 0:
-            prod = self.laurent_expand(INF, -ov2).mul(other.laurent_expand(INF, -ov1))
-            poly = prod.coeffs[::-1]
-        return RationalMatrix(self.dim, poly, poles, validate=False).trim()
+        found, series = {}, {}
+
+        def order(R, z):
+            key = (R is self, z)
+            if key not in found:
+                found[key] = R._pole_index(z)
+            i = found[key]
+            return 0 if i is None else len(R.poles[i][1])
+
+        def expand(R, z, trunc):
+            key = (R is self, z)
+            if key not in series:
+                series[key] = (R.laurent_expand(INF, trunc) if _is_inf(z) else
+                               R._expand_at(z, trunc, found[key]))
+            return series[key]
+
+        def product(A, B):
+            pts = A.pole_points() + [z for z in B.pole_points()
+                                     if not order(A, z)]
+            poles = []
+            for z in pts:
+                oa, ob = order(A, z), order(B, z)
+                prod = expand(A, z, max(ob - 1, 0)).mul(
+                    expand(B, z, max(oa - 1, 0)))
+                poles.append((z, prod.principal()))
+            # polynomial part: the orders u^-degree .. u^0 of the product at INF
+            poly = None
+            ova, ovb = A._order_at_inf(), B._order_at_inf()
+            if ova is not None and ovb is not None and ova + ovb <= 0:
+                poly = expand(A, INF, -ovb).mul(expand(B, INF, -ova)).coeffs[::-1]
+            return RationalMatrix(self.dim, poly, poles, validate=False).trim()
+
+        return [product(self, other)] + ([product(other, self)] if both else [])
 
     def __repr__(self):
         ps = ", ".join(f"{z:.3g}^{len(cs)}" for z, cs in self.poles)

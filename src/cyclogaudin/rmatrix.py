@@ -13,14 +13,15 @@ space it stays monomial, so cybe_residual multiplies two kernels by one
 gather and one multiply, and each row of the residual holds at most six
 nonzeros: O(T^3) work and memory, where dense (T^3, T^3) products cost
 O(T^9) work and the dense residual O(T^6) memory.  kernel_projection
-contracts, per (slot, k), an (order m, coefficient j) table of residue
-weights with the slot's stacked coefficients, and applies sigma^k and the
-omega phases as one phase tensor summed over k.
+contracts, per (output slot, input slot), the (order m, coefficient j)
+tables of residue weights for all T kernel poles omega^(-k) spt at once
+with the input slot's stacked coefficients, in one matrix product, and
+applies sigma^k and the omega phases as one phase tensor summed over k.
 """
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -155,23 +156,33 @@ def _residue_table(kind: str, M: int, J: int):
             "poly": (-pascal[j, m], np.maximum(j - m, 0))}[kind]
 
 
-def _slot_residues(pt, s: LaurentSeries, b, M: int) -> np.ndarray:
+def _slot_residues(pt, s: LaurentSeries, bs, M: int) -> np.ndarray:
     """sum_j W[m, j] c_j for m < M: the residues of slot pt's series against
-    the kernel pole at b (None: the output slot at infinity), with c_j its
-    principal part, or at infinity its polynomial part."""
-    if b is None:
+    each kernel pole b in bs, stacked over bs (bs None: the output slot at
+    infinity, no stack axis), with c_j its principal part, or at infinity
+    its polynomial part.  One matrix product serves every b."""
+    on = []  # the kernel poles that sit on this slot
+    if bs is None:
         if _is_inf(pt):
             return -_orders(s, 1, M + 1)
-        kind, x, stack = "taylor", pt, s.principal()
+        kind, xs, stack = "taylor", [pt], s.principal()
     elif _is_inf(pt):
-        kind, x, stack = "poly", b, s.polynomial()
-    elif abs(pt - b) <= _POLE_TOL:
-        return _orders(s, 0, M)  # the kernel pole sits on this slot
+        kind, xs, stack = "poly", bs, s.polynomial()
     else:
-        kind, x, stack = "laurent", 1.0 / (complex(pt) - b), s.principal()
+        on = [k for k, b in enumerate(bs) if abs(pt - b) <= _POLE_TOL]
+        kind, stack = "laurent", s.principal()
+        xs = [0j if k in on else 1.0 / (complex(pt) - b)
+              for k, b in enumerate(bs)]
     weight, exponent = _residue_table(kind, M, len(stack))
-    powers = np.cumprod([1.0] + [x] * (M + len(stack)))
-    return np.tensordot(weight * powers[exponent], stack, 1)
+    powers = np.ones((len(xs), M + len(stack) + 1), complex)
+    powers[:, 1:] = np.array(xs)[:, None]
+    W = weight * np.cumprod(powers, axis=1)[:, exponent]
+    # the contraction over j as np.tensordot makes it, without its wrapper
+    J, shape = len(stack), stack.shape[1:]
+    res = W.reshape(len(xs) * M, J).dot(stack.reshape(J, prod(shape)))
+    res = res.reshape((len(xs), M) + shape)
+    res[on] = _orders(s, 0, M)
+    return res if bs is not None else res[0]
 
 
 def _phases(root: RootOfUnity, ex: np.ndarray) -> np.ndarray:
@@ -208,8 +219,8 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
             out_series.append(LaurentSeries(X.dim, INF, 0, coeffs))
         else:
             M = out_trunc + 1
-            res = np.array([sum(w * _slot_residues(pt, s, root.power(-k) * spt, M)
-                                for pt, w, s in slots) for k in range(T)])
+            bs = [root.power(-k) * spt for k in range(T)]
+            res = sum(w * _slot_residues(pt, s, bs, M) for pt, w, s in slots)
             acc = (_phases(root, -np.arange(M)) * res).sum(axis=0)
             out_series.append(LaurentSeries(X.dim, complex(spt), 0, acc / T))
     return LocalTuple(list(X.points), out_series)

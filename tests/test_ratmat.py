@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from cyclogaudin.algebra import primitive_root
-from cyclogaudin.errors import (PoleProximityError, StructuralError,
-                                TruncationError)
+from cyclogaudin.errors import (DimensionError, PoleProximityError,
+                                StructuralError, TruncationError)
 from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
                                 binomial_weights, check_equivariance, localize,
                                 pair, residue_at_infinity, split)
+from cyclogaudin import gaudin
 from cyclogaudin import models as mdl
 
 from conftest import random_matrix
@@ -190,6 +191,121 @@ def test_series_product_matches_cauchy_loop(rng):
                         expect = expect + (ca @ cb if ca.ndim == cb.ndim == 2
                                            else ca * cb)
                 np.testing.assert_allclose(prod.coeff(n), expect, atol=1e-12)
+
+
+def test_series_product_of_jacobian_stacks(rng):
+    # a Jacobian-stack series (coefficients (m, n, T, T)) multiplies as n
+    # matrix series: index by index against another stack, each index
+    # against one matrix series, and scaled by a trace series; its trace
+    # series holds n traces
+    dim, n = 3, 4
+
+    def stack(low, m):
+        return LaurentSeries(dim, 0.5, low, rng.normal(size=(m, n, dim, dim))
+                             + 1j * rng.normal(size=(m, n, dim, dim)))
+
+    J1, J2 = stack(-1, 4), stack(0, 3)
+    M = LaurentSeries(dim, 0.5, -2, [random_matrix(rng, dim) for _ in range(5)])
+    tr = LaurentSeries(dim, 0.5, 0, rng.normal(size=3) + 1j * rng.normal(size=3))
+
+    def at(s, i):
+        return (LaurentSeries(dim, 0.5, s.low, s.coeffs[:, i])
+                if s.coeffs.ndim == 4 else s)
+
+    for a, b in ((J1, J2), (J2, J1), (J1, M), (M, J1), (J1, tr), (tr, J2)):
+        prod = a.mul(b)
+        assert prod.coeffs.shape[1:] == (n, dim, dim)
+        for i in range(n):
+            ref = at(a, i).mul(at(b, i))
+            assert (prod.low, prod.trunc) == (ref.low, ref.trunc)
+            assert np.array_equal(prod.coeffs[:, i], ref.coeffs)
+            assert np.array_equal(prod.trace_series().coeffs[:, i],
+                                  ref.trace_series().coeffs)
+
+
+def test_series_product_rejects_shapes_it_cannot_multiply(rng):
+    dim = 2
+    M = LaurentSeries(dim, 0.5, 0, [random_matrix(rng, dim) for _ in range(3)])
+    J3 = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, 3, dim, dim)))
+    J4 = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, 4, dim, dim)))
+    rows = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, dim)))
+    for a, b in ((J3, J4), (M, rows), (rows, J3), (rows, rows)):
+        with pytest.raises(DimensionError):
+            a.mul(b)
+
+
+def _assert_same_rational(got, ref):
+    """Same pole points in the same order, same coefficient stacks (and
+    so the same lengths after trim) and the same polynomial part."""
+    assert [z for z, _ in got.poles] == [z for z, _ in ref.poles]
+    for (_, a), (_, b) in zip(got.poles, ref.poles):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got.poly.shape == ref.poly.shape
+    assert np.array_equal(got.poly, ref.poly)
+
+
+def test_commutator_equals_the_two_products(rng):
+    # the oracle A B - B A, pole by pole, for poles at 0 and on Gamma-orbits
+    # shared or not, orders 1..3 and polynomial parts of degree -1..2
+    for T in range(1, 6):
+        root = primitive_root(T)
+        orbit = [root.power(k) * (0.8 + 0.3j) for k in range(T)]
+        for _ in range(4):
+            ops = []
+            for _ in range(2):
+                pts = [p for p in [0j] + orbit if rng.uniform() < 0.6]
+                poles = [(z, [random_matrix(rng, T)
+                              for _ in range(int(rng.integers(1, 4)))])
+                         for z in pts]
+                poly = [random_matrix(rng, T)
+                        for _ in range(int(rng.integers(0, 4)))]
+                ops.append(RationalMatrix(T, poly, poles))
+            A, B = ops
+            _assert_same_rational(A.commutator(B), A.mul(B) - B.mul(A))
+            _assert_same_rational(A.commutator(A), A.mul(A) - A.mul(A))
+
+
+def test_commutator_equals_the_two_products_on_lax_rhs_inputs(rng):
+    for T in (2, 3, 4):
+        for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+                  mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
+            L, P = mdl.lax(s), mdl.config_of(s)
+            for f in mdl.admissible_flows(s, 3):
+                h = gaudin.lax_partner(f, L, P)
+                _assert_same_rational(L.commutator(h), L.mul(h) - h.mul(L))
+
+
+def _lax_rhs_two_products(f, L, P):
+    """gaudin.lax_rhs with the commutator formed as L h - h L and every
+    pole order of L looked up where it is used: the route it replaced."""
+    h = gaudin.lax_partner(f, L, P)
+    rhs = L.mul(h) - h.mul(L)
+    for z, cs in rhs.poles:
+        for k in range(L.pole_order(z), len(cs)):
+            assert float(np.max(np.abs(cs[k]))) <= gaudin._STRUCT_TOL
+    for c in rhs.poly:
+        assert float(np.max(np.abs(c))) <= gaudin._STRUCT_TOL
+    reduced = RationalMatrix(L.dim, [], [(z, cs[:L.pole_order(z)])
+                                         for z, cs in rhs.poles
+                                         if L.pole_order(z)], validate=False)
+    at0 = reduced.laurent_expand(0j, 0)
+    return reduced, [at0.coeff(-1), at0.coeff(-2),
+                     np.zeros((L.dim, L.dim), complex),
+                     *[P.T * reduced.residue(z) for z in P.zetas]]
+
+
+def test_lax_rhs_equals_its_two_product_form(rng):
+    for T in (2, 3):
+        for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+                  mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
+            L, P = mdl.lax(s), mdl.config_of(s)
+            for f in mdl.admissible_flows(s, 3):
+                rhs, D = gaudin.lax_rhs(f, L, P)
+                ref, coefficients = _lax_rhs_two_products(f, L, P)
+                _assert_same_rational(rhs, ref)
+                for a, b in zip([D.dA0_0, D.dA0_1, D.dAinf, *D.dA_list],
+                                coefficients):
+                    assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_residues_and_residue_theorem(rng):

@@ -318,6 +318,75 @@ def test_kernel_projection_plus_matches_loop(rng):
                     assert np.max(np.abs(ca - cb)) <= 1e-13 * np.max(np.abs(cb))
 
 
+def _slot_residues_per_pole(pt, s, b, M):
+    """The residues of one slot's series against one kernel pole b (None:
+    the output slot at infinity), one weight table and one np.tensordot
+    per pole: the per-k route that the batched one replaced."""
+    if b is None:
+        if _is_inf(pt):
+            return -rmatrix._orders(s, 1, M + 1)
+        kind, x, stack = "taylor", pt, s.principal()
+    elif _is_inf(pt):
+        kind, x, stack = "poly", b, s.polynomial()
+    elif abs(pt - b) <= 1e-12:
+        return rmatrix._orders(s, 0, M)
+    else:
+        kind, x, stack = "laurent", 1.0 / (complex(pt) - b), s.principal()
+    weight, exponent = rmatrix._residue_table(kind, M, len(stack))
+    powers = np.cumprod([1.0] + [x] * (M + len(stack)))
+    return np.tensordot(weight * powers[exponent], stack, 1)
+
+
+def _projection_plus_per_k(X, root, out_trunc=6):
+    """R_+(X) with the residues summed over the slots k by k."""
+    T = root.order
+    slots = [(pt, slot_weight(pt, T), s) for pt, s in zip(X.points, X.series)]
+    out_series = []
+    for spt in X.points:
+        if _is_inf(spt):
+            res = sum(w * _slot_residues_per_pole(pt, s, None, out_trunc)
+                      for pt, w, s in slots)
+            acc = rmatrix._phases(root, np.arange(1, out_trunc + 1)).sum(axis=0) * res
+            coeffs = np.concatenate([np.zeros((1, X.dim, X.dim)), -acc / T])
+            out_series.append(LaurentSeries(X.dim, INF, 0, coeffs))
+        else:
+            M = out_trunc + 1
+            res = np.array([sum(w * _slot_residues_per_pole(
+                pt, s, root.power(-k) * spt, M) for pt, w, s in slots)
+                for k in range(T)])
+            acc = (rmatrix._phases(root, -np.arange(M)) * res).sum(axis=0)
+            out_series.append(LaurentSeries(X.dim, complex(spt), 0, acc / T))
+    return LocalTuple(list(X.points), out_series)
+
+
+def test_batched_kernel_projection_equals_the_per_k_route(rng):
+    # bit for bit over T = 1..5 and N = 0..2, with drawn lowest orders,
+    # with every principal and polynomial part empty, and with a slot
+    # placed on the Gamma-orbit of another (a kernel pole on an input slot
+    # for k != 0 as well as at the slot itself)
+    for T in range(1, 6):
+        root = primitive_root(T)
+        for N in range(3):
+            zetas = [complex((0.8 + 0.55 * r) * np.exp(2j * np.pi * rng.uniform()))
+                     for r in range(N)]
+            layouts = [zetas]
+            if N == 2 and T > 1:
+                layouts.append([zetas[0], root.power(T - 1) * zetas[0]])
+            for points in ([0j] + zs + [INF] for zs in layouts):
+                drawn = [-int(rng.integers(0, 4)) for _ in points]
+                empty = [0] * (len(points) - 1) + [1]
+                for lows in (drawn, empty):
+                    X = LocalTuple(points, [
+                        LaurentSeries(T, pt, low, [random_matrix(rng, T)
+                                                   for _ in range(9 - low)])
+                        for pt, low in zip(points, lows)])
+                    got = kernel_projection(X, "+", root)
+                    ref = _projection_plus_per_k(X, root)
+                    for a, b in zip(got.series, ref.series):
+                        assert (a.low, a.trunc) == (b.low, b.trunc)
+                        assert np.array_equal(a.coeffs, b.coeffs)
+
+
 def test_kernel_projection_sign_validation(rng):
     T = 2
     R0, P = _weight_zero_input(rng, T, 1.1)

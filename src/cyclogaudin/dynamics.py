@@ -246,11 +246,12 @@ def involutivity_matrix(state, flows, max_depth: int = MAX_DEPTH) -> np.ndarray:
 
 def commutativity_defect(s0, fA: FlowId, fB: FlowId, tau: float = 1.0,
                          h: float = DEFAULT_H) -> float:
-    """Max-abs endpoint difference between the schedules
+    """Max-abs difference of the packed end vectors of the schedules
     [(fA, tau), (fB, tau)] and [(fB, tau), (fA, tau)]."""
-    ab = endpoint(s0, Schedule.from_pairs([(fA, tau), (fB, tau)], h))
-    ba = endpoint(s0, Schedule.from_pairs([(fB, tau), (fA, tau)], h))
-    return float(np.max(np.abs(models.pack(ab) - models.pack(ba))))
+    ab, ba = (integrate(s0, Schedule.from_pairs(pairs, h), record=False)
+              .samples[-1].vec for pairs in ([(fA, tau), (fB, tau)],
+                                             [(fB, tau), (fA, tau)]))
+    return float(np.max(np.abs(ab - ba)))
 
 
 def spectral_probe(state, lam: complex, m: int) -> complex:

@@ -17,6 +17,10 @@ The hierarchy depth has one limit, MAX_DEPTH = 6, enforced where a
 FlowId is built: flows p = 1..6 are accepted everywhere and certified by
 the tests, p >= 7 is rejected with InvalidOrderError.
 
+Every local read of a power of L is RationalMatrix.power_series at the
+highest order it reads, u^-1 for H_{p,r} and the partners, u^+1 for the
+gradients and u^(p+1) for H_{p,inf}; no expansion order is set by hand.
+
 hamiltonian_coefficient_gradients is the generic adjoint-gradient route.
 The flow fields run it compiled, as models.FlowPlan, whose weights come
 from _times_monomial and _gradients_from_series below; the tests compare
@@ -92,9 +96,10 @@ class PoleConfig:
         return len(self.zetas)
 
     def slot_point(self, r: int) -> complex:
-        if r == 0:
-            return 0j
-        return self.zetas[r - 1]
+        """0 for r = 0, else zeta_r: the one range check of a pole index."""
+        if not 0 <= r <= self.N:
+            raise InvalidOrderError(f"pole index {r} out of range (N={self.N})")
+        return self.zetas[r - 1] if r else 0j
 
 
 @dataclass
@@ -183,14 +188,6 @@ def assemble_lax(C: GaudinCoefficients, P: PoleConfig) -> RationalMatrix:
     return RationalMatrix(P.T, [C.Ainf], poles).trim()
 
 
-def _lax_power_series(L: RationalMatrix, P: PoleConfig, point,
-                      p: int) -> LaurentSeries:
-    """Series of lambda^p L(lambda)^p at a finite slot point, with enough
-    retained orders for residue extraction up to exponent +2."""
-    K = max(L.pole_order(point), 1) * p + 4
-    return _times_monomial(L.laurent_expand(point, K).power(p), point, p)
-
-
 def _times_monomial(s: LaurentSeries, point, p: int) -> LaurentSeries:
     """lambda^p times the series s at a finite slot point: an exponent
     shift at 0, elsewhere the product with the exact expansion
@@ -198,20 +195,15 @@ def _times_monomial(s: LaurentSeries, point, p: int) -> LaurentSeries:
     with zeros to the length of s."""
     if abs(point) <= _POLE_TOL:
         return s.shift(p)
-    z = complex(point)
-    return s.mul(LaurentSeries(s.dim, z, 0,
-                               binomial_weights(p, z, len(s.coeffs))))
+    return s.mul(LaurentSeries(s.dim, point, 0,
+                               binomial_weights(p, point, len(s.coeffs))))
 
 
 def hamiltonian(f: FlowId, L: RationalMatrix, P: PoleConfig):
     """H_{p,r} = w_r Res_{slot} (lambda^p/(p+1)) Tr L^(p+1) with the slot
     weight w_r: 1 at r = 0 and T for r >= 1."""
-    if f.r > P.N:
-        raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
-    p = f.p
-    point = P.slot_point(f.r)
-    K = max(L.pole_order(point), 1) * (p + 1) + 2
-    tr = L.laurent_expand(point, K).power(p + 1).trace_series()
+    p, point = f.p, P.slot_point(f.r)
+    tr = L.power_series(point, p + 1, -1).trace_series()
     # Res lambda^p tr = sum_j binom(p, j) point^(p-j) tr_(-1-j), whose
     # weights are (0, .., 0, 1) at point 0; the scalar residue arithmetic
     # runs on Python complex numbers
@@ -226,7 +218,7 @@ def hamiltonian_at_infinity(p: int, L: RationalMatrix, P: PoleConfig):
     = -(1/(p+1)) [coefficient of u^(p+1)] of Tr L^(p+1) at infinity.
     p is range-checked as a FlowId power is."""
     FlowId(p, 0)
-    tr = L.laurent_expand(INF, p + 3).power(p + 1).trace_series()
+    tr = L.power_series(INF, p + 1, p + 1).trace_series()
     return -complex(tr.coeff(p + 1)) / (p + 1)
 
 
@@ -234,14 +226,11 @@ def lax_partner(f: FlowId, L: RationalMatrix, P: PoleConfig) -> RationalMatrix:
     """The weight-0 equivariant rational h_r^{(p)} whose only singular part
     lies on the Gamma-orbit of the slot and matches the principal part of
     the local expansion of lambda^p L^p there."""
-    if f.r > P.N:
-        raise InvalidOrderError(f"pole index {f.r} out of range (N={P.N})")
     point = P.slot_point(f.r)
-    prin = _lax_power_series(L, P, point, f.p).principal()
-    if f.r == 0:
-        poles = [(0j, prin)]
-    else:
-        poles = orbit_family(complex(point), prin, P.root, 0)
+    prin = _times_monomial(L.power_series(point, f.p, -1), point,
+                           f.p).principal()
+    poles = ([(0j, prin)] if f.r == 0 else
+             orbit_family(point, prin, P.root, 0))
     return RationalMatrix(L.dim, [], poles, validate=False).trim()
 
 
@@ -278,12 +267,12 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
     reduced = RationalMatrix(L.dim, [], [(z, cs[:o]) for (z, cs), o
                                          in zip(rhs.poles, allowed) if o],
                              validate=False)
-    at0 = reduced.laurent_expand(0j, 0)
-    dA0_0 = at0.coeff(-1)
-    dA0_1 = at0.coeff(-2)
+    # dA0_0 and dA0_1 are the u^-1 and u^-2 coefficients of the pole at 0
+    zero = np.zeros((L.dim, L.dim), complex)
+    at0 = next((cs for z, cs in reduced.poles if abs(z) <= _POLE_TOL), ())
+    dA0_0, dA0_1 = [*at0, zero, zero][:2]
     dA_list = [P.T * reduced.residue(z) for z in P.zetas]
-    dAinf = np.zeros((L.dim, L.dim), complex)
-    return reduced, CoefficientDerivative(dA0_0, dA0_1, dA_list, dAinf)
+    return reduced, CoefficientDerivative(dA0_0, dA0_1, dA_list, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +281,11 @@ def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
 # via residue convolutions of the series G = lambda^p L^p at the slot.
 # ---------------------------------------------------------------------------
 
-def _residue_against_profile(G: LaurentSeries, slot_point, a,
+def _residue_against_profile(G: LaurentSeries, z0: complex, a,
                              m: int) -> np.ndarray:
-    """Res_{slot} of (lambda - a)^(-m) G(lambda) dlambda: the coefficient
-    G_(m-1) when a is the slot, else the Taylor weights of the profile at
-    the slot against the principal part of G, one scaled add per order."""
-    z0 = complex(slot_point)
+    """Res_{z0} of (lambda - a)^(-m) G(lambda) dlambda, G the series at the
+    slot point z0: G_(m-1) when a = z0, else the Taylor weights of the
+    profile at z0 against the principal part of G, one scaled add per order."""
     if abs(a - z0) <= _POLE_TOL:
         return G.coeff(m - 1)
     prin = G.principal()
@@ -311,8 +299,9 @@ def hamiltonian_coefficient_gradients(f: FlowId, L: RationalMatrix,
                                       P: PoleConfig):
     """Exact gradient matrices of H_{p,r} with respect to the Lax
     coefficients (adjoint/residue route; no dual numbers)."""
-    return _gradients_from_series(
-        _lax_power_series(L, P, P.slot_point(f.r), f.p), f, P)
+    point = P.slot_point(f.r)
+    G = _times_monomial(L.power_series(point, f.p, 1), point, f.p)
+    return _gradients_from_series(G, f, P)
 
 
 def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
@@ -321,7 +310,6 @@ def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
     G, which is what lets models.FlowPlan compile it."""
     point = P.slot_point(f.r)
     w = slot_weight(point, P.T)
-    root = P.root
     M_A00 = w * _residue_against_profile(G, point, 0j, 1)
     M_A01 = w * _residue_against_profile(G, point, 0j, 2)
     M_inf = w * G.coeff(-1)
@@ -329,7 +317,7 @@ def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
     for zr in P.zetas:
         acc = np.zeros((G.dim, G.dim), complex)
         for k in range(P.T):
-            acc += _residue_against_profile(G.sigma(-k, root), point,
-                                            root.power(k) * zr, 1)
+            acc += _residue_against_profile(G.sigma(-k, P.root), point,
+                                            P.root.power(k) * zr, 1)
         M_list.append(w * acc / P.T)
     return M_A00, M_A01, M_list, M_inf

@@ -20,6 +20,10 @@ Conventions:
   * Series coefficients beyond trunc_order are unknown, not zero; asking
     for them raises TruncationError.  All residues are read from series
     data; no numerical contour integration anywhere.
+  * The power rule: RationalMatrix.power_series(point, m, top), self^m up
+    to u^top, expands self to max(top - (m - 1) low, low) orders (low its
+    lowest order there), all that the Cauchy coefficients up to u^top
+    read; no power is sized by a margin, and an undercount raises.
 """
 from __future__ import annotations
 
@@ -396,6 +400,13 @@ class RationalMatrix:
                 out[-low:J - low] += np.multiply.outer(
                     binomial_weights(m, zeta, J), c)
         return LaurentSeries(self.dim, zeta, low, out)
+
+    def power_series(self, point, m: int, top: int) -> LaurentSeries:
+        """self^m at a finite point or at INF, known up to u^top (and for
+        top >= m low exactly that far), by the power rule above."""
+        low = ((self._order_at_inf() or 0) if _is_inf(point)
+               else -self.pole_order(point))
+        return self.laurent_expand(point, max(top - (m - 1) * low, low)).power(m)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._products(other, False)[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cyclogaudin.algebra import grade_component, primitive_root, sigma_pow
+from cyclogaudin import gaudin
 from cyclogaudin.errors import (GradingError, InvalidOrderError,
                                 PoleProximityError, StructuralError)
 from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, OrbitData,
@@ -12,7 +13,8 @@ from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, OrbitData,
                                 hamiltonian_at_infinity,
                                 hamiltonian_coefficient_gradients, lax_partner,
                                 lax_rhs)
-from cyclogaudin.ratmat import check_equivariance
+from cyclogaudin.ratmat import (INF, RationalMatrix, binomial_weights,
+                                check_equivariance, orbit_family, slot_weight)
 from cyclogaudin.suites import _random_coefficients
 
 from conftest import random_matrix
@@ -109,8 +111,18 @@ def test_hamiltonian_depth_and_index_guards(rng):
         hamiltonian(FlowId(7, 0), L, P)
     with pytest.raises(InvalidOrderError):
         hamiltonian_at_infinity(7, L, P)
-    with pytest.raises(InvalidOrderError):
-        hamiltonian(FlowId(1, 2), L, P)
+
+
+def test_every_slot_routine_rejects_a_pole_index_beyond_n(rng):
+    # PoleConfig.slot_point owns the range check of r
+    from cyclogaudin import models as mdl
+    s = mdl.random_dst(3, rng, zeta1=0.9)
+    L, P = mdl.lax(s), mdl.config_of(s)
+    f = FlowId(1, P.N + 1)
+    for routine in (hamiltonian, lax_partner, lax_rhs,
+                    hamiltonian_coefficient_gradients):
+        with pytest.raises(InvalidOrderError, match="out of range"):
+            routine(f, L, P)
 
 
 def test_lax_partner_is_weight_zero_with_local_principal_part(rng):
@@ -123,14 +135,73 @@ def test_lax_partner_is_weight_zero_with_local_principal_part(rng):
              for k in range(P.T)}
     for z in h.pole_points():
         assert complex(np.round(z, 10)) in orbit
-    # principal part at the slot matches that of lambda^p L(lambda)^p
-    from cyclogaudin.gaudin import _lax_power_series
+    # principal part at the slot matches that of lambda^p L(lambda)^p,
+    # formed as a product of rational matrices
     z1 = P.zetas[0]
-    G = _lax_power_series(L, P, z1, f.p)
+    G = RationalMatrix(P.T, [np.zeros((P.T, P.T))] * f.p + [np.eye(P.T)])
+    for _ in range(f.p):
+        G = G.mul(L)
+    G = G.laurent_expand(z1, 0)
     h_loc = h.laurent_expand(z1, 2)
+    assert G.low == h_loc.low
     for n in range(G.low, 0):
         np.testing.assert_allclose(np.asarray(h_loc.coeff(n)),
                                    np.asarray(G.coeff(n)), atol=1e-11)
+
+
+def _hand_sized_reads(f, L, P):
+    """The partner's principal part, the gradients, H_{p,r}, H_{p,inf}
+    and lax_rhs's (dA0_0, dA0_1) as formed before power_series derived
+    the expansion orders, each from a margin picked by hand: the
+    reference that the derived orders reproduce bit for bit."""
+    p, point = f.p, P.slot_point(f.r)
+    o = max(L.pole_order(point), 1)
+    G = gaudin._times_monomial(L.laurent_expand(point, o * p + 4).power(p),
+                               point, p)
+    tr = L.laurent_expand(point, o * (p + 1) + 2).power(p + 1).trace_series()
+    res = 0j
+    for j, w in enumerate(binomial_weights(p, point, p + 1)):
+        res = res + complex(w) * complex(tr.coeff(-1 - j))
+    tr_inf = L.laurent_expand(INF, p + 3).power(p + 1).trace_series()
+    reduced, _ = lax_rhs(f, L, P)
+    at0 = reduced.laurent_expand(0j, 0)
+    return (G.principal(), gaudin._gradients_from_series(G, f, P),
+            slot_weight(point, P.T) * res / (p + 1),
+            -complex(tr_inf.coeff(p + 1)) / (p + 1),
+            (at0.coeff(-1), at0.coeff(-2)))
+
+
+def test_derived_orders_match_the_hand_sized_reads_bit_for_bit():
+    from cyclogaudin import models as mdl
+    rng = np.random.default_rng(0)
+    for T in range(2, 6):
+        for s in (mdl.random_toda(T, rng),
+                  mdl.random_dst(T, rng, zeta1=0.8 + 0.3j),
+                  mdl.random_coupled(T, rng, beta=0.7, zeta1=0.8 + 0.3j)):
+            L, P = mdl.lax(s), mdl.config_of(s)
+            for p in range(1, 7):
+                for r in range(P.N + 1):
+                    f = FlowId(p, r)
+                    prin, grads, H, H_inf, dA0 = _hand_sized_reads(f, L, P)
+                    point = P.slot_point(r)
+                    poles = ([(0j, prin)] if r == 0 else
+                             orbit_family(point, prin, P.root, 0))
+                    h = RationalMatrix(T, [], poles, validate=False).trim()
+                    h_new = lax_partner(f, L, P)
+                    assert [z for z, _ in h_new.poles] == h.pole_points()
+                    for (_, a), (_, b) in zip(h_new.poles, h.poles):
+                        assert np.array_equal(a, b)
+                    M00, M01, Ms, Minf = hamiltonian_coefficient_gradients(
+                        f, L, P)
+                    for a, b in zip([M00, M01, *Ms, Minf],
+                                    [grads[0], grads[1], *grads[2], grads[3]]):
+                        assert np.array_equal(a, b)
+                    assert hamiltonian(f, L, P) == H
+                    assert hamiltonian_at_infinity(p, L, P) == H_inf
+                    if p <= 2:
+                        D = lax_rhs(f, L, P)[1]
+                        assert np.array_equal(D.dA0_0, dA0[0])
+                        assert np.array_equal(D.dA0_1, dA0[1])
 
 
 def test_lax_rhs_matches_finite_difference_of_flow(rng):
@@ -152,9 +223,7 @@ def test_lax_rhs_structural_guard_fires(rng, monkeypatch):
     # a constant eps M (M diagonal) added to the partner leaves [L, h] a
     # polynomial part eps [Ainf, M] that no flow may have: the guard's
     # 1e-10 must reject eps = 1e-8 and pass roundoff-sized eps = 1e-13
-    from cyclogaudin import gaudin
     from cyclogaudin import models as mdl
-    from cyclogaudin.ratmat import RationalMatrix
     partner = gaudin.lax_partner
     for s in (mdl.random_toda(3, rng), mdl.random_dst(3, rng, zeta1=0.9),
               mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)):

@@ -172,6 +172,42 @@ def test_series_truncation_guard(rng):
     np.testing.assert_array_equal(full.principal(), full.coeffs[::-1])
 
 
+def test_power_series_reads_no_order_beyond_top(rng):
+    # self^m from the derived expansion order equals the power of an
+    # expansion 6 orders longer than any pole here needs (pole orders <= 3
+    # at 0, <= 2 on the orbit, poly degree <= 2) on every order up to top,
+    # and knows nothing beyond top.  Equal bit for bit for T >= 2; for
+    # 1 x 1 coefficients NumPy rounds a complex product in a one-element
+    # loop differently from one in a longer loop, so a shorter expansion
+    # may move the last bit
+    for T in range(1, 6):
+        same = (np.testing.assert_array_equal if T > 1 else
+                lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-13))
+        root = primitive_root(T)
+        zeta = 0.7 + 0.4j
+        orbit = [root.power(k) * zeta for k in range(T)]
+        poles = [(0j, [random_matrix(rng, T)
+                       for _ in range(int(rng.integers(1, 4)))])]
+        poles += [(z, [random_matrix(rng, T)
+                       for _ in range(int(rng.integers(1, 3)))])
+                  for z in orbit]
+        R = RationalMatrix(T, [random_matrix(rng, T)
+                               for _ in range(int(rng.integers(1, 4)))], poles)
+        for point in (0j, orbit[-1], INF, -1.1 + 0.2j):
+            low = (-(len(R.poly) - 1) if point == INF
+                   else -R.pole_order(point))
+            for m in range(1, 8):
+                for top in range(m * low, m * low + 4):
+                    s = R.power_series(point, m, top)
+                    ref = R.laurent_expand(point,
+                                           top + 6 + 3 * (m - 1)).power(m)
+                    assert s.low == ref.low and s.trunc == top
+                    for n in range(s.low, top + 1):
+                        same(s.coeff(n), ref.coeff(n))
+                    with pytest.raises(TruncationError):
+                        s.coeff(top + 1)
+
+
 def test_series_product_matches_cauchy_loop(rng):
     # one Cauchy product for matrix and scalar (trace) coefficient stacks
     dim = 3

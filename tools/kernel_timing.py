@@ -25,10 +25,12 @@ last pole and R0 = h_0^(1) + h_N^(2) + a grade-0 constant (Lax partners,
 a weight-0 function with poles on the slot orbits), it times LAURENT_CALLS
 = 100 single calls, after 5 warm-up calls, of gaudin.lax_rhs((3, r), L,
 P), rmatrix.kernel_projection(localize(R0, zetas, 8), '+', root),
-ratmat.split(R0, root, zetas), gaudin.hamiltonian((3, r), L, P) and
-rmatrix.sklyanin_residual(state, lam, mu) (|lam| = 0.55, |mu| = 1.7): the
-routines under the algebra_battery workload, at the battery's deepest
-flow.  It prints one row per (model, T) and, per checkout, one column per
+ratmat.split(R0, root, zetas), gaudin.hamiltonian((3, r), L, P),
+rmatrix.sklyanin_residual(state, lam, mu) (|lam| = 0.55, |mu| = 1.7),
+gaudin.lax_partner((3, r), L, P) and
+gaudin.hamiltonian_coefficient_gradients((3, r), L, P): the routines under
+the algebra_battery workload, at the battery's deepest flow, and the two
+other reads of lambda^p L^p at a slot.  It prints one row per (model, T) and, per checkout, one column per
 routine.
 
 Each figure is the best single call, step or run, in us.  Every checkout
@@ -54,7 +56,8 @@ CALLS, STEPS, ENDPOINTS, ROUNDS = 5000, 2000, 200, 3
 LAURENT_CALLS = 100
 H = 1e-3
 COLUMNS = {"kernel": ("call", "step", "endpoint"),
-           "laurent": ("lax_rhs", "R_+", "split", "hamiltonian", "sklyanin")}
+           "laurent": ("lax_rhs", "R_+", "split", "hamiltonian", "sklyanin",
+                       "lax_partner", "gradients")}
 
 
 def _best(fn, n: int, warm: int) -> float:
@@ -128,7 +131,9 @@ def _laurent_table() -> dict:
                      lambda: rmatrix.kernel_projection(X, "+", P.root),
                      lambda: ratmat.split(R0, P.root, P.zetas),
                      lambda: gaudin.hamiltonian(f, L, P),
-                     lambda: rmatrix.sklyanin_residual(s, lam, mu))
+                     lambda: rmatrix.sklyanin_residual(s, lam, mu),
+                     lambda: gaudin.lax_partner(f, L, P),
+                     lambda: gaudin.hamiltonian_coefficient_gradients(f, L, P))
             best[f"{name} {T}"] = [_best(fn, LAURENT_CALLS, 5) for fn in calls]
     return best
 

@@ -90,8 +90,6 @@ def _load_config(args) -> RunConfig:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc))
-    if not isinstance(cfg.T, int) or isinstance(cfg.T, bool):
-        raise ConfigError("T must be an integer")
     return cfg
 
 

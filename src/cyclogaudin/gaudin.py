@@ -41,6 +41,9 @@ from .ratmat import (_POLE_TOL, INF, LaurentSeries, RationalMatrix,
 _GRADE_TOL = 1e-12
 _STRUCT_TOL = 1e-10  # lax_rhs: commutator dust allowed off L's pole orders
 MAX_DEPTH = 6
+# the highest order of L^p at the slot that the gradient profiles read
+# (M_A01 at the slot 0 reads u^+1), the top of every gradient's power
+GRADIENT_TOP = 1
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,7 @@ def hamiltonian_coefficient_gradients(f: FlowId, L: RationalMatrix,
     """Exact gradient matrices of H_{p,r} with respect to the Lax
     coefficients (adjoint/residue route; no dual numbers)."""
     point = P.slot_point(f.r)
-    G = _times_monomial(L.power_series(point, f.p, 1), point, f.p)
+    G = _times_monomial(L.power_series(point, f.p, GRADIENT_TOP), point, f.p)
     return _gradients_from_series(G, f, P)
 
 

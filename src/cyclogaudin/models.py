@@ -73,12 +73,14 @@ hamiltonian_value applies Euler's identity to the plan's own call, which
 is one lane of FlowPlan.lanes, the plan run on a stack of support
 vectors as a lane axis, bit for bit one call per lane; simulate reads
 its H columns through the lanes (FlowPlan.values).  dynamics.rk4_step
-hands the kernel each stage as (y, c, k), and the kernel writes the
-point y + c k into its buffer's y slot.  For p = 1..3 a kernel call
-costs 3.7-5.7 us on Toda T = 3, 3.3-7.2 us on DST T = 3 and 4.9-9.1 us
-on coupled T = 2 and 3, and one RK4 step on a kernel 20.2-29.1 us,
-20.4-35.8 us and 26.8-44.7 us (tools/kernel_timing.py: best single call
-of 5000, best single step of 2000); over 150 lanes the plan costs
+hands the kernel a whole step (FieldKernel.step): the kernel writes each
+stage point y + c k into its buffer's y slot and each stage into a row
+of a (4, n) stack it owns, and the step is one contraction of that
+stack.  For p = 1..3 a kernel call costs 3.7-5.4 us on Toda T = 3,
+3.2-6.6 us on DST T = 3 and 4.8-9.2 us on coupled T = 2 and 3, and one
+RK4 step on a kernel 16.9-23.8 us, 15.5-29.6 us and 23.2-40.8 us
+(tools/kernel_timing.py: best single call of 5000, best single step of
+2000, best of 3 processes); over 150 lanes the plan costs
 0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,
 NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
 
@@ -107,9 +109,10 @@ import numpy as np
 
 from .algebra import primitive_root
 from .errors import AdmissibilityError, StructuralError
-from .gaudin import (FlowId, GaudinCoefficients, OrbitData, PoleConfig,
-                     _gradients_from_series, _times_monomial, assemble_lax)
-from .ratmat import LaurentSeries, RationalMatrix
+from .gaudin import (GRADIENT_TOP, FlowId, GaudinCoefficients, OrbitData,
+                     PoleConfig, _gradients_from_series, _times_monomial,
+                     assemble_lax)
+from .ratmat import LaurentSeries, RationalMatrix, power_trunc
 
 _IMAG_TOL = 1e-9
 
@@ -560,8 +563,12 @@ class FlowPlan:
                 validate=False), cfg))
         o = max(L.pole_order(point) for L in units)
         # profile[m, k]: gradient m read off lambda^p times the unit series
-        # of L^p (all ones at order low + k); n orders reach every order read
-        low, n = -o * p, o * p + 2
+        # of L^p (all ones at order low + k).  By the power rule, L^p up to
+        # u^GRADIENT_TOP, all that hamiltonian_coefficient_gradients reads,
+        # needs L from u^-o to u^power_trunc(-o, p, GRADIENT_TOP): n orders,
+        # and L^p has as many from its lowest, low = -o p
+        low = -o * p
+        n = power_trunc(-o, p, GRADIENT_TOP) + o + 1
         profile = []
         for k in range(n):
             unit = np.zeros((n, T, T), complex)
@@ -836,19 +843,23 @@ class FieldKernel(SupportWriter):
     the first call and cached per key (pair_tensors); at p = 1, Q is
     folded into E, so the call is the z write and one product chain.
     A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
-    so its field is real by construction.  The first call also binds the
-    tensors, the buffer's views and the model's z write into the field
-    the later calls run.  A call takes an RK4 stage as (y, c, k), the
-    field at y + c k: the point is written straight into the buffer's y
-    slot, rounded as y + c * k.  A call returns a new array, so RK4 can
-    hold its four stages.  H values are the plan's (FlowPlan.values).
-    A call rewrites every buffer it reads and zero reads only constants,
-    so field_kernel memoises one kernel per (plan, state class and T, c
-    and the sector weights, SECTOR_SIGN_* values), for every caller: both
-    dynamics and flow_field take their kernels from it.
+    so its field is real by construction.  The first call or step also
+    binds the tensors, the buffer's views and the model's z write into
+    the field and the RK4 step that the later calls run.  A call takes an
+    RK4 stage as (y, c, k), the field at y + c k: the point is written
+    straight into the buffer's y slot, rounded as y + c * k, and a call
+    returns a new array.  step runs a whole RK4 step for
+    dynamics.rk4_step: its four stage points go into the y slot the same
+    way, its four fields into the rows of a (4, n) stack the kernel owns,
+    and the step is y + (h b) . K, one contraction, with the weights h b
+    formed once per h.  H values are the plan's (FlowPlan.values).
+    A call or step rewrites every buffer it reads and zero reads only
+    constants, so field_kernel memoises one kernel per (plan, state class
+    and T, c and the sector weights, SECTOR_SIGN_* values), for every
+    caller: both dynamics and flow_field take their kernels from it.
     Timings: the module docstring."""
 
-    __slots__ = ("plan", "key", "_zero", "_field")
+    __slots__ = ("plan", "key", "_zero", "_field", "_step")
 
     def __init__(self, template, f: FlowId):
         super().__init__(template)
@@ -879,16 +890,30 @@ class FieldKernel(SupportWriter):
         try:
             field = self._field
         except AttributeError:   # the first call
-            field = self._bind()
+            field = self._bind()[0]
         return field(y, c, k)
 
-    def _bind(self):
-        """The kernel's field, with the pair tensors, the buffer's views,
-        the model's z write and the plan's chain bound in; set as _field.
-        The chain runs in buffers of its own: S = E z, then the p - 1
-        products P = W P from the view of S's first block column, each
-        into the other of two buffers, the pair read-out reading the last
-        one flat (z itself at p = 1, where Q is already Q E)."""
+    def step(self, y: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
+        """One RK4 step from y with step h and stage weights b (the one
+        definition is dynamics.RK4_B, and dynamics.rk4_step the one
+        caller): y + (h b) . K, a new array, K the kernel's stage stack
+        (y is never written)."""
+        try:
+            step = self._step
+        except AttributeError:   # the first call
+            step = self._bind()[1]
+        return step(y, h, b)
+
+    def _bind(self) -> tuple:
+        """The kernel's field and RK4 step, with the pair tensors, the
+        buffer's views, the model's z write and the plan's chain bound in;
+        set as _field and _step.  The chain runs in buffers of its own:
+        S = E z, then the p - 1 products P = W P from the view of S's first
+        block column, each into the other of two buffers, the pair read-out
+        reading the last one flat (z itself at p = 1, where Q is already
+        Q E).  The step writes its stage points y + c k into the y slot as
+        the field does and the stages into the rows of its (4, n) stack K,
+        and keeps its weights h b, in K's dtype, until h or b changes."""
         E, Q, rows, at, C = pair_tensors(*self.key)
         buf, ys, fill, real = self.buf, self.y, self.fill, self.real
         take, S = self.plan.take, np.empty(len(E), E.dtype)
@@ -899,23 +924,49 @@ class FieldKernel(SupportWriter):
             products.append((P, outs[i % 2]))
             P = outs[i % 2]
         P = P.reshape(-1) if products else self.z
+        K = np.empty((4, len(C)), E.dtype)
+        k1, k2, k3, k4 = K
+        weights = [None, None, None]   # h, b and h b
+
+        def evaluate(out):
+            """The field at the point in the y slot, into out (None: a new
+            array)."""
+            z = fill()
+            if products:
+                W = E.dot(z, S)[take]
+                for a, b in products:
+                    W.dot(a, b)
+            return C.dot(Q.dot(P)[rows] * buf[at], out)
+
+        def stage(y, c, k):   # y + c * k into the y slot, as RK4 rounds it
+            np.multiply(c, k, ys)
+            np.add(y, ys, ys)
 
         def field(y, c=None, k=None):
             if real and y.dtype.kind == "c":
                 y = _real(y, "state")
             if k is None:
                 ys[...] = y
-            else:   # y + c * k, rounded as RK4 writes it
-                np.multiply(c, k, ys)
-                np.add(y, ys, ys)
-            z = fill()
-            if products:
-                W = E.dot(z, S)[take]
-                for a, b in products:
-                    W.dot(a, b)
-            return C.dot(Q.dot(P)[rows] * buf[at])
-        self._field = field
-        return field
+            else:
+                stage(y, c, k)
+            return evaluate(None)
+
+        def step(y, h, b):
+            x = _real(y, "state") if real and y.dtype.kind == "c" else y
+            if h != weights[0] or b is not weights[1]:
+                weights[:] = h, b, (h * b).astype(K.dtype)
+            half = 0.5 * h
+            ys[...] = x
+            evaluate(k1)
+            stage(x, half, k1)
+            evaluate(k2)
+            stage(x, half, k2)
+            evaluate(k3)
+            stage(x, h, k3)
+            evaluate(k4)
+            return y + weights[2].dot(K)
+        self._field, self._step = field, step
+        return field, step
 
 
 _KERNELS = {}
@@ -929,9 +980,11 @@ def field_kernel(template, f: FlowId) -> FieldKernel:
     flow_plan gets a fresh kernel), the state class and T, the constants
     the SupportWriter writes into z (c and the sector weights, as bytes, so
     that signed zeros count) and the current SECTOR_SIGN_* values.  The
-    coordinates are not in the key.  The memo is not bounded: it holds
-    about 4-8 KB per key (T = 2..5), so a process that draws many
-    templates keeps a kernel for each of their flows."""
+    coordinates are not in the key.  The memo is not bounded: a bound key
+    holds 3.6-5.5 KB on DST and 7.0-11.0 KB on coupled at T = 2..5, its
+    (4, n) RK4 stage stack included (tracemalloc over 50 templates per
+    model and the flows to p = 3), so a process that draws many templates
+    keeps a kernel for each of their flows."""
     _check_flow(template, f)
     cls = type(template)
     key = (flow_plan(config_of(template), f), cls, template.T,

@@ -21,9 +21,10 @@ Conventions:
     for them raises TruncationError.  All residues are read from series
     data; no numerical contour integration anywhere.
   * The power rule: RationalMatrix.power_series(point, m, top), self^m up
-    to u^top, expands self to max(top - (m - 1) low, low) orders (low its
-    lowest order there), all that the Cauchy coefficients up to u^top
-    read; no power is sized by a margin, and an undercount raises.
+    to u^top, expands self to power_trunc(low, m, top) = max(top - (m - 1)
+    low, low) orders (low its lowest order there), all that the Cauchy
+    coefficients up to u^top read; no power is sized by a margin, and an
+    undercount raises.
 """
 from __future__ import annotations
 
@@ -56,6 +57,12 @@ def _same_point(a, b) -> bool:
 
 def _max_abs(c) -> float:
     return float(np.max(np.abs(c)))
+
+
+def power_trunc(low: int, m: int, top: int) -> int:
+    """The power rule: the highest order to which a series of lowest order
+    low is expanded so that its m-th power is known up to u^top."""
+    return max(top - (m - 1) * low, low)
 
 
 def slot_weight(point, T: int) -> float:
@@ -406,7 +413,7 @@ class RationalMatrix:
         top >= m low exactly that far), by the power rule above."""
         low = ((self._order_at_inf() or 0) if _is_inf(point)
                else -self.pole_order(point))
-        return self.laurent_expand(point, max(top - (m - 1) * low, low)).power(m)
+        return self.laurent_expand(point, power_trunc(low, m, top)).power(m)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._products(other, False)[0]

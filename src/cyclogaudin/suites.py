@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,7 +47,17 @@ class RunConfig:
     def validate(self, need_model: bool = True) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if not isinstance(self.T, int) or self.T < 1:
+        # a bool is an int to Python, and a JSON config file may hold any
+        # type: only integers and real numbers get past
+        for names, kind, what in ((("T", "depth", "seed"), Integral,
+                                   "an integer"),
+                                  (("beta", "h", "tol_scale"), Real,
+                                   "a real number")):
+            for name in names:
+                v = getattr(self, name)
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ConfigError(f"{name} must be {what}, got {v!r}")
+        if self.T < 1:
             raise ConfigError(f"T must be a positive integer, got {self.T}")
         if need_model and self.T < 2:
             raise ConfigError("model suites need T >= 2")

@@ -32,3 +32,39 @@ def mis_scaled_closure(s, fA, fB, **kw):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dyn, "_field_of", field_of)
         return dyn.closure_residual(s, fA, fB, **kw)
+
+
+def out_of_place_step(field, y, h):
+    """RK4 with every stage point formed out of place as y + c * k, the
+    field called on it alone, and the seven-operation combination
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4): the reference for
+    dynamics.rk4_step, returned with its stages (k1, k2, k3, k4)."""
+    k1 = field(y)
+    k2 = field(y + 0.5 * h * k1)
+    k3 = field(y + 0.5 * h * k2)
+    k4 = field(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+
+
+def step_bound_ratio(got, ref, ks, h):
+    """The largest ratio, over the real components, of |got - ref| to the
+    forward-error bound that dynamics.rk4_step states against the
+    seven-operation reference ref on the same stages ks:
+    gamma_11 S + gamma_1 (|got| + |ref|), S = sum_j |h b_j| |k_j|.  A
+    ratio above 1 breaks the bound."""
+    u = np.finfo(float).eps / 2
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    def parts(a):   # the real components, as float
+        return np.ascontiguousarray(a, complex).view(float)
+
+    b = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    S = sum(abs(h * bj) * np.abs(parts(k)) for bj, k in zip(b, ks))
+    got, ref = parts(got), parts(ref)
+    bound = gamma(11) * S + gamma(1) * (np.abs(got) + np.abs(ref))
+    diff = np.abs(got - ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(diff == 0, 0.0, diff / bound)
+    return float(ratio.max())

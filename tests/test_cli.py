@@ -161,6 +161,36 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--config", str(cfgfile)]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "models"],
+    ["simulate", "--schedule", "1:0:0.01"],
+    ["closure"],
+])
+@pytest.mark.parametrize("values", [
+    {"depth": 2.5}, {"depth": 2.0}, {"depth": True}, {"seed": "abc"},
+    {"seed": 1.5}, {"beta": "x"}, {"beta": None}, {"h": "0.001"},
+    {"tol_scale": "1"}, {"T": True},
+])
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch,
+                                                command, values):
+    # a value of the wrong type in the config file is a usage error on one
+    # line, raised before any RK4 step runs: no traceback, no exit 1, and
+    # no silent cast (seed 1.5 is not seed 1, depth true is not depth 1)
+    from cyclogaudin import dynamics as dyn
+
+    def no_step(*args):
+        raise AssertionError("an RK4 step ran")
+    monkeypatch.setattr(dyn, "rk4_step", no_step)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(values))
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfgfile), "--output", str(out)]) == 2
+    (name, value), = values.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+    assert repr(value) in err and not out.exists()
+
+
 def test_flags_override_config_file(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"seed": 5, "T": 2}))

@@ -11,7 +11,7 @@ from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, DivergenceError,
                                 InvalidOrderError, PoleProximityError)
 from cyclogaudin.gaudin import FlowId, assemble_lax
-from conftest import mis_scaled_closure
+from conftest import mis_scaled_closure, out_of_place_step, step_bound_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +96,10 @@ def test_integrate_energy_conservation(rng):
     assert abs(mdl.hamiltonian_value(end, f) - h0) <= 1e-12
 
 
-def _out_of_place_step(field, y, h):
-    """RK4 with every stage point formed out of place as y + c * k and the
-    field called on it alone: the reference for the (y, c, k) stages."""
-    k1 = field(y)
-    k2 = field(y + 0.5 * h * k1)
-    k3 = field(y + 0.5 * h * k2)
-    k4 = field(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def test_integrate_divergence_is_reported():
-    # pinned: the step that reports, the samples kept and their bytes
+    # pinned: the step that reports and the samples kept, the last good
+    # one by bytes the kernel step, which is the plain-callable step bit
+    # for bit and within the stated bound of the seven-operation one
     T = 2
     s = mdl.CoupledState(np.zeros(T), np.zeros(T),
                          60.0 * np.ones(T), 60.0 * np.ones(T),
@@ -117,23 +109,28 @@ def test_integrate_divergence_is_reported():
         with pytest.raises(DivergenceError) as exc:
             dyn.integrate(s, sched)
         y = mdl.pack(s)
-        y1 = dyn.rk4_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
-        ref = _out_of_place_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
+        kernel = mdl.FieldKernel(s, FlowId(1, 1))
+        y1 = dyn.rk4_step(kernel, y, 0.5)
+        plain = dyn.rk4_step(lambda x, *stage: kernel(x, *stage), y, 0.5)
+        ref, ks = out_of_place_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
     assert str(exc.value) == "non-finite state in segment 0 step 1"
     last = exc.value.last_good
     assert isinstance(last, dyn.Trajectory) and len(last) == 2
     assert [(x.seg, x.t_local) for x in last.samples] == [(0, 0.0), (0, 0.5)]
-    assert np.isfinite(y1).all() and y1.tobytes() == ref.tobytes()
+    assert np.isfinite(y1).all() and y1.tobytes() == plain.tobytes()
+    assert step_bound_ratio(y1, ref, ks, 0.5) <= 1.0
     assert [x.vec.tobytes() for x in last.samples] == [y.tobytes(),
                                                        y1.tobytes()]
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_rk4_stages_match_the_out_of_place_route(rng, T):
-    # rk4_step hands the kernel each stage as (y, c, k), which it writes
-    # into its own buffer: byte for byte the out-of-place stages, forward
-    # and backward, on a contiguous and on a strided y, with the caller's
-    # y never written and two kernels of one template called alternately
+    # a kernel's RK4 step (stages written into its own buffer and stack)
+    # is bit for bit the plain-callable route, where rk4_step hands the
+    # kernel each stage as (y, c, k), and within the stated bound of the
+    # seven-operation step on the out-of-place stages; forward and
+    # backward, on a contiguous, a strided and (Toda) a complex y, with
+    # the caller's y never written and two kernels called alternately
     templates = [mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
                  mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)]
     for s in templates:
@@ -148,18 +145,60 @@ def test_rk4_stages_match_the_out_of_place_route(rng, T):
             for h in (1e-2, -4e-3):
                 for v in ys:
                     before = v.tobytes(), wide.tobytes()
-                    ref = _out_of_place_step(mdl.FieldKernel(s, f), v, h)
-                    got = dyn.rk4_step(mdl.FieldKernel(s, f), v, h)
-                    assert got.tobytes() == ref.tobytes()
-                    assert (v.tobytes(), wide.tobytes()) == before
+                    ref, ks = out_of_place_step(mdl.FieldKernel(s, f), v, h)
                     kf, kg = mdl.FieldKernel(s, f), mdl.FieldKernel(s, g)
+                    got = dyn.rk4_step(kf, v, h)
+                    assert step_bound_ratio(got, ref, ks, h) <= 1.0
+                    assert (v.tobytes(), wide.tobytes()) == before
 
                     def alternate(x, *stage):
                         kg(x + 1.0, *stage)   # a write to the other buffer
                         return kf(x, *stage)
                     assert dyn.rk4_step(alternate, v, h).tobytes() \
-                        == ref.tobytes()
+                        == got.tobytes()
+                    # kernel steps in turn: each keeps its own stage stack
+                    other = dyn.rk4_step(kg, v, h)
+                    assert dyn.rk4_step(kf, v, h).tobytes() == got.tobytes()
+                    assert dyn.rk4_step(kg, v, h).tobytes() == other.tobytes()
                     assert (v.tobytes(), wide.tobytes()) == before
+
+
+def test_integrate_calls_rk4_step_once_per_step(rng, monkeypatch):
+    # every step of a segment with nonzero duration whose field is not
+    # structurally zero goes through dynamics.rk4_step, once, on the
+    # segment's memoised kernel: the route that the traced rk4_step spans
+    # and the CLI's no_step guards watch; zero-duration and structurally
+    # zero segments make no call
+    f10, f11, f20, f21, f30 = (FlowId(1, 0), FlowId(1, 1), FlowId(2, 0),
+                               FlowId(2, 1), FlowId(3, 0))
+    toda = mdl.random_toda(3, rng)
+    dst = mdl.random_dst(3, rng, zeta1=0.9)
+    coupled = mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)
+    # (template, schedule, the number of segments stepped)
+    cases = [(toda, [(f10, 0.01), (f20, -0.004), (f10, 0.0), (f30, 0.003)],
+              3),
+             (dst, [(f11, 0.005), (f20, 0.003), (f21, 0.0), (f10, -0.002),
+                    (f21, 0.004)], 2),
+             (coupled, [(f10, 0.005), (f11, 0.0), (f21, 0.004),
+                        (f11, -0.003)], 3)]
+    calls, step = [], dyn.rk4_step
+
+    def counted(field, y, h):
+        calls.append((field, h))
+        return step(field, y, h)
+    monkeypatch.setattr(dyn, "rk4_step", counted)
+    for s, pairs, n_stepped in cases:
+        sched = dyn.Schedule.from_pairs(pairs, h=1e-3)
+        stepped = [(mdl.field_kernel(s, seg.flow), seg.duration / seg.steps,
+                    seg.steps) for seg in sched.segments
+                   if seg.duration != 0.0
+                   and not mdl.field_kernel(s, seg.flow).zero]
+        expected = [(k, h) for k, h, n in stepped for _ in range(n)]
+        assert len(stepped) == n_stepped
+        for record in (True, False):
+            calls.clear()
+            dyn.integrate(s, sched, record)
+            assert calls == expected
 
 
 def _stepped_samples(s0, sched, record=True):
@@ -216,13 +255,17 @@ def test_structural_zero_skip_matches_stepping_byte_for_byte(rng, monkeypatch):
 
 def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
     # x X^T overflows: stepping the (1, 0) field would meet inf * 0 = nan
-    # and raise DivergenceError, the skip returns the state unchanged
+    # and raise DivergenceError, the skip returns the state unchanged;
+    # evaluations are counted on both kernel routes, 1 per single call and
+    # 4 per RK4 step, and the diverging (1, 1) run shows the count
     s = mdl.random_dst(2, rng, zeta1=0.9)
     big = mdl.DSTState(1e200 * s.x, 1e200 * s.X, s.c, s.zeta1)
     calls = []
-    call = mdl.FieldKernel.__call__
+    call, step = mdl.FieldKernel.__call__, mdl.FieldKernel.step
     monkeypatch.setattr(mdl.FieldKernel, "__call__",
                         lambda self, *a: calls.append(1) or call(self, *a))
+    monkeypatch.setattr(mdl.FieldKernel, "step",
+                        lambda self, *a: calls.append(4) or step(self, *a))
     sched = dyn.Schedule.from_pairs([(FlowId(1, 0), 0.01), (FlowId(3, 0), 0.01)],
                                     h=1e-3)
     traj = dyn.integrate(big, sched)
@@ -232,6 +275,7 @@ def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
         with pytest.raises(DivergenceError):
             dyn.integrate(big, dyn.Schedule.from_pairs([(FlowId(1, 1), 0.01)],
                                                        h=1e-3))
+    assert calls == [4]
 
 
 def _guarded_run(s, sched, at, i, bad, record):

@@ -14,6 +14,7 @@ from cyclogaudin.errors import (AdmissibilityError, InvalidOrderError,
 from cyclogaudin.gaudin import (FlowId, GaudinCoefficients, assemble_lax,
                                 dress, hamiltonian,
                                 hamiltonian_coefficient_gradients)
+from conftest import out_of_place_step, step_bound_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1058,9 @@ def test_field_kernel_memo_keys(rng, monkeypatch):
 def test_interleaved_memoised_kernels_match_fresh_kernels(rng, T):
     # two memoised kernels of one key and of another template, called in
     # turn (fields, RK4 stages, zero), give what kernels built fresh for
-    # each call give, by bytes
+    # each call give, by bytes; a memoised kernel's RK4 step is the
+    # plain-callable step on a fresh kernel bit for bit, and within the
+    # stated bound of the seven-operation step
     for tmpl in _kernel_templates(T, rng):
         other = replace(tmpl, **{b: getattr(tmpl, b) + 0.5
                                  for b in tmpl.BLOCKS})
@@ -1074,11 +1077,16 @@ def test_interleaved_memoised_kernels_match_fresh_kernels(rng, T):
                     assert kf.zero == mdl.FieldKernel(tmpl, f).zero
                     assert kg.zero == mdl.FieldKernel(tmpl, g).zero
 
+                fresh = mdl.FieldKernel(tmpl, f)
+
                 def alternate(x, *stage):
                     kg(w, *stage)
-                    return kf(x, *stage)
+                    return fresh(x, *stage)
+                got = dyn.rk4_step(kf, y, 1e-2)
                 assert dyn.rk4_step(alternate, y, 1e-2).tobytes() \
-                    == dyn.rk4_step(mdl.FieldKernel(tmpl, f), y, 1e-2).tobytes()
+                    == got.tobytes()
+                ref, ks = out_of_place_step(mdl.FieldKernel(tmpl, f), y, 1e-2)
+                assert step_bound_ratio(got, ref, ks, 1e-2) <= 1.0
 
 
 def _packed_near(tmpl, rng, m, real=False):

@@ -7,16 +7,21 @@ lanes, per round of each benchmark workload.
 For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
 inputs, warms up, and runs one round of its operations in this process,
-with models.FieldKernel.__call__, models.FieldKernel.__init__,
-models.hamiltonian_value and models.FlowPlan.values wrapped from the
-outside to count them.  A checkout whose FieldKernel still has value and
-values (where H was read off a kernel) has those counted instead, so the
-counts of the two designs compare.  It prints one line per workload, each
+with models.FieldKernel.__call__, models.FieldKernel.step (where the
+kernel has it), models.FieldKernel.__init__, models.hamiltonian_value
+and models.FlowPlan.values wrapped from the outside to count them.  A
+checkout whose FieldKernel still has value and values (where H was read
+off a kernel) has those counted instead, so the counts of the two
+designs compare.  It prints one line per workload, each
 counter named by the route it counts:
 
-    kernel_calls       field evaluations, FieldKernel.__call__ (the RK4
-                       stages, flow_field, closure arcs and the fields
-                       that hamiltonian_gradient reads its gradient off)
+    kernel_calls       field evaluations: one per FieldKernel.__call__
+                       (flow_field and the fields that
+                       hamiltonian_gradient reads its gradient off; the
+                       RK4 stages where a step calls the kernel once per
+                       stage) and four per FieldKernel.step (a whole RK4
+                       step, the trajectories and closure arcs), so the
+                       counts of the two step designs compare
     kernel_builds      FieldKernel constructions: in a checkout with
                        models.field_kernel, the misses of its memo, so
                        a round after the warm-up counts only the keys
@@ -75,13 +80,14 @@ def main(argv=None) -> int:
     counts = dict.fromkeys(("calls", "builds", "value_calls", "lane_calls",
                             "lanes"), 0)
 
-    def count(owner, name, key, lanes=False):
-        """Wrap owner.name so that each call adds 1 to counts[key] and, with
-        lanes, the rows of its last argument (a stack) to counts["lanes"]."""
+    def count(owner, name, key, lanes=False, each=1):
+        """Wrap owner.name so that each call adds each to counts[key] and,
+        with lanes, the rows of its last argument (a stack) to
+        counts["lanes"]."""
         fn = getattr(owner, name)
 
         def counted(*args, **kwargs):   # an RK4 stage is (y, c, k)
-            counts[key] += 1
+            counts[key] += each
             if lanes:
                 counts["lanes"] += len(args[-1])
             return fn(*args, **kwargs)
@@ -89,6 +95,8 @@ def main(argv=None) -> int:
 
     kernel = models.FieldKernel
     count(kernel, "__call__", "calls")
+    if hasattr(kernel, "step"):   # a whole RK4 step: four evaluations
+        count(kernel, "step", "calls", each=4)
     count(kernel, "__init__", "builds")
     if hasattr(kernel, "value"):   # H read off a kernel
         count(kernel, "value", "value_calls")

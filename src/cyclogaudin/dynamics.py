@@ -110,24 +110,12 @@ class Trajectory:
         return len(self.samples)
 
 
-# the classical RK4 weights b of the stages k1..k4: a step is y + (h b) . K
-RK4_B = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
-RK4_B.setflags(write=False)
-
-
 def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = field(y), a new array: the stages
-    k1 = field(y), k2, k3 and k4 at y + c k with c = h/2, h/2, h, stacked
-    as the rows of K, and the step y + w . K, w = h * RK4_B in K's dtype,
-    one contraction.
-
-    A FieldKernel is handed the whole step (FieldKernel.step): it writes
-    each stage point into its buffer and each stage's field into a row of
-    a stack it owns, and forms w once per h.  Any other field is called
-    with its stages as (y, c, k), meaning the field at y + c * k (k1 as
-    field(y)), and any field(y, c=None, k=None) that evaluates at that
-    point will do; its K gets the same contraction, so the two routes
-    agree bit for bit.
+    """One classical RK4 step of y' = field(y) on a FieldKernel, a new
+    array (field.step): the stages k1 = field(y), k2, k3 and k4 at the
+    points y + c k with c = h/2, h/2, h, each written into the kernel's
+    buffer rounded as y + c * k, stacked as the rows of K, and the step
+    y + w . K, w = h * models.RK4_B in K's dtype, formed once per h.
 
     Against the seven-operation sum y + (h/6) (k1 + 2 k2 + 2 k3 + k4) only
     the rounding of the increment moves; the stages are the same.  Per
@@ -138,28 +126,22 @@ def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
     scaling), and the final add rounds once on each side, so the steps
     differ by at most gamma_11 S + gamma_1 (|step| + |reference|)
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
-    if isinstance(field, models.FieldKernel):
-        return field.step(y, h, RK4_B)
-    k1 = field(y)
-    k2 = field(y, 0.5 * h, k1)
-    k3 = field(y, 0.5 * h, k2)
-    K = np.array([k1, k2, k3, field(y, h, k3)])
-    return y + (h * RK4_B).astype(K.dtype).dot(K)
+    return field.step(y, h)
 
 
 def _field_of(template, f: FlowId):
-    """The flow field y -> v of f on the template's states: the memoised
-    models.FieldKernel of models.field_kernel, which checks the flow.  The
-    one place integrate gets a field (the closure arcs too, through
-    endpoint), so a test can substitute one here."""
+    """The field that integrate steps along f on the template's states:
+    the memoised models.FieldKernel of models.field_kernel, which checks
+    the flow.  The one place integrate gets a field (the closure arcs too,
+    through endpoint), so a test can substitute here any object with the
+    kernel's step and zero."""
     return models.field_kernel(template, f)
 
 
 def integrate(s0, sched: Schedule, record: bool = True) -> Trajectory:
     """Classical fixed-step RK4 along the schedule (deterministic,
-    single-threaded): rk4_step once per step, which hands the segment's
-    FieldKernel the whole step.  With record=False only segment endpoints
-    are kept.
+    single-threaded): rk4_step once per step on the segment's
+    FieldKernel.  With record=False only segment endpoints are kept.
     Every segment's flow is checked against the model before the first step.
     A sample holds the state array itself, not a copy (the packed s0, the
     fresh array each rk4_step returns, or for a zero segment the array it

@@ -73,10 +73,8 @@ hamiltonian_value applies Euler's identity to the plan's own call, which
 is one lane of FlowPlan.lanes, the plan run on a stack of support
 vectors as a lane axis, bit for bit one call per lane; simulate reads
 its H columns through the lanes (FlowPlan.values).  dynamics.rk4_step
-hands the kernel a whole step (FieldKernel.step): the kernel writes each
-stage point y + c k into its buffer's y slot and each stage into a row
-of a (4, n) stack it owns, and the step is one contraction of that
-stack.  For p = 1..3 a kernel call costs 3.7-5.4 us on Toda T = 3,
+runs a whole step in one kernel call (FieldKernel.step).  For p = 1..3
+a kernel call costs 3.7-5.4 us on Toda T = 3,
 3.2-6.6 us on DST T = 3 and 4.8-9.2 us on coupled T = 2 and 3, and one
 RK4 step on a kernel 16.9-23.8 us, 15.5-29.6 us and 23.2-40.8 us
 (tools/kernel_timing.py: best single call of 5000, best single step of
@@ -115,6 +113,9 @@ from .gaudin import (GRADIENT_TOP, FlowId, GaudinCoefficients, OrbitData,
 from .ratmat import LaurentSeries, RationalMatrix, power_trunc
 
 _IMAG_TOL = 1e-9
+# the classical RK4 weights b of the stages k1..k4 (dynamics.rk4_step)
+RK4_B = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+RK4_B.setflags(write=False)
 
 # sector sign of the canonical bracket {X_i, x_j} relative to {p_i, q_j};
 # fixed empirically by requiring the quadratic r-matrix bracket to close
@@ -563,12 +564,9 @@ class FlowPlan:
                 validate=False), cfg))
         o = max(L.pole_order(point) for L in units)
         # profile[m, k]: gradient m read off lambda^p times the unit series
-        # of L^p (all ones at order low + k).  By the power rule, L^p up to
-        # u^GRADIENT_TOP, all that hamiltonian_coefficient_gradients reads,
-        # needs L from u^-o to u^power_trunc(-o, p, GRADIENT_TOP): n orders,
-        # and L^p has as many from its lowest, low = -o p
-        low = -o * p
-        n = power_trunc(-o, p, GRADIENT_TOP) + o + 1
+        # of L^p (all ones at order low + k), over the n orders of L that
+        # the power rule reads for L^p up to u^GRADIENT_TOP
+        low, n = -o * p, power_trunc(-o, p, GRADIENT_TOP) + o + 1
         profile = []
         for k in range(n):
             unit = np.zeros((n, T, T), complex)
@@ -845,18 +843,13 @@ class FieldKernel(SupportWriter):
     A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
     so its field is real by construction.  The first call or step also
     binds the tensors, the buffer's views and the model's z write into
-    the field and the RK4 step that the later calls run.  A call takes an
-    RK4 stage as (y, c, k), the field at y + c k: the point is written
-    straight into the buffer's y slot, rounded as y + c * k, and a call
-    returns a new array.  step runs a whole RK4 step for
-    dynamics.rk4_step: its four stage points go into the y slot the same
-    way, its four fields into the rows of a (4, n) stack the kernel owns,
-    and the step is y + (h b) . K, one contraction, with the weights h b
-    formed once per h.  H values are the plan's (FlowPlan.values).
-    A call or step rewrites every buffer it reads and zero reads only
-    constants, so field_kernel memoises one kernel per (plan, state class
-    and T, c and the sector weights, SECTOR_SIGN_* values), for every
-    caller: both dynamics and flow_field take their kernels from it.
+    the field and the RK4 step (dynamics.rk4_step) that the later calls
+    run; both return a new array.  H values are the plan's
+    (FlowPlan.values).  A call or step rewrites every buffer it reads and
+    zero reads only constants, so field_kernel memoises one kernel per
+    (plan, state class and T, c and the sector weights, SECTOR_SIGN_*
+    values), for every caller: both dynamics and flow_field take their
+    kernels from it.
     Timings: the module docstring."""
 
     __slots__ = ("plan", "key", "_zero", "_field", "_step")
@@ -884,25 +877,21 @@ class FieldKernel(SupportWriter):
                                    self.coords.tobytes())
         return self._zero
 
-    def __call__(self, y: np.ndarray, c=None, k=None) -> np.ndarray:
-        """Packed tangent vector of the flow at y, or at y + c k given the
-        RK4 stage (c, k) (a new array; y is never written)."""
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """Packed tangent vector of the flow at y (y is never written)."""
         try:
             field = self._field
         except AttributeError:   # the first call
             field = self._bind()[0]
-        return field(y, c, k)
+        return field(y)
 
-    def step(self, y: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
-        """One RK4 step from y with step h and stage weights b (the one
-        definition is dynamics.RK4_B, and dynamics.rk4_step the one
-        caller): y + (h b) . K, a new array, K the kernel's stage stack
-        (y is never written)."""
+    def step(self, y: np.ndarray, h: float) -> np.ndarray:
+        """dynamics.rk4_step on this kernel (y is never written)."""
         try:
             step = self._step
         except AttributeError:   # the first call
             step = self._bind()[1]
-        return step(y, h, b)
+        return step(y, h)
 
     def _bind(self) -> tuple:
         """The kernel's field and RK4 step, with the pair tensors, the
@@ -911,9 +900,7 @@ class FieldKernel(SupportWriter):
         S = E z, then the p - 1 products P = W P from the view of S's first
         block column, each into the other of two buffers, the pair read-out
         reading the last one flat (z itself at p = 1, where Q is already
-        Q E).  The step writes its stage points y + c k into the y slot as
-        the field does and the stages into the rows of its (4, n) stack K,
-        and keeps its weights h b, in K's dtype, until h or b changes."""
+        Q E)."""
         E, Q, rows, at, C = pair_tensors(*self.key)
         buf, ys, fill, real = self.buf, self.y, self.fill, self.real
         take, S = self.plan.take, np.empty(len(E), E.dtype)
@@ -924,13 +911,11 @@ class FieldKernel(SupportWriter):
             products.append((P, outs[i % 2]))
             P = outs[i % 2]
         P = P.reshape(-1) if products else self.z
-        K = np.empty((4, len(C)), E.dtype)
+        K = np.empty((4, len(C)), E.dtype)   # the RK4 stages
         k1, k2, k3, k4 = K
-        weights = [None, None, None]   # h, b and h b
+        weights = [None, None]   # h and h RK4_B, in K's dtype
 
-        def evaluate(out):
-            """The field at the point in the y slot, into out (None: a new
-            array)."""
+        def evaluate(out):   # the field at the y slot, into out or new
             z = fill()
             if products:
                 W = E.dot(z, S)[take]
@@ -942,19 +927,14 @@ class FieldKernel(SupportWriter):
             np.multiply(c, k, ys)
             np.add(y, ys, ys)
 
-        def field(y, c=None, k=None):
-            if real and y.dtype.kind == "c":
-                y = _real(y, "state")
-            if k is None:
-                ys[...] = y
-            else:
-                stage(y, c, k)
+        def field(y):
+            ys[...] = _real(y, "state") if real and y.dtype.kind == "c" else y
             return evaluate(None)
 
-        def step(y, h, b):
+        def step(y, h):
             x = _real(y, "state") if real and y.dtype.kind == "c" else y
-            if h != weights[0] or b is not weights[1]:
-                weights[:] = h, b, (h * b).astype(K.dtype)
+            if h != weights[0]:
+                weights[:] = h, (h * RK4_B).astype(K.dtype)
             half = 0.5 * h
             ys[...] = x
             evaluate(k1)
@@ -964,7 +944,7 @@ class FieldKernel(SupportWriter):
             evaluate(k3)
             stage(x, h, k3)
             evaluate(k4)
-            return y + weights[2].dot(K)
+            return y + weights[1].dot(K)
         self._field, self._step = field, step
         return field, step
 
@@ -982,9 +962,9 @@ def field_kernel(template, f: FlowId) -> FieldKernel:
     that signed zeros count) and the current SECTOR_SIGN_* values.  The
     coordinates are not in the key.  The memo is not bounded: a bound key
     holds 3.6-5.5 KB on DST and 7.0-11.0 KB on coupled at T = 2..5, its
-    (4, n) RK4 stage stack included (tracemalloc over 50 templates per
-    model and the flows to p = 3), so a process that draws many templates
-    keeps a kernel for each of their flows."""
+    RK4 stage stack included (tracemalloc over 50 templates per model and
+    the flows to p = 3), so a process that draws many templates keeps a
+    kernel for each of their flows."""
     _check_flow(template, f)
     cls = type(template)
     key = (flow_plan(config_of(template), f), cls, template.T,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ def random_matrix(rng, T, scale=1.0):
 
 def mis_scaled_closure(s, fA, fB, **kw):
     """dynamics.closure_residual with the fB arcs driven by 1.1 times the
-    true field (its structural-zero flag kept): the falsifiability
-    control, which must break the closure identity."""
+    true field (its structural-zero flag kept), an RK4 step of 1.1 f at h
+    being one of f at 1.1 h: the falsifiability control, which must break
+    the closure identity."""
     from cyclogaudin import dynamics as dyn
 
     true_field_of = dyn._field_of
@@ -23,11 +26,8 @@ def mis_scaled_closure(s, fA, fB, **kw):
         kernel = true_field_of(template, f)
         if f != fB:
             return kernel
-
-        def scaled(y, *stage):
-            return 1.1 * kernel(y, *stage)
-        scaled.zero = kernel.zero
-        return scaled
+        return SimpleNamespace(zero=kernel.zero,
+                               step=lambda y, h: kernel.step(y, 1.1 * h))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dyn, "_field_of", field_of)
@@ -44,6 +44,15 @@ def out_of_place_step(field, y, h):
     k3 = field(y + 0.5 * h * k2)
     k4 = field(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+
+
+def contracted_step(y, h, ks):
+    """y + w . K on the stages ks, w = h * models.RK4_B in K's dtype: what
+    dynamics.rk4_step states a kernel's step to be, bit for bit."""
+    from cyclogaudin import models
+
+    K = np.array(ks)
+    return y + (h * models.RK4_B).astype(K.dtype).dot(K)
 
 
 def step_bound_ratio(got, ref, ks, h):

@@ -11,7 +11,8 @@ from cyclogaudin import models as mdl
 from cyclogaudin.errors import (AdmissibilityError, DivergenceError,
                                 InvalidOrderError, PoleProximityError)
 from cyclogaudin.gaudin import FlowId, assemble_lax
-from conftest import mis_scaled_closure, out_of_place_step, step_bound_ratio
+from conftest import (contracted_step, mis_scaled_closure, out_of_place_step,
+                      step_bound_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +64,20 @@ def test_schedule_caps_the_steps_of_a_segment():
         dyn.Schedule.parse("1:0:0.1,1:0:1e9")
 
 
-def test_rk4_is_fourth_order():
-    # y' = y, y(0) = 1: error against exp should shrink ~16x per halving;
-    # rk4_step hands a stage's point as (y, c, k), meaning y + c * k
-    field = lambda y, c=0.0, k=0.0: y + c * k
-    errs = []
-    for h in (0.1, 0.05):
-        y = np.array([1.0])
-        for _ in range(int(round(1.0 / h))):
-            y = dyn.rk4_step(field, y, h)
-        errs.append(abs(y[0] - np.e))
-    assert errs[0] / errs[1] > 14.0
+def test_rk4_is_fourth_order(rng):
+    # the error at t = 1 against a run at h = 1e-3 should shrink ~16x per
+    # halving of h, on a kernel of each model
+    for s in (mdl.random_toda(3, rng), mdl.random_dst(2, rng, zeta1=0.9),
+              mdl.random_coupled(2, rng, beta=0.7, zeta1=0.9)):
+        f = FlowId(1, 1) if isinstance(s, mdl.DSTState) else FlowId(1, 0)
+        ref = dyn.integrate(s, dyn.Schedule.from_pairs([(f, 1.0)], h=1e-3),
+                            record=False).samples[-1].vec
+        errs = []
+        for h in (0.1, 0.05):
+            sched = dyn.Schedule.from_pairs([(f, 1.0)], h=h)
+            y = dyn.integrate(s, sched, record=False).samples[-1].vec
+            errs.append(np.abs(y - ref).max())
+        assert errs[0] / errs[1] > 14.0
 
 
 def test_integrate_is_deterministic_and_records(rng):
@@ -98,8 +102,9 @@ def test_integrate_energy_conservation(rng):
 
 def test_integrate_divergence_is_reported():
     # pinned: the step that reports and the samples kept, the last good
-    # one by bytes the kernel step, which is the plain-callable step bit
-    # for bit and within the stated bound of the seven-operation one
+    # one by bytes the kernel step, which is the contraction of the
+    # out-of-place stages bit for bit and within the stated bound of the
+    # seven-operation step on them
     T = 2
     s = mdl.CoupledState(np.zeros(T), np.zeros(T),
                          60.0 * np.ones(T), 60.0 * np.ones(T),
@@ -111,13 +116,13 @@ def test_integrate_divergence_is_reported():
         y = mdl.pack(s)
         kernel = mdl.FieldKernel(s, FlowId(1, 1))
         y1 = dyn.rk4_step(kernel, y, 0.5)
-        plain = dyn.rk4_step(lambda x, *stage: kernel(x, *stage), y, 0.5)
         ref, ks = out_of_place_step(mdl.FieldKernel(s, FlowId(1, 1)), y, 0.5)
     assert str(exc.value) == "non-finite state in segment 0 step 1"
     last = exc.value.last_good
     assert isinstance(last, dyn.Trajectory) and len(last) == 2
     assert [(x.seg, x.t_local) for x in last.samples] == [(0, 0.0), (0, 0.5)]
-    assert np.isfinite(y1).all() and y1.tobytes() == plain.tobytes()
+    assert np.isfinite(y1).all()
+    assert y1.tobytes() == contracted_step(y, 0.5, ks).tobytes()
     assert step_bound_ratio(y1, ref, ks, 0.5) <= 1.0
     assert [x.vec.tobytes() for x in last.samples] == [y.tobytes(),
                                                        y1.tobytes()]
@@ -126,9 +131,8 @@ def test_integrate_divergence_is_reported():
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_rk4_stages_match_the_out_of_place_route(rng, T):
     # a kernel's RK4 step (stages written into its own buffer and stack)
-    # is bit for bit the plain-callable route, where rk4_step hands the
-    # kernel each stage as (y, c, k), and within the stated bound of the
-    # seven-operation step on the out-of-place stages; forward and
+    # is bit for bit the contraction of the out-of-place stages, and within
+    # the stated bound of the seven-operation step on them; forward and
     # backward, on a contiguous, a strided and (Toda) a complex y, with
     # the caller's y never written and two kernels called alternately
     templates = [mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
@@ -148,15 +152,12 @@ def test_rk4_stages_match_the_out_of_place_route(rng, T):
                     ref, ks = out_of_place_step(mdl.FieldKernel(s, f), v, h)
                     kf, kg = mdl.FieldKernel(s, f), mdl.FieldKernel(s, g)
                     got = dyn.rk4_step(kf, v, h)
+                    assert got.tobytes() == contracted_step(v, h, ks).tobytes()
                     assert step_bound_ratio(got, ref, ks, h) <= 1.0
                     assert (v.tobytes(), wide.tobytes()) == before
-
-                    def alternate(x, *stage):
-                        kg(x + 1.0, *stage)   # a write to the other buffer
-                        return kf(x, *stage)
-                    assert dyn.rk4_step(alternate, v, h).tobytes() \
-                        == got.tobytes()
-                    # kernel steps in turn: each keeps its own stage stack
+                    # a call and steps of the other kernel in between: each
+                    # keeps its own buffer and stage stack
+                    kg(v + 1.0)
                     other = dyn.rk4_step(kg, v, h)
                     assert dyn.rk4_step(kf, v, h).tobytes() == got.tobytes()
                     assert dyn.rk4_step(kg, v, h).tobytes() == other.tobytes()
@@ -280,19 +281,19 @@ def test_structurally_zero_segment_never_evaluates_its_field(rng, monkeypatch):
 
 def _guarded_run(s, sched, at, i, bad, record):
     """integrate on a substitute field that is 1e-3 everywhere but puts
-    `bad` into entry i at its call `at` (counted over every segment): the
+    `bad` into entry i at its step `at` (counted over every segment): the
     DivergenceError's message, last_good samples (as bytes) and the
     warnings raised on the way."""
     calls = itertools.count()
 
+    def step(y, h):
+        v = np.full(y.shape, 1e-3, y.dtype)
+        if next(calls) == at:
+            v[i] = bad
+        return y + h * v
+
     def field_of(template, f):
-        def field(y, c=None, k=None):
-            v = np.full(y.shape, 1e-3, y.dtype)
-            if next(calls) == at:
-                v[i] = bad
-            return v
-        field.zero = False
-        return field
+        return SimpleNamespace(zero=False, step=step)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dyn, "_field_of", field_of)
@@ -319,10 +320,10 @@ def test_finiteness_guard_raises_where_the_per_entry_check_did(rng, bad):
     f = FlowId(1, 0)
     sched = dyn.Schedule.from_pairs([(f, 0.005), (f, -0.004)], h=1e-3)
     exact = SimpleNamespace(isfinite=lambda v: False)
-    # (call, entry, segment, step): 4 calls a step, 5 steps in segment 0
+    # (step over every segment, entry, segment, step): 5 steps in segment 0
     for s in templates:
-        for at, i, seg, step in ((0, 0, 0, 0), (3, 1, 0, 0), (6, 2, 0, 1),
-                                 (19, 0, 0, 4), (22, 3, 1, 0), (35, 1, 1, 3)):
+        for at, i, seg, step in ((0, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 1),
+                                 (4, 0, 0, 4), (5, 3, 1, 0), (8, 1, 1, 3)):
             for record in (True, False):
                 got = _guarded_run(s, sched, at, i, bad, record)
                 with pytest.MonkeyPatch.context() as m:
@@ -354,9 +355,8 @@ def test_finiteness_guard_passes_a_finite_state_whose_square_overflows(rng):
         with pytest.raises(FloatingPointError):
             mdl.pack(big).dot(mdl.pack(big))
 
-    def zero(y, c=None, k=None):   # a field of zeros, stepped by RK4
-        return np.zeros_like(y)
-    zero.zero = False
+    # a field of zeros, stepped by RK4: y + 0
+    zero = SimpleNamespace(zero=False, step=lambda y, h: y + np.zeros_like(y))
     for state, field_of in ((big, dyn._field_of), (toda, lambda t, f: zero)):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dyn, "_field_of", field_of)

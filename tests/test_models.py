@@ -411,8 +411,8 @@ def test_support_tangent_matches_the_formula_bit_for_bit(rng, T):
             assert kernel(y).tobytes() == held
             kernel.tangent(y, dY[0])
             assert kernel(y).tobytes() == held
-            assert kernel(y, 0.5, dY[0].real).tobytes() == \
-                mdl.FieldKernel(s, f)(y + 0.5 * dY[0].real).tobytes()
+            assert kernel.step(y, 1e-2).tobytes() == \
+                mdl.FieldKernel(s, f).step(y, 1e-2).tobytes()
 
 
 def test_coupled_beta_zero_sector_field_is_toda(rng):
@@ -1058,9 +1058,9 @@ def test_field_kernel_memo_keys(rng, monkeypatch):
 def test_interleaved_memoised_kernels_match_fresh_kernels(rng, T):
     # two memoised kernels of one key and of another template, called in
     # turn (fields, RK4 stages, zero), give what kernels built fresh for
-    # each call give, by bytes; a memoised kernel's RK4 step is the
-    # plain-callable step on a fresh kernel bit for bit, and within the
-    # stated bound of the seven-operation step
+    # each call give, by bytes; a memoised kernel's RK4 step, before and
+    # after a step of another, is a fresh kernel's bit for bit, and within
+    # the stated bound of the seven-operation step
     for tmpl in _kernel_templates(T, rng):
         other = replace(tmpl, **{b: getattr(tmpl, b) + 0.5
                                  for b in tmpl.BLOCKS})
@@ -1077,14 +1077,11 @@ def test_interleaved_memoised_kernels_match_fresh_kernels(rng, T):
                     assert kf.zero == mdl.FieldKernel(tmpl, f).zero
                     assert kg.zero == mdl.FieldKernel(tmpl, g).zero
 
-                fresh = mdl.FieldKernel(tmpl, f)
-
-                def alternate(x, *stage):
-                    kg(w, *stage)
-                    return fresh(x, *stage)
                 got = dyn.rk4_step(kf, y, 1e-2)
-                assert dyn.rk4_step(alternate, y, 1e-2).tobytes() \
-                    == got.tobytes()
+                dyn.rk4_step(kg, w, 1e-2)
+                fresh = mdl.FieldKernel(tmpl, f)
+                assert dyn.rk4_step(fresh, y, 1e-2).tobytes() == got.tobytes()
+                assert dyn.rk4_step(kf, y, 1e-2).tobytes() == got.tobytes()
                 ref, ks = out_of_place_step(mdl.FieldKernel(tmpl, f), y, 1e-2)
                 assert step_bound_ratio(got, ref, ks, 1e-2) <= 1.0
 

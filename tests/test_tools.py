@@ -1,0 +1,58 @@
+"""The comparison tools under tools/."""
+import copy
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+import seed_scan  # noqa: E402
+
+
+def _scan():
+    """Two runs of a scan: one passing, one failing in a single case."""
+    return {"runs": [
+        {"seed": 0, "T": 2, "pass": True, "failing": [],
+         "tightest_margin": 1.5, "tightest_case": "a",
+         "residuals_sha256": "0"},
+        {"seed": 1, "T": 2, "pass": False,
+         "failing": [{"name": "b", "residual": 2e-9, "tol": 1e-9}],
+         "tightest_margin": -0.3, "tightest_case": "b",
+         "residuals_sha256": "1"}]}
+
+
+def test_seed_scan_compare_when_only_a_passing_residual_moved(capsys):
+    # the hash moves while the failing residuals and the tightest margins
+    # stay: moves of exactly 0 must not be compared by their names
+    old = _scan()
+    for moved in (0, 1):
+        new = copy.deepcopy(old)
+        new["runs"][moved]["residuals_sha256"] = "moved"
+        assert seed_scan.compare(old, new) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("2 runs compared, 0 verdict flips, 0 failing-set "
+                           "changes, 0 unmatched; largest failing-residual "
+                           "move 0, largest tightest-margin move 0 decades")
+
+
+def test_seed_scan_compare_reports_moves_flips_and_set_changes(capsys):
+    old = _scan()
+    new = copy.deepcopy(old)
+    new["runs"][1]["failing"][0]["residual"] = 3e-9
+    new["runs"][1]["tightest_margin"] = -0.5
+    new["runs"][1]["residuals_sha256"] = "moved"
+    assert seed_scan.compare(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("seed 1 T 2: failing residual 0.5 (b); tightest "
+                      "margin 0.2 decades")
+    assert out[-1].endswith("largest failing-residual move 0.5 (seed 1 T 2 "
+                            "b), largest tightest-margin move 0.2 decades "
+                            "(seed 1 T 2)")
+    flipped = copy.deepcopy(old)
+    flipped["runs"][0]["pass"] = False
+    flipped["runs"][0]["failing"] = [{"name": "a", "residual": 1.0,
+                                      "tol": 0.5}]
+    flipped["runs"][0]["residuals_sha256"] = "moved"
+    assert seed_scan.compare(old, flipped) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("seed 0 T 2: FLIP pass True -> False; "
+                             "FAILING SET +a -")

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         counts["lanes"]."""
         fn = getattr(owner, name)
 
-        def counted(*args, **kwargs):   # an RK4 stage is (y, c, k)
+        def counted(*args, **kwargs):
             counts[key] += each
             if lanes:
                 counts["lanes"] += len(args[-1])

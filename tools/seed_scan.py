@@ -109,6 +109,7 @@ def compare(old: dict, new: dict) -> int:
     olds, news = by_run(old), by_run(new)
     unmatched = sorted(set(news) - set(olds))
     flips = changed = 0
+    first = lambda t: t[0]   # a tie keeps the earlier, a move of 0 no name
     worst_res = (0.0, None)      # (relative move, "seed S T T case")
     worst_margin = (0.0, None)   # (move in decades, "seed S T T")
     for key in sorted(set(olds) & set(news)):
@@ -131,14 +132,14 @@ def compare(old: dict, new: dict) -> int:
         if moves:
             move, name = max(moves)
             notes.append(f"failing residual {move:.2g} ({name})")
-            worst_res = max(worst_res, (move, f"{run} {name}"))
+            worst_res = max(worst_res, (move, f"{run} {name}"), key=first)
         ma, mb = a["tightest_margin"], b["tightest_margin"]
         if ma is not None and mb is not None:
             move = abs(mb - ma)
             notes.append(f"tightest margin {move:.2g} decades"
                          + ("" if a["tightest_case"] == b["tightest_case"] else
                             f" ({a['tightest_case']} -> {b['tightest_case']})"))
-            worst_margin = max(worst_margin, (move, run))
+            worst_margin = max(worst_margin, (move, run), key=first)
         print(f"{run}: " + "; ".join(notes))
     for key in unmatched:
         print(f"seed {key[0]} T {key[1]}: not in the old scan")

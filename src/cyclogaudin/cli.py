@@ -142,9 +142,6 @@ def cmd_simulate(args) -> int:
     except DivergenceError as exc:
         traj = exc.last_good
         diverged = True
-        if traj is None:
-            _emit("\n".join(lines) + "\n# diverged\n", args.output)
-            return EXIT_DIVERGED
     # one support vector per row; each flow's plan reads all rows as lanes
     vecs = [sample.vec for sample in traj.samples]
     Z = mdl.SupportWriter(s0).stack(vecs)

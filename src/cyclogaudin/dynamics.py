@@ -328,7 +328,10 @@ def closure_residual(s0, fA: FlowId, fB: FlowId, h: float = DEFAULT_H,
 
     The identity holds on solutions only, so the arcs are genuine RK4
     solution arcs, driven by _field_of; a caller that wants a generic
-    on-shell point transports s0 first (endpoint)."""
+    on-shell point transports s0 first (endpoint).  Each arc takes
+    max(1, round(delta/h)) steps, so any h above 2 delta/3 runs one RK4
+    step of length delta, and halving h and delta together keeps the step
+    count."""
     dB_LA = (_transported_lagrangian(s0, fA, fB, +delta, h)
              - _transported_lagrangian(s0, fA, fB, -delta, h)) \
         / (2.0 * delta)

@@ -30,9 +30,10 @@ class StructuralError(CycloGaudinError):
 
 
 class DivergenceError(CycloGaudinError):
-    """Non-finite state encountered during integration."""
+    """Non-finite state encountered during integration; last_good is the
+    trajectory up to the last finite sample, the start sample at least."""
 
-    def __init__(self, message, last_good=None):
+    def __init__(self, message, last_good):
         super().__init__(message)
         self.last_good = last_good
 

@@ -56,9 +56,10 @@ FlowId rejects deeper ones, so no function here takes a depth argument.
 admissible_flows(state, depth) only lists the flows of a model up to a
 chosen depth.
 
-A FieldKernel, memoised per (plan, state class and T, the constants its
-writer puts into z, sector signs) by field_kernel, runs that route on
-packed vectors y with no state object, in one call: its SupportWriter
+A FieldKernel, built whole by its constructor and memoised per (plan,
+state class and T, the constants its writer puts into z, sector signs)
+by field_kernel, runs that route on packed vectors y with no state
+object, in one call: its SupportWriter
 writes the coordinate entries of z from views of the y slot of one
 buffer [z | y | 1] whose constant entries are filled once, and the
 plan's product chain ends in a pair read-out, one product that applies
@@ -91,8 +92,8 @@ value of the field: the support pattern of z (entries written from the
 coordinates count as nonzero, constant entries by their value) goes
 through expand, take and readout as boolean matrix products
 (FlowPlan.vanishes), and the field is zero when no entry of dH/dz that
-the chain rule reads can be nonzero.  The flag is worked out once per
-kernel and cached per plan and pattern.  Over the three models, T = 1..5
+the chain rule reads can be nonzero.  The flag is proved once, when the
+kernel is built.  Over the three models, T = 1..5
 and every flow to p = 6 it flags exactly the DST flows (p, 0), the tests
 hold it to flow_field, and dynamics steps a flagged segment as the
 identity.  flow_field and the kernel's call stay the oracle and still
@@ -774,14 +775,6 @@ class SupportWriter:
 
 
 @cache
-def _vanishes(plan: FlowPlan, nonzero: bytes, read: bytes) -> bool:
-    """FlowPlan.vanishes, cached per plan and support patterns, which come
-    as bytes since ndarrays do not hash."""
-    return plan.vanishes(np.frombuffer(nonzero, bool),
-                         np.frombuffer(read, bool))
-
-
-@cache
 def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     """A FieldKernel's chain rule as (field entry, factor, g = dH/dz entry)
     pairs over its buffer aug = [z | y | 1], shared by the plans of a
@@ -790,7 +783,7 @@ def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     sums each field entry's pairs, so the field is C @ (g[rows] * aug[at]).
     dq_i reads g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1),
     dx_j GK[i, j] (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket
-    cancels the beta of z's x X^T block."""
+    cancels the beta of z's x X^T block (cached; read-only)."""
     _, qs, ps, xs, Xs, _, prev, coords = _class_layout(cls, T)
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
     sq, sx = (-1.0 if neg else 1.0 for neg in (neg_q, neg_x))
@@ -806,28 +799,32 @@ def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     k, at, rows, sign = (np.concatenate(c) for c in zip(
         *(np.broadcast_arrays(*t) for t in pairs)))
     C = np.where(np.arange(n)[:, None] == k, sign, 0.0)
-    return rows, at, C.astype(float if cls.REAL else complex)
+    out = rows, at, C.astype(float if cls.REAL else complex)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-@cache
-def pair_tensors(plan: FlowPlan, cls, T: int, neg_q: bool,
-                 neg_x: bool) -> tuple:
-    """The (E, Q, rows, at, C) of a FieldKernel key: the plan's E and the
-    span of read-out rows the pairs read, in float64 on a real model once
-    proved real, Q @ E at p = 1 (read-only)."""
-    rows, at, C = pair_readout(cls, T, neg_q, neg_x)
+def kernel_tensors(plan: FlowPlan, template) -> tuple:
+    """The (E, Q, rows, at, C) of the FieldKernel of the plan on the
+    template's states under the current SECTOR_SIGN_* values: the pairs of
+    pair_readout, rows counted from the first read-out row they read; the
+    plan's E and Q, the span of read-out rows they read, in float64 on a
+    real model once proved real (StructuralError otherwise); Q @ E at
+    p = 1.  Uncached: a kernel builds its own once."""
+    # per sector: is its Q block the negated one (sign > 0)
+    neg = {Q: globals()[sign] > 0 for Q, _, sign, _ in template.SECTORS}
+    rows, at, C = pair_readout(type(template), template.T,
+                               neg.get("q"), neg.get("x"))
     lo = rows.min()
     E, Q = plan.expand, plan.readout[lo:rows.max() + 1]
-    if cls.REAL:
+    if template.REAL:
         if E.imag.any() or Q.imag.any():
             raise StructuralError("Toda flow plan is not real")
         E, Q = E.real.copy(), Q.real.copy()
     if plan.p == 1:
         Q = Q @ E[:-1]
-    pairs = (E, Q, rows - lo, at, C)
-    for arr in pairs:
-        arr.setflags(write=False)
-    return pairs
+    return E, Q, rows - lo, at, C
 
 
 class FieldKernel(SupportWriter):
@@ -835,79 +832,43 @@ class FieldKernel(SupportWriter):
     a map from the packed vector y, in one call: the SupportWriter writes
     z into the head of the kernel's buffer aug = [z | y | 1], the plan's
     product chain gives P (the series of L^p) and the pair read-out the
-    field, C @ ((Q @ P)[rows] * aug[at]) (pair_readout), with the sector
-    signs read, and the flow checked, when the kernel is built.  Q holds
-    the read-out rows the pairs read, once each.  The tensors are built on
-    the first call and cached per key (pair_tensors); at p = 1, Q is
-    folded into E, so the call is the z write and one product chain.
-    A Toda kernel holds z, E and Q in float64 once E and Q are proved real,
-    so its field is real by construction.  The first call or step also
-    binds the tensors, the buffer's views and the model's z write into
-    the field and the RK4 step (dynamics.rk4_step) that the later calls
-    run; both return a new array.  H values are the plan's
-    (FlowPlan.values).  A call or step rewrites every buffer it reads and
-    zero reads only constants, so field_kernel memoises one kernel per
-    (plan, state class and T, c and the sector weights, SECTOR_SIGN_*
-    values), for every caller: both dynamics and flow_field take their
-    kernels from it.
+    field, C @ ((Q @ P)[rows] * aug[at]) (kernel_tensors).  Q holds the
+    read-out rows the pairs read, once each; at p = 1 it is folded into
+    E, so the call is the z write and one product chain.  A Toda kernel
+    holds z, E and Q in float64 once E and Q are proved real, so its field
+    is real by construction.
+
+    The constructor builds the whole kernel: it checks the flow, takes the
+    plan, proves zero, builds the tensors under the sector signs of the
+    moment and binds them, the buffer's views and the model's z write into
+    the field and the RK4 step (dynamics.rk4_step); both return a new
+    array.  A plan that is not real on a Toda template is refused there.
+    H values are the plan's (FlowPlan.values).  A call or step rewrites
+    every buffer it reads and zero is a constant, so field_kernel memoises
+    one kernel per (plan, state class and T, c and the sector weights,
+    SECTOR_SIGN_* values), for every caller: both dynamics and flow_field
+    take their kernels from it.
     Timings: the module docstring."""
 
-    __slots__ = ("plan", "key", "_zero", "_field", "_step")
+    __slots__ = ("plan", "_zero", "_field", "_step")
 
     def __init__(self, template, f: FlowId):
         super().__init__(template)
         _check_flow(template, f)
-        self.plan = flow_plan(config_of(template), f)
-        self._zero = None
-        # per sector: is its Q block the negated one (sign > 0)
-        neg = {Q: globals()[sign] > 0 for Q, _, sign, _ in template.SECTORS}
-        self.key = (self.plan, type(template), self.T,
-                    neg.get("q"), neg.get("x"))
-
-    @property
-    def zero(self) -> bool:
-        """Whether the field is zero at every y whose support vector is
-        finite, proved from the sparsity of the plan (FlowPlan.vanishes)
-        on first use and cached per plan and support pattern: entries of
-        z written from the coordinates count as nonzero, constant entries
-        by their value.  dynamics steps such a flow as the identity."""
-        if self._zero is None:
-            nonzero = self.coords | (self.z != 0)   # the constants are never rewritten
-            self._zero = _vanishes(self.plan, nonzero.tobytes(),
-                                   self.coords.tobytes())
-        return self._zero
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Packed tangent vector of the flow at y (y is never written)."""
-        try:
-            field = self._field
-        except AttributeError:   # the first call
-            field = self._bind()[0]
-        return field(y)
-
-    def step(self, y: np.ndarray, h: float) -> np.ndarray:
-        """dynamics.rk4_step on this kernel (y is never written)."""
-        try:
-            step = self._step
-        except AttributeError:   # the first call
-            step = self._bind()[1]
-        return step(y, h)
-
-    def _bind(self) -> tuple:
-        """The kernel's field and RK4 step, with the pair tensors, the
-        buffer's views, the model's z write and the plan's chain bound in;
-        set as _field and _step.  The chain runs in buffers of its own:
-        S = E z, then the p - 1 products P = W P from the view of S's first
-        block column, each into the other of two buffers, the pair read-out
-        reading the last one flat (z itself at p = 1, where Q is already
-        Q E)."""
-        E, Q, rows, at, C = pair_tensors(*self.key)
+        self.plan = plan = flow_plan(config_of(template), f)
+        # the constants of z are never rewritten
+        self._zero = plan.vanishes(self.coords | (self.z != 0), self.coords)
+        E, Q, rows, at, C = kernel_tensors(plan, template)
+        # the chain runs in buffers of its own: S = E z, then the p - 1
+        # products P = W P from the view of S's first block column, each
+        # into the other of two buffers, the pair read-out reading the last
+        # one flat (z itself at p = 1, where Q is already Q E)
         buf, ys, fill, real = self.buf, self.y, self.fill, self.real
-        take, S = self.plan.take, np.empty(len(E), E.dtype)
+        take, S = plan.take, np.empty(len(E), E.dtype)
         outs = [np.empty((len(take), self.T), E.dtype)
-                for _ in range(min(2, self.plan.p - 1))]
+                for _ in range(min(2, plan.p - 1))]
         products, P = [], S[:-1].reshape(len(take), -1)   # (in, out) of P = W P
-        for i in range(self.plan.p - 1):
+        for i in range(plan.p - 1):
             products.append((P, outs[i % 2]))
             P = outs[i % 2]
         P = P.reshape(-1) if products else self.z
@@ -946,7 +907,23 @@ class FieldKernel(SupportWriter):
             evaluate(k4)
             return y + weights[1].dot(K)
         self._field, self._step = field, step
-        return field, step
+
+    @property
+    def zero(self) -> bool:
+        """Whether the field is zero at every y whose support vector is
+        finite, proved from the sparsity of the plan (FlowPlan.vanishes)
+        when the kernel is built: entries of z written from the
+        coordinates count as nonzero, constant entries by their value.
+        dynamics steps such a flow as the identity."""
+        return self._zero
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """Packed tangent vector of the flow at y (y is never written)."""
+        return self._field(y)
+
+    def step(self, y: np.ndarray, h: float) -> np.ndarray:
+        """dynamics.rk4_step on this kernel (y is never written)."""
+        return self._step(y, h)
 
 
 _KERNELS = {}
@@ -955,16 +932,20 @@ _KERNELS = {}
 def field_kernel(template, f: FlowId) -> FieldKernel:
     """The FieldKernel of f on the template's states, memoised: the one
     route by which dynamics and flow_field get a kernel, so that each key
-    builds, binds and proves zero once.  The key is everything a kernel
+    builds a kernel once; a kernel whose build raises is not kept.  The
+    memo is the one cache of kernels; of the tables a kernel holds, only
+    the plan (flow_plan) and the pairs (pair_readout) are shared.  The
+    key is everything a kernel
     bakes in: the plan flow_plan(config_of(template), f) itself (a patched
     flow_plan gets a fresh kernel), the state class and T, the constants
     the SupportWriter writes into z (c and the sector weights, as bytes, so
     that signed zeros count) and the current SECTOR_SIGN_* values.  The
-    coordinates are not in the key.  The memo is not bounded: a bound key
-    holds 3.6-5.5 KB on DST and 7.0-11.0 KB on coupled at T = 2..5, its
-    RK4 stage stack included (tracemalloc over 50 templates per model and
-    the flows to p = 3), so a process that draws many templates keeps a
-    kernel for each of their flows."""
+    coordinates are not in the key.  The memo is not bounded: a key holds
+    5.9-14.2 KB on DST and 7.2-18.6 KB on coupled at T = 2..5, most at
+    p = 1, where the folded Q @ E is the kernel's own (tracemalloc over 50
+    templates per model and the flows to p = 3, each kernel called and
+    stepped once), so a process that draws many templates keeps a kernel
+    for each of their flows."""
     _check_flow(template, f)
     cls = type(template)
     key = (flow_plan(config_of(template), f), cls, template.T,

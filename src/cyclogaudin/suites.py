@@ -371,7 +371,7 @@ _BRACKET_SIGNS = {("q", "p"): 1.0, ("x", "X"): -1.0}
 
 def dynamics_suite(cfg: RunConfig) -> VerificationReport:
     rep = _report(cfg, "dynamics")
-    rng_s, rng_b = _rngs(cfg, 2)
+    (rng_s,) = _rngs(cfg, 1)
     s = _seeded_state(cfg, rng_s)
     fA, fB = mdl.admissible_flows(s, 2)[:2]
     tau = 0.4

@@ -327,3 +327,19 @@ def test_closure_command_json(tmp_path):
     rep = json.loads(out.read_text(), parse_constant=reject)
     assert rep["residual"] == rep["residual_refined"] == 0.0
     assert rep["ratio"] is None
+
+
+def test_closure_h_sets_only_the_arc_step_count(tmp_path):
+    # each arc takes max(1, round(delta/h)) RK4 steps: at delta = 1e-4
+    # every h above 2 delta/3 runs one step of length delta, so --h 1e-3
+    # and 4e-4 print the same report values, while 2e-5 runs five steps
+    out = tmp_path / "cl.json"
+    reads = []
+    for h in ("1e-3", "4e-4", "2e-5"):
+        assert _run(["closure", "--model", "coupled", "--T", "2",
+                     "--h", h], out) == 0
+        rep = json.loads(out.read_text())
+        reads.append([rep[k] for k in ("residual", "residual_refined",
+                                       "ratio")])
+    assert reads[0] == reads[1]
+    assert all(a != b for a, b in zip(reads[1], reads[2]))

@@ -952,7 +952,7 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     v = kernel(y)
                     assert np.max(np.abs(v - ref)) <= \
                         1e-13 * (1 + np.max(np.abs(ref)))
-                    _, Q, r, _, _ = mdl.pair_tensors(*kernel.key)
+                    _, Q, r, _, _ = mdl.kernel_tensors(kernel.plan, tmpl)
                     rows = mdl.pair_readout(cls, T, pq > 0, xx > 0)[0]
                     R = kernel.plan.readout
                     if f.p > 1:
@@ -967,8 +967,9 @@ def test_field_kernel_guards(rng, monkeypatch):
     y = mdl.pack(toda).astype(complex)
     assert np.array_equal(kernel(y), mdl.flow_field(toda, FlowId(2, 0)))
     # a Toda field is float64 by construction: the kernel proves its plan's
-    # E and Q real on its first call, and one imaginary read-out entry,
-    # however small, is refused there
+    # E and Q real when it is built, and one imaginary read-out entry,
+    # however small, is refused there; field_kernel memoises no refused
+    # kernel
     assert kernel(y).dtype == np.float64
     bad = object.__new__(mdl.FlowPlan)
     for name in mdl.FlowPlan.__slots__:
@@ -977,9 +978,13 @@ def test_field_kernel_guards(rng, monkeypatch):
     bad.readout.imag[0, 0] = 1e-300
     with monkeypatch.context() as m:
         m.setattr(mdl, "flow_plan", lambda cfg, f: bad)
-        refused = mdl.FieldKernel(toda, FlowId(2, 0))
+        m.setattr(mdl, "_KERNELS", {})
         with pytest.raises(StructuralError):
-            refused(y)
+            mdl.FieldKernel(toda, FlowId(2, 0))
+        for _ in range(2):
+            with pytest.raises(StructuralError):
+                mdl.field_kernel(toda, FlowId(2, 0))
+        assert mdl._KERNELS == {}
     y[1] += 1e-6j
     with pytest.raises(StructuralError):
         mdl.unpack(toda, y)

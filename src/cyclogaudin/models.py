@@ -57,11 +57,11 @@ admissible_flows(state, depth) only lists the flows of a model up to a
 chosen depth.
 
 A FieldKernel, built whole by its constructor and memoised per (plan,
-state class and T, the constants its writer puts into z, sector signs)
-by field_kernel, runs that route on packed vectors y with no state
-object, in one call: its SupportWriter
+state class and T, sector signs) by field_kernel, which loads each
+template's constants c and beta into it, runs that route on packed
+vectors y with no state object, in one call: its SupportWriter
 writes the coordinate entries of z from views of the y slot of one
-buffer [z | y | 1] whose constant entries are filled once, and the
+buffer [z | y | 1] whose constant entries are written at load, and the
 plan's product chain ends in a pair read-out, one product that applies
 the read-out and the chain rule together
 (pair_readout, the one chain rule here).  dynamics integrates on kernels
@@ -69,11 +69,10 @@ and flow_field is a kernel applied to pack(state), both from
 field_kernel, so the two agree bit for bit.  Every flow is Hamiltonian,
 the field being the bracket applied to dH, so hamiltonian_gradient
 reads the gradient off the field sector by sector.  The H values belong
-to the plan, not to a kernel:
-hamiltonian_value applies Euler's identity to the plan's own call, which
-is one lane of FlowPlan.lanes, the plan run on a stack of support
-vectors as a lane axis, bit for bit one call per lane; simulate reads
-its H columns through the lanes (FlowPlan.values).  dynamics.rk4_step
+to the plan, not to a kernel: FlowPlan.values applies Euler's identity
+on FlowPlan.lanes, the plan run on a stack of support vectors as a lane
+axis, bit for bit one call per lane; hamiltonian_value reads one lane
+and simulate its H columns through it.  dynamics.rk4_step
 runs a whole step in one kernel call (FieldKernel.step).  For p = 1..3
 a kernel call costs 3.7-5.4 us on Toda T = 3,
 3.2-6.6 us on DST T = 3 and 4.8-9.2 us on coupled T = 2 and 3, and one
@@ -88,8 +87,9 @@ Structural zeros
 Some flows vanish identically: for DST, H_{p,0} = sum_i c_i^(p+1)/(p+1)
 depends on the fixed c alone, so the flows (p, 0) are zero.
 FieldKernel.zero proves this from the sparsity of the plan, never from a
-value of the field: the support pattern of z (entries written from the
-coordinates count as nonzero, constant entries by their value) goes
+value of the field or of the template: the support pattern of z (every
+constant entry but the structural zeros of A0_1, and every entry written
+from the coordinates, counts as nonzero) goes
 through expand, take and readout as boolean matrix products
 (FlowPlan.vanishes), and the field is zero when no entry of dH/dz that
 the chain rule reads can be nonzero.  The flag is proved once, when the
@@ -134,15 +134,12 @@ LANE_BLOCK = 16
 
 @cache
 def _field_roles(cls) -> tuple:
-    """(the vector fields, that is the blocks and c, the sector weights, and
-    the constants a SupportWriter writes into z, that is c and the weights)
+    """(the vector fields, that is the blocks and c, and the sector weights)
     of a state class, read once: fields() on every construction made the
     peak RSS creep over long runs."""
     weights = tuple(w for *_, w in cls.SECTORS if w is not None)
-    vectors = tuple(f.name for f in fields(cls)
-                    if f.name not in (*cls.POLES, *weights))
-    return vectors, weights, tuple(
-        n for n in vectors if n not in cls.BLOCKS) + weights
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in (*cls.POLES, *weights)), weights
 
 
 class _ModelState:
@@ -156,7 +153,7 @@ class _ModelState:
         return getattr(self, self.BLOCKS[0]).size
 
     def __post_init__(self):
-        vectors, weights, _ = _field_roles(type(self))
+        vectors, weights = _field_roles(type(self))
         for name in vectors:
             v = getattr(self, name)
             setattr(self, name, np.asarray(_real(np.asarray(v), name), float)
@@ -426,18 +423,22 @@ def _sectors_of(state):
 @cache
 def _class_layout(cls, T: int) -> tuple:
     """(T, the slices of the q, p, x and X blocks in the packed vector,
-    None for a block the model lacks, the cyclic index arrays i+1, i-1, and
-    the mask of the support vector entries that are written from the
-    coordinates) of a state class and T (cached; read-only)."""
+    None for a block the model lacks, the cyclic index arrays i+1, i-1, the
+    mask of the support vector entries that are written from the
+    coordinates, and the mask of the entries that may be nonzero) of a
+    state class and T (cached; read-only)."""
     at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(cls.BLOCKS)}
     _, nxt, prev = _cyclic(T)
     # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
-    # the x X^T block from (x, X); the rest is constant
-    coords = np.zeros(_support_index(len(cls.POLES) + 3, T).size, bool)
-    coords[:2 * T] = "q" in at
+    # the x X^T block from (x, X); the rest is constant, and only the A0_1
+    # block of a model with no q is zero whatever the template
+    nz = _support_index(len(cls.POLES) + 3, T).size
+    coords, nonzero = np.zeros(nz, bool), np.ones(nz, bool)
+    coords[:2 * T] = nonzero[T:2 * T] = "q" in at
     coords[2 * T:2 * T + T * T] = "x" in at
-    coords.setflags(write=False)
-    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords)
+    for mask in (coords, nonzero):
+        mask.setflags(write=False)
+    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords, nonzero)
 
 
 def _real(v: np.ndarray, what: str) -> np.ndarray:
@@ -626,9 +627,10 @@ class FlowPlan:
         return G
 
     def values(self, Z: np.ndarray) -> list:
-        """H_{p,r} at every row of an (m, nz) stack Z of support vectors, bit
-        for bit hamiltonian_value per row: lanes gives the gradients, and
-        each row's z . dH/dz stays its own dot product."""
+        """H_{p,r} at every row of an (m, nz) stack Z of support vectors, the
+        one write of Euler's identity: lanes gives the gradients, and each
+        row's z . dH/dz stays its own dot product, so a row's value is bit
+        for bit that of a stack of one."""
         dots = np.matmul(Z[:, None, :], self.lanes(Z)[:, :, None])
         return [complex(d) / (self.p + 1) for d in dots[:, 0, 0]]
 
@@ -665,17 +667,18 @@ def _difference(T: int) -> np.ndarray:
 
 
 class SupportWriter:
-    """Writes the support vector z of the states that share a template's
-    model, T and parameters straight from their packed vectors y, with no
-    state object.
+    """Writes the support vector z of the states of a model and T straight
+    from their packed vectors y, with no state object, under the constants
+    of the template last loaded (load: c on A0_0 for DST; beta c, the 0-d
+    beta and 1 + beta on Ainf for the coupled model).
 
     z heads one buffer [z | y | 1], in float64 on a real model, whose
-    constant entries (c and the zero A0_1 entries for DST, 1 or 1 + beta
-    on Ainf, the trailing 1) are filled once.  y goes into its slot, and
-    the one z write (fill, chosen for the model when the writer is built)
-    writes the coordinate entries from views of the slot fixed at build:
-    p or p + beta c from the p block, a_i = exp(D q) (_difference) from
-    the q block, and x X^T from the x column and the X row.  write
+    structural entries (the zero A0_1 entries for DST, 1 on Ainf, the
+    trailing 1) are filled once.  y goes into its slot, and the one z
+    write (fill, chosen for the model when the writer is built) writes
+    the coordinate entries from views of the slot fixed at build: p or
+    p + beta c from the p block, a_i = exp(D q) (_difference) from the q
+    block, and (beta) x X^T from the x column and the X row.  write
     returns z, a view of the buffer valid until the next write, which
     tangent reads a_i off.  A Toda y
     with an imaginary part above _IMAG_TOL is rejected, as unpack rejects
@@ -684,22 +687,22 @@ class SupportWriter:
     which z keeps the real part, since exp rounds differently on real
     arguments."""
 
-    __slots__ = ("T", "real", "buf", "z", "y", "beta", "qs", "ps", "xs",
-                 "Xs", "coords", "fill")
+    __slots__ = ("T", "real", "buf", "z", "y", "bc", "beta", "qs", "ps",
+                 "xs", "Xs", "coords", "fill")
 
     def __init__(self, template):
         _check_model(template)
         self.real = template.REAL
         (T, self.qs, self.ps, self.xs, self.Xs, _, _,
-         self.coords) = _class_layout(type(template), template.T)
+         self.coords, _) = _class_layout(type(template), template.T)
         self.T, nz = T, self.coords.size
         self.buf = buf = np.empty(nz + nvars(template) + 1,
                                   float if self.real else complex)
         buf[-1] = 1.0
         self.z, self.y = z, y = buf[:nz], buf[nz:-1]
         zp, za = z[:T], z[T:2 * T]
-        self.beta = None
-        if self.xs is None:   # Toda
+        self.bc = self.beta = None
+        if self.xs is None:   # Toda, with no constants to load
             z[2 * T:] = 1.0
             yp, yq, D = y[self.ps], y[self.qs], _difference(T)
             qa = np.empty(T, complex)
@@ -715,27 +718,34 @@ class SupportWriter:
         K = z[2 * T:2 * T + T * T].reshape(T, T)
         yx, yX = y[self.xs, None], y[None, self.Xs]
         if self.qs is None:   # DST
-            zp[:] = template.c
             za[:] = 0.0
             z[-T:] = 1.0
 
             def fill():
                 np.multiply(yx, yX, K)
                 return z
-            self.fill = fill
-            return
-        bc = template.beta * template.c   # coupled
-        z[-T:] = 1.0 + template.beta
-        self.beta = beta = np.array(template.beta, complex)  # 0-d: cast once
-        yp, yq, D = y[self.ps], y[self.qs], _difference(T)
+        else:   # coupled
+            self.bc = bc = np.empty(T, complex)
+            self.beta = beta = np.empty((), complex)   # 0-d: cast at load
+            yp, yq, D = y[self.ps], y[self.qs], _difference(T)
 
-        def fill():
-            np.add(yp, bc, zp)
-            np.exp(np.dot(D, yq, za), za)
-            np.multiply(yx, yX, K)
-            np.multiply(beta, K, K)
-            return z
+            def fill():
+                np.add(yp, bc, zp)
+                np.exp(np.dot(D, yq, za), za)
+                np.multiply(yx, yX, K)
+                np.multiply(beta, K, K)
+                return z
         self.fill = fill
+        self.load(template)
+
+    def load(self, template) -> None:
+        """Write the constants of a template of the writer's class and T."""
+        if self.bc is not None:   # coupled
+            self.bc[...] = template.beta * template.c
+            self.beta[...] = template.beta
+            self.z[-self.T:] = 1.0 + template.beta
+        elif self.xs is not None:   # DST
+            self.z[:self.T] = template.c
 
     def write(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer's z)."""
@@ -784,7 +794,7 @@ def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
     dq_i reads g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1),
     dx_j GK[i, j] (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket
     cancels the beta of z's x X^T block (cached; read-only)."""
-    _, qs, ps, xs, Xs, _, prev, coords = _class_layout(cls, T)
+    _, qs, ps, xs, Xs, _, prev, coords, _ = _class_layout(cls, T)
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
     sq, sx = (-1.0 if neg else 1.0 for neg in (neg_q, neg_x))
     pairs = []   # (field entries, factors in aug, rows of g, sign)
@@ -844,10 +854,9 @@ class FieldKernel(SupportWriter):
     the field and the RK4 step (dynamics.rk4_step); both return a new
     array.  A plan that is not real on a Toda template is refused there.
     H values are the plan's (FlowPlan.values).  A call or step rewrites
-    every buffer it reads and zero is a constant, so field_kernel memoises
-    one kernel per (plan, state class and T, c and the sector weights,
-    SECTOR_SIGN_* values), for every caller: both dynamics and flow_field
-    take their kernels from it.
+    every buffer it reads and zero reads no constant of the template, so
+    field_kernel memoises one kernel per (plan, state class and T,
+    SECTOR_SIGN_* values) for every caller, loading each template into it.
     Timings: the module docstring."""
 
     __slots__ = ("plan", "_zero", "_field", "_step")
@@ -856,8 +865,8 @@ class FieldKernel(SupportWriter):
         super().__init__(template)
         _check_flow(template, f)
         self.plan = plan = flow_plan(config_of(template), f)
-        # the constants of z are never rewritten
-        self._zero = plan.vanishes(self.coords | (self.z != 0), self.coords)
+        self._zero = plan.vanishes(
+            _class_layout(type(template), self.T)[-1], self.coords)
         E, Q, rows, at, C = kernel_tensors(plan, template)
         # the chain runs in buffers of its own: S = E z, then the p - 1
         # products P = W P from the view of S's first block column, each
@@ -911,10 +920,10 @@ class FieldKernel(SupportWriter):
     @property
     def zero(self) -> bool:
         """Whether the field is zero at every y whose support vector is
-        finite, proved from the sparsity of the plan (FlowPlan.vanishes)
-        when the kernel is built: entries of z written from the
-        coordinates count as nonzero, constant entries by their value.
-        dynamics steps such a flow as the identity."""
+        finite, whatever the template's constants, proved from the sparsity
+        of the plan (FlowPlan.vanishes) when the kernel is built: every
+        entry of z counts as nonzero but the structural zeros of A0_1 on a
+        model with no q.  dynamics steps such a flow as the identity."""
         return self._zero
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -935,26 +944,22 @@ def field_kernel(template, f: FlowId) -> FieldKernel:
     builds a kernel once; a kernel whose build raises is not kept.  The
     memo is the one cache of kernels; of the tables a kernel holds, only
     the plan (flow_plan) and the pairs (pair_readout) are shared.  The
-    key is everything a kernel
-    bakes in: the plan flow_plan(config_of(template), f) itself (a patched
-    flow_plan gets a fresh kernel), the state class and T, the constants
-    the SupportWriter writes into z (c and the sector weights, as bytes, so
-    that signed zeros count) and the current SECTOR_SIGN_* values.  The
-    coordinates are not in the key.  The memo is not bounded: a key holds
-    5.9-14.2 KB on DST and 7.2-18.6 KB on coupled at T = 2..5, most at
-    p = 1, where the folded Q @ E is the kernel's own (tracemalloc over 50
-    templates per model and the flows to p = 3, each kernel called and
-    stepped once), so a process that draws many templates keeps a kernel
-    for each of their flows."""
+    key is what a kernel is built from: the plan
+    flow_plan(config_of(template), f) itself (a patched flow_plan gets a
+    fresh kernel), the state class and T and the current SECTOR_SIGN_*
+    values, so the memo holds one kernel per key whatever templates a
+    process draws.  A fetch loads the template's c and beta into the
+    kernel (SupportWriter.load): a kernel computes for the template it
+    was last fetched for, so integrate fetches once per segment and
+    flow_field once per call."""
     _check_flow(template, f)
-    cls = type(template)
-    key = (flow_plan(config_of(template), f), cls, template.T,
-           *[np.asarray(getattr(template, name)).tobytes()
-             for name in _field_roles(cls)[2]],
+    key = (flow_plan(config_of(template), f), type(template), template.T,
            SECTOR_SIGN_PQ, SECTOR_SIGN_XX)
     kernel = _KERNELS.get(key)
     if kernel is None:
         kernel = _KERNELS[key] = FieldKernel(template, f)
+    else:
+        kernel.load(template)
     return kernel
 
 
@@ -973,14 +978,14 @@ def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
 
 def hamiltonian_value(state, f: FlowId) -> complex:
     """H_{p,r} = w_r Res lambda^p/(p+1) Tr L^(p+1) of the state, read off
-    the gradient of its FlowPlan by Euler's identity: L is linear in the
-    support vector z, so H_{p,r} is homogeneous of degree p + 1 in z and
-    (p + 1) H = z . dH/dz, the slot weight w_r and the sigma phases being
-    in the plan's read-out already.  gaudin.hamiltonian is the oracle the
-    tests hold this value to."""
+    the gradient of its FlowPlan by Euler's identity (FlowPlan.values): L
+    is linear in the support vector z, so H_{p,r} is homogeneous of degree
+    p + 1 in z and (p + 1) H = z . dH/dz, the slot weight w_r and the sigma
+    phases being in the plan's read-out already.  gaudin.hamiltonian is the
+    oracle the tests hold this value to."""
     _check_flow(state, f)
     z = support_vector(state)
-    return complex(z @ flow_plan(config_of(state), f)(z)) / (f.p + 1)
+    return flow_plan(config_of(state), f).values(z[None])[0]
 
 
 def flow_field(state, f: FlowId) -> np.ndarray:

@@ -462,8 +462,8 @@ def _scatter(z, nb, T):
 def _generic_plan(cfg, f, calls):
     """The generic route in the calling convention of a FlowPlan: assemble
     L from the support vector z, read the gradient matrices off
-    hamiltonian_coefficient_gradients and return dH/dz; every call
-    appends f to `calls`."""
+    hamiltonian_coefficient_gradients and return dH/dz, and values by
+    Euler's identity on it; every gradient appends f to `calls`."""
     nb = cfg.N + 3
     layout = _support_layout(nb, cfg.T)
 
@@ -476,6 +476,8 @@ def _generic_plan(cfg, f, calls):
         M = [M00, M01, *Ms, Minf]
         # M_b = (dH/dA_b)^T
         return np.array([M[b][c, r] for b, r, c in layout])
+    gradient.values = lambda Z: [complex(z @ gradient(z)) / (f.p + 1)
+                                 for z in Z]
     return gradient
 
 
@@ -655,21 +657,23 @@ def test_flagged_hamiltonians_depend_on_parameters_alone(rng, T):
 
 
 def test_structural_zero_cache_keys(rng):
-    # one plan, several support patterns: the flag follows the constants
-    # of the template (c = 0 keeps it, a nonzero c keeps it) and the
-    # coordinate entries of the model (the coupled model shares the
-    # plans of DST and is never flagged)
+    # one plan, two support patterns: the flag is the state class's,
+    # whatever c and beta are (c = 0 or nonzero, 1 + beta = 0 or not), and
+    # follows the coordinate entries of the model (the coupled model shares
+    # the plans of DST and is never flagged)
     d = mdl.random_dst(3, rng, zeta1=0.9)
     c = mdl.random_coupled(3, rng, beta=0.7, zeta1=0.9)
     assert mdl.flow_plan(mdl.config_of(d), FlowId(2, 0)) \
         is mdl.flow_plan(mdl.config_of(c), FlowId(2, 0))
     for tmpl, zero in ((d, True), (c, False),
                        (mdl.DSTState(d.x, d.X, np.zeros(3), d.zeta1), True),
+                       (replace(c, c=np.zeros(3), beta=-1.0), False),
                        (d, True), (c, False)):
-        kernel = mdl.FieldKernel(tmpl, FlowId(2, 0))
-        assert kernel.zero is zero
-        kernel(mdl.pack(tmpl))          # rewrites the coordinate entries
-        assert kernel.zero is zero
+        for kernel in (mdl.FieldKernel(tmpl, FlowId(2, 0)),
+                       mdl.field_kernel(tmpl, FlowId(2, 0))):
+            assert kernel.zero is zero
+            kernel(mdl.pack(tmpl))          # rewrites the coordinate entries
+            assert kernel.zero is zero
     with pytest.raises(AttributeError):
         kernel.zero = True
 
@@ -1000,11 +1004,11 @@ def test_field_kernel_guards(rng, monkeypatch):
 
 
 def test_field_kernel_memo_keys(rng, monkeypatch):
-    # one memoised kernel per (plan, class and T, the writer's constants c
-    # and beta as bytes, sector signs): templates that differ in any of
-    # them get distinct kernels, each bit for bit a kernel built fresh for
-    # its template, and templates equal in all of them share one, whatever
-    # their coordinates
+    # one memoised kernel per (plan, class and T, sector signs): templates
+    # that differ only in c or beta (by one ulp, or in the sign of a zero)
+    # share one, each fetch bit for bit a kernel built fresh for its
+    # template, whatever their coordinates; another zeta1, flow, sector
+    # sign or plan gets a kernel of its own
     T = 3
     dst = mdl.random_dst(T, rng, zeta1=0.9)
     cpl = mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)
@@ -1013,19 +1017,25 @@ def test_field_kernel_memo_keys(rng, monkeypatch):
     c0[1] = complex(0.0, c0[1].imag)
     cn = c0.copy()
     cn[1] = complex(-0.0, c0[1].imag)
-    variants = [
-        dst, replace(dst, c=np.nextafter(dst.c.real, 9) + 1j * dst.c.imag),
-        replace(dst, c=c0), replace(dst, c=cn), replace(dst, zeta1=0.7 + 0.4j),
-        cpl, replace(cpl, beta=np.nextafter(cpl.beta, 9.0)),
-        replace(cpl, c=dst.c), replace(cpl, beta=0.0), replace(cpl, beta=-0.0),
-        replace(cpl, zeta1=0.9j), toda]
+    groups = [
+        [dst, replace(dst, c=np.nextafter(dst.c.real, 9) + 1j * dst.c.imag),
+         replace(dst, c=c0), replace(dst, c=cn)],
+        [replace(dst, zeta1=0.7 + 0.4j)],
+        [cpl, replace(cpl, beta=np.nextafter(cpl.beta, 9.0)),
+         replace(cpl, c=dst.c), replace(cpl, beta=0.0),
+         replace(cpl, beta=-0.0)],
+        [replace(cpl, zeta1=0.9j)], [toda]]
+    variants = [t for group in groups for t in group]
 
     def flow(t):
         return FlowId(2, len(t.POLES))
     kernels = [mdl.field_kernel(t, flow(t)) for t in variants]
-    assert len({id(k) for k in kernels}) == len(variants)
+    assert len({id(k) for k in kernels}) == len(groups)
+    assert [len({id(mdl.field_kernel(t, flow(t))) for t in group})
+            for group in groups] == [1] * len(groups)
     for t, kernel in zip(variants, kernels):
         y = _packed_near(t, rng, 1)[0]
+        assert mdl.field_kernel(t, flow(t)) is kernel   # loads t
         assert kernel(y).tobytes() == mdl.FieldKernel(t, flow(t))(y).tobytes()
         moved = replace(t, **{b: getattr(t, b) + 0.25 for b in t.BLOCKS})
         assert mdl.field_kernel(moved, flow(t)) is kernel
@@ -1056,6 +1066,46 @@ def test_field_kernel_memo_keys(rng, monkeypatch):
         mdl.field_kernel(toda, FlowId(1, 1))
     with pytest.raises(AdmissibilityError, match="unknown model state"):
         mdl.field_kernel(object(), FlowId(1, 0))
+
+
+def test_field_kernel_loads_each_fetched_template(rng, monkeypatch):
+    # a memoised kernel computes for the template it was last fetched for:
+    # after fetches for t2, a template of the same key with other c and
+    # beta, flow_field and integrate on t1 are bit for bit their results on
+    # fresh kernels; and the memo holds one kernel per (plan, class, T,
+    # signs), however many templates are drawn
+    T = 3
+    monkeypatch.setattr(mdl, "_KERNELS", {})
+    for t1 in (mdl.random_dst(T, rng, zeta1=0.9),
+               mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
+        t2 = replace(t1, c=mdl.random_dst(T, rng, zeta1=0.9).c)
+        if isinstance(t2, mdl.CoupledState):
+            t2 = replace(t2, beta=-0.4)
+        f = FlowId(2, 1)
+        sched = dyn.Schedule.from_pairs([(f, 0.05), (FlowId(1, 0), 0.03)])
+        with monkeypatch.context() as m:
+            m.setattr(mdl, "_KERNELS", {})
+            want = (mdl.flow_field(t1, f).tobytes(),
+                    [x.vec.tobytes() for x in dyn.integrate(t1, sched).samples])
+        for seg in sched.segments:
+            kernel = mdl.field_kernel(t1, seg.flow)
+            assert mdl.field_kernel(t2, seg.flow) is kernel
+            y = _packed_near(t2, rng, 1)[0]
+            assert kernel(y).tobytes() \
+                == mdl.FieldKernel(t2, seg.flow)(y).tobytes()
+        assert (mdl.flow_field(t1, f).tobytes(),
+                [x.vec.tobytes() for x in dyn.integrate(t1, sched).samples]) \
+            == want
+    monkeypatch.setattr(mdl, "_KERNELS", {})
+    keys = set()
+    for i in range(20):
+        zeta1 = (0.9, 0.7 + 0.4j)[i % 2]
+        t = (mdl.random_dst(T, rng, zeta1=zeta1) if i % 4 < 2 else
+             mdl.random_coupled(T, rng, beta=rng.uniform(-1, 1), zeta1=zeta1))
+        for f in mdl.admissible_flows(t, 3):
+            mdl.field_kernel(t, f)
+            keys.add((mdl.flow_plan(mdl.config_of(t), f), type(t)))
+    assert len(mdl._KERNELS) == len(keys) == 2 * 2 * 6
 
 
 @pytest.mark.parametrize("T", [1, 2, 3])

@@ -7,36 +7,31 @@ lanes, per round of each benchmark workload.
 For each workload of CHECKOUT/perfbench/workloads.py (default: all four,
 in the checkout that holds this script), this builds the workload's
 inputs, warms up, and runs one round of its operations in this process,
-with models.FieldKernel.__call__, models.FieldKernel.step (where the
-kernel has it), models.FieldKernel.__init__, models.hamiltonian_value
-and models.FlowPlan.values wrapped from the outside to count them.  A
-checkout whose FieldKernel still has value and values (where H was read
-off a kernel) has those counted instead, so the counts of the two
-designs compare.  It prints one line per workload, each
-counter named by the route it counts:
+with models.FieldKernel.__call__, models.FieldKernel.step,
+models.FieldKernel.__init__, models.hamiltonian_value and
+models.FlowPlan.values wrapped from the outside to count them.  It
+prints one line per workload, each counter named by the route it
+counts:
 
     kernel_calls       field evaluations: one per FieldKernel.__call__
                        (flow_field and the fields that
-                       hamiltonian_gradient reads its gradient off; the
-                       RK4 stages where a step calls the kernel once per
-                       stage) and four per FieldKernel.step (a whole RK4
-                       step, the trajectories and closure arcs), so the
-                       counts of the two step designs compare
-    kernel_builds      FieldKernel constructions: in a checkout with
-                       models.field_kernel, the misses of its memo, so
-                       a round after the warm-up counts only the keys
-                       the warm-up did not meet
+                       hamiltonian_gradient reads its gradient off) and
+                       four per FieldKernel.step (a whole RK4 step, the
+                       trajectories and closure arcs)
+    kernel_builds      FieldKernel constructions: the misses of the
+                       models.field_kernel memo, keyed by (plan, state
+                       class, T, sector signs), so a round after the
+                       warm-up counts only the keys the warm-up did not
+                       meet
     value_calls        one H value each, models.hamiltonian_value
-                       (FieldKernel.value)
-    values_lane_calls  the H columns of simulate, FlowPlan.values
-                       (FieldKernel.values), and the lanes (stacked
-                       support vectors) those took
+    values_lane_calls  the H columns of simulate, FlowPlan.values, and
+                       the lanes (stacked support vectors) those took
 
-and the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
-so that two checkouts can be compared for bit-identical results.  In
-checkouts where hamiltonian_gradient ran the plan itself (FieldKernel
-had a sectors method), a gradient is counted by neither kernel_calls
-nor value_calls.  The `perfbench/run.py --trace 1` counters wrap
+A call made inside a counted call (the one lane of FlowPlan.values that
+hamiltonian_value reads its value off) is not counted again.  The tool
+prints the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
+so that two checkouts can be compared for bit-identical results.  The
+`perfbench/run.py --trace 1` counters wrap
 models.flow_field by name and do not see the kernels that
 dynamics.integrate and the simulate command call.
 
@@ -80,31 +75,33 @@ def main(argv=None) -> int:
     counts = dict.fromkeys(("calls", "builds", "value_calls", "lane_calls",
                             "lanes"), 0)
 
+    inside = [False]
+
     def count(owner, name, key, lanes=False, each=1):
-        """Wrap owner.name so that each call adds each to counts[key] and,
-        with lanes, the rows of its last argument (a stack) to
-        counts["lanes"]."""
+        """Wrap owner.name so that each call from outside the counted
+        routes adds each to counts[key] and, with lanes, the rows of its
+        last argument (a stack) to counts["lanes"]."""
         fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
+            if inside[0]:
+                return fn(*args, **kwargs)
             counts[key] += each
             if lanes:
                 counts["lanes"] += len(args[-1])
-            return fn(*args, **kwargs)
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
         setattr(owner, name, counted)
 
     kernel = models.FieldKernel
     count(kernel, "__call__", "calls")
-    if hasattr(kernel, "step"):   # a whole RK4 step: four evaluations
-        count(kernel, "step", "calls", each=4)
+    count(kernel, "step", "calls", each=4)   # a whole RK4 step
     count(kernel, "__init__", "builds")
-    if hasattr(kernel, "value"):   # H read off a kernel
-        count(kernel, "value", "value_calls")
-    else:
-        count(models, "hamiltonian_value", "value_calls")
-    lanes_owner = kernel if hasattr(kernel, "values") else models.FlowPlan
-    if hasattr(lanes_owner, "values"):
-        count(lanes_owner, "values", "lane_calls", lanes=True)
+    count(models, "hamiltonian_value", "value_calls")
+    count(models.FlowPlan, "values", "lane_calls", lanes=True)
     for name in args.workload or sorted(WORKLOADS):
         wl = WORKLOADS[name](args.seed)
         wl.warm_up()

@@ -1075,27 +1075,28 @@ def test_field_kernel_loads_each_fetched_template(rng, monkeypatch):
     # fresh kernels; and the memo holds one kernel per (plan, class, T,
     # signs), however many templates are drawn
     T = 3
+    f = FlowId(2, 1)
+    sched = dyn.Schedule.from_pairs([(f, 0.05), (FlowId(1, 0), 0.03)])
+
+    def outputs(t):
+        return (mdl.flow_field(t, f).tobytes(),
+                [x.vec.tobytes() for x in dyn.integrate(t, sched).samples])
     monkeypatch.setattr(mdl, "_KERNELS", {})
     for t1 in (mdl.random_dst(T, rng, zeta1=0.9),
                mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
         t2 = replace(t1, c=mdl.random_dst(T, rng, zeta1=0.9).c)
         if isinstance(t2, mdl.CoupledState):
             t2 = replace(t2, beta=-0.4)
-        f = FlowId(2, 1)
-        sched = dyn.Schedule.from_pairs([(f, 0.05), (FlowId(1, 0), 0.03)])
         with monkeypatch.context() as m:
             m.setattr(mdl, "_KERNELS", {})
-            want = (mdl.flow_field(t1, f).tobytes(),
-                    [x.vec.tobytes() for x in dyn.integrate(t1, sched).samples])
+            want = outputs(t1)
         for seg in sched.segments:
             kernel = mdl.field_kernel(t1, seg.flow)
             assert mdl.field_kernel(t2, seg.flow) is kernel
             y = _packed_near(t2, rng, 1)[0]
             assert kernel(y).tobytes() \
                 == mdl.FieldKernel(t2, seg.flow)(y).tobytes()
-        assert (mdl.flow_field(t1, f).tobytes(),
-                [x.vec.tobytes() for x in dyn.integrate(t1, sched).samples]) \
-            == want
+        assert outputs(t1) == want
     monkeypatch.setattr(mdl, "_KERNELS", {})
     keys = set()
     for i in range(20):

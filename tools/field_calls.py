@@ -28,10 +28,10 @@ counts:
                        the lanes (stacked support vectors) those took
 
 A call made inside a counted call (the one lane of FlowPlan.values that
-hamiltonian_value reads its value off) is not counted again.  The tool
-prints the SHA-256 fingerprint of the round's outputs (perfbench/worker.py),
-so that two checkouts can be compared for bit-identical results.  The
-`perfbench/run.py --trace 1` counters wrap
+hamiltonian_value reads its value off) is not counted again.  Each line
+ends with the SHA-256 fingerprint of the round's outputs
+(perfbench/worker.py), so that two checkouts can be compared for
+bit-identical results.  The `perfbench/run.py --trace 1` counters wrap
 models.flow_field by name and do not see the kernels that
 dynamics.integrate and the simulate command call.
 

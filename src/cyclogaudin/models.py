@@ -33,23 +33,26 @@ One constructor (_ModelState) builds every state from the layout, and a
 Toda state stays real: _real rejects an imaginary part above _IMAG_TOL
 there, in unpack and in the SupportWriter.
 
-Compiled flow plans and field kernels
+Three maps through the support vector
 -------------------------------------
-flow_field, hamiltonian_gradient, coefficient_velocity and
-hamiltonian_value share one route: the support vector z of the state
-(its structurally nonzero Lax coefficients) goes through the FlowPlan of
-its (pole config, flow), built on first use and cached, which returns
-dH/dz from a few matrix products.  The flow field follows by the chain
-rule through z, and since L is linear in z, H_{p,r} is homogeneous of
-degree p + 1 and Euler's identity reads the value off the same
-gradient: H_{p,r} = z . dH/dz / (p + 1).  The plan weights are
-read off the generic ratmat/gaudin code, and the tests hold the plan to
-that generic route: its gradients to hamiltonian_coefficient_gradients
-and to finite differences of gaudin.hamiltonian, its values to
-gaudin.hamiltonian.  SupportWriter.write gives z of a packed y and
-SupportWriter.tangent dz = (dz/dy) dy, a_i read off that z; _scatter
-maps support vectors to Lax coefficients for coefficients,
-stacked_coefficients and coefficient_jets.
+L is linear in the support vector z of a state (its structurally nonzero
+Lax coefficients), and each map through z is written once:
+
+    y -> z      SupportWriter: one z write per model, bound to a buffer of
+                any leading shape (write for one row, stack for many)
+    dy -> dz    SupportWriter.tangent, the pushforward, which
+                coefficient_jets and coefficient_velocity scatter (_scatter)
+    z -> dH/dz  FlowPlan.lanes, the plan of a (pole config, flow) run on a
+                stack of support vectors, built on first use and cached
+
+The plan is a few matrix products, and the flow field follows from dH/dz
+by the chain rule through z.  H_{p,r} is homogeneous of degree p + 1 in
+z, so Euler's identity reads the value off the same gradient:
+H_{p,r} = z . dH/dz / (p + 1) (FlowPlan.values; hamiltonian_value reads
+one lane, simulate its H columns).  The plan weights are read off the
+generic ratmat/gaudin code, and the tests hold the plan to that generic
+route: its gradients to hamiltonian_coefficient_gradients and to finite
+differences of gaudin.hamiltonian, its values to gaudin.hamiltonian.
 
 Every flow p = 1..gaudin.MAX_DEPTH (6) has a plan and is certified;
 FlowId rejects deeper ones, so no function here takes a depth argument.
@@ -58,29 +61,17 @@ chosen depth.
 
 A FieldKernel, built whole by its constructor and memoised per (plan,
 state class and T, sector signs) by field_kernel, which loads each
-template's constants c and beta into it, runs that route on packed
-vectors y with no state object, in one call: its SupportWriter
-writes the coordinate entries of z from views of the y slot of one
-buffer [z | y | 1] whose constant entries are written at load, and the
-plan's product chain ends in a pair read-out, one product that applies
-the read-out and the chain rule together
-(pair_readout, the one chain rule here).  dynamics integrates on kernels
-and flow_field is a kernel applied to pack(state), both from
-field_kernel, so the two agree bit for bit.  Every flow is Hamiltonian,
-the field being the bracket applied to dH, so hamiltonian_gradient
-reads the gradient off the field sector by sector.  The H values belong
-to the plan, not to a kernel: FlowPlan.values applies Euler's identity
-on FlowPlan.lanes, the plan run on a stack of support vectors as a lane
-axis, bit for bit one call per lane; hamiltonian_value reads one lane
-and simulate its H columns through it.  dynamics.rk4_step
-runs a whole step in one kernel call (FieldKernel.step).  For p = 1..3
-a kernel call costs 3.7-5.4 us on Toda T = 3,
-3.2-6.6 us on DST T = 3 and 4.8-9.2 us on coupled T = 2 and 3, and one
-RK4 step on a kernel 16.9-23.8 us, 15.5-29.6 us and 23.2-40.8 us
-(tools/kernel_timing.py: best single call of 5000, best single step of
-2000, best of 3 processes); over 150 lanes the plan costs
-0.6-3.3 us per lane (best of 20 rounds of 20 calls).  Python 3.11,
-NumPy 2.4, one thread of a shared 2-vCPU x86 VM.
+template's constants c and beta into it, runs the first and last maps on
+packed vectors y with no state object, in one call: its SupportWriter
+writes z into the head of one buffer [z | y | 1], and the plan's product
+chain ends in a pair read-out, one product that applies the read-out and
+the chain rule together (pair_readout, the one chain rule here).
+dynamics integrates on kernels, a whole RK4 step per call
+(FieldKernel.step), and flow_field is a kernel applied to pack(state),
+both from field_kernel, so the two agree bit for bit.  Every flow is
+Hamiltonian, the field being the bracket applied to dH, so
+hamiltonian_gradient reads the gradient off the field sector by sector.
+tools/kernel_timing.py times a kernel call and step.
 
 Structural zeros
 ----------------
@@ -548,8 +539,8 @@ class FlowPlan:
     its lower block-Toeplitz matrix (nT, nT), so that p - 1 products
     P = W P starting from the first block column give the truncated
     series of L^p, and dH/dz = R P.ravel().  lanes runs that chain on a
-    stack of support vectors, and a call is one lane of it.  H_{p,r} is
-    the plan's too: values, and hamiltonian_value, by Euler's identity.
+    stack of support vectors, one lane per row, and values reads H_{p,r}
+    off it by Euler's identity: the plan's two reads.
     """
 
     __slots__ = ("p", "expand", "take", "readout")
@@ -603,10 +594,6 @@ class FlowPlan:
         self.p = p
         for arr in (self.expand, self.take, self.readout):
             arr.setflags(write=False)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """dH/dz from the support vector z of the state."""
-        return self.lanes(z[None])[0]
 
     def lanes(self, Z: np.ndarray) -> np.ndarray:
         """dH/dz at every row of the (m, nz) stack Z of support vectors.
@@ -674,18 +661,18 @@ class SupportWriter:
 
     z heads one buffer [z | y | 1], in float64 on a real model, whose
     structural entries (the zero A0_1 entries for DST, 1 on Ainf, the
-    trailing 1) are filled once.  y goes into its slot, and the one z
-    write (fill, chosen for the model when the writer is built) writes
-    the coordinate entries from views of the slot fixed at build: p or
-    p + beta c from the p block, a_i = exp(D q) (_difference) from the q
-    block, and (beta) x X^T from the x column and the X row.  write
-    returns z, a view of the buffer valid until the next write, which
-    tangent reads a_i off.  A Toda y
-    with an imaginary part above _IMAG_TOL is rejected, as unpack rejects
-    it; a real y of a complex model is cast into the slot, as unpack
-    casts it.  The complex D makes a_i the complex exp on Toda too, of
-    which z keeps the real part, since exp rounds differently on real
-    arguments."""
+    trailing 1) are filled once.  The model's z write (_z_write) is built
+    once against a buffer of any leading shape: it writes the coordinate
+    entries of every z from views of the y slot, p or p + beta c from the
+    p block, a_i = exp(D q) (_difference) from the q block and (beta)
+    x X^T from the x column and the X row.  write binds it to the writer's
+    one-row buffer and returns z, a view valid until the next write, which
+    tangent reads a_i off; stack binds it to a stack of buffers seeded with
+    the writer's and writes every row in one pass.  A Toda y with an
+    imaginary part above _IMAG_TOL is rejected, as unpack rejects it; a
+    real y of a complex model is cast into the slot, as unpack casts it.
+    The complex D makes a_i the complex exp on Toda too, of which z keeps
+    the real part, since exp rounds differently on real arguments."""
 
     __slots__ = ("T", "real", "buf", "z", "y", "bc", "beta", "qs", "ps",
                  "xs", "Xs", "coords", "fill")
@@ -699,44 +686,53 @@ class SupportWriter:
         self.buf = buf = np.empty(nz + nvars(template) + 1,
                                   float if self.real else complex)
         buf[-1] = 1.0
-        self.z, self.y = z, y = buf[:nz], buf[nz:-1]
-        zp, za = z[:T], z[T:2 * T]
+        self.z, self.y = buf[:nz], buf[nz:-1]
+        self.z[-T:] = 1.0   # Ainf; 1 + beta on the coupled model, at load
+        if self.qs is None:   # DST: the A0_1 block is zero
+            self.z[T:2 * T] = 0.0
         self.bc = self.beta = None
-        if self.xs is None:   # Toda, with no constants to load
-            z[2 * T:] = 1.0
-            yp, yq, D = y[self.ps], y[self.qs], _difference(T)
-            qa = np.empty(T, complex)
+        if self.qs is not None and self.xs is not None:   # coupled
+            self.bc = np.empty(T, complex)
+            self.beta = np.empty((), complex)   # 0-d: cast at load
+        self.fill = self._z_write(buf)
+        self.load(template)
+
+    def _z_write(self, buf: np.ndarray):
+        """The model's z write on buf (..., nz + n + 1): a function that
+        writes the coordinate entries of every z in buf from the views of
+        its y slot fixed here, and returns the z of buf."""
+        T, nz = self.T, self.coords.size
+        z, y = buf[..., :nz], buf[..., nz:-1]
+        zp, za = z[..., :T], z[..., T:2 * T]
+        bc, beta = self.bc, self.beta
+        if self.qs is not None:
+            yp, yq, DT = y[..., self.ps], y[..., self.qs], _difference(T).T
+            qa = np.empty(yq.shape, complex)
             qa_re = qa.real
+        if self.xs is None:   # Toda
 
             def fill():
                 zp[...] = yp
-                np.exp(np.dot(D, yq, qa), qa)
+                np.exp(np.dot(yq, DT, qa), qa)
                 za[...] = qa_re
                 return z
-            self.fill = fill
-            return
-        K = z[2 * T:2 * T + T * T].reshape(T, T)
-        yx, yX = y[self.xs, None], y[None, self.Xs]
+            return fill
+        K = z[..., 2 * T:2 * T + T * T].reshape(*z.shape[:-1], T, T)
+        yx, yX = y[..., self.xs, None], y[..., None, self.Xs]
         if self.qs is None:   # DST
-            za[:] = 0.0
-            z[-T:] = 1.0
 
             def fill():
                 np.multiply(yx, yX, K)
                 return z
-        else:   # coupled
-            self.bc = bc = np.empty(T, complex)
-            self.beta = beta = np.empty((), complex)   # 0-d: cast at load
-            yp, yq, D = y[self.ps], y[self.qs], _difference(T)
+            return fill
 
-            def fill():
-                np.add(yp, bc, zp)
-                np.exp(np.dot(D, yq, za), za)
-                np.multiply(yx, yX, K)
-                np.multiply(beta, K, K)
-                return z
-        self.fill = fill
-        self.load(template)
+        def fill():   # coupled
+            np.add(yp, bc, zp)
+            np.exp(np.dot(yq, DT, qa), za)
+            np.multiply(yx, yX, K)
+            np.multiply(beta, K, K)
+            return z
+        return fill
 
     def load(self, template) -> None:
         """Write the constants of a template of the writer's class and T."""
@@ -777,11 +773,13 @@ class SupportWriter:
 
     def stack(self, Y) -> np.ndarray:
         """The support vectors of the states packed as the rows of Y, as a
-        new (m, nz) array."""
-        Z = np.empty((len(Y), self.z.size), complex)
-        for i, y in enumerate(Y):
-            Z[i] = self.write(y)
-        return Z
+        new complex (m, nz) array: the z write bound to an (m, nz + n + 1)
+        buffer seeded with the writer's, which holds the loaded constants,
+        runs once over every row."""
+        Y = _real(np.asarray(Y), "state") if self.real else np.asarray(Y)
+        buf = np.tile(self.buf, (len(Y), 1))
+        buf[:, self.z.size:-1] = Y
+        return self._z_write(buf)().astype(complex)
 
 
 @cache
@@ -856,8 +854,7 @@ class FieldKernel(SupportWriter):
     H values are the plan's (FlowPlan.values).  A call or step rewrites
     every buffer it reads and zero reads no constant of the template, so
     field_kernel memoises one kernel per (plan, state class and T,
-    SECTOR_SIGN_* values) for every caller, loading each template into it.
-    Timings: the module docstring."""
+    SECTOR_SIGN_* values) for every caller, loading each template into it."""
 
     __slots__ = ("plan", "_zero", "_field", "_step")
 
@@ -1092,16 +1089,12 @@ def stacked_invariants(template, Y) -> dict:
 
 
 def coefficient_velocity(state, f: FlowId):
-    """Time derivatives of the Lax coefficients induced by the coordinate
-    flow field, via the coefficient/coordinate Jacobian stacks."""
-    v = np.asarray(flow_field(state, f), complex)
-    C = coefficient_jets(state)
-
-    def push(M):
-        return np.einsum("nij,n->ij", M, v)
-
-    return (push(C.A0_0), push(C.A0_1), [push(A) for A in C.A_list],
-            push(C.Ainf))
+    """Time derivatives (dA0_0, dA0_1, [dA_1..dA_N], dAinf) of the Lax
+    coefficients along the flow: the flow field pushed forward to the
+    support vector (SupportWriter.tangent) and scattered into zero blocks."""
+    C = _scatter(state, SupportWriter(state).tangent(pack(state),
+                                                     flow_field(state, f)))
+    return C.A0_0, C.A0_1, C.A_list, C.Ainf
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,10 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     cfg.validate(need_model=name in ("models", "dynamics", "all"))
+    if cfg.beta == 0 and (name == "all" or cfg.model == "coupled"
+                          and name in ("models", "dynamics")):
+        raise ConfigError("the (x, X) bracket sector of the coupled model "
+                          "degenerates at beta = 0")
     if name != "all":
         return _SUITE_FUNCS[name](cfg)
     rep = _report(cfg, "all")

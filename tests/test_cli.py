@@ -298,6 +298,43 @@ def test_simulate_divergence_exit_3(tmp_path):
     assert out.read_text().rstrip().endswith("# diverged")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--beta", "0"],
+    ["verify", "--model", "toda", "--beta", "0"],
+    ["verify", "--suite", "models", "--model", "coupled", "--beta", "0"],
+    ["verify", "--suite", "dynamics", "--model", "coupled", "--beta", "-0.0"],
+])
+def test_verify_rejects_coupled_beta_zero_before_any_suite(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    # a run that would take the coupled model to beta = 0, where its
+    # bracket degenerates, is a usage error on one line before any suite
+    from cyclogaudin import suites
+
+    called = []
+    for name in suites._SUITE_FUNCS:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name,
+                            lambda cfg, name=name: called.append(name))
+    out = tmp_path / "o"
+    assert main(argv + ["--T", "2", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beta = 0" in err
+    assert called == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "models", "--model", "toda"],
+    ["verify", "--suite", "gaudin", "--model", "coupled"],
+    ["simulate", "--schedule", "1:0:0.01"],
+    ["simulate", "--model", "coupled", "--schedule", "1:1:0.01"],
+    ["closure", "--model", "coupled"],
+    ["closure", "--model", "toda", "--flow-b", "2:0"],
+])
+def test_beta_zero_runs_that_skip_the_coupled_bracket_pass(tmp_path, argv):
+    assert main(argv + ["--T", "2", "--beta", "0",
+                        "--output", str(tmp_path / "o")]) == 0
+
+
 def test_run_suite_rejects_unknown_name():
     from cyclogaudin.errors import ConfigError
     from cyclogaudin.suites import RunConfig, run_suite

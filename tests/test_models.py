@@ -462,8 +462,9 @@ def _scatter(z, nb, T):
 def _generic_plan(cfg, f, calls):
     """The generic route in the calling convention of a FlowPlan: assemble
     L from the support vector z, read the gradient matrices off
-    hamiltonian_coefficient_gradients and return dH/dz, and values by
-    Euler's identity on it; every gradient appends f to `calls`."""
+    hamiltonian_coefficient_gradients and return dH/dz, per row of a
+    stack (lanes) and values by Euler's identity on it; every gradient
+    appends f to `calls`."""
     nb = cfg.N + 3
     layout = _support_layout(nb, cfg.T)
 
@@ -476,6 +477,7 @@ def _generic_plan(cfg, f, calls):
         M = [M00, M01, *Ms, Minf]
         # M_b = (dH/dA_b)^T
         return np.array([M[b][c, r] for b, r, c in layout])
+    gradient.lanes = lambda Z: np.array([gradient(z) for z in Z])
     gradient.values = lambda Z: [complex(z @ gradient(z)) / (f.p + 1)
                                  for z in Z]
     return gradient
@@ -500,7 +502,8 @@ def _assert_plan_matches_generic(s, f, monkeypatch):
     assert np.array_equal(_scatter(z, cfg.N + 3, s.T),
                           _as_blocks(mdl.coefficients(s)))
     calls = []
-    close(mdl.flow_plan(cfg, f)(z), _generic_plan(cfg, f, calls)(z))
+    close(mdl.flow_plan(cfg, f).lanes(z[None])[0],
+          _generic_plan(cfg, f, calls)(z))
     got = [mdl.flow_field(s, f), mdl.hamiltonian_gradient(s, f),
            mdl.hamiltonian_value(s, f)]
     # the kernel's call runs the plan product over the plan's arrays, so the
@@ -698,8 +701,8 @@ def test_cyclic_coefficient_path_matches_loops(rng):
             assert C.A0_0.tobytes() == J00.tobytes()
             # gq: the same products and differences; NumPy's vectorised
             # complex product may round with fused multiply-adds
-            g = mdl.flow_plan(mdl.config_of(s), FlowId(2, 0))(
-                mdl.support_vector(s))[T:2 * T]   # dH/dJ01[i+1, i]
+            g = mdl.flow_plan(mdl.config_of(s), FlowId(2, 0)).lanes(
+                mdl.support_vector(s)[None])[0, T:2 * T]   # dH/dJ01[i+1, i]
             gq = np.empty(T, complex)
             for i in range(T):
                 gq[i] = a[i] * g[i] - a[(i - 1) % T] * g[(i - 1) % T]
@@ -780,7 +783,7 @@ def _concatenated_route_field(tmpl, y, f):
     s = mdl.unpack(tmpl, y)
     T = s.T
     z = _concatenated_support(s)
-    g = mdl.flow_plan(mdl.config_of(s), f)(z)
+    g = mdl.flow_plan(mdl.config_of(s), f).lanes(z[None])[0]
     if not isinstance(s, mdl.DSTState):
         gp = g[:T]
         t = z[T:2 * T] * g[T:2 * T]
@@ -951,8 +954,9 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     m.setattr(mdl, "SECTOR_SIGN_XX", xx)
                     kernel = mdl.FieldKernel(tmpl, f)
                     z = mdl.SupportWriter(tmpl).write(y)
-                    ref = _parent_chain_rule(tmpl, kernel.plan(z), z[T:2 * T],
-                                             y, pq > 0, xx > 0)
+                    g = kernel.plan.lanes(z[None])[0]
+                    ref = _parent_chain_rule(tmpl, g, z[T:2 * T], y,
+                                             pq > 0, xx > 0)
                     v = kernel(y)
                     assert np.max(np.abs(v - ref)) <= \
                         1e-13 * (1 + np.max(np.abs(ref)))
@@ -1152,9 +1156,10 @@ def _packed_near(tmpl, rng, m, real=False):
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_flow_plan_lanes_match_calls_bit_for_bit(rng, T):
-    # lane counts below, at and above one block; the lanes must run the
-    # per-call products (W @ P per lane, not ndarray.dot), so that T = 1,
-    # where P is a column, rounds as the call does too
+    # lane counts below, at and above one block against one-lane stacks;
+    # the lanes must run per-lane products (W @ P per lane, not
+    # ndarray.dot), so that T = 1, where P is a column, rounds as one lane
+    # does too
     counts = (1, 2, 7, mdl.LANE_BLOCK + 5)
     for tmpl in _kernel_templates(T, rng):
         writer = mdl.SupportWriter(tmpl)
@@ -1164,16 +1169,69 @@ def test_flow_plan_lanes_match_calls_bit_for_bit(rng, T):
             for Z in stacks:
                 G = kernel.plan.lanes(Z)
                 assert G.shape == Z.shape
-                assert np.array_equal(G, [kernel.plan(z) for z in Z])
-                # Euler's identity per row on the plan's call
+                assert np.array_equal(G, [kernel.plan.lanes(z[None])[0]
+                                          for z in Z])
+                # Euler's identity per row on a one-lane stack
                 assert kernel.plan.values(Z) == [
-                    complex(z @ kernel.plan(z)) / (f.p + 1) for z in Z]
+                    complex(z @ kernel.plan.lanes(z[None])[0]) / (f.p + 1)
+                    for z in Z]
+
+
+# At T = 1 NumPy rounds a one-element complex product (x X^T, then beta
+# times it) in a per-row write differently from the same product in the
+# longer loop of a stack.  Each product is within sqrt(2) gamma_2 |x||y| of
+# the exact one (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., Lemma 3.5), an entry takes at most two products, and |x y| = |x||y|
+# for scalars, so the two routes agree within this relative bound.
+_U = np.finfo(float).eps / 2
+_ONE_ELEMENT_RTOL = 2 * ((1 + np.sqrt(2) * 2 * _U / (1 - 2 * _U)) ** 2 - 1)
+
+
+def _assert_stack_rows(got, ref, T):
+    """got equals ref byte for byte, or at T = 1 within _ONE_ELEMENT_RTOL."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    if T == 1:
+        np.testing.assert_allclose(got, ref, rtol=_ONE_ELEMENT_RTOL, atol=0)
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_support_stack_matches_per_row_writes(rng, T):
+    # stack runs the z write that write runs on one row over a whole stack
+    # at once: the three models, beta = 0, real and complex rows; the
+    # writer's own buffer is left as it was.  A Toda row off the real locus
+    # raises in a stack as in write, and one within _IMAG_TOL is read as its
+    # real part in both
+    for tmpl in _kernel_templates(T, rng):
+        writer = mdl.SupportWriter(tmpl)
+        for real in (False, True):
+            ys = _packed_near(tmpl, rng, 7, real=real)
+            held = writer.buf.tobytes()
+            Z = writer.stack(ys)
+            assert writer.buf.tobytes() == held
+            _assert_stack_rows(Z, np.array([writer.write(y).astype(complex)
+                                            for y in ys]), T)
+    toda = mdl.random_toda(T, rng)
+    writer, ys = mdl.SupportWriter(toda), _packed_near(toda, rng, 3)
+    for imag, ok in ((0.5 * mdl._IMAG_TOL, True), (2 * mdl._IMAG_TOL, False)):
+        rows = [ys[0], ys[1] + 1j * imag, ys[2]]
+        if ok:
+            assert writer.stack(rows).tobytes() == writer.stack(ys).tobytes()
+            assert writer.write(rows[1]).tobytes() == \
+                writer.write(ys[1]).tobytes()
+            continue
+        with pytest.raises(StructuralError, match="real locus"):
+            writer.write(rows[1])
+        with pytest.raises(StructuralError, match="real locus"):
+            writer.stack(rows)
 
 
 def test_stacked_coefficients_match_per_state_blocks(rng):
     # the stack written from packed vectors through one SupportWriter
     # against the coefficients of each unpacked state; real packed vectors
-    # too, which unpack casts to complex off Toda
+    # too, which unpack casts to complex off Toda; byte for byte but at
+    # T = 1 (_ONE_ELEMENT_RTOL)
     for T in (1, 2, 3, 5):
         for tmpl in _kernel_templates(T, rng):
             for real in (False, True):
@@ -1183,9 +1241,35 @@ def test_stacked_coefficients_match_per_state_blocks(rng):
                               for y in ys])
                 for got, k in ((C.A0_0, 0), (C.A0_1, 1), (C.Ainf, -1),
                                *zip(C.A_list, range(2, B.shape[1] - 1))):
-                    assert got.dtype == B.dtype
-                    assert np.array_equal(got, B[:, k])
+                    _assert_stack_rows(got, B[:, k], T)
                 assert len(C.A_list) == B.shape[1] - 3
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_coefficient_velocity_is_the_pushed_forward_field(rng, T):
+    # coefficient_velocity pushes the flow field v forward through
+    # SupportWriter.tangent; the reference is the dense contraction of the
+    # coefficient Jacobians with v.  Both compute each entry as the complex
+    # inner product sum_n J_n v_n of length n = nvars, each within
+    # sqrt(2) gamma_{n+2} sum_n |J_n||v_n| of the exact one (Higham, 2nd
+    # ed., sec. 3.6), so the two differ by at most twice that
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.7 + 0.4j),
+              mdl.random_coupled(T, rng, beta=0.0, zeta1=0.9)):
+        J = mdl.coefficient_jets(s)
+        K = mdl.nvars(s) + 2
+        factor = 2 * np.sqrt(2) * K * _U / (1 - K * _U)
+        for f in mdl.admissible_flows(s, 3):
+            v = mdl.flow_field(s, f)
+            dA00, dA01, dAs, dAinf = mdl.coefficient_velocity(s, f)
+            assert len(dAs) == len(J.A_list)
+            for got, Jb in zip((dA00, dA01, *dAs, dAinf),
+                               (J.A0_0, J.A0_1, *J.A_list, J.Ainf)):
+                ref = np.einsum("nij,n->ij", Jb, np.asarray(v, complex))
+                bound = factor * np.einsum("nij,n->ij", np.abs(Jb),
+                                           np.abs(v))
+                assert got.shape == ref.shape and got.dtype == complex
+                assert np.all(np.abs(got - ref) <= bound)
 
 
 @pytest.mark.parametrize("name", ["SECTOR_SIGN_PQ", "SECTOR_SIGN_XX"])

@@ -1,9 +1,10 @@
 """Microseconds per flow-field kernel call, per RK4 step on a kernel
-and per short endpoint run, and per call of the Laurent-layer routines,
-for one or more checkouts.
+and per short endpoint run, per call of the Laurent-layer routines, and
+per call of the Lax-velocity and support-stack routes, for one or more
+checkouts.
 
-    python3 tools/kernel_timing.py [CHECKOUT ...] [--table kernel|laurent]
-        [--output FIGURES.json]
+    python3 tools/kernel_timing.py [CHECKOUT ...]
+        [--table kernel|laurent|routes] [--output FIGURES.json]
 
 Kernel table: for Toda, DST (zeta1 = 0.9) and coupled (beta = 0.7,
 zeta1 = 0.9) states drawn at seed 0, T = 2 and 3, and the flows (p, r)
@@ -30,8 +31,16 @@ rmatrix.sklyanin_residual(state, lam, mu) (|lam| = 0.55, |mu| = 1.7),
 gaudin.lax_partner((3, r), L, P) and
 gaudin.hamiltonian_coefficient_gradients((3, r), L, P): the routines under
 the algebra_battery workload, at the battery's deepest flow, and the two
-other reads of lambda^p L^p at a slot.  It prints one row per (model, T) and, per checkout, one column per
-routine.
+other reads of lambda^p L^p at a slot.  It prints one row per (model, T)
+and, per checkout, one column per routine.
+
+Routes table: for the same three models at T = 2..5 (states drawn at
+seed 2), it times ROUTE_CALLS = 100 single calls, after 5 warm-up calls,
+of dynamics.el_lax_agreement(state, (3, r)), which reads the Lax
+velocity models.coefficient_velocity, and of SupportWriter(state).stack
+on STACK_ROWS = 400 packed vectors near the state's (complex off Toda),
+the stack that simulate and the suites write their rows with.  It prints
+one row per (model, T) and, per checkout, an el_lax and a stack column.
 
 Each figure is the best single call, step or run, in us.  Every checkout
 (default: the one that holds this script) runs in ROUNDS = 3 fresh
@@ -54,10 +63,12 @@ MODELS = ("toda", "dst", "coupled")
 # the method behind the quoted figures
 CALLS, STEPS, ENDPOINTS, ROUNDS = 5000, 2000, 200, 3
 LAURENT_CALLS = 100
+ROUTE_CALLS, STACK_ROWS = 100, 400
 H = 1e-3
 COLUMNS = {"kernel": ("call", "step", "endpoint"),
            "laurent": ("lax_rhs", "R_+", "split", "hamiltonian", "sklyanin",
-                       "lax_partner", "gradients")}
+                       "lax_partner", "gradients"),
+           "routes": ("el_lax", "stack")}
 
 
 def _best(fn, n: int, warm: int) -> float:
@@ -138,11 +149,38 @@ def _laurent_table() -> dict:
     return best
 
 
+def _routes_table() -> dict:
+    """Best single el_lax_agreement and 400-row stack per (model, T)."""
+    import numpy as np
+    from cyclogaudin import dynamics, models
+    from cyclogaudin.gaudin import FlowId
+
+    rng = np.random.default_rng(2)
+    best = {}
+    for T in (2, 3, 4, 5):
+        states = {"toda": models.random_toda(T, rng),
+                  "dst": models.random_dst(T, rng, zeta1=0.9),
+                  "coupled": models.random_coupled(T, rng, beta=0.7,
+                                                   zeta1=0.9)}
+        for name in MODELS:
+            s = states[name]
+            f, n = FlowId(3, len(s.POLES)), models.nvars(s)
+            Y = models.pack(s) + 0.3 * rng.normal(size=(STACK_ROWS, n))
+            if not s.REAL:
+                Y = Y + 0.3j * rng.normal(size=Y.shape)
+            writer = models.SupportWriter(s)
+            best[f"{name} {T}"] = [
+                _best(lambda: dynamics.el_lax_agreement(s, f), ROUTE_CALLS, 5),
+                _best(lambda: writer.stack(Y), ROUTE_CALLS, 5)]
+    return best
+
+
 def _worker(checkout: str, table: str) -> dict:
     """The chosen tables of the checkout, in us (runs in the child
     process)."""
     sys.path.insert(0, os.path.join(checkout, "src"))
-    tables = {"kernel": _kernel_table, "laurent": _laurent_table}
+    tables = {"kernel": _kernel_table, "laurent": _laurent_table,
+              "routes": _routes_table}
     return {name: fn() for name, fn in tables.items()
             if table in (name, "all")}
 
@@ -151,8 +189,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)],
                     help="checkouts to time (default: this one)")
-    ap.add_argument("--table", choices=("all", "kernel", "laurent"),
-                    default="all", help="tables to time (default: both)")
+    ap.add_argument("--table", choices=("all", *COLUMNS), default="all",
+                    help="tables to time (default: all three)")
     ap.add_argument("--output", help="also write the figures as JSON here")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

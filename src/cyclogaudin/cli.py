@@ -142,11 +142,8 @@ def cmd_simulate(args) -> int:
     except DivergenceError as exc:
         traj = exc.last_good
         diverged = True
-    # one support vector per row; each flow's plan reads all rows as lanes
     vecs = [sample.vec for sample in traj.samples]
-    Z = mdl.SupportWriter(s0).stack(vecs)
-    hvals = list(zip(*[mdl.flow_plan(mdl.config_of(s0), f).values(Z)
-                       for f in ham_flows]))
+    hvals = list(zip(*mdl.stacked_hamiltonians(s0, vecs, ham_flows)))
     coords = _cells(s0, vecs)
     hcells = _cells(s0, hvals)
     fmt = ",".join(["%d"] * 4 + ["%.16e"] * (len(coords[0]) + len(hcells[0])

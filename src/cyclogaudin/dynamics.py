@@ -375,11 +375,9 @@ class VerificationReport:
     seed: int
     config_digest: str
     cases: list = field(default_factory=list)
-    tol_scale: float = 1.0
 
     def add(self, name: str, residual, tol: float) -> None:
-        self.cases.append(Case(name, float(residual),
-                               float(tol) * self.tol_scale))
+        self.cases.append(Case(name, float(residual), float(tol)))
 
     @property
     def ok(self) -> bool:

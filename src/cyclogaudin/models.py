@@ -49,7 +49,7 @@ The plan is a few matrix products, and the flow field follows from dH/dz
 by the chain rule through z.  H_{p,r} is homogeneous of degree p + 1 in
 z, so Euler's identity reads the value off the same gradient:
 H_{p,r} = z . dH/dz / (p + 1) (FlowPlan.values; hamiltonian_value reads
-one lane, simulate its H columns).  The plan weights are read off the
+one lane, stacked_hamiltonians a stack).  The plan weights are read off the
 generic ratmat/gaudin code, and the tests hold the plan to that generic
 route: its gradients to hamiltonian_coefficient_gradients and to finite
 differences of gaudin.hamiltonian, its values to gaudin.hamiltonian.
@@ -296,6 +296,16 @@ def stacked_coefficients(template, Y) -> GaudinCoefficients:
     return _scatter(template, SupportWriter(template).stack(Y))
 
 
+def stacked_hamiltonians(template, Y, flows) -> list:
+    """Per flow, its plan's H values (FlowPlan.values) at the states packed
+    as the rows of Y, with every row's z written once, as stacked_coefficients
+    writes it: bit for bit hamiltonian_value of each row at T >= 2."""
+    for f in flows:
+        _check_flow(template, f)
+    Z, cfg = SupportWriter(template).stack(Y), config_of(template)
+    return [flow_plan(cfg, f).values(Z) for f in flows]
+
+
 def lax(state) -> RationalMatrix:
     return assemble_lax(coefficients(state), config_of(state))
 
@@ -402,13 +412,13 @@ def dst_gauge_residual(s: DSTState, lam: complex) -> float:
 def _sectors_of(state):
     """(Q, P, Q slice, P slice, sign, weight) per canonical sector of the
     state: its block names and their slices in the packed vector, the
-    current SECTOR_SIGN_* value and the weight's value or None."""
+    current SECTOR_SIGN_* value and the weight's value, 1.0 if unweighted."""
     T = state.T
     for Q, P, sign, weight in state.SECTORS:
         iQ, iP = (slice(k * T, (k + 1) * T)
                   for k in map(state.BLOCKS.index, (Q, P)))
         yield (Q, P, iQ, iP, globals()[sign],
-               None if weight is None else getattr(state, weight))
+               getattr(state, weight) if weight else 1.0)
 
 
 @cache
@@ -479,26 +489,16 @@ def sectors(state) -> list:
         if weight == 0.0:
             raise AdmissibilityError(f"the ({Q}, {P}) bracket sector "
                                      "degenerates at beta = 0")
-        out.append((iP, iQ, sign if weight is None else sign / weight))
+        out.append((iP, iQ, sign / weight))
     return out
 
 
-@dataclass
-class JetContext:
-    """The Lax matrix, its Jacobian dL/d(coords) (a Lax matrix with
-    (n, T, T) stacked coefficients) and the bracket sectors of a state."""
-
-    config: PoleConfig
-    lax: RationalMatrix
-    jacobian: RationalMatrix
-    sectors: list
-
-
-def jet_context(state) -> JetContext:
+def jet_context(state) -> tuple:
+    """(config, L, dL, sectors) of a state: its PoleConfig, its Lax matrix,
+    dL/d(coords) as a Lax matrix of (n, T, T) stacks and its sectors."""
     sec = sectors(state)  # raises at beta = 0 before any assembly
     cfg = config_of(state)
-    return JetContext(cfg, lax(state),
-                      assemble_lax(coefficient_jets(state), cfg), sec)
+    return cfg, lax(state), assemble_lax(coefficient_jets(state), cfg), sec
 
 
 def admissible_flows(state, depth: int = 3) -> list:
@@ -967,7 +967,7 @@ def hamiltonian_gradient(state, f: FlowId) -> np.ndarray:
     v = flow_field(state, f)
     g = np.empty(v.size, complex)
     for *_, iQ, iP, sign, weight in _sectors_of(state):
-        sw = sign if weight is None else sign * weight
+        sw = sign * weight
         g[iP] = -sw * v[iQ]
         g[iQ] = sw * v[iP]
     return g
@@ -1053,9 +1053,7 @@ def kinetic(state, velocity: np.ndarray):
     total-derivative terms at 0 and infinity dropped."""
     y, terms = pack(state), []
     for *_, iQ, iP, sign, weight in _sectors_of(state):
-        term = np.dot(y[iP], velocity[iQ])
-        if weight is not None:
-            term = weight * term
+        term = weight * np.dot(y[iP], velocity[iQ])
         terms.append(-term if sign > 0 else term)
     return complex(sum(terms[1:], terms[0]))
 

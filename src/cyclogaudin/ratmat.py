@@ -1,13 +1,14 @@
 """Matrix-valued rational functions of the spectral parameter in
-partial-fraction form, their local Laurent expansions, residues, the
-regular/singular splitting, and the residue pairing.
+partial-fraction form, their local Laurent expansions, residues and the
+regular/singular splitting.
 
 Conventions:
   * A RationalMatrix is poly(lambda) + sum over poles z of
     sum_k coeffs[k-1] / (lambda - z)^k.
   * Coefficients are stacked ndarrays, as in a LaurentSeries: poly is one
     array of shape (m, *shape) and each pole is (z, array (k, *shape)),
-    where shape is (T, T) or a Jacobian stack (n, T, T).
+    where shape is (T, T) or, for evaluation only, a Jacobian stack
+    (n, T, T); series multiply matrix and scalar stacks alone.
   * Every move of a pole or monomial term to another point is one rule,
     (lambda - a)^n = sum_j binom(n, j) (b - a)^(n-j) (lambda - b)^j, with
     the weights of binomial_weights (the generalised binomial for n < 0).
@@ -66,7 +67,7 @@ def power_trunc(low: int, m: int, top: int) -> int:
 
 
 def slot_weight(point, T: int) -> float:
-    """Weight of a slot in the residue pairing and the Hamiltonians: 1 at
+    """Weight of a slot in the residue sums and the Hamiltonians: 1 at
     0 and at infinity, T at a finite nonzero point, whose residue stands
     for the T points of its Gamma-orbit."""
     return 1.0 if _is_inf(point) or abs(point) <= _POLE_TOL else float(T)
@@ -172,10 +173,9 @@ class LaurentSeries:
         return self + (-other)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
-        """Cauchy product; matrix coefficients multiply as matrices, a
-        scalar series scales every matrix coefficient, and a Jacobian
-        stack (n, T, T) multiplies as n matrices, index by index against
-        another stack."""
+        """Cauchy product; matrix coefficients multiply as matrices and a
+        scalar series scales every matrix coefficient.  Any other stack,
+        a Jacobian stack (n, T, T) among them, raises DimensionError."""
         self._check_compat(other)
         low = self.low + other.low
         trunc = min(self.low + other.trunc, other.low + self.trunc)
@@ -183,13 +183,12 @@ class LaurentSeries:
             raise TruncationError("product of series has empty known range")
         n_out = trunc - low + 1
         A, B = self.coeffs, other.coeffs
-        if (not {A.ndim, B.ndim} <= {1, 3, 4}
-                or A.ndim == B.ndim == 4 and len(A[0]) != len(B[0])):
+        if not {A.ndim, B.ndim} <= {1, 3}:
             raise DimensionError(f"series coefficients {A.shape[1:]} and "
                                  f"{B.shape[1:]} do not multiply")
         prod = np.matmul if min(A.ndim, B.ndim) > 1 else np.multiply
-        if A.ndim > B.ndim:  # B broadcasts over A's stack (or matrix) axes
-            B = B.reshape(B.shape[:1] + (1,) * (A.ndim - B.ndim) + B.shape[1:])
+        if A.ndim > B.ndim:  # a scalar B scales A's matrices
+            B = B[:, None, None]
         C = np.zeros((n_out,) + np.broadcast_shapes(A.shape[1:], B.shape[1:]),
                      complex)
         for i in range(min(len(A), n_out)):
@@ -569,22 +568,3 @@ def check_equivariance(R: RationalMatrix, weight: int, root: RootOfUnity) -> flo
         rhs = root.power(weight) * R.eval(root.omega * lam)
         res = max(res, _max_abs(lhs - rhs))
     return res
-
-
-def pair(Y: LocalTuple, X: LocalTuple, T: int):
-    """Residue pairing: T * sum over finite nonzero slots of
-    Res Tr(Y_r X_r) plus the residues at 0 and infinity.
-
-    Raises TruncationError when the series data cannot determine a residue.
-    """
-    if len(Y.points) != len(X.points):
-        raise DimensionError("index sets differ")
-    total = 0j
-    for pt, sy, sx in zip(Y.points, Y.series, X.series):
-        prod = sy.mul(sx).trace_series()
-        if _is_inf(pt):
-            r = -prod.coeff(1)
-        else:
-            r = prod.coeff(-1)
-        total = total + slot_weight(pt, T) * r
-    return total

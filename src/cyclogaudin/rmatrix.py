@@ -133,7 +133,7 @@ def averaging_residual(z1: complex, z2: complex, l: int,
 
 # ---------------------------------------------------------------------------
 # Kernel projections R_+ / R_- of the regular/singular decomposition (weight
-# 0), realised through the residue sums of the pairing with the r-kernel.
+# 0): R_+ by the residue sums of the r-kernel pairing, R_- directly.
 # ---------------------------------------------------------------------------
 
 def _orders(s: LaurentSeries, lo: int, hi: int) -> np.ndarray:
@@ -193,9 +193,10 @@ def _phases(root: RootOfUnity, ex: np.ndarray) -> np.ndarray:
 
 
 def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
-    """R_+(X) (sign '+', a regular LocalTuple) or R_-(X) (sign '-', a
-    RationalMatrix) via the residue sums defining the pairing against the
-    two opposite double expansions of the r-kernel.
+    """R_+(X) (sign '+', a regular LocalTuple) via the residue sums of the
+    pairing against the two opposite double expansions of the r-kernel, or
+    R_-(X) (sign '-', a RationalMatrix) by the direct singular-part formula
+    of _r_minus, not the r-kernel: R_- against split checks one formula.
 
     Satisfies R_+ - R_- = id on equivariant weight-0 tuples; R_+ agrees
     with the regular part of split and R_- with minus its singular part.
@@ -228,8 +229,8 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
 
 def _r_minus(X: LocalTuple, root: RootOfUnity) -> RationalMatrix:
     """R_-(X): minus the singular rational function carried by X, with
-    grade projections at 0/infinity and sigma-averaged orbit families at
-    the finite nonzero slots (weight-0 phases)."""
+    grade projections at 0/infinity and, at the finite nonzero slots, the
+    orbit families that ratmat.pi_project gives split (weight-0 phases)."""
     T = root.order
     poles = []
     poly = []
@@ -259,20 +260,20 @@ def sklyanin_residual(state, lam: complex, mu: complex) -> float:
     """
     from . import models as _models  # local import: models sits above this layer
 
-    ctx = _models.jet_context(state)
-    root = ctx.config.root
+    cfg, L, dL, sectors = _models.jet_context(state)
+    root = cfg.root
     T = root.order
-    for z in ctx.lax.pole_points() + ctx.jacobian.pole_points():
+    for z in L.pole_points() + dL.pole_points():
         if min(abs(lam - z), abs(mu - z)) <= _COLLISION_TOL:
             raise PoleProximityError("spectral point too close to a Lax pole")
     for k in range(T):
         if abs(mu - root.power(-k) * lam) <= _COLLISION_TOL:
             raise PoleProximityError("mu lies on the Gamma-orbit of lam")
 
-    L1, L2 = ctx.lax.eval(lam), ctx.lax.eval(mu)
-    dL1, dL2 = ctx.jacobian.eval(lam), ctx.jacobian.eval(mu)
+    L1, L2 = L.eval(lam), L.eval(mu)
+    dL1, dL2 = dL.eval(lam), dL.eval(mu)
     lhs = np.zeros((T, T, T, T), dtype=complex)
-    for iP, iQ, cf in ctx.sectors:
+    for iP, iQ, cf in sectors:
         lhs += cf * (np.einsum("iab,icd->abcd", dL1[iP], dL2[iQ])
                      - np.einsum("iab,icd->abcd", dL1[iQ], dL2[iP]))
     lhs_mat = lhs.transpose(0, 2, 1, 3).reshape(T * T, T * T)

@@ -42,7 +42,6 @@ class RunConfig:
     seed: int = 0
     depth: int = 3
     h: float = 1e-3
-    tol_scale: float = 1.0
 
     def validate(self, need_model: bool = True) -> None:
         if self.model not in MODELS:
@@ -51,7 +50,7 @@ class RunConfig:
         # type: only integers and real numbers get past
         for names, kind, what in ((("T", "depth", "seed"), Integral,
                                    "an integer"),
-                                  (("beta", "h", "tol_scale"), Real,
+                                  (("beta", "h"), Real,
                                    "a real number")):
             for name in names:
                 v = getattr(self, name)
@@ -63,8 +62,7 @@ class RunConfig:
             raise ConfigError("model suites need T >= 2")
         if not (1 <= self.depth <= 3):
             raise ConfigError(f"depth must be in 1..3, got {self.depth}")
-        for name, v in (("h", self.h), ("beta", self.beta),
-                        ("tol_scale", self.tol_scale)):
+        for name, v in (("h", self.h), ("beta", self.beta)):
             if not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite")
         if self.h <= 0:
@@ -79,7 +77,7 @@ class RunConfig:
         blob = json.dumps({"model": self.model, "T": self.T,
                            "zeta1": [z.real, z.imag], "beta": self.beta,
                            "seed": int(self.seed), "depth": self.depth,
-                           "h": self.h, "tol_scale": self.tol_scale},
+                           "h": self.h},
                           sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -110,8 +108,7 @@ def _worst_of(n: int, draw, name: str) -> float:
 
 
 def _report(cfg: RunConfig, name: str) -> VerificationReport:
-    return VerificationReport(name, int(cfg.seed), cfg.digest(),
-                              tol_scale=cfg.tol_scale)
+    return VerificationReport(name, int(cfg.seed), cfg.digest())
 
 
 def _seeded_state(cfg: RunConfig, rng):
@@ -381,10 +378,10 @@ def dynamics_suite(cfg: RunConfig) -> VerificationReport:
     rep.add("determinism", float(np.max(np.abs(
         t1.samples[-1].vec - t2.samples[-1].vec))), 0.0)
     # energy of the first flow that is not structurally zero, at every 50th
-    # sample, read as simulate reads its H columns (FlowPlan.values)
+    # sample, read as simulate reads its H columns
     h_own = next(f for f in (fA, fB) if not mdl.field_kernel(s, f).zero)
-    Z = mdl.SupportWriter(s).stack([x.vec for x in t1.samples[::50]])
-    energies = mdl.flow_plan(mdl.config_of(s), h_own).values(Z)
+    (energies,) = mdl.stacked_hamiltonians(
+        s, [x.vec for x in t1.samples[::50]], [h_own])
     drift = max(abs(e - energies[0]) for e in energies)
     rep.add("energy_drift", drift / (1 + abs(energies[0])), 1e-9)
     probes = [0.41 + 0.23j, -0.36 + 0.49j]

@@ -55,14 +55,25 @@ def test_verify_reports_pass_and_validates_schema(tmp_path):
     assert names == sorted(names)
 
 
-def test_verify_failure_exit_code(tmp_path):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"tol_scale": 1e-30}))
+def test_verify_failure_exit_code(tmp_path, monkeypatch):
+    # one case over its tolerance fails the whole report: exit 1
+    from cyclogaudin import suites
+
+    ratmat_suite = suites._SUITE_FUNCS["ratmat"]
+
+    def failing(cfg):
+        rep = ratmat_suite(cfg)
+        rep.add("forced_failure", 1.0, 0.5)
+        return rep
+    monkeypatch.setitem(suites._SUITE_FUNCS, "ratmat", failing)
     out = tmp_path / "rep.json"
     code = main(["verify", "--suite", "ratmat", "--T", "2",
-                 "--config", str(cfgfile), "--output", str(out)])
+                 "--output", str(out)])
     assert code == 1
-    assert json.loads(out.read_text())["pass"] is False
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is False
+    assert [c["name"] for c in rep["cases"] if not c["pass"]] == [
+        "forced_failure"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -166,10 +177,36 @@ def test_unknown_config_key_rejected(tmp_path):
     ["simulate", "--schedule", "1:0:0.01"],
     ["closure"],
 ])
+def test_config_file_with_tol_scale_exits_2(tmp_path, capsys, monkeypatch,
+                                            command):
+    # every tolerance is the one its suite states: a config file that
+    # holds tol_scale is refused as an unknown key, on one line and before
+    # any suite or RK4 step runs
+    from cyclogaudin import dynamics as dyn
+    from cyclogaudin import suites
+
+    def no_run(*args):
+        raise AssertionError("a suite or an RK4 step ran")
+    monkeypatch.setattr(dyn, "rk4_step", no_run)
+    for name in suites._SUITE_FUNCS:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, no_run)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tol_scale": 1.0}))
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfgfile), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'tol_scale'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "models"],
+    ["simulate", "--schedule", "1:0:0.01"],
+    ["closure"],
+])
 @pytest.mark.parametrize("values", [
     {"depth": 2.5}, {"depth": 2.0}, {"depth": True}, {"seed": "abc"},
     {"seed": 1.5}, {"beta": "x"}, {"beta": None}, {"h": "0.001"},
-    {"tol_scale": "1"}, {"T": True},
+    {"h": True}, {"T": True},
 ])
 def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch,
                                                 command, values):

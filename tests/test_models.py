@@ -1245,6 +1245,27 @@ def test_stacked_coefficients_match_per_state_blocks(rng):
                 assert len(C.A_list) == B.shape[1] - 3
 
 
+@pytest.mark.parametrize("T", [2, 3, 5])
+def test_stacked_hamiltonians_match_hamiltonian_value(rng, T):
+    # one z write for the whole stack and one FlowPlan.values list per flow,
+    # byte for byte hamiltonian_value of each row unpacked: the three
+    # models, beta = 0, real and complex rows, every flow to p = 3.  (At
+    # T = 1 a stack rounds x X^T differently from a row: _ONE_ELEMENT_RTOL.)
+    for tmpl in _kernel_templates(T, rng):
+        flows = mdl.admissible_flows(tmpl, 3)
+        for real in (False, True):
+            ys = _packed_near(tmpl, rng, 5, real=real)
+            got = mdl.stacked_hamiltonians(tmpl, ys, flows)
+            assert len(got) == len(flows)
+            for f, values in zip(flows, got):
+                ref = [mdl.hamiltonian_value(mdl.unpack(tmpl, y), f)
+                       for y in ys]
+                assert np.array(values).tobytes() == np.array(ref).tobytes()
+    toda = mdl.random_toda(T, rng)
+    with pytest.raises(AdmissibilityError):
+        mdl.stacked_hamiltonians(toda, [mdl.pack(toda)], [FlowId(1, 1)])
+
+
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_coefficient_velocity_is_the_pushed_forward_field(rng, T):
     # coefficient_velocity pushes the flow field v forward through

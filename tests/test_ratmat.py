@@ -1,6 +1,5 @@
 """Matrix-valued rational functions: partial-fraction arithmetic, local
-Laurent expansions, residues, the split into regular/singular data, and the
-residue pairing."""
+Laurent expansions, residues and the split into regular/singular data."""
 from math import comb
 
 import numpy as np
@@ -11,7 +10,7 @@ from cyclogaudin.errors import (DimensionError, PoleProximityError,
                                 StructuralError, TruncationError)
 from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
                                 binomial_weights, check_equivariance, localize,
-                                pair, residue_at_infinity, split)
+                                residue_at_infinity, split)
 from cyclogaudin import gaudin
 from cyclogaudin import models as mdl
 
@@ -229,43 +228,17 @@ def test_series_product_matches_cauchy_loop(rng):
                 np.testing.assert_allclose(prod.coeff(n), expect, atol=1e-12)
 
 
-def test_series_product_of_jacobian_stacks(rng):
-    # a Jacobian-stack series (coefficients (m, n, T, T)) multiplies as n
-    # matrix series: index by index against another stack, each index
-    # against one matrix series, and scaled by a trace series; its trace
-    # series holds n traces
-    dim, n = 3, 4
-
-    def stack(low, m):
-        return LaurentSeries(dim, 0.5, low, rng.normal(size=(m, n, dim, dim))
-                             + 1j * rng.normal(size=(m, n, dim, dim)))
-
-    J1, J2 = stack(-1, 4), stack(0, 3)
-    M = LaurentSeries(dim, 0.5, -2, [random_matrix(rng, dim) for _ in range(5)])
-    tr = LaurentSeries(dim, 0.5, 0, rng.normal(size=3) + 1j * rng.normal(size=3))
-
-    def at(s, i):
-        return (LaurentSeries(dim, 0.5, s.low, s.coeffs[:, i])
-                if s.coeffs.ndim == 4 else s)
-
-    for a, b in ((J1, J2), (J2, J1), (J1, M), (M, J1), (J1, tr), (tr, J2)):
-        prod = a.mul(b)
-        assert prod.coeffs.shape[1:] == (n, dim, dim)
-        for i in range(n):
-            ref = at(a, i).mul(at(b, i))
-            assert (prod.low, prod.trunc) == (ref.low, ref.trunc)
-            assert np.array_equal(prod.coeffs[:, i], ref.coeffs)
-            assert np.array_equal(prod.trace_series().coeffs[:, i],
-                                  ref.trace_series().coeffs)
-
-
 def test_series_product_rejects_shapes_it_cannot_multiply(rng):
+    # series multiply matrix and scalar stacks only: a Jacobian stack
+    # (coefficients (m, n, T, T)) raises against every series
     dim = 2
     M = LaurentSeries(dim, 0.5, 0, [random_matrix(rng, dim) for _ in range(3)])
+    tr = LaurentSeries(dim, 0.5, 0, rng.normal(size=3))
     J3 = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, 3, dim, dim)))
     J4 = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, 4, dim, dim)))
     rows = LaurentSeries(dim, 0.5, 0, rng.normal(size=(3, dim)))
-    for a, b in ((J3, J4), (M, rows), (rows, J3), (rows, rows)):
+    for a, b in ((J3, J4), (M, rows), (rows, J3), (rows, rows), (J3, M),
+                 (J3, tr)):
         with pytest.raises(DimensionError):
             a.mul(b)
 
@@ -378,26 +351,6 @@ def test_split_rejects_stray_poles(rng):
 def test_equivariance_residual_flags_generic_input(rng):
     R = _random_rational(rng, 3, [0.7 + 0.2j])
     assert check_equivariance(R, 0, primitive_root(3)) > 1e-2
-
-
-def test_pair_is_a_global_residue_sum(rng):
-    # at T = 1 every slot has weight one, so the pairing over a pole set
-    # covering all singularities must vanish by the residue theorem
-    dim = 3
-    zetas = [0.9, -0.4 + 0.7j]
-    R1 = _random_rational(rng, dim, zetas, deg=0)
-    R2 = _random_rational(rng, dim, [], deg=1)
-    Y, X = localize(R1, zetas, 10), localize(R2, zetas, 10)
-    assert abs(pair(Y, X, 1)) < 1e-10
-
-
-def test_pair_index_set_mismatch(rng):
-    R = _random_rational(rng, 2, [0.9])
-    Y = localize(R, [0.9], 6)
-    X = localize(R, [], 6)
-    from cyclogaudin.errors import DimensionError
-    with pytest.raises(DimensionError):
-        pair(Y, X, 1)
 
 
 def test_local_tuple_arithmetic(rng):

@@ -1,6 +1,7 @@
 """The comparison tools under tools/."""
 import copy
 import os
+import subprocess
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -56,3 +57,19 @@ def test_seed_scan_compare_reports_moves_flips_and_set_changes(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("seed 0 T 2: FLIP pass True -> False; "
                              "FAILING SET +a -")
+
+
+def test_callers_lists_what_one_command_does_not_enter():
+    # one CLI command under the trace: the verify route and the algebra
+    # suite are entered, the simulate command is not
+    tool = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "callers.py")
+    proc = subprocess.run([sys.executable, tool, "--command",
+                           "verify --suite algebra --T 2"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    missed = proc.stdout.splitlines()
+    assert "cli.cmd_simulate [spans]" in missed
+    assert not {"cli.cmd_verify [spans]", "suites.algebra_suite [spans]",
+                "algebra.grade_component [spans]"} & set(missed)
+    assert missed[-1].endswith("pinned by perfbench/spans.py")

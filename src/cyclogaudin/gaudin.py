@@ -21,6 +21,11 @@ Every local read of a power of L is RationalMatrix.power_series at the
 highest order it reads, u^-1 for H_{p,r} and the partners, u^+1 for the
 gradients and u^(p+1) for H_{p,inf}; no expansion order is set by hand.
 
+The Lax equation is read once per Gamma-orbit: lax_rhs forms [L, h] at
+0 and zeta_1..zeta_N (and its polynomial part at infinity) and writes
+the other T - 1 poles of each orbit by weight-1 equivariance with
+orbit_family, as assemble_lax writes L and lax_partner writes h.
+
 hamiltonian_coefficient_gradients is the generic adjoint-gradient route.
 The flow fields run it compiled, as models.FlowPlan, whose weights come
 from _times_monomial and _gradients_from_series below; the tests compare
@@ -250,31 +255,45 @@ class CoefficientDerivative:
 def lax_rhs(f: FlowId, L: RationalMatrix, P: PoleConfig):
     """-[h_r^{(p)}, L] = [L, h_r^{(p)}] reduced to the pole structure of L.
 
+    Precondition: L is weight-1 equivariant, as assemble_lax builds it.
+    The partner has weight 0, so [L, h] has weight 1 and its principal
+    part at omega^k zeta_r is fixed by the one at zeta_r.  The commutator
+    is therefore formed at 0, zeta_1..zeta_N and INF only, and each
+    zeta_r orbit is written from its representative by orbit_family with
+    weight 1, as assemble_lax writes L.
+
     Returns (rhs RationalMatrix, CoefficientDerivative).  A principal
-    coefficient beyond the orders present in L, or a polynomial
-    coefficient, larger than _STRUCT_TOL (1e-10) in max-abs raises
-    StructuralError: the commutator must close on the coefficient space.
+    coefficient at 0 or zeta_r beyond the orders present in L there, or a
+    polynomial coefficient, larger than _STRUCT_TOL (1e-10) in max-abs
+    raises StructuralError: the commutator must close on the coefficient
+    space.  The orbit images carry the entry moduli of their
+    representative, so the check there covers them.
     """
-    rhs = L.commutator(lax_partner(f, L, P))
-    allowed = [L.pole_order(z) for z, _ in rhs.poles]
+    reps = [0j, *P.zetas]
+    rhs = L.commutator(lax_partner(f, L, P), reps + [INF])
+    at = dict(rhs.poles)  # a point that trim dropped is exactly zero
+    zero = np.zeros((L.dim, L.dim), complex)
+    prin = []
     # check pole orders do not exceed those of L, then trim the dust
-    for (z, cs), o in zip(rhs.poles, allowed):
+    for z in reps:
+        cs, o = at.get(z, zero[:0]), L.pole_order(z)
         for k in range(o, len(cs)):
             mx = float(np.max(np.abs(cs[k])))
             if mx > _STRUCT_TOL:
                 raise StructuralError(
                     f"commutator pole at {z} of order {k+1} (magnitude {mx:.2e})")
+        prin.append(cs[:o])
     for c in rhs.poly:
         if float(np.max(np.abs(c))) > _STRUCT_TOL:
             raise StructuralError("commutator has an unexpected polynomial part")
-    reduced = RationalMatrix(L.dim, [], [(z, cs[:o]) for (z, cs), o
-                                         in zip(rhs.poles, allowed) if o],
-                             validate=False)
+    at0, *at_zetas = prin
+    poles = [(0j, at0)] if len(at0) else []
+    for zr, cs in zip(P.zetas, at_zetas):
+        poles += orbit_family(zr, cs, P.root, 1)
+    reduced = RationalMatrix(L.dim, [], poles, validate=False)
     # dA0_0 and dA0_1 are the u^-1 and u^-2 coefficients of the pole at 0
-    zero = np.zeros((L.dim, L.dim), complex)
-    at0 = next((cs for z, cs in reduced.poles if abs(z) <= _POLE_TOL), ())
     dA0_0, dA0_1 = [*at0, zero, zero][:2]
-    dA_list = [P.T * reduced.residue(z) for z in P.zetas]
+    dA_list = [P.T * cs[0] if len(cs) else zero for cs in at_zetas]
     return reduced, CoefficientDerivative(dA0_0, dA0_1, dA_list, zero)
 
 

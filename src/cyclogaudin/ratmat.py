@@ -13,8 +13,11 @@ Conventions:
     (lambda - a)^n = sum_j binom(n, j) (b - a)^(n-j) (lambda - b)^j, with
     the weights of binomial_weights (the generalised binomial for n < 0).
   * RationalMatrix.mul and .commutator are one product routine, which
-    expands each operand once per point and call: A B - B A makes each
-    expansion once.
+    walks a list of points and expands each operand once per point and
+    call: mul walks every pole point of either operand and INF, and
+    commutator the points it is given, where A B - B A makes each
+    expansion once.  gaudin.lax_rhs asks for the Gamma-orbit
+    representatives only.
   * The point at infinity is the float INF; series there are in
     u = 1/lambda.  The residue of R dlambda at infinity is minus the
     coefficient of u^(+1) of the expansion of R in u.
@@ -415,20 +418,25 @@ class RationalMatrix:
         return self.laurent_expand(point, power_trunc(low, m, top)).power(m)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._products(other, False)[0]
+        points = self.pole_points() + [z for z in other.pole_points()
+                                       if not self.pole_order(z)]
+        return self._products(other, points + [INF], False)[0]
 
-    def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
-        """self other - other self."""
-        ab, ba = self._products(other, True)
+    def commutator(self, other: "RationalMatrix", points) -> "RationalMatrix":
+        """self other - other self, formed at the given points only: its
+        principal part at each finite one and, when INF is among them,
+        its polynomial part.  A pole elsewhere is not formed."""
+        ab, ba = self._products(other, points, True)
         return ab - ba
 
-    def _products(self, other: "RationalMatrix", both: bool) -> list:
-        """[A B], or [A B, B A] when both, for A = self and B = other: at
-        each pole point of either, the principal part of the product of
-        the two local expansions, each to the order the other's pole
-        needs; the polynomial part from the product at INF.  The pole
-        index and the expansion are memoised per call on (operand, point),
-        since the other operand's pole fixes the order there."""
+    def _products(self, other: "RationalMatrix", points, both: bool) -> list:
+        """[A B], or [A B, B A] when both, for A = self and B = other, at
+        the given points: at a finite one the principal part of the product
+        of the two local expansions, each to the order the other's pole
+        needs there; at INF the polynomial part, from the product at INF.
+        The pole index and the expansion are memoised per call on
+        (operand, point), since the other operand's pole fixes the order
+        there."""
         if self.dim != other.dim:
             raise DimensionError(f"dims {self.dim} vs {other.dim}")
         found, series = {}, {}
@@ -448,19 +456,19 @@ class RationalMatrix:
             return series[key]
 
         def product(A, B):
-            pts = A.pole_points() + [z for z in B.pole_points()
-                                     if not order(A, z)]
-            poles = []
-            for z in pts:
-                oa, ob = order(A, z), order(B, z)
-                prod = expand(A, z, max(ob - 1, 0)).mul(
-                    expand(B, z, max(oa - 1, 0)))
-                poles.append((z, prod.principal()))
-            # polynomial part: the orders u^-degree .. u^0 of the product at INF
-            poly = None
-            ova, ovb = A._order_at_inf(), B._order_at_inf()
-            if ova is not None and ovb is not None and ova + ovb <= 0:
-                poly = expand(A, INF, -ovb).mul(expand(B, INF, -ova)).coeffs[::-1]
+            poles, poly = [], None
+            for z in points:
+                if _is_inf(z):
+                    # the orders u^-degree .. u^0 of the product at INF
+                    ova, ovb = A._order_at_inf(), B._order_at_inf()
+                    if ova is not None and ovb is not None and ova + ovb <= 0:
+                        poly = expand(A, INF, -ovb).mul(
+                            expand(B, INF, -ova)).coeffs[::-1]
+                else:
+                    oa, ob = order(A, z), order(B, z)
+                    prod = expand(A, z, max(ob - 1, 0)).mul(
+                        expand(B, z, max(oa - 1, 0)))
+                    poles.append((z, prod.principal()))
             return RationalMatrix(self.dim, poly, poles, validate=False).trim()
 
         return [product(self, other)] + ([product(other, self)] if both else [])
@@ -499,12 +507,15 @@ def orbit_family(point: complex, prin, root: RootOfUnity, weight: int) -> list:
     (c_n the coefficient of (lambda - point)^-n) over the Gamma-orbit of
     point: at omega^k point the coefficients omega^(k(n - weight))
     sigma^k(c_n), k = 0..T-1, so that the family is equivariant of the
-    given weight (0 for functions, 1 for one-forms)."""
+    given weight (0 for functions, 1 for one-forms).  A member's
+    coefficients come as one stack."""
     if not len(prin):
         return []
+    prin = np.asarray(prin)
+    n = np.arange(1 - weight, len(prin) + 1 - weight).reshape(
+        (-1,) + (1,) * (prin.ndim - 1))
     return [(root.power(k) * point,
-             [root.power(k * (n + 1 - weight)) * sigma_pow(c, k, root)
-              for n, c in enumerate(prin)])
+             root.powers[k * n % root.order] * sigma_pow(prin, k, root))
             for k in range(root.order)]
 
 

@@ -280,8 +280,9 @@ def sklyanin_residual(state, lam: complex, mu: complex) -> float:
 
     r12 = r_kernel(lam, mu, root)
     r21 = _on_swap(_coefficients(mu, lam, root).T)  # legs of r_12(mu, lam) swapped
+    # L1 (x) 1 and 1 (x) L2 as the broadcast products that np.kron forms
     eye = np.eye(T)
-    L1m = np.kron(L1, eye)
-    L2m = np.kron(eye, L2)
+    L1m = (L1[:, None, :, None] * eye[None, :, None, :]).reshape(T * T, T * T)
+    L2m = (eye[:, None, :, None] * L2[None, :, None, :]).reshape(T * T, T * T)
     rhs = (r12 @ L1m - L1m @ r12) - (r21 @ L2m - L2m @ r21)
     return float(np.max(np.abs(lhs_mat - rhs)))

@@ -5,12 +5,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from cyclogaudin.algebra import primitive_root
+from cyclogaudin.algebra import grade_component, primitive_root
 from cyclogaudin.errors import (DimensionError, PoleProximityError,
                                 StructuralError, TruncationError)
 from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
                                 binomial_weights, check_equivariance, localize,
-                                residue_at_infinity, split)
+                                orbit_family, residue_at_infinity, split)
 from cyclogaudin import gaudin
 from cyclogaudin import models as mdl
 
@@ -253,9 +253,18 @@ def _assert_same_rational(got, ref):
     assert np.array_equal(got.poly, ref.poly)
 
 
+def _all_points(A, B):
+    """The pole points of A, then those of B that A lacks, then INF: the
+    points at which A.mul(B) forms A B."""
+    return A.pole_points() + [z for z in B.pole_points()
+                              if not A.pole_order(z)] + [INF]
+
+
 def test_commutator_equals_the_two_products(rng):
     # the oracle A B - B A, pole by pole, for poles at 0 and on Gamma-orbits
-    # shared or not, orders 1..3 and polynomial parts of degree -1..2
+    # shared or not, orders 1..3 and polynomial parts of degree -1..2; at
+    # some of the points, the oracle's poles there in the order asked, and
+    # its polynomial part only when INF is asked for
     for T in range(1, 6):
         root = primitive_root(T)
         orbit = [root.power(k) * (0.8 + 0.3j) for k in range(T)]
@@ -270,8 +279,16 @@ def test_commutator_equals_the_two_products(rng):
                         for _ in range(int(rng.integers(0, 4)))]
                 ops.append(RationalMatrix(T, poly, poles))
             A, B = ops
-            _assert_same_rational(A.commutator(B), A.mul(B) - B.mul(A))
-            _assert_same_rational(A.commutator(A), A.mul(A) - A.mul(A))
+            ref = A.mul(B) - B.mul(A)
+            _assert_same_rational(A.commutator(B, _all_points(A, B)), ref)
+            _assert_same_rational(A.commutator(A, _all_points(A, A)),
+                                  A.mul(A) - A.mul(A))
+            some = [z for z in ([0j] + orbit)[::-1] if rng.uniform() < 0.5]
+            part = [(w, cs) for w in some for z, cs in ref.poles if z == w]
+            _assert_same_rational(A.commutator(B, some),
+                                  RationalMatrix(T, [], part, validate=False))
+            _assert_same_rational(A.commutator(B, some + [INF]),
+                                  RationalMatrix(T, ref.poly, part))
 
 
 def test_commutator_equals_the_two_products_on_lax_rhs_inputs(rng):
@@ -281,7 +298,8 @@ def test_commutator_equals_the_two_products_on_lax_rhs_inputs(rng):
             L, P = mdl.lax(s), mdl.config_of(s)
             for f in mdl.admissible_flows(s, 3):
                 h = gaudin.lax_partner(f, L, P)
-                _assert_same_rational(L.commutator(h), L.mul(h) - h.mul(L))
+                _assert_same_rational(L.commutator(h, _all_points(L, h)),
+                                      L.mul(h) - h.mul(L))
 
 
 def _lax_rhs_two_products(f, L, P):
@@ -303,18 +321,108 @@ def _lax_rhs_two_products(f, L, P):
                      *[P.T * reduced.residue(z) for z in P.zetas]]
 
 
+def _abs_expansion(R, w, J):
+    """The moduli of the terms of the expansion of R at w up to u^J,
+    summed term by term, entrywise: a bound on every partial sum that
+    laurent_expand forms there."""
+    o = R.pole_order(w)
+    out = np.zeros((o + J + 1, R.dim, R.dim))
+    for z, cs in R.poles:
+        if abs(z - w) <= 1e-12:
+            out[:o] += np.abs(cs[::-1])
+            continue
+        for n, c in enumerate(cs, 1):
+            out[o:] += np.multiply.outer(
+                np.abs(binomial_weights(-n, w - z, J + 1)), np.abs(c))
+    for m, c in enumerate(R.poly):
+        out[o:] += np.multiply.outer(np.abs(binomial_weights(m, w, J + 1)),
+                                     np.abs(c))
+    return out
+
+
+def _commutator_scale(A, B, w):
+    """Entrywise bound on the moduli of the terms that the coefficient of
+    (lambda - w)^-n of A B - B A sums, n = 1, 2, ..: the Cauchy products
+    of the two term-modulus expansions, both ways round."""
+    oa, ob = A.pole_order(w), B.pole_order(w)
+    a = _abs_expansion(A, w, max(oa, ob))
+    b = _abs_expansion(B, w, max(oa, ob))
+    S = np.zeros((oa + ob, A.dim, A.dim))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            n = oa + ob - i - j  # u^(i - oa) u^(j - ob) = u^-n
+            if 1 <= n <= oa + ob:
+                S[n - 1] += a[i] @ b[j] + b[j] @ a[i]
+    return S
+
+
+def _gamma(m):
+    """gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
 def test_lax_rhs_equals_its_two_product_form(rng):
+    # lax_rhs forms [L, h] at 0, zeta_1..zeta_N only and writes the other
+    # T - 1 poles of each orbit by weight-1 equivariance; the oracle forms
+    # L h - h L at every pole point.  D, the pole points, the stack shapes
+    # and the representative poles are bit for bit.  Every other orbit pole
+    # is orbit_family of the oracle's representative, and differs from the
+    # oracle's own pole there by at most the sum of the two direct
+    # computations' forward-error bounds, gamma_M times the term moduli
+    # (_commutator_scale), with M the sequential roundings of an expansion
+    # coefficient, a Cauchy product and the difference, tripled for complex
+    # multiplication and the binomial weights' powers.  Beside the three
+    # models, generic coefficients with two orbits (N = 2), which no model
+    # has, at T = 1..5.
+    cases = []
     for T in (2, 3):
         for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
                   mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)):
-            L, P = mdl.lax(s), mdl.config_of(s)
-            for f in mdl.admissible_flows(s, 3):
-                rhs, D = gaudin.lax_rhs(f, L, P)
-                ref, coefficients = _lax_rhs_two_products(f, L, P)
-                _assert_same_rational(rhs, ref)
-                for a, b in zip([D.dA0_0, D.dA0_1, D.dAinf, *D.dA_list],
-                                coefficients):
-                    assert a.shape == b.shape and np.array_equal(a, b)
+            cases.append((mdl.lax(s), mdl.config_of(s),
+                          mdl.admissible_flows(s, 3)))
+    for T in range(1, 6):
+        P = gaudin.PoleConfig(T, (0.9 + 0.2j, -0.4 + 1.1j))
+        C = gaudin.GaudinCoefficients(
+            grade_component(random_matrix(rng, T), 0, T),
+            grade_component(random_matrix(rng, T), -1, T),
+            [random_matrix(rng, T), random_matrix(rng, T)],
+            grade_component(random_matrix(rng, T), 1, T), T)
+        cases.append((gaudin.assemble_lax(C, P), P,
+                      [gaudin.FlowId(p, r) for p in (1, 2, 3)
+                       for r in range(P.N + 1)]))
+    for L, P, flows in cases:
+        for f in flows:
+            rhs, D = gaudin.lax_rhs(f, L, P)
+            ref, coefficients = _lax_rhs_two_products(f, L, P)
+            for a, b in zip([D.dA0_0, D.dA0_1, D.dAinf, *D.dA_list],
+                            coefficients):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert rhs.pole_points() == ref.pole_points()
+            for (_, a), (_, b) in zip(rhs.poles, ref.poles):
+                assert a.shape == b.shape
+            h = gaudin.lax_partner(f, L, P)
+            terms = sum(len(cs) for _, cs in L.poles + h.poles) + len(L.poly)
+            for zr in [0j, *P.zetas]:
+                if ref._pole_index(zr) is None:  # the points agree: none
+                    continue
+                rep = ref.poles[ref._pole_index(zr)][1]
+                if zr == 0j:
+                    assert np.array_equal(rhs.poles[rhs._pole_index(0j)][1],
+                                          rep)
+                    continue
+                bound_rep = _commutator_scale(L, h, zr)
+                for k, (w, cs) in enumerate(
+                        orbit_family(zr, rep, P.root, 1)):
+                    got = rhs.poles[rhs._pole_index(w)][1]
+                    direct = ref.poles[ref._pole_index(w)][1]
+                    assert np.array_equal(got, cs)
+                    if k == 0:
+                        assert np.array_equal(got, direct)
+                        continue
+                    M = 3 * (terms + 2 * len(direct) + P.T + 2)
+                    bound = _gamma(M) * (bound_rep + _commutator_scale(L, h, w))
+                    assert np.all(np.abs(got - direct) <= bound[:len(got)])
 
 
 def test_residues_and_residue_theorem(rng):

@@ -4,9 +4,11 @@ reported residual, and a case must fail when the fact it checks breaks."""
 import pytest
 
 from cyclogaudin import dynamics as dyn
+from cyclogaudin import gaudin
 from cyclogaudin import models as mdl
 from cyclogaudin import suites
 from cyclogaudin.errors import PoleProximityError, StructuralError
+from cyclogaudin.ratmat import RationalMatrix, orbit_family
 from cyclogaudin.suites import RunConfig
 
 
@@ -41,6 +43,32 @@ def test_rhs_structure_reports_a_structural_failure(monkeypatch):
     rep = suites.gaudin_suite(RunConfig(T=3, seed=42))
     (case,) = [c for c in rep.cases if c.name == "rhs_structure"]
     assert not case.ok and not rep.ok
+
+
+def _weight_one_partner(f, L, P):
+    """gaudin.lax_partner with its orbit built at weight 1 instead of 0."""
+    point = P.slot_point(f.r)
+    prin = gaudin._times_monomial(L.power_series(point, f.p, -1), point,
+                                  f.p).principal()
+    poles = ([(0j, prin)] if f.r == 0 else
+             orbit_family(point, prin, P.root, 1))
+    return RationalMatrix(L.dim, [], poles, validate=False).trim()
+
+
+def test_partner_equivariance_fails_on_a_weight_one_partner(monkeypatch):
+    # lax_rhs forms [L, h] at the orbit representatives only, which holds
+    # because h has weight 0: partner_equivariance certifies that, and a
+    # partner built at weight 1 fails it by orders of magnitude (252
+    # against 1e-11 here).  rhs_structure never saw the weight: it reads
+    # 0.0 under the mutation, as it did when lax_rhs formed every pole
+    monkeypatch.setattr(gaudin, "lax_partner", _weight_one_partner)
+    monkeypatch.setattr(suites, "lax_partner", _weight_one_partner)
+    rep = suites.gaudin_suite(RunConfig(T=3, seed=42))
+    cases = {c.name: c for c in rep.cases}
+    equivariance = cases["partner_equivariance"]
+    assert equivariance.residual > 1e12 * equivariance.tol
+    assert cases["rhs_structure"].residual == 0.0
+    assert [c.name for c in rep.cases if not c.ok] == ["partner_equivariance"]
 
 
 @pytest.mark.parametrize("sign, models", [

@@ -20,11 +20,12 @@ state after 5 warm-up runs: the steps plus a trajectory's fixed costs
 end state).  It prints one row per (model, T, p) and, per checkout, a
 call, a step and an endpoint column.
 
-Laurent table: for the same three models at T = 2..5 (states drawn at
-seed 1), with L the state's Lax matrix, P its pole configuration, r its
-last pole and R0 = h_0^(1) + h_N^(2) + a grade-0 constant (Lax partners,
-a weight-0 function with poles on the slot orbits), it times LAURENT_CALLS
-= 100 single calls, after 5 warm-up calls, of gaudin.lax_rhs((3, r), L,
+Laurent table: for the same three models at T = 2..5 and 8 (states
+drawn at seed 1; T = 8 shows how each routine scales with T), with L
+the state's Lax matrix, P its pole configuration, r its last pole and
+R0 = h_0^(1) + h_N^(2) + a grade-0 constant (Lax partners, a weight-0
+function with poles on the slot orbits), it times LAURENT_CALLS = 100
+single calls, after 5 warm-up calls, of gaudin.lax_rhs((3, r), L,
 P), rmatrix.kernel_projection(localize(R0, zetas, 8), '+', root),
 ratmat.split(R0, root, zetas), gaudin.hamiltonian((3, r), L, P),
 rmatrix.sklyanin_residual(state, lam, mu) (|lam| = 0.55, |mu| = 1.7),
@@ -121,7 +122,7 @@ def _laurent_table() -> dict:
 
     rng = np.random.default_rng(1)
     best = {}
-    for T in (2, 3, 4, 5):
+    for T in (2, 3, 4, 5, 8):
         states = {"toda": models.random_toda(T, rng),
                   "dst": models.random_dst(T, rng, zeta1=0.9),
                   "coupled": models.random_coupled(T, rng, beta=0.7,

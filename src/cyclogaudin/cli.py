@@ -16,8 +16,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import models as mdl
-from .errors import (AdmissibilityError, ConfigError, CycloGaudinError,
-                     DivergenceError)
+from .errors import ConfigError, CycloGaudinError, DivergenceError
 from .gaudin import FlowId
 from .suites import (MODELS, SUITES, RunConfig, _rngs, _seeded_state,
                      run_suite)
@@ -75,22 +74,16 @@ def _load_config(args) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = val
-    for key in ("model", "T", "seed", "beta", "depth", "h"):
+    for key in ("model", "T", "seed", "beta", "zeta1", "depth", "h"):
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    if getattr(args, "zeta1", None) is not None:
-        values["zeta1"] = args.zeta1
     if "zeta1" in values:
         try:
             values["zeta1"] = complex(str(values["zeta1"]).replace(" ", ""))
         except ValueError:
             raise ConfigError(f"cannot parse zeta1 {values['zeta1']!r}")
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return cfg
+    return RunConfig(**values)
 
 
 def _emit(text: str, path) -> None:
@@ -201,9 +194,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_closure(args)
-    except (ConfigError, AdmissibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

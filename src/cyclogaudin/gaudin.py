@@ -338,8 +338,7 @@ def _gradients_from_series(G: LaurentSeries, f: FlowId, P: PoleConfig):
     M_list = []
     for zr in P.zetas:
         acc = np.zeros((G.dim, G.dim), complex)
-        for k in range(P.T):
-            acc += _residue_against_profile(G.sigma(-k, P.root), point,
-                                            P.root.power(k) * zr, 1)
+        for k, zk in enumerate(P.root.orbit(zr)):
+            acc += _residue_against_profile(G.sigma(-k, P.root), point, zk, 1)
         M_list.append(w * acc / P.T)
     return M_A00, M_A01, M_list, M_inf

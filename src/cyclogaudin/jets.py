@@ -27,10 +27,6 @@ class Jet:
         g[i] = 1.0
         return cls(val, g)
 
-    @classmethod
-    def const(cls, val, n: int) -> "Jet":
-        return cls(val, np.zeros(n, dtype=complex))
-
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val + other.val, self.grad + other.grad)
@@ -44,9 +40,6 @@ class Jet:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val * other.val,
@@ -54,13 +47,6 @@ class Jet:
         return Jet(self.val * other, self.grad * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            inv = 1.0 / other.val
-            return Jet(self.val * inv,
-                       (self.grad - self.val * inv * other.grad) * inv)
-        return Jet(self.val / other, self.grad / other)
 
     def exp(self) -> "Jet":
         e = np.exp(self.val)
@@ -91,10 +77,6 @@ class JetMatrix:
     @property
     def nvars(self) -> int:
         return self.grad.shape[0]
-
-    @classmethod
-    def zeros(cls, dim: int, nvars: int) -> "JetMatrix":
-        return cls(np.zeros((dim, dim), complex), np.zeros((nvars, dim, dim), complex))
 
     @classmethod
     def const(cls, mat, nvars: int) -> "JetMatrix":

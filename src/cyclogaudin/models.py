@@ -102,7 +102,7 @@ from .errors import AdmissibilityError, StructuralError
 from .gaudin import (GRADIENT_TOP, FlowId, GaudinCoefficients, OrbitData,
                      PoleConfig, _gradients_from_series, _times_monomial,
                      assemble_lax)
-from .ratmat import LaurentSeries, RationalMatrix, power_trunc
+from .ratmat import _POLE_TOL, LaurentSeries, RationalMatrix, power_trunc
 
 _IMAG_TOL = 1e-9
 # the classical RK4 weights b of the stages k1..k4 (dynamics.rk4_step)
@@ -136,7 +136,7 @@ def _field_roles(cls) -> tuple:
 class _ModelState:
     """A state built and checked against its class's layout: the BLOCKS
     float on a REAL model (through _real, as unpack) and complex otherwise,
-    the POLES complex and farther than 1e-12 from zero, the weights float,
+    the POLES complex and farther than _POLE_TOL from zero, the weights float,
     every other field (c) complex, and the blocks and c vectors of length T."""
 
     @property
@@ -155,7 +155,7 @@ class _ModelState:
                                   "equal-length vectors")
         for name in self.POLES:
             setattr(self, name, complex(getattr(self, name)))
-            if abs(getattr(self, name)) <= 1e-12:
+            if abs(getattr(self, name)) <= _POLE_TOL:
                 raise StructuralError(f"{name} must be nonzero")
         for name in weights:
             setattr(self, name, float(getattr(self, name)))
@@ -366,7 +366,7 @@ def dst_orbit_data(sMat: np.ndarray, c: np.ndarray, zeta1: complex) -> OrbitData
 def toda_gauge_residual(s: TodaState, lam: complex) -> float:
     """Residual of L(lam) = lam^-1 Q Ltilde(lam^T) Q^-1 with the
     symmetric tridiagonal-periodic Lax form and Q = diag(e^{-q_i/2} lam^-i)."""
-    if abs(lam) <= 1e-12:
+    if abs(lam) <= _POLE_TOL:
         raise StructuralError("gauge map undefined at lam = 0")
     T = s.T
     a = _toda_a(s.q)
@@ -384,7 +384,7 @@ def toda_gauge_residual(s: TodaState, lam: complex) -> float:
 def dst_gauge_residual(s: DSTState, lam: complex) -> float:
     """Residual of L(lam) = lam^-1 D Lhat(lam^T) D^-1 with
     D = diag(lam^-1, ..., lam^-T) and the single-pole DST Lax form Lhat."""
-    if abs(lam) <= 1e-12:
+    if abs(lam) <= _POLE_TOL:
         raise StructuralError("gauge map undefined at lam = 0")
     T = s.T
     b = s.zeta1
@@ -821,7 +821,7 @@ def kernel_tensors(plan: FlowPlan, template) -> tuple:
     real model once proved real (StructuralError otherwise); Q @ E at
     p = 1.  Uncached: a kernel builds its own once."""
     # per sector: is its Q block the negated one (sign > 0)
-    neg = {Q: globals()[sign] > 0 for Q, _, sign, _ in template.SECTORS}
+    neg = {Q: sign > 0 for Q, _, _, _, sign, _ in _sectors_of(template)}
     rows, at, C = pair_readout(type(template), template.T,
                                neg.get("q"), neg.get("x"))
     lo = rows.min()

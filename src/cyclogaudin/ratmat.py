@@ -59,10 +59,6 @@ def _same_point(a, b) -> bool:
     return abs(a - b) <= _POLE_TOL
 
 
-def _max_abs(c) -> float:
-    return float(np.max(np.abs(c)))
-
-
 def power_trunc(low: int, m: int, top: int) -> int:
     """The power rule: the highest order to which a series of lowest order
     low is expanded so that its m-th power is known up to u^top."""
@@ -577,5 +573,5 @@ def check_equivariance(R: RationalMatrix, weight: int, root: RootOfUnity) -> flo
         count += 1
         lhs = sigma_pow(R.eval(lam), 1, root)
         rhs = root.power(weight) * R.eval(root.omega * lam)
-        res = max(res, _max_abs(lhs - rhs))
+        res = max(res, float(np.max(np.abs(lhs - rhs))))
     return res

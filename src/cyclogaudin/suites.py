@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -74,11 +74,8 @@ class RunConfig:
 
     def digest(self) -> str:
         z = complex(self.zeta1)
-        blob = json.dumps({"model": self.model, "T": self.T,
-                           "zeta1": [z.real, z.imag], "beta": self.beta,
-                           "seed": int(self.seed), "depth": self.depth,
-                           "h": self.h},
-                          sort_keys=True)
+        blob = json.dumps({**asdict(self), "zeta1": [z.real, z.imag],
+                           "seed": int(self.seed)}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -426,14 +423,11 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name != "all":
         return _SUITE_FUNCS[name](cfg)
     rep = _report(cfg, "all")
-    for sub in ("algebra", "ratmat", "rmatrix", "gaudin"):
-        for case in _SUITE_FUNCS[sub](cfg).cases:
-            rep.cases.append(type(case)(f"{sub}.{case.name}", case.residual,
-                                        case.tol))
-    for model in MODELS:
-        sub_cfg = RunConfig(**{**asdict(cfg), "model": model})
-        for sub in ("models", "dynamics"):
-            for case in _SUITE_FUNCS[sub](sub_cfg).cases:
-                rep.cases.append(type(case)(f"{sub}.{model}.{case.name}",
-                                            case.residual, case.tol))
+    runs = [(sub, sub, cfg) for sub in ("algebra", "ratmat", "rmatrix",
+                                        "gaudin")]
+    runs += [(f"{sub}.{model}", sub, replace(cfg, model=model))
+             for model in MODELS for sub in ("models", "dynamics")]
+    for prefix, sub, sub_cfg in runs:
+        for case in _SUITE_FUNCS[sub](sub_cfg).cases:
+            rep.add(f"{prefix}.{case.name}", case.residual, case.tol)
     return rep

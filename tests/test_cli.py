@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import cyclogaudin
+from cyclogaudin import cli
+from cyclogaudin import dynamics as dyn
 from cyclogaudin.cli import main
+from cyclogaudin.errors import (AdmissibilityError, ConfigError,
+                                CycloGaudinError, DivergenceError,
+                                StructuralError)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -163,6 +168,47 @@ def test_main_calls_in_one_process_match_lone_calls(capsys, monkeypatch):
     assert [g[0] for g in got] == [2, 0, 0]
     assert "required: --schedule" in got[0][2]
     assert got == [_lone_call(argv) for argv in calls]
+
+
+@pytest.mark.parametrize("argv, patch, family, code, prefix", [
+    (["verify", "--suite", "models", "--T", "1"], None, ConfigError, 2,
+     "error: "),
+    (["simulate", "--schedule", "1:1:0.01", "--model", "toda", "--T", "3"],
+     None, AdmissibilityError, 2, "error: "),
+    (["verify", "--suite", "algebra", "--T", "2"],
+     (cli, "cmd_verify", StructuralError("forced")), StructuralError, 2,
+     "error: "),
+    (["closure", "--model", "coupled", "--T", "2"],
+     (dyn, "closure_residual", DivergenceError("forced", None)),
+     DivergenceError, 3, "diverged: "),
+], ids=["config", "admissibility", "other", "divergence"])
+def test_main_maps_each_exception_family_to_its_exit(tmp_path, capsys,
+                                                     monkeypatch, argv, patch,
+                                                     family, code, prefix):
+    # every CycloGaudinError but a divergence is a usage error (exit 2) and
+    # a divergence exits 3, each on one stderr line; the command is checked
+    # to raise the family named
+    if patch is not None:
+        owner, name, exc = patch
+
+        def raises(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(owner, name, raises)
+    command, raised = getattr(cli, f"cmd_{argv[0]}"), []
+
+    def recorded(args):
+        try:
+            return command(args)
+        except CycloGaudinError as exc:
+            raised.append(type(exc))
+            raise
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", recorded)
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == code
+    assert raised == [family]
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):

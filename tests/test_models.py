@@ -681,6 +681,38 @@ def test_structural_zero_cache_keys(rng):
         kernel.zero = True
 
 
+@pytest.mark.parametrize("T", [2, 3])
+def test_zero_proof_reads_the_class_pattern(monkeypatch, rng, T):
+    # a kernel proves zero on its class's pattern (_class_layout), never on
+    # its template's z: on DST with c = 0 and the coupled model with
+    # beta = -1 the value-based pattern coords | (z != 0) differs from it.
+    # field_kernel then hands every template of the key the kernel, and
+    # the zero, of its one build
+    patterns, vanishes = [], mdl.FlowPlan.vanishes
+
+    def spy(plan, nonzero, read):
+        patterns.append(nonzero.copy())
+        return vanishes(plan, nonzero, read)
+    monkeypatch.setattr(mdl.FlowPlan, "vanishes", spy)
+    monkeypatch.setattr(mdl, "_KERNELS", {})
+    d = mdl.random_dst(T, rng, zeta1=0.9)
+    c = mdl.random_coupled(T, rng, beta=0.7, zeta1=0.9)
+    for special, generic in ((replace(d, c=np.zeros(T)), d),
+                             (replace(c, beta=-1.0), c)):
+        pattern = mdl._class_layout(type(special), T)[-1]
+        writer = mdl.SupportWriter(special)
+        assert (writer.coords | (writer.z != 0) != pattern).any()
+        for f in mdl.admissible_flows(special, 3):
+            patterns.clear()
+            kernel = mdl.field_kernel(special, f)
+            zero = kernel.zero
+            for tmpl in (generic, special):
+                assert mdl.field_kernel(tmpl, f) is kernel
+                assert kernel.zero == zero
+            assert len(patterns) == 1
+            assert np.array_equal(patterns[0], pattern)
+
+
 def test_cyclic_coefficient_path_matches_loops(rng):
     # the per-element loops and np.roll the cyclic index arrays replace
     eps = np.finfo(float).eps

@@ -102,3 +102,14 @@ def test_energy_drift_matches_per_sample_hamiltonian_values(model):
     drift = max(abs(mdl.hamiltonian_value(traj.state(i), f) - e0)
                 for i in range(0, len(traj), 50))
     assert drift > 0 and case.residual == drift / (1 + abs(e0))
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (RunConfig(), "6fd56b3b8aebea8a"),
+    (RunConfig(model="coupled", T=5, zeta1=0.7 + 0.4j, beta=0.25,
+               seed=2 ** 64 - 1, depth=2, h=5e-4), "d55c6af4da46193c"),
+])
+def test_config_digest_is_pinned(cfg, digest):
+    # the digest that every report and closure output carries: the seven
+    # fields as one sorted-key JSON blob, zeta1 as [re, im], seed an int
+    assert cfg.digest() == digest

@@ -73,3 +73,18 @@ def test_callers_lists_what_one_command_does_not_enter():
     assert not {"cli.cmd_verify [spans]", "suites.algebra_suite [spans]",
                 "algebra.grade_component [spans]"} & set(missed)
     assert missed[-1].endswith("pinned by perfbench/spans.py")
+
+
+def test_field_calls_compare_of_a_checkout_with_itself():
+    # the byte-identity check behind every no-change claim: one checkout
+    # against itself reads identical counts and fingerprints, exit 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tool = os.path.join(root, "tools", "field_calls.py")
+    proc = subprocess.run([sys.executable, tool, root, "--workload",
+                           "simulate_csv", "--compare", root],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "identical counts and fingerprints"
+    assert sum(line.startswith("  simulate_csv: kernel_calls ")
+               for line in lines) == 2

@@ -1,11 +1,13 @@
 """The comparison tools under tools/."""
 import copy
+import json
 import os
 import subprocess
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
+import outputs  # noqa: E402
 import seed_scan  # noqa: E402
 
 
@@ -88,3 +90,39 @@ def test_field_calls_compare_of_a_checkout_with_itself():
     assert lines[-1] == "identical counts and fingerprints"
     assert sum(line.startswith("  simulate_csv: kernel_calls ")
                for line in lines) == 2
+
+
+def test_outputs_compare_of_the_checkout_with_its_manifest(capsys):
+    # the golden-output gate: seed 42 at T = 3, the simulate CSVs, both
+    # closure reports and both exit paths, run through cli.main in this
+    # process and compared with the committed manifest
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    names = ["verify-s42-T3", "simulate-toda", "simulate-dst",
+             "simulate-coupled", "closure-coupled-T3-s42",
+             "closure-dst-T2-s0", "refuse-beta0", "diverge-dst-s731"]
+    code = outputs.main([root, "--compare",
+                         os.path.join(root, "tools", "outputs.json"),
+                         *(a for name in names for a in ("--entry", name))])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0 and out == [f"{len(names)} entries compared, 0 moved"]
+    with open(os.path.join(root, "tools", "outputs.json")) as fh:
+        manifest = {e["name"]: e for e in json.load(fh)["entries"]}
+    assert set(manifest) == set(outputs.ENTRIES)
+    assert manifest["refuse-beta0"]["exit"] == 2
+    assert manifest["refuse-beta0"]["sha256"] is None
+    assert manifest["diverge-dst-s731"]["exit"] == 3
+
+
+def test_outputs_compare_reports_each_moved_entry(capsys):
+    old = [{"name": n, "argv": [n], "exit": 0, "stderr": [], "sha256": n}
+           for n in ("a", "b", "c")]
+    new = copy.deepcopy(old)
+    assert outputs.compare(old, new) == 0
+    assert capsys.readouterr().out == "3 entries compared, 0 moved\n"
+    new[0]["stderr"] = ["warning"]
+    new[2]["exit"], new[2]["sha256"] = 1, "moved"
+    new.append({**new[1], "name": "d"})
+    assert outputs.compare(old, new) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a: stderr moved", "c: exit, sha256 moved",
+        "d: not in the old manifest", "4 entries compared, 3 moved"]

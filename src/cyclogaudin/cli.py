@@ -188,12 +188,15 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    # a diverging run overflows on its way to the DivergenceError: the
+    # command reports it as exit 3, not as NumPy warnings on stderr
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_closure(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "verify":
+                return cmd_verify(args)
+            if args.command == "simulate":
+                return cmd_simulate(args)
+            return cmd_closure(args)
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

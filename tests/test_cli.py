@@ -369,16 +369,17 @@ def test_simulate_hamiltonian_cells_match_per_row_values(tmp_path, model, T,
         assert cells[first_h:-1] == ["%.16e" % v for v in expect]
 
 
-def test_simulate_divergence_exit_3(tmp_path):
-    cfgfile = tmp_path / "cfg.json"
+def test_simulate_divergence_exit_3(tmp_path, capsys, recwarn):
     out = tmp_path / "d.csv"
-    # a deliberately explosive coupled run: huge step, strong coupling
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["simulate", "--schedule", "3:1:200", "--model",
-                     "coupled", "--T", "2", "--seed", "1", "--beta", "1.0",
-                     "--h", "1.0", "--output", str(out)])
+    # a deliberately explosive coupled run: huge step, strong coupling.
+    # The overflow on the way is the exit code, not NumPy warnings
+    code = main(["simulate", "--schedule", "3:1:200", "--model",
+                 "coupled", "--T", "2", "--seed", "1", "--beta", "1.0",
+                 "--h", "1.0", "--output", str(out)])
     assert code == 3
     assert out.read_text().rstrip().endswith("# diverged")
+    assert capsys.readouterr().err == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@
 closure-relation probes.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
-3 runtime divergence.
+3 runtime divergence (with NumPy's overflow warnings silenced).
 """
 from __future__ import annotations
 
@@ -188,8 +188,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    # a diverging run overflows on its way to the DivergenceError: the
-    # command reports it as exit 3, not as NumPy warnings on stderr
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "verify":

@@ -38,7 +38,8 @@ Three maps through the support vector
 L is linear in the support vector z of a state (its structurally nonzero
 Lax coefficients), and each map through z is written once:
 
-    y -> z      SupportWriter: one z write per model, bound to a buffer of
+    y -> z      SupportWriter: z written sector by sector (L is the sum of
+                its sectors, each times its weight), bound to a buffer of
                 any leading shape (write for one row, stack for many)
     dy -> dz    SupportWriter.tangent, the pushforward, which
                 coefficient_jets and coefficient_velocity scatter (_scatter)
@@ -80,20 +81,20 @@ depends on the fixed c alone, so the flows (p, 0) are zero.
 FieldKernel.zero proves this from the sparsity of the plan, never from a
 value of the field or of the template: the support pattern of z (every
 constant entry but the structural zeros of A0_1, and every entry written
-from the coordinates, counts as nonzero) goes
-through expand, take and readout as boolean matrix products
-(FlowPlan.vanishes), and the field is zero when no entry of dH/dz that
-the chain rule reads can be nonzero.  The flag is proved once, when the
-kernel is built.  Over the three models, T = 1..5
-and every flow to p = 6 it flags exactly the DST flows (p, 0), the tests
-hold it to flow_field, and dynamics steps a flagged segment as the
-identity.  flow_field and the kernel's call stay the oracle and still
-return the zero vector.
+from the coordinates, counts as nonzero) goes through expand, take and
+readout as boolean matrix products (FlowPlan.vanishes), and the field is
+zero when no entry of dH/dz that the chain rule reads can be nonzero.
+The flag is proved once, when the kernel is built.  Over the three
+models, T = 1..5 and every flow to p = 6 it flags exactly the DST flows
+(p, 0), the tests hold it to flow_field, and dynamics steps a flagged
+segment as the identity.  flow_field and the kernel's call stay the
+oracle and still return the zero vector.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -250,21 +251,16 @@ def _support_index(nb: int, T: int) -> np.ndarray:
 
 def support_vector(state) -> np.ndarray:
     """The support vector z of a model state: its structurally nonzero Lax
-    coefficients in the order of _support_index.  Toda [p, a, 1],
-    DST [c, 0, x X^T, 1], coupled [p + beta c, a, beta x X^T, 1 + beta],
-    with a_i = exp(q_i - q_{i+1}) the subdiagonal entry J01[i+1, i]."""
+    coefficients in the order of _support_index, as SupportWriter writes
+    them sector by sector."""
     return SupportWriter(state).write(pack(state))
 
 
 def _scatter(template, Z) -> GaudinCoefficients:
     """The Lax coefficients [A0_0, A0_1, A_1..A_N, Ainf] of the support
     vectors Z (..., nz) of the template's model: Z scattered into zero
-    blocks, leading axes riding along as stack axes.  Toda J00 = diag(p),
-    J01 = sum_i a_i E_{i+1,i}; DST diag(c), 0, K_1 = x X^T; coupled
-    J00 + beta diag(c), J01, beta K_1.  Ainf is the unit shift
-    sum_i E_{i,i+1} for Toda and DST, and (1 + beta) times it for the
-    coupled model.  coefficients, stacked_coefficients and
-    coefficient_jets all scatter here."""
+    blocks, leading axes riding along as stack axes.  coefficients,
+    stacked_coefficients and coefficient_jets all scatter here."""
     nb, T, lead = len(template.POLES) + 3, template.T, Z.shape[:-1]
     B = np.zeros((*lead, nb, T, T), complex)
     B.reshape(*lead, -1)[..., _support_index(nb, T)] = Z
@@ -413,33 +409,38 @@ def _sectors_of(state):
     """(Q, P, Q slice, P slice, sign, weight) per canonical sector of the
     state: its block names and their slices in the packed vector, the
     current SECTOR_SIGN_* value and the weight's value, 1.0 if unweighted."""
-    T = state.T
-    for Q, P, sign, weight in state.SECTORS:
-        iQ, iP = (slice(k * T, (k + 1) * T)
-                  for k in map(state.BLOCKS.index, (Q, P)))
-        yield (Q, P, iQ, iP, globals()[sign],
+    for (Q, P, sign, weight), sec in zip(
+            state.SECTORS, _class_layout(type(state), state.T)[0]):
+        yield (Q, P, sec.Q, sec.P, globals()[sign],
                getattr(state, weight) if weight else 1.0)
+
+
+_Sector = namedtuple("_Sector", "Q P weight pole z")
 
 
 @cache
 def _class_layout(cls, T: int) -> tuple:
-    """(T, the slices of the q, p, x and X blocks in the packed vector,
-    None for a block the model lacks, the cyclic index arrays i+1, i-1, the
-    mask of the support vector entries that are written from the
-    coordinates, and the mask of the entries that may be nonzero) of a
-    state class and T (cached; read-only)."""
+    """(per entry of SECTORS a _Sector: its Q and P slices in the packed
+    vector, weight name or None, the pole block r it writes, 0 for a (q, p)
+    sector, and its slice of z; the mask of the z entries written from the
+    coordinates; the mask of those that may be nonzero, all but A0_1 where
+    no sector writes it) of a state class and T (cached; read-only)."""
     at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(cls.BLOCKS)}
-    _, nxt, prev = _cyclic(T)
-    # z = [p or p + beta c, a, x X^T, Ainf]: p and a come from (q, p),
-    # the x X^T block from (x, X); the rest is constant, and only the A0_1
-    # block of a model with no q is zero whatever the template
     nz = _support_index(len(cls.POLES) + 3, T).size
     coords, nonzero = np.zeros(nz, bool), np.ones(nz, bool)
-    coords[:2 * T] = nonzero[T:2 * T] = "q" in at
-    coords[2 * T:2 * T + T * T] = "x" in at
+    nonzero[T:2 * T] = False
+    sectors, r = [], 0
+    for Q, P, sign, weight in cls.SECTORS:
+        if sign == "SECTOR_SIGN_PQ":
+            pole, z = 0, slice(0, 2 * T)
+        else:
+            pole = r = r + 1
+            z = slice(2 * T + (r - 1) * T * T, 2 * T + r * T * T)
+        coords[z] = nonzero[z] = True
+        sectors.append(_Sector(at[Q], at[P], weight, pole, z))
     for mask in (coords, nonzero):
         mask.setflags(write=False)
-    return (T, *map(at.get, ("q", "p", "x", "X")), nxt, prev, coords, nonzero)
+    return tuple(sectors), coords, nonzero
 
 
 def _real(v: np.ndarray, what: str) -> np.ndarray:
@@ -656,92 +657,85 @@ def _difference(T: int) -> np.ndarray:
 class SupportWriter:
     """Writes the support vector z of the states of a model and T straight
     from their packed vectors y, with no state object, under the constants
-    of the template last loaded (load: c on A0_0 for DST; beta c, the 0-d
-    beta and 1 + beta on Ainf for the coupled model).
+    of the template last loaded (load).  L is the sum of its sectors, each
+    times its weight, and each sector of the class layout (_class_layout)
+    writes its entries of z: a (q, p) sector p on A0_0 (plus the loaded c
+    of the (x, X) sectors) and a_i = exp(D q) (_difference) on A0_1, an
+    (x, X) sector x X^T on its pole block, times its weight if it has one.
 
-    z heads one buffer [z | y | 1], in float64 on a real model, whose
-    structural entries (the zero A0_1 entries for DST, 1 on Ainf, the
-    trailing 1) are filled once.  The model's z write (_z_write) is built
-    once against a buffer of any leading shape: it writes the coordinate
-    entries of every z from views of the y slot, p or p + beta c from the
-    p block, a_i = exp(D q) (_difference) from the q block and (beta)
-    x X^T from the x column and the X row.  write binds it to the writer's
+    z heads one buffer [z | y | 1], in float64 on a real model.  The z
+    write (_z_write) is the list of the sectors' bound NumPy calls on the
+    views of a buffer of any leading shape: write runs it on the writer's
     one-row buffer and returns z, a view valid until the next write, which
-    tangent reads a_i off; stack binds it to a stack of buffers seeded with
-    the writer's and writes every row in one pass.  A Toda y with an
-    imaginary part above _IMAG_TOL is rejected, as unpack rejects it; a
-    real y of a complex model is cast into the slot, as unpack casts it.
-    The complex D makes a_i the complex exp on Toda too, of which z keeps
-    the real part, since exp rounds differently on real arguments."""
+    tangent reads a_i off; stack runs it on a stack of buffers seeded with
+    the writer's.  A Toda y with an imaginary part above _IMAG_TOL is
+    rejected, as unpack rejects it; a real y of a complex model is cast
+    into the slot, as unpack casts it.  The complex D makes a_i the
+    complex exp on Toda too, of which z keeps the real part, since exp
+    rounds differently on real arguments."""
 
-    __slots__ = ("T", "real", "buf", "z", "y", "bc", "beta", "qs", "ps",
-                 "xs", "Xs", "coords", "fill")
+    __slots__ = ("T", "real", "buf", "z", "y", "sectors", "weights", "c",
+                 "coords", "fill")
 
     def __init__(self, template):
         _check_model(template)
-        self.real = template.REAL
-        (T, self.qs, self.ps, self.xs, self.Xs, _, _,
-         self.coords, _) = _class_layout(type(template), template.T)
-        self.T, nz = T, self.coords.size
+        self.real, self.T = template.REAL, template.T
+        self.sectors, self.coords, _ = _class_layout(type(template), self.T)
+        T, nz = self.T, self.coords.size
         self.buf = buf = np.empty(nz + nvars(template) + 1,
                                   float if self.real else complex)
         buf[-1] = 1.0
         self.z, self.y = buf[:nz], buf[nz:-1]
-        self.z[-T:] = 1.0   # Ainf; 1 + beta on the coupled model, at load
-        if self.qs is None:   # DST: the A0_1 block is zero
-            self.z[T:2 * T] = 0.0
-        self.bc = self.beta = None
-        if self.qs is not None and self.xs is not None:   # coupled
-            self.bc = np.empty(T, complex)
-            self.beta = np.empty((), complex)   # 0-d: cast at load
+        self.z[T:2 * T] = 0.0   # A0_1, where no (q, p) sector writes it
+        # loaded: the 0-d weights, and c on A0_0 or beside a (q, p) sector's p
+        self.weights = {sec.weight: np.empty((), complex)
+                        for sec in self.sectors if sec.weight}
+        self.c = (self.z[:T] if all(sec.pole for sec in self.sectors)
+                  else np.empty(T, complex))
         self.fill = self._z_write(buf)
         self.load(template)
 
     def _z_write(self, buf: np.ndarray):
-        """The model's z write on buf (..., nz + n + 1): a function that
-        writes the coordinate entries of every z in buf from the views of
-        its y slot fixed here, and returns the z of buf."""
+        """The z write on buf (..., nz + n + 1): a function that runs the
+        sectors' calls, bound once to views of buf, and returns its z."""
         T, nz = self.T, self.coords.size
         z, y = buf[..., :nz], buf[..., nz:-1]
-        zp, za = z[..., :T], z[..., T:2 * T]
-        bc, beta = self.bc, self.beta
-        if self.qs is not None:
-            yp, yq, DT = y[..., self.ps], y[..., self.qs], _difference(T).T
-            qa = np.empty(yq.shape, complex)
-            qa_re = qa.real
-        if self.xs is None:   # Toda
+        sites = any(sec.pole for sec in self.sectors)
+        calls = []
+        for sec in self.sectors:
+            zs, yQ, yP = z[..., sec.z], y[..., sec.Q], y[..., sec.P]
+            if sec.pole:
+                K = zs.reshape(*z.shape[:-1], T, T)
+                calls.append(partial(np.multiply, yQ[..., None],
+                                     yP[..., None, :], K))
+                if sec.weight:
+                    calls.append(partial(np.multiply, self.weights[sec.weight],
+                                         K, K))
+                continue
+            zp, za, qa = zs[..., :T], zs[..., T:], np.empty(yQ.shape, complex)
+            calls += [partial(np.add, yP, self.c, zp) if sites
+                      else partial(zp.__setitem__, ..., yP),
+                      partial(np.dot, yQ, _difference(T).T, qa),
+                      partial(np.exp, qa, qa if self.real else za)]
+            if self.real:   # the real part of the complex exp
+                calls.append(partial(za.__setitem__, ..., qa.real))
 
-            def fill():
-                zp[...] = yp
-                np.exp(np.dot(yq, DT, qa), qa)
-                za[...] = qa_re
-                return z
-            return fill
-        K = z[..., 2 * T:2 * T + T * T].reshape(*z.shape[:-1], T, T)
-        yx, yX = y[..., self.xs, None], y[..., None, self.Xs]
-        if self.qs is None:   # DST
-
-            def fill():
-                np.multiply(yx, yX, K)
-                return z
-            return fill
-
-        def fill():   # coupled
-            np.add(yp, bc, zp)
-            np.exp(np.dot(yq, DT, qa), za)
-            np.multiply(yx, yX, K)
-            np.multiply(beta, K, K)
+        def fill():
+            for call in calls:
+                call()
             return z
         return fill
 
     def load(self, template) -> None:
-        """Write the constants of a template of the writer's class and T."""
-        if self.bc is not None:   # coupled
-            self.bc[...] = template.beta * template.c
-            self.beta[...] = template.beta
-            self.z[-self.T:] = 1.0 + template.beta
-        elif self.xs is not None:   # DST
-            self.z[:self.T] = template.c
+        """Write the constants of a template of the writer's class and T:
+        the weights, the c of the (x, X) sectors and Ainf, the weights' sum."""
+        ws = [w for *_, w in _sectors_of(template)]
+        for sec, w in zip(self.sectors, ws):
+            if sec.weight:
+                self.weights[sec.weight][...] = w
+            if sec.pole:
+                self.c[...] = w * template.c if sec.weight else template.c
+        self.z[-self.T:] = sum(ws)
 
     def write(self, y: np.ndarray) -> np.ndarray:
         """The support vector of the state packed as y (the buffer's z)."""
@@ -752,23 +746,24 @@ class SupportWriter:
 
     def tangent(self, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """dz = (dz/dy) dy at the state packed as y for a vector dy or a
-        (..., n) stack of them, a new complex (..., nz) array: dp, a_i (dq_i
-        - dq_{i+1}) and dx (beta X)^T + (beta x) dX^T (beta = 1 but on the
-        coupled model), a_i read off z = write(y), left in the buffer; the
-        constant entries have zero tangent."""
+        (..., n) stack of them, a new complex (..., nz) array, sector by
+        sector: dp and a_i (dq_i - dq_{i+1}), a_i read off z = write(y),
+        left in the buffer; dx (w X)^T + (w x) dX^T with w the weight, if
+        any.  The constant entries have zero tangent."""
         T, lead, z = self.T, dy.shape[:-1], self.write(y)
         dz = np.zeros((*lead, z.size), complex)
-        if self.qs is not None:
-            a, dq = z[T:2 * T], dy[..., self.qs]
-            dz[..., :T] = dy[..., self.ps]
-            dz[..., T:2 * T] = a * dq - a * dq[..., _cyclic(T)[1]]
-        if self.xs is not None:
-            x, X = y[self.xs], y[self.Xs]
-            if self.beta is not None:
-                x, X = self.beta * x, self.beta * X
-            dK = (dy[..., self.xs, None] * X
-                  + x[:, None] * dy[..., None, self.Xs])
-            dz[..., 2 * T:2 * T + T * T] = dK.reshape(*lead, T * T)
+        for sec in self.sectors:
+            dzs, dQ, dP = dz[..., sec.z], dy[..., sec.Q], dy[..., sec.P]
+            if sec.pole:
+                x, X, w = y[sec.Q], y[sec.P], self.weights.get(sec.weight)
+                if sec.weight:
+                    x, X = w * x, w * X
+                dK = dQ[..., None] * X + x[:, None] * dP[..., None, :]
+                dzs[...] = dK.reshape(*lead, T * T)
+                continue
+            a = z[sec.z][T:]
+            dzs[..., :T] = dP
+            dzs[..., T:] = a * dQ - a * dQ[..., _cyclic(T)[1]]
         return dz
 
     def stack(self, Y) -> np.ndarray:
@@ -783,27 +778,31 @@ class SupportWriter:
 
 
 @cache
-def pair_readout(cls, T: int, neg_q: bool, neg_x: bool) -> tuple:
+def pair_readout(cls, T: int, neg: tuple) -> tuple:
     """A FieldKernel's chain rule as (field entry, factor, g = dH/dz entry)
     pairs over its buffer aug = [z | y | 1], shared by the plans of a
     class: pair j reads g[rows[j]] times aug[at[j]], and the (n, m) matrix
-    C of signs (neg_q, neg_x: the sector's Q block is the negated one)
+    C of signs (neg: per sector, whether its Q block is the negated one)
     sums each field entry's pairs, so the field is C @ (g[rows] * aug[at]).
-    dq_i reads g_p,i (factor 1), dp_i g_a,i (a_i) and g_a,i-1 (a_i-1),
-    dx_j GK[i, j] (x_i) and dX_i GK[i, j] (X_j): the 1/beta of the bracket
-    cancels the beta of z's x X^T block (cached; read-only)."""
-    _, qs, ps, xs, Xs, _, prev, coords, _ = _class_layout(cls, T)
+    Per sector, in order: of a (q, p) sector, dq_i reads g_p,i (factor 1)
+    and dp_i g_a,i (a_i) and g_a,i-1 (a_i-1); of an (x, X) sector, dx_j
+    reads GK[i, j] (x_i) and dX_i GK[i, j] (X_j), where the 1/w of the
+    bracket cancels the weight w of z's x X^T block (cached; read-only)."""
+    sectors, coords, _ = _class_layout(cls, T)
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
-    sq, sx = (-1.0 if neg else 1.0 for neg in (neg_q, neg_x))
+    a, b = np.divmod(np.arange(T * T), T)   # GK[a, b] = g[z0 + aT + b]
     pairs = []   # (field entries, factors in aug, rows of g, sign)
-    if qs is not None:
-        pairs += [(qs.start + i, nz + n, i, sq),
-                  (ps.start + i, T + i, T + i, -sq),
-                  (ps.start + i, T + prev, T + prev, sq)]
-    if xs is not None:
-        a, b = np.divmod(np.arange(T * T), T)   # GK[a, b] = g[2T + aT + b]
-        pairs += [(xs.start + b, nz + xs.start + a, 2 * T + a * T + b, sx),
-                  (Xs.start + a, nz + Xs.start + b, 2 * T + a * T + b, -sx)]
+    for sec, flip in zip(sectors, neg):
+        s = -1.0 if flip else 1.0
+        Q, P, z0 = sec.Q.start, sec.P.start, sec.z.start
+        if sec.pole:
+            pairs += [(Q + b, nz + Q + a, z0 + a * T + b, s),
+                      (P + a, nz + P + b, z0 + a * T + b, -s)]
+        else:
+            prev = z0 + T + _cyclic(T)[2]
+            pairs += [(Q + i, nz + n, z0 + i, s),
+                      (P + i, z0 + T + i, z0 + T + i, -s),
+                      (P + i, prev, prev, s)]
     k, at, rows, sign = (np.concatenate(c) for c in zip(
         *(np.broadcast_arrays(*t) for t in pairs)))
     C = np.where(np.arange(n)[:, None] == k, sign, 0.0)
@@ -821,9 +820,8 @@ def kernel_tensors(plan: FlowPlan, template) -> tuple:
     real model once proved real (StructuralError otherwise); Q @ E at
     p = 1.  Uncached: a kernel builds its own once."""
     # per sector: is its Q block the negated one (sign > 0)
-    neg = {Q: sign > 0 for Q, _, _, _, sign, _ in _sectors_of(template)}
-    rows, at, C = pair_readout(type(template), template.T,
-                               neg.get("q"), neg.get("x"))
+    neg = tuple(sign > 0 for *_, sign, _ in _sectors_of(template))
+    rows, at, C = pair_readout(type(template), template.T, neg)
     lo = rows.min()
     E, Q = plan.expand, plan.readout[lo:rows.max() + 1]
     if template.REAL:
@@ -848,7 +846,7 @@ class FieldKernel(SupportWriter):
 
     The constructor builds the whole kernel: it checks the flow, takes the
     plan, proves zero, builds the tensors under the sector signs of the
-    moment and binds them, the buffer's views and the model's z write into
+    moment and binds them, the buffer's views and the z write into
     the field and the RK4 step (dynamics.rk4_step); both return a new
     array.  A plan that is not real on a Toda template is refused there.
     H values are the plan's (FlowPlan.values).  A call or step rewrites
@@ -919,8 +917,8 @@ class FieldKernel(SupportWriter):
         """Whether the field is zero at every y whose support vector is
         finite, whatever the template's constants, proved from the sparsity
         of the plan (FlowPlan.vanishes) when the kernel is built: every
-        entry of z counts as nonzero but the structural zeros of A0_1 on a
-        model with no q.  dynamics steps such a flow as the identity."""
+        entry of z counts as nonzero but those of A0_1 where no (q, p)
+        sector writes them.  dynamics steps such a flow as the identity."""
         return self._zero
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -1075,14 +1073,15 @@ def stacked_invariants(template, Y) -> dict:
     off the rows: per name one complex per row, bit for bit invariants of
     each row unpacked with the template's parameters."""
     Y = _real(np.asarray(Y), "state") if template.REAL else np.asarray(Y)
-    _, qs, ps, xs, Xs, nxt, *_ = _class_layout(type(template), template.T)
-    out = {}
-    if qs is not None:
-        q = np.asarray(Y[:, qs], complex)
-        out.update(sum_p=np.sum(Y[:, ps], axis=1),
+    out, nxt = {}, _cyclic(template.T)[1]
+    for sec in _class_layout(type(template), template.T)[0]:
+        if sec.pole:   # per row a (1, T) @ (T, 1) product rounds as np.dot
+            out[f"tr_K{sec.pole}"] = np.matmul(Y[:, None, sec.Q],
+                                               Y[:, sec.P, None])[:, 0, 0]
+            continue
+        q = np.asarray(Y[:, sec.Q], complex)
+        out.update(sum_p=np.sum(Y[:, sec.P], axis=1),
                    prod_a=np.prod(np.exp(q - q[:, nxt]), axis=1))
-    if xs is not None:   # per row a (1, T) @ (T, 1) product rounds as np.dot
-        out["tr_K1"] = np.matmul(Y[:, None, xs], Y[:, Xs, None])[:, 0, 0]
     return {k: np.asarray(v, complex).tolist() for k, v in out.items()}
 
 

@@ -960,10 +960,15 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
     templates += [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
                   for b in (0.1, -1.3, 0.0)]
     signs = [(pq, xx) for pq in (1.0, -1.0) for xx in (1.0, -1.0)]
+
+    def neg(cls, pq, xx):   # one flag per sector: its Q block is negated
+        flags = {"SECTOR_SIGN_PQ": pq > 0, "SECTOR_SIGN_XX": xx > 0}
+        return tuple(flags[sign] for _, _, sign, _ in cls.SECTORS)
     for tmpl in templates:
         cls, nz, n = type(tmpl), mdl.support_vector(tmpl).size, mdl.nvars(tmpl)
-        for neg_q, neg_x in [(pq > 0, xx > 0) for pq, xx in signs]:
-            rows, at, C = mdl.pair_readout(cls, T, neg_q, neg_x)
+        for pq, xx in signs:
+            neg_q, neg_x = pq > 0, xx > 0
+            rows, at, C = mdl.pair_readout(cls, T, neg(cls, pq, xx))
             assert np.array_equal(np.abs(C).sum(axis=0), np.ones(len(at)))
             assert set(np.unique(C)) <= {-1.0, 0.0, 1.0}
             coef = np.zeros((n, nz + n + 1, nz))
@@ -993,7 +998,7 @@ def test_pair_readout_matches_chain_rule(rng, T, monkeypatch):
                     assert np.max(np.abs(v - ref)) <= \
                         1e-13 * (1 + np.max(np.abs(ref)))
                     _, Q, r, _, _ = mdl.kernel_tensors(kernel.plan, tmpl)
-                    rows = mdl.pair_readout(cls, T, pq > 0, xx > 0)[0]
+                    rows = mdl.pair_readout(cls, T, neg(cls, pq, xx))[0]
                     R = kernel.plan.readout
                     if f.p > 1:
                         assert np.array_equal(Q[r], R[rows])
@@ -1257,6 +1262,38 @@ def test_support_stack_matches_per_row_writes(rng, T):
             writer.write(rows[1])
         with pytest.raises(StructuralError, match="real locus"):
             writer.stack(rows)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_one_writer_loads_templates_in_turn_bit_for_bit(rng, T):
+    # one writer per class, its templates loaded one after the other (load
+    # is where c and beta enter, so the coupled pair differs in beta):
+    # write, stack and tangent byte for byte against the routes that share
+    # no code with the writer, _concatenated_support and _tangent_by_formula
+    # (a stack at T = 1 within _ONE_ELEMENT_RTOL)
+    pairs = [[mdl.random_toda(T, rng) for _ in range(2)],
+             [mdl.random_dst(T, rng, zeta1=z) for z in (0.9, 0.7 + 0.4j)],
+             [mdl.random_coupled(T, rng, beta=b, zeta1=0.9)
+              for b in (0.1, -1.3)]]
+    for first, second in pairs:
+        writer = mdl.SupportWriter(first)
+        for tmpl in (first, second, first):
+            writer.load(tmpl)
+            ys = _packed_near(tmpl, rng, 4)
+            refs = np.array([_concatenated_support(mdl.unpack(tmpl, y))
+                             for y in ys])
+            if tmpl.REAL:
+                refs = refs.real
+            for y, ref in zip(ys, refs):
+                assert writer.write(y).tobytes() == ref.tobytes()
+            _assert_stack_rows(writer.stack(ys), refs.astype(complex), T)
+            dY = rng.normal(size=(3, mdl.nvars(tmpl)))
+            if not tmpl.REAL:
+                dY = dY + 1j * rng.normal(size=dY.shape)
+            for y in ys:
+                for dy in (dY[0], dY):
+                    assert writer.tangent(y, dy).tobytes() == \
+                        _tangent_by_formula(tmpl, y, dy).tobytes()
 
 
 def test_stacked_coefficients_match_per_state_blocks(rng):

@@ -92,7 +92,6 @@ oracle and still return the zero vector.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 
@@ -409,20 +408,17 @@ def _sectors_of(state):
     """(Q, P, Q slice, P slice, sign, weight) per canonical sector of the
     state: its block names and their slices in the packed vector, the
     current SECTOR_SIGN_* value and the weight's value, 1.0 if unweighted."""
-    for (Q, P, sign, weight), sec in zip(
+    for (Q, P, sign, weight), (iQ, iP, *_) in zip(
             state.SECTORS, _class_layout(type(state), state.T)[0]):
-        yield (Q, P, sec.Q, sec.P, globals()[sign],
+        yield (Q, P, iQ, iP, globals()[sign],
                getattr(state, weight) if weight else 1.0)
-
-
-_Sector = namedtuple("_Sector", "Q P weight pole z")
 
 
 @cache
 def _class_layout(cls, T: int) -> tuple:
-    """(per entry of SECTORS a _Sector: its Q and P slices in the packed
-    vector, weight name or None, the pole block r it writes, 0 for a (q, p)
-    sector, and its slice of z; the mask of the z entries written from the
+    """(per entry of SECTORS its Q and P slices in the packed vector, its
+    weight name or None, the pole block r it writes, 0 for a (q, p) sector,
+    and its slice of z; the mask of the z entries written from the
     coordinates; the mask of those that may be nonzero, all but A0_1 where
     no sector writes it) of a state class and T (cached; read-only)."""
     at = {b: slice(k * T, (k + 1) * T) for k, b in enumerate(cls.BLOCKS)}
@@ -432,12 +428,12 @@ def _class_layout(cls, T: int) -> tuple:
     sectors, r = [], 0
     for Q, P, sign, weight in cls.SECTORS:
         if sign == "SECTOR_SIGN_PQ":
-            pole, z = 0, slice(0, 2 * T)
+            pole, iz = 0, slice(0, 2 * T)
         else:
             pole = r = r + 1
-            z = slice(2 * T + (r - 1) * T * T, 2 * T + r * T * T)
-        coords[z] = nonzero[z] = True
-        sectors.append(_Sector(at[Q], at[P], weight, pole, z))
+            iz = slice(2 * T + (r - 1) * T * T, 2 * T + r * T * T)
+        coords[iz] = nonzero[iz] = True
+        sectors.append((at[Q], at[P], weight, pole, iz))
     for mask in (coords, nonzero):
         mask.setflags(write=False)
     return tuple(sectors), coords, nonzero
@@ -682,16 +678,16 @@ class SupportWriter:
         self.real, self.T = template.REAL, template.T
         self.sectors, self.coords, _ = _class_layout(type(template), self.T)
         T, nz = self.T, self.coords.size
-        self.buf = buf = np.empty(nz + nvars(template) + 1,
+        # zeros: A0_1 stays zero where no (q, p) sector writes it
+        self.buf = buf = np.zeros(nz + nvars(template) + 1,
                                   float if self.real else complex)
         buf[-1] = 1.0
         self.z, self.y = buf[:nz], buf[nz:-1]
-        self.z[T:2 * T] = 0.0   # A0_1, where no (q, p) sector writes it
-        # loaded: the 0-d weights, and c on A0_0 or beside a (q, p) sector's p
-        self.weights = {sec.weight: np.empty((), complex)
-                        for sec in self.sectors if sec.weight}
-        self.c = (self.z[:T] if all(sec.pole for sec in self.sectors)
-                  else np.empty(T, complex))
+        # loaded: the 0-d weights, and c on A0_0, or beside the p that a
+        # (q, p) sector writes there from the coordinates
+        self.weights = {w: np.empty((), complex)
+                        for _, _, w, _, _ in self.sectors if w}
+        self.c = np.empty(T, complex) if self.coords[0] else self.z[:T]
         self.fill = self._z_write(buf)
         self.load(template)
 
@@ -700,16 +696,16 @@ class SupportWriter:
         sectors' calls, bound once to views of buf, and returns its z."""
         T, nz = self.T, self.coords.size
         z, y = buf[..., :nz], buf[..., nz:-1]
-        sites = any(sec.pole for sec in self.sectors)
+        sites = len(self.sectors) > 1   # the others are (x, X) sectors
         calls = []
-        for sec in self.sectors:
-            zs, yQ, yP = z[..., sec.z], y[..., sec.Q], y[..., sec.P]
-            if sec.pole:
+        for iQ, iP, weight, pole, iz in self.sectors:
+            zs, yQ, yP = z[..., iz], y[..., iQ], y[..., iP]
+            if pole:
                 K = zs.reshape(*z.shape[:-1], T, T)
                 calls.append(partial(np.multiply, yQ[..., None],
                                      yP[..., None, :], K))
-                if sec.weight:
-                    calls.append(partial(np.multiply, self.weights[sec.weight],
+                if weight:
+                    calls.append(partial(np.multiply, self.weights[weight],
                                          K, K))
                 continue
             zp, za, qa = zs[..., :T], zs[..., T:], np.empty(yQ.shape, complex)
@@ -729,12 +725,13 @@ class SupportWriter:
     def load(self, template) -> None:
         """Write the constants of a template of the writer's class and T:
         the weights, the c of the (x, X) sectors and Ainf, the weights' sum."""
-        ws = [w for *_, w in _sectors_of(template)]
-        for sec, w in zip(self.sectors, ws):
-            if sec.weight:
-                self.weights[sec.weight][...] = w
-            if sec.pole:
-                self.c[...] = w * template.c if sec.weight else template.c
+        ws = [getattr(template, weight) if weight else 1.0
+              for _, _, weight, _, _ in self.sectors]
+        for (_, _, weight, pole, _), w in zip(self.sectors, ws):
+            if weight:
+                self.weights[weight][...] = w
+            if pole:
+                self.c[...] = w * template.c if weight else template.c
         self.z[-self.T:] = sum(ws)
 
     def write(self, y: np.ndarray) -> np.ndarray:
@@ -752,16 +749,16 @@ class SupportWriter:
         any.  The constant entries have zero tangent."""
         T, lead, z = self.T, dy.shape[:-1], self.write(y)
         dz = np.zeros((*lead, z.size), complex)
-        for sec in self.sectors:
-            dzs, dQ, dP = dz[..., sec.z], dy[..., sec.Q], dy[..., sec.P]
-            if sec.pole:
-                x, X, w = y[sec.Q], y[sec.P], self.weights.get(sec.weight)
-                if sec.weight:
+        for iQ, iP, weight, pole, iz in self.sectors:
+            dzs, dQ, dP = dz[..., iz], dy[..., iQ], dy[..., iP]
+            if pole:
+                x, X, w = y[iQ], y[iP], self.weights.get(weight)
+                if weight:
                     x, X = w * x, w * X
                 dK = dQ[..., None] * X + x[:, None] * dP[..., None, :]
                 dzs[...] = dK.reshape(*lead, T * T)
                 continue
-            a = z[sec.z][T:]
+            a = z[iz][T:]
             dzs[..., :T] = dP
             dzs[..., T:] = a * dQ - a * dQ[..., _cyclic(T)[1]]
         return dz
@@ -792,10 +789,10 @@ def pair_readout(cls, T: int, neg: tuple) -> tuple:
     nz, n, i = coords.size, len(cls.BLOCKS) * T, np.arange(T)
     a, b = np.divmod(np.arange(T * T), T)   # GK[a, b] = g[z0 + aT + b]
     pairs = []   # (field entries, factors in aug, rows of g, sign)
-    for sec, flip in zip(sectors, neg):
+    for (iQ, iP, _, pole, iz), flip in zip(sectors, neg):
         s = -1.0 if flip else 1.0
-        Q, P, z0 = sec.Q.start, sec.P.start, sec.z.start
-        if sec.pole:
+        Q, P, z0 = iQ.start, iP.start, iz.start
+        if pole:
             pairs += [(Q + b, nz + Q + a, z0 + a * T + b, s),
                       (P + a, nz + P + b, z0 + a * T + b, -s)]
         else:
@@ -1074,13 +1071,13 @@ def stacked_invariants(template, Y) -> dict:
     each row unpacked with the template's parameters."""
     Y = _real(np.asarray(Y), "state") if template.REAL else np.asarray(Y)
     out, nxt = {}, _cyclic(template.T)[1]
-    for sec in _class_layout(type(template), template.T)[0]:
-        if sec.pole:   # per row a (1, T) @ (T, 1) product rounds as np.dot
-            out[f"tr_K{sec.pole}"] = np.matmul(Y[:, None, sec.Q],
-                                               Y[:, sec.P, None])[:, 0, 0]
+    for iQ, iP, _, pole, _ in _class_layout(type(template), template.T)[0]:
+        if pole:   # per row a (1, T) @ (T, 1) product rounds as np.dot
+            out[f"tr_K{pole}"] = np.matmul(Y[:, None, iQ],
+                                           Y[:, iP, None])[:, 0, 0]
             continue
-        q = np.asarray(Y[:, sec.Q], complex)
-        out.update(sum_p=np.sum(Y[:, sec.P], axis=1),
+        q = np.asarray(Y[:, iQ], complex)
+        out.update(sum_p=np.sum(Y[:, iP], axis=1),
                    prod_a=np.prod(np.exp(q - q[:, nxt]), axis=1))
     return {k: np.asarray(v, complex).tolist() for k, v in out.items()}
 

@@ -696,7 +696,7 @@ class SupportWriter:
         sectors' calls, bound once to views of buf, and returns its z."""
         T, nz = self.T, self.coords.size
         z, y = buf[..., :nz], buf[..., nz:-1]
-        sites = len(self.sectors) > 1   # the others are (x, X) sectors
+        adds_c = any(pole for _, _, _, pole, _ in self.sectors)
         calls = []
         for iQ, iP, weight, pole, iz in self.sectors:
             zs, yQ, yP = z[..., iz], y[..., iQ], y[..., iP]
@@ -709,7 +709,7 @@ class SupportWriter:
                                          K, K))
                 continue
             zp, za, qa = zs[..., :T], zs[..., T:], np.empty(yQ.shape, complex)
-            calls += [partial(np.add, yP, self.c, zp) if sites
+            calls += [partial(np.add, yP, self.c, zp) if adds_c
                       else partial(zp.__setitem__, ..., yP),
                       partial(np.dot, yQ, _difference(T).T, qa),
                       partial(np.exp, qa, qa if self.real else za)]

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from operator import setitem
 
 import numpy as np
 
@@ -710,11 +711,11 @@ class SupportWriter:
                 continue
             zp, za, qa = zs[..., :T], zs[..., T:], np.empty(yQ.shape, complex)
             calls += [partial(np.add, yP, self.c, zp) if adds_c
-                      else partial(zp.__setitem__, ..., yP),
+                      else partial(setitem, zp, ..., yP),
                       partial(np.dot, yQ, _difference(T).T, qa),
                       partial(np.exp, qa, qa if self.real else za)]
             if self.real:   # the real part of the complex exp
-                calls.append(partial(za.__setitem__, ..., qa.real))
+                calls.append(partial(setitem, za, ..., qa.real))
 
         def fill():
             for call in calls:

@@ -2,7 +2,8 @@
 closure-relation probes.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
-3 runtime divergence (with NumPy's overflow warnings silenced).
+3 runtime divergence, an OverflowError or a non-finite closure residual
+(with NumPy's overflow warnings silenced).
 """
 from __future__ import annotations
 
@@ -173,6 +174,8 @@ def cmd_closure(args) -> int:
     r1 = dyn.closure_residual(s0, fA, fB, h=cfg.h, delta=dyn.CLOSURE_DELTA)
     r2 = dyn.closure_residual(s0, fA, fB, h=cfg.h / 2,
                               delta=dyn.CLOSURE_DELTA / 2)
+    if not (np.isfinite(r1) and np.isfinite(r2)):
+        raise DivergenceError(f"non-finite residual ({r1}, {r2})", None)
     ratio = r1 / r2 if r2 > 0 else None   # null: RFC 8259 has no Infinity
     out = {"model": cfg.model, "seed": int(cfg.seed),
            "config_digest": cfg.digest(),
@@ -195,7 +198,7 @@ def main(argv=None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(args)
             return cmd_closure(args)
-    except DivergenceError as exc:
+    except (DivergenceError, OverflowError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except CycloGaudinError as exc:

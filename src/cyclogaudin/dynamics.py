@@ -194,7 +194,8 @@ def endpoint(s0, sched: Schedule):
 
 def jet_coords(state) -> SimpleNamespace:
     """The canonical coordinates of the state as dual-number scalars over
-    the packed variables, plus the plain parameters."""
+    the packed variables, plus the plain parameters (no CLI command
+    enters this dual-number route: see poisson_bracket)."""
     n = models.nvars(state)
     vec = models.pack(state).astype(complex)
     coords = {b: np.array([Jet.variable(vec[i], i, n) for i in
@@ -214,6 +215,7 @@ def bracket_of_gradients(state, gF: np.ndarray, gG: np.ndarray) -> complex:
 
 
 def observable_gradient(state, obs) -> np.ndarray:
+    """d obs(coords)/d(coords) by dual numbers; zero if obs reads none."""
     val = obs(jet_coords(state))
     if not isinstance(val, Jet):
         return np.zeros(models.nvars(state), complex)
@@ -222,7 +224,8 @@ def observable_gradient(state, obs) -> np.ndarray:
 
 def poisson_bracket(state, F, G) -> complex:
     """{F, G} at the state for scalar observables F(coords), G(coords)
-    (differentiated with dual numbers)."""
+    (differentiated with dual numbers): the reference of the benchmark's
+    {H, q_0} control and the tests; the suites contract unit vectors."""
     return bracket_of_gradients(state, observable_gradient(state, F),
                                 observable_gradient(state, G))
 

@@ -31,7 +31,8 @@ class StructuralError(CycloGaudinError):
 
 class DivergenceError(CycloGaudinError):
     """Non-finite state encountered during integration; last_good is the
-    trajectory up to the last finite sample, the start sample at least."""
+    trajectory up to the last finite sample, the start sample at least, or
+    None for a non-finite result that keeps no trajectory."""
 
     def __init__(self, message, last_good):
         super().__init__(message)

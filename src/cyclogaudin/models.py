@@ -1086,9 +1086,10 @@ def stacked_invariants(template, Y) -> dict:
 def coefficient_velocity(state, f: FlowId):
     """Time derivatives (dA0_0, dA0_1, [dA_1..dA_N], dAinf) of the Lax
     coefficients along the flow: the flow field pushed forward to the
-    support vector (SupportWriter.tangent) and scattered into zero blocks."""
-    C = _scatter(state, SupportWriter(state).tangent(pack(state),
-                                                     flow_field(state, f)))
+    support vector by the tangent of the flow's own kernel (a loaded
+    SupportWriter) and scattered into zero blocks."""
+    k, y = field_kernel(state, f), pack(state)
+    C = _scatter(state, k.tangent(y, k(y)))
     return C.A0_0, C.A0_1, C.A_list, C.Ainf
 
 

@@ -430,44 +430,35 @@ class RationalMatrix:
         the given points: at a finite one the principal part of the product
         of the two local expansions, each to the order the other's pole
         needs there; at INF the polynomial part, from the product at INF.
-        The pole index and the expansion are memoised per call on
-        (operand, point), since the other operand's pole fixes the order
-        there."""
+        One loop finds each operand's pole index and expansion once per
+        point, and both products are formed from that list."""
         if self.dim != other.dim:
             raise DimensionError(f"dims {self.dim} vs {other.dim}")
-        found, series = {}, {}
-
-        def order(R, z):
-            key = (R is self, z)
-            if key not in found:
-                found[key] = R._pole_index(z)
-            i = found[key]
-            return 0 if i is None else len(R.poles[i][1])
-
-        def expand(R, z, trunc):
-            key = (R is self, z)
-            if key not in series:
-                series[key] = (R.laurent_expand(INF, trunc) if _is_inf(z) else
-                               R._expand_at(z, trunc, found[key]))
-            return series[key]
-
-        def product(A, B):
+        ova, ovb = self._order_at_inf(), other._order_at_inf()
+        local = []   # (point, expansion of A, expansion of B)
+        for z in points:
+            if not _is_inf(z):
+                ia, ib = self._pole_index(z), other._pole_index(z)
+                oa = 0 if ia is None else len(self.poles[ia][1])
+                ob = 0 if ib is None else len(other.poles[ib][1])
+                local.append((z, self._expand_at(z, max(ob - 1, 0), ia),
+                              other._expand_at(z, max(oa - 1, 0), ib)))
+            elif ova is not None and ovb is not None and ova + ovb <= 0:
+                # the orders u^-degree .. u^0 of the product at INF
+                local.append((z, self.laurent_expand(INF, -ovb),
+                              other.laurent_expand(INF, -ova)))
+        out = []
+        for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
             poles, poly = [], None
-            for z in points:
+            for z, *ab in local:
+                prod = ab[i].mul(ab[j])
                 if _is_inf(z):
-                    # the orders u^-degree .. u^0 of the product at INF
-                    ova, ovb = A._order_at_inf(), B._order_at_inf()
-                    if ova is not None and ovb is not None and ova + ovb <= 0:
-                        poly = expand(A, INF, -ovb).mul(
-                            expand(B, INF, -ova)).coeffs[::-1]
+                    poly = prod.coeffs[::-1]
                 else:
-                    oa, ob = order(A, z), order(B, z)
-                    prod = expand(A, z, max(ob - 1, 0)).mul(
-                        expand(B, z, max(oa - 1, 0)))
                     poles.append((z, prod.principal()))
-            return RationalMatrix(self.dim, poly, poles, validate=False).trim()
-
-        return [product(self, other)] + ([product(other, self)] if both else [])
+            out.append(RationalMatrix(self.dim, poly, poles,
+                                      validate=False).trim())
+        return out
 
     def __repr__(self):
         ps = ", ".join(f"{z:.3g}^{len(cs)}" for z, cs in self.poles)

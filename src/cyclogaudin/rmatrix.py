@@ -25,10 +25,10 @@ from math import comb, prod
 
 import numpy as np
 
-from .algebra import RootOfUnity, grade_component
+from .algebra import RootOfUnity
 from .errors import PoleProximityError
-from .ratmat import (_POLE_TOL, INF, LaurentSeries, LocalTuple, RationalMatrix,
-                     _is_inf, orbit_family, slot_weight)
+from .ratmat import (_POLE_TOL, INF, LaurentSeries, LocalTuple, _is_inf,
+                     pi_project, slot_weight)
 
 _COLLISION_TOL = 1e-10
 
@@ -133,7 +133,7 @@ def averaging_residual(z1: complex, z2: complex, l: int,
 
 # ---------------------------------------------------------------------------
 # Kernel projections R_+ / R_- of the regular/singular decomposition (weight
-# 0): R_+ by the residue sums of the r-kernel pairing, R_- directly.
+# 0): R_+ by the residue sums of the r-kernel pairing, R_- by pi_project.
 # ---------------------------------------------------------------------------
 
 def _orders(s: LaurentSeries, lo: int, hi: int) -> np.ndarray:
@@ -195,8 +195,8 @@ def _phases(root: RootOfUnity, ex: np.ndarray) -> np.ndarray:
 def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
     """R_+(X) (sign '+', a regular LocalTuple) via the residue sums of the
     pairing against the two opposite double expansions of the r-kernel, or
-    R_-(X) (sign '-', a RationalMatrix) by the direct singular-part formula
-    of _r_minus, not the r-kernel: R_- against split checks one formula.
+    R_-(X) (sign '-', a RationalMatrix) as minus ratmat.pi_project(X), by
+    definition: R_- against split compares pi_project with itself.
 
     Satisfies R_+ - R_- = id on equivariant weight-0 tuples; R_+ agrees
     with the regular part of split and R_- with minus its singular part.
@@ -205,7 +205,7 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
     T = root.order
     out_trunc = 6
     if sign == "-":
-        return _r_minus(X, root)
+        return -pi_project(X, root)
     if sign != "+":
         raise ValueError("sign must be '+' or '-'")
     slots = [(pt, slot_weight(pt, T), s) for pt, s in zip(X.points, X.series)]
@@ -225,25 +225,6 @@ def kernel_projection(X: LocalTuple, sign: str, root: RootOfUnity):
             acc = (_phases(root, -np.arange(M)) * res).sum(axis=0)
             out_series.append(LaurentSeries(X.dim, complex(spt), 0, acc / T))
     return LocalTuple(list(X.points), out_series)
-
-
-def _r_minus(X: LocalTuple, root: RootOfUnity) -> RationalMatrix:
-    """R_-(X): minus the singular rational function carried by X, with
-    grade projections at 0/infinity and, at the finite nonzero slots, the
-    orbit families that ratmat.pi_project gives split (weight-0 phases)."""
-    T = root.order
-    poles = []
-    poly = []
-    for pt, s in zip(X.points, X.series):
-        if _is_inf(pt):
-            poly = [-grade_component(d, m, T) for m, d in enumerate(s.polynomial())]
-        elif abs(pt) <= _POLE_TOL:
-            cs = [-grade_component(c, -(n + 1), T)
-                  for n, c in enumerate(s.principal())]
-            poles.append((0j, cs))
-        else:
-            poles += orbit_family(pt, -s.principal(), root, 0)
-    return RationalMatrix(X.dim, poly, poles, validate=False).trim()
 
 
 # ---------------------------------------------------------------------------

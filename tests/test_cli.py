@@ -383,6 +383,26 @@ def test_simulate_divergence_exit_3(tmp_path, capsys, recwarn):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--T", "3", "--zeta1", "1e40"],
+    ["simulate", "--model", "dst", "--T", "3", "--zeta1", "1e300",
+     "--schedule", "1:1:0.01"],
+    ["closure", "--model", "coupled", "--T", "3", "--zeta1", "1e300"],
+    ["closure", "--model", "coupled", "--T", "3", "--zeta1", "2e-6"],
+], ids=["verify-overflow", "simulate-overflow", "closure-overflow",
+        "closure-nan"])
+def test_valid_zeta1_out_of_double_range_exits_3(tmp_path, capsys, argv):
+    # a zeta1 that RunConfig.validate accepts may take the arithmetic out
+    # of double range: Python's complex power overflows (the first three)
+    # or the closure residual is NaN (the last).  Each is a divergence
+    # (exit 3) on one stderr line, with no traceback and no output file
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--beta", "0"],
     ["verify", "--model", "toda", "--beta", "0"],
     ["verify", "--suite", "models", "--model", "coupled", "--beta", "0"],

@@ -390,6 +390,28 @@ def test_canonical_bracket_pattern(rng):
     assert dyn.poisson_bracket(cpl, lambda c: c.p[0], lambda c: c.x[1]) == 0
 
 
+@pytest.mark.parametrize("model", ["toda", "dst", "coupled"])
+def test_unit_vector_brackets_equal_the_dual_number_brackets(model):
+    # canonical_pattern contracts the unit vectors of P_0 and Q_j; the
+    # gradients that poisson_bracket reads off the coordinate observables
+    # with dual numbers are those unit vectors, so the brackets agree by ==
+    from cyclogaudin.suites import RunConfig, _rngs, _seeded_state
+
+    for T in (2, 3, 4, 5):
+        for seed in range(10):
+            cfg = RunConfig(model=model, T=T, seed=seed)
+            s = _seeded_state(cfg, _rngs(cfg, 1)[0])
+            e = np.eye(mdl.nvars(s), dtype=complex)
+            for Q, P, *_ in s.SECTORS:
+                iP, iQ = s.BLOCKS.index(P) * T, s.BLOCKS.index(Q) * T
+                for j in (0, 1):
+                    got = dyn.bracket_of_gradients(s, e[iP], e[iQ + j])
+                    ref = dyn.poisson_bracket(
+                        s, lambda c: getattr(c, P)[0],
+                        lambda c: getattr(c, Q)[j])
+                    assert got == ref, (T, seed, Q, P, j)
+
+
 def test_bracket_antisymmetry_and_product_rule(rng):
     s = mdl.random_dst(2, rng, zeta1=0.9)
     F = lambda c: c.x[0] * c.X[1]

@@ -1362,6 +1362,32 @@ def test_coefficient_velocity_is_the_pushed_forward_field(rng, T):
                 assert np.all(np.abs(got - ref) <= bound)
 
 
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_coefficient_velocity_builds_no_writer_of_its_own(rng, monkeypatch,
+                                                          T):
+    # coefficient_velocity reads the tangent through the memoised kernel
+    # of the flow, whose buffer is a writer's buffer: once the kernel is
+    # built no SupportWriter is constructed, and the velocity is bit for
+    # bit that of a fresh writer's tangent of the flow field
+    built, init = [], mdl.SupportWriter.__init__
+
+    def spy(self, template):
+        built.append(type(self))
+        init(self, template)
+    for s in (mdl.random_toda(T, rng), mdl.random_dst(T, rng, zeta1=0.9),
+              mdl.random_coupled(T, rng, beta=0.7, zeta1=0.7 + 0.4j)):
+        for f in mdl.admissible_flows(s, 3):
+            ref = mdl._scatter(s, mdl.SupportWriter(s).tangent(
+                mdl.pack(s), mdl.flow_field(s, f)))
+            with monkeypatch.context() as m:
+                m.setattr(mdl.SupportWriter, "__init__", spy)
+                got = mdl.coefficient_velocity(s, f)
+            assert built == []
+            for a, b in zip((*got[:2], *got[2], got[3]),
+                            (ref.A0_0, ref.A0_1, *ref.A_list, ref.Ainf)):
+                assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", ["SECTOR_SIGN_PQ", "SECTOR_SIGN_XX"])
 def test_flipped_sector_sign_negates_that_sector(rng, monkeypatch, name):
     # a kernel reads the signs when it is built: one built under a flipped

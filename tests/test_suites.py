@@ -86,6 +86,21 @@ def test_canonical_pattern_fails_on_a_flipped_sector_sign(monkeypatch, sign,
         assert not case.ok, model
 
 
+def test_no_suite_or_cli_command_builds_a_jet(tmp_path, monkeypatch):
+    # the dual-number layer is a reference only: every suite, simulate and
+    # closure run without building a single jets.Jet
+    from cyclogaudin import cli, jets
+
+    monkeypatch.setattr(jets.Jet, "__init__", _raise(AssertionError("Jet")))
+    for T in (2, 3):
+        assert suites.run_suite("all", RunConfig(T=T, seed=42)).ok
+    out = str(tmp_path / "o")
+    for argv in (["simulate", "--model", "coupled", "--T", "3",
+                  "--schedule", "1:0:0.01,2:1:0.01"],
+                 ["closure", "--model", "coupled", "--T", "3"]):
+        assert cli.main(argv + ["--output", out]) == 0
+
+
 @pytest.mark.parametrize("model", ["toda", "dst", "coupled"])
 def test_energy_drift_matches_per_sample_hamiltonian_values(model):
     # the case reads H at every 50th sample through FlowPlan.values on one

@@ -113,6 +113,26 @@ def test_outputs_compare_of_the_checkout_with_its_manifest(capsys):
     assert manifest["diverge-dst-s731"]["exit"] == 3
 
 
+def test_outputs_divergence_entries_match_the_manifest(capsys):
+    # the four runs whose arithmetic leaves double range at a valid zeta1
+    # exit 3 with one stderr line and no output file, as the manifest holds
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    names = [n for n in outputs.ENTRIES if n.startswith(("overflow-", "nan-"))]
+    assert len(names) == 4
+    code = outputs.main([root, "--compare",
+                         os.path.join(root, "tools", "outputs.json"),
+                         *(a for name in names for a in ("--entry", name))])
+    assert capsys.readouterr().out.splitlines() == [
+        f"{len(names)} entries compared, 0 moved"] and code == 0
+    with open(os.path.join(root, "tools", "outputs.json")) as fh:
+        manifest = {e["name"]: e for e in json.load(fh)["entries"]}
+    for name in names:
+        assert manifest[name]["exit"] == 3
+        assert manifest[name]["sha256"] is None
+        (line,) = manifest[name]["stderr"]
+        assert line.startswith("diverged: ")
+
+
 def test_outputs_compare_reports_each_moved_entry(capsys):
     old = [{"name": n, "argv": [n], "exit": 0, "stderr": [], "sha256": n}
            for n in ("a", "b", "c")]

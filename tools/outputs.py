@@ -17,6 +17,12 @@ this script), with its output file in a temporary directory:
     refuse-beta0       verify at beta = 0, a usage error (exit 2)
     diverge-dst-s731   simulate --model dst --T 3 --seed 731 --schedule
                        3:1:1, a diverging run (exit 3)
+    overflow-...       verify --suite all --T 3 at zeta1 = 1e40, simulate
+                       --model dst --T 3 --schedule 1:1:0.01 and closure
+                       --model coupled --T 3 at zeta1 = 1e300: Python's
+                       complex power overflows (exit 3, no output)
+    nan-closure-...    closure --model coupled --T 3 at zeta1 = 2e-6, a
+                       NaN residual (exit 3, no output)
 
 Per entry it records the argv, the exit code, the stderr lines (the
 NumPy warnings the command raises, formatted as the interpreter prints
@@ -72,6 +78,19 @@ ENTRIES["refuse-beta0"] = ["verify", "--beta", "0",
 ENTRIES["diverge-dst-s731"] = [
     "simulate", "--model", "dst", "--T", "3", "--seed", "731", "--schedule",
     "3:1:1", "--output", "<out>/diverge-dst-s731.csv"]
+for _name, _argv, _ext in (
+        ("overflow-verify-z1e40",
+         ["verify", "--suite", "all", "--T", "3", "--zeta1", "1e40"], "json"),
+        ("overflow-simulate-dst-z1e300",
+         ["simulate", "--model", "dst", "--T", "3", "--zeta1", "1e300",
+          "--schedule", "1:1:0.01"], "csv"),
+        ("overflow-closure-coupled-z1e300",
+         ["closure", "--model", "coupled", "--T", "3", "--zeta1", "1e300"],
+         "json"),
+        ("nan-closure-coupled-z2e-6",
+         ["closure", "--model", "coupled", "--T", "3", "--zeta1", "2e-6"],
+         "json")):
+    ENTRIES[_name] = _argv + ["--output", f"<out>/{_name}.{_ext}"]
 
 
 def collect(checkout: str, names) -> list:

@@ -9,7 +9,11 @@ process, on the cyclogaudin of CHECKOUT (default: the checkout that holds
 this script), with its output file in a temporary directory:
 
     verify-sS-TN       verify --suite all --seed S --T N, at seeds 42, 0
-                       and 1 and T = 2, 3, 4
+                       and 1 and T = 2, 3, 4, and at seed 42 and T = 5
+                       (the longest expansion weight tables)
+    verify-ratmat-s42-T1
+                       verify --suite ratmat --seed 42 --T 1, the
+                       1 x 1 coefficients of the one-element loops
     simulate-MODEL     the three simulate CSVs of the simulate_csv
                        benchmark workload (seed 42)
     closure-...        closure, coupled T = 3 seed 42 (flows 1:0 x 1:1)
@@ -60,6 +64,11 @@ for _seed in (42, 0, 1):
         ENTRIES[f"verify-s{_seed}-T{_T}"] = [
             "verify", "--suite", "all", "--seed", str(_seed), "--T", str(_T),
             "--output", f"<out>/verify-s{_seed}-T{_T}.json"]
+ENTRIES["verify-s42-T5"] = ["verify", "--suite", "all", "--seed", "42",
+                            "--T", "5", "--output", "<out>/verify-s42-T5.json"]
+ENTRIES["verify-ratmat-s42-T1"] = [
+    "verify", "--suite", "ratmat", "--seed", "42", "--T", "1",
+    "--output", "<out>/verify-ratmat-s42-T1.json"]
 for _model, _T, _schedule in (
         ("toda", 5, "1:0:0.05,2:0:0.05,3:0:0.05"),
         ("dst", 3, "1:1:0.04,2:1:0.03,3:1:0.03,2:0:0.01"),

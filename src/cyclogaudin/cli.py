@@ -134,6 +134,8 @@ def cmd_simulate(args) -> int:
     try:
         traj = dyn.integrate(s0, sched)
     except DivergenceError as exc:
+        if exc.last_good is None:  # no trajectory to write
+            raise
         traj = exc.last_good
         diverged = True
     vecs = [sample.vec for sample in traj.samples]

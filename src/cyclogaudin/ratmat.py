@@ -12,6 +12,10 @@ Conventions:
   * Every move of a pole or monomial term to another point is one rule,
     (lambda - a)^n = sum_j binom(n, j) (b - a)^(n-j) (lambda - b)^j, with
     the weights of binomial_weights (the generalised binomial for n < 0).
+    The weights are tabulated once per expansion shape (pole points and
+    orders, polynomial length, point, trunc and local pole), and an
+    expansion sums its moved terms in order, the poles and then the
+    polynomial, in one NumPy reduction.
   * RationalMatrix.mul and .commutator are one product routine, which
     walks a list of points and expands each operand once per point and
     call: mul walks every pole point of either operand and INF, and
@@ -38,8 +42,8 @@ from math import inf, isinf
 import numpy as np
 
 from .algebra import RootOfUnity, sigma_pow
-from .errors import (DimensionError, PoleProximityError, StructuralError,
-                     TruncationError)
+from .errors import (DimensionError, DivergenceError, PoleProximityError,
+                     StructuralError, TruncationError)
 
 INF = inf  # distinguished symbol for the point at infinity
 
@@ -87,14 +91,47 @@ def binomial_weights(n: int, d, J: int) -> np.ndarray:
     """binom(n, j) d^(n-j) for j < J: the coefficients of (lambda - b)^j
     in (lambda - a)^n with d = b - a.  Exact for n >= 0, where d = 0 gives
     the unit row at j = n; for n < 0 the series converges for
-    |lambda - b| < |d|."""
+    |lambda - b| < |d|.  DivergenceError when a power of d leaves double
+    range."""
     d = complex(d)
     out = np.zeros(J, complex)
-    for j, c in enumerate(_binomial_row(n, J)):
-        if c:
-            # a negative power divides, one rounding fewer than 1 / d^|e|
-            out[j] = c * d ** (n - j) if j <= n else c / d ** (j - n)
+    try:
+        for j, c in enumerate(_binomial_row(n, J)):
+            if c:
+                # a negative power divides, one rounding fewer than 1 / d^|e|
+                out[j] = c * d ** (n - j) if j <= n else c / d ** (j - n)
+    except OverflowError as exc:  # d^e out of double range
+        raise DivergenceError(str(exc), None) from exc
     return out
+
+
+@cache
+def _expansion_weights(poles: tuple, npoly: int, point, trunc: int,
+                       at) -> np.ndarray:
+    """The read-only (K, J) table of the weights that move the terms of a
+    RationalMatrix of this shape to point: poles, a tuple of (z, order),
+    term by term except the pole of index at, then npoly monomials, one
+    binomial_weights row per term, zero-padded.  The columns are u^0 ..
+    u^trunc at a finite point and u^1 .. u^trunc at INF."""
+    at_inf = _is_inf(point)
+    J = max(trunc if at_inf else trunc + 1, 0)
+    K = sum(k for i, (_, k) in enumerate(poles) if i != at) + npoly
+    W = np.zeros((K, J), complex)
+    r = 0
+    for i, (z, k) in enumerate(poles):
+        if i == at:
+            continue
+        for n in range(1, k + 1):
+            if not at_inf:
+                W[r] = binomial_weights(-n, point - z, J)
+            elif n <= trunc:  # (lambda - z)^-n = u^n (1 + x)^-n, x = -z u
+                W[r, n - 1:] = (binomial_weights(-n, 1, J - n + 1)
+                                * (-z) ** np.arange(J - n + 1))
+            r += 1
+    for m in range(npoly):
+        W[r + m, :min(m + 1, J)] = binomial_weights(m, point, min(m + 1, J))
+    W.flags.writeable = False
+    return W
 
 
 def _trimmed(cs: np.ndarray) -> np.ndarray:
@@ -363,27 +400,21 @@ class RationalMatrix:
     def laurent_expand(self, point, trunc: int) -> LaurentSeries:
         """Expand at a finite point or at INF (in u = 1/lambda) up to u^trunc.
 
-        Each pole and monomial term moves by its binomial_weights, one
-        scaled add per term in pole order and then the polynomial, so that
-        coefficients which cancel exactly keep doing so."""
-        deg = len(self.poly) - 1
-        if _is_inf(point):
-            low = self._order_at_inf()
-            if low is None or low > trunc:
-                low = min(0, trunc)
-            out = np.zeros((trunc - low + 1,) + self.poly.shape[1:], complex)
-            if low == -deg:  # lambda^m = u^-m
-                out[:deg + 1] = self.poly[::-1][:len(out)]
-            # (lambda - z)^-k = u^k (1 + x)^-k with x = -z u
-            for z, cs in self.poles:
-                for k, c in enumerate(cs, 1):
-                    J = trunc - k + 1
-                    if J > 0:
-                        w = binomial_weights(-k, 1, J) * (-z) ** np.arange(J)
-                        out[k - low:] += np.multiply.outer(w, c)
-            return LaurentSeries(self.dim, INF, low, out)
-        zeta = complex(point)
-        return self._expand_at(zeta, trunc, self._pole_index(zeta))
+        The pole and monomial terms that move are one ordered sum, pole
+        order and then the polynomial, weighted by the rows of the cached
+        table _expansion_weights, so that coefficients which cancel exactly
+        keep doing so; the local pole (the polynomial at INF) is copied."""
+        if not _is_inf(point):
+            zeta = complex(point)
+            return self._expand_at(zeta, trunc, self._pole_index(zeta))
+        low = self._order_at_inf()
+        if low is None or low > trunc:
+            low = min(0, trunc)
+            return LaurentSeries(self.dim, INF, low, np.zeros(
+                (trunc - low + 1,) + self.poly.shape[1:], complex))
+        head = self.poly[::-1][:trunc - low + 1]  # lambda^m = u^-m
+        return LaurentSeries(self.dim, INF, low, np.concatenate(
+            (head, self._moved(INF, trunc, None, 0))))
 
     def _expand_at(self, zeta: complex, trunc: int, at) -> LaurentSeries:
         """laurent_expand at the finite point zeta, where self has its
@@ -391,20 +422,24 @@ class RationalMatrix:
         low = 0 if at is None else -len(self.poles[at][1])
         if trunc < low:
             raise TruncationError("requested truncation below the lowest order")
-        out = np.zeros((trunc - low + 1,) + self.poly.shape[1:], complex)
-        for i, (z, cs) in enumerate(self.poles):
-            if i == at:
-                out[:-low] = cs[::-1][:len(out)]
-            elif trunc >= 0:
-                for k, c in enumerate(cs, 1):
-                    out[-low:] += np.multiply.outer(
-                        binomial_weights(-k, zeta - z, trunc + 1), c)
-        for m, c in enumerate(self.poly):
-            J = min(m, trunc) + 1
-            if J > 0:
-                out[-low:J - low] += np.multiply.outer(
-                    binomial_weights(m, zeta, J), c)
+        out = self._moved(zeta, trunc, at, len(self.poly))
+        if at is not None:
+            head = self.poles[at][1][::-1][:trunc - low + 1]
+            out = np.concatenate((head, out))
         return LaurentSeries(self.dim, zeta, low, out)
+
+    def _moved(self, point, trunc: int, at, npoly: int) -> np.ndarray:
+        """The sum of the terms of self moved to point, u^0 (u^1 at INF) ..
+        u^trunc: the poles but the one of index at, then the first npoly
+        monomials, each scaled by its row of _expansion_weights and added
+        in that order (NumPy sums a stack of single entries, 1 x 1
+        coefficients at one order, pairwise)."""
+        W = _expansion_weights(tuple((z, len(cs)) for z, cs in self.poles),
+                               npoly, point, trunc, at)
+        C = np.concatenate([cs for i, (_, cs) in enumerate(self.poles)
+                            if i != at] + [self.poly[:npoly]])
+        return np.add.reduce(
+            W.reshape(W.shape + (1,) * (C.ndim - 1)) * C[:, None], axis=0)
 
     def power_series(self, point, m: int, top: int) -> LaurentSeries:
         """self^m at a finite point or at INF, known up to u^top (and for

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cyclogaudin.algebra import grade_component, primitive_root
-from cyclogaudin.errors import (DimensionError, PoleProximityError,
-                                StructuralError, TruncationError)
+from cyclogaudin.errors import (DimensionError, DivergenceError,
+                                PoleProximityError, StructuralError,
+                                TruncationError)
 from cyclogaudin.ratmat import (INF, LaurentSeries, LocalTuple, RationalMatrix,
                                 binomial_weights, check_equivariance, localize,
                                 orbit_family, residue_at_infinity, split)
-from cyclogaudin import gaudin
+from cyclogaudin import gaudin, ratmat
 from cyclogaudin import models as mdl
 
 from conftest import random_matrix
@@ -156,6 +157,145 @@ def test_laurent_expansion_at_infinity(rng):
                     np.testing.assert_allclose(s.eval_sum(1.0 / lam),
                                                R.eval(lam),
                                                rtol=1e-12, atol=1e-12)
+
+
+def _expansion_by_terms(R, point, trunc, mod=lambda x: x):
+    """(low, coefficients) of R expanded at point up to u^trunc, term by
+    term: the local pole (the polynomial at INF) copied, then each other
+    pole term and each monomial added into zeros as one np.multiply.outer
+    of mod(its binomial_weights row) and mod(its coefficient).  With
+    mod = np.abs the sum entry by entry bounds the moduli of the terms."""
+    shape = R.poly.shape[1:]
+    if point is INF:
+        low = R._order_at_inf()
+        if low is None or low > trunc:
+            low = min(0, trunc)
+        out = np.zeros((trunc - low + 1,) + shape, complex)
+        deg = len(R.poly) - 1
+        if low == -deg:
+            out[:deg + 1] = R.poly[::-1][:len(out)]
+        for z, cs in R.poles:
+            for k, c in enumerate(cs, 1):
+                J = trunc - k + 1
+                if J > 0:
+                    w = binomial_weights(-k, 1, J) * (-z) ** np.arange(J)
+                    out[k - low:] += np.multiply.outer(mod(w), mod(c))
+        return low, out
+    at = R._pole_index(point)
+    low = 0 if at is None else -len(R.poles[at][1])
+    out = np.zeros((trunc - low + 1,) + shape, complex)
+    for i, (z, cs) in enumerate(R.poles):
+        if i == at:
+            out[:-low] = cs[::-1][:len(out)]
+        elif trunc >= 0:
+            for k, c in enumerate(cs, 1):
+                out[-low:] += np.multiply.outer(
+                    mod(binomial_weights(-k, point - z, trunc + 1)), mod(c))
+    for m, c in enumerate(R.poly):
+        J = min(m, trunc) + 1
+        if J > 0:
+            out[-low:J - low] += np.multiply.outer(
+                mod(binomial_weights(m, point, J)), mod(c))
+    return low, out
+
+
+@pytest.mark.parametrize("T", range(1, 6))
+def test_laurent_expand_equals_the_per_term_loop(T):
+    # poles of order 1..3 at points with -0.0 parts, 0 and a random point,
+    # poly degree 0..2, expanded at every pole point, 0, regular points
+    # (-0.0 parts among them) and INF to every allowed trunc: byte for byte
+    # for T >= 2.  At T = 1 NumPy sums a (K, 1) stack of terms pairwise
+    # and may round a one-element complex product differently, so there
+    # both sums of the same K products lie within gamma_(K+2) times the
+    # sum of the term moduli of the exact sum, per real part (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5
+    # and (4.4)); the copied local pole is exact.
+    rng = np.random.default_rng(33 + T)
+    u = np.finfo(float).eps / 2
+    for _ in range(12):
+        zs = [complex(-0.0, 0.9), complex(-1.1, -0.0), 0j,
+              complex(*rng.normal(size=2))]
+        zs = [zs[i] for i in rng.permutation(4)[:int(rng.integers(1, 5))]]
+        R = RationalMatrix(T, [random_matrix(rng, T)
+                               for _ in range(int(rng.integers(1, 4)))],
+                           [(z, [random_matrix(rng, T)
+                                 for _ in range(int(rng.integers(1, 4)))])
+                            for z in zs])
+        for point in (*R.pole_points(), 0j, complex(-0.0, -0.0),
+                      complex(0.6, -0.0), 0.3 - 0.8j, INF):
+            for trunc in (-1, 0, 3, 8, 12):
+                if point is not INF and trunc < -R.pole_order(point):
+                    continue
+                s = R.laurent_expand(point, trunc)
+                low, ref = _expansion_by_terms(R, point, trunc)
+                assert s.low == low and s.coeffs.shape == ref.shape
+                if T > 1:
+                    assert s.coeffs.tobytes() == ref.tobytes()
+                    continue
+                at = None if point is INF else R._pole_index(point)
+                K = (sum(len(cs) for i, (_, cs) in enumerate(R.poles)
+                         if i != at) + (0 if point is INF else len(R.poly)))
+                gamma = (K + 2) * u / (1 - (K + 2) * u)
+                scale = np.abs(_expansion_by_terms(R, point, trunc,
+                                                   np.abs)[1])
+                for part in (np.real, np.imag):
+                    assert np.all(np.abs(part(s.coeffs) - part(ref))
+                                  <= 2 * gamma * scale)
+
+
+def test_expansion_weights_are_built_once_per_pole_structure(rng,
+                                                             monkeypatch):
+    # a second matrix with the same pole points and orders and polynomial
+    # length but other coefficients reads the weight tables that the first
+    # one's expansions built: it makes no binomial_weights call
+    calls = []
+    weights = ratmat.binomial_weights
+    monkeypatch.setattr(ratmat, "binomial_weights",
+                        lambda *a: calls.append(a) or weights(*a))
+    zs = [complex(*rng.normal(size=2)) for _ in range(2)]  # a new structure
+
+    def draw():
+        return RationalMatrix(3, [random_matrix(rng, 3) for _ in range(2)],
+                              [(z, [random_matrix(rng, 3) for _ in range(k)])
+                               for z, k in zip(zs, (1, 2))])
+
+    first, second = draw(), draw()
+    points = (zs[0], zs[1], 0.4 - 0.2j, INF)
+    for p in points:
+        first.laurent_expand(p, 8)
+    assert calls
+    calls.clear()
+    for p in points:
+        s = second.laurent_expand(p, 8)
+        assert s.coeffs.tobytes() == _expansion_by_terms(second, p, 8)[1].tobytes()
+    assert calls == []
+
+
+def test_expansion_weight_tables_are_read_only(rng):
+    R = _random_rational(rng, 2, [0.5, -0.3j], deg=2)
+    key = tuple((z, len(cs)) for z, cs in R.poles)
+    for point, at, npoly in ((0.5 + 0j, 0, 3), (0.1j, None, 3), (INF, None, 0)):
+        R.laurent_expand(point, 6)
+        W = ratmat._expansion_weights(key, npoly, point, 6, at)
+        assert W is ratmat._expansion_weights(key, npoly, point, 6, at)
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+
+
+def test_weights_out_of_double_range_raise_divergence_uncached():
+    # 1 / (lambda - 1e40) moved to 0 needs 1e40^13: Python's complex power
+    # overflows, which is a DivergenceError that keeps no trajectory, and
+    # the failed table is not cached
+    R = RationalMatrix(2, [np.eye(2)], [(1e40, [np.eye(2)])])
+    size = ratmat._expansion_weights.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(DivergenceError,
+                           match="^complex exponentiation$") as exc:
+            R.laurent_expand(0j, 12)
+        assert exc.value.last_good is None
+        assert isinstance(exc.value.__cause__, OverflowError)
+    assert ratmat._expansion_weights.cache_info().currsize == size
 
 
 def test_series_truncation_guard(rng):

@@ -7,7 +7,8 @@ from cyclogaudin import dynamics as dyn
 from cyclogaudin import gaudin
 from cyclogaudin import models as mdl
 from cyclogaudin import suites
-from cyclogaudin.errors import PoleProximityError, StructuralError
+from cyclogaudin.errors import (CycloGaudinError, DivergenceError,
+                                PoleProximityError, StructuralError)
 from cyclogaudin.ratmat import RationalMatrix, orbit_family
 from cyclogaudin.suites import RunConfig
 
@@ -128,3 +129,12 @@ def test_config_digest_is_pinned(cfg, digest):
     # the digest that every report and closure output carries: the seven
     # fields as one sorted-key JSON blob, zeta1 as [re, im], seed an int
     assert cfg.digest() == digest
+
+
+def test_zeta1_out_of_double_range_raises_a_package_error():
+    # library callers get a CycloGaudinError, not Python's OverflowError,
+    # when a valid zeta1 puts the expansion weights out of double range
+    with pytest.raises(DivergenceError, match="^complex exponentiation$") as exc:
+        suites.run_suite("all", RunConfig(T=3, zeta1=1e40))
+    assert isinstance(exc.value, CycloGaudinError)
+    assert exc.value.last_good is None

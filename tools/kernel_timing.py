@@ -29,11 +29,14 @@ single calls, after 5 warm-up calls, of gaudin.lax_rhs((3, r), L,
 P), rmatrix.kernel_projection(localize(R0, zetas, 8), '+', root),
 ratmat.split(R0, root, zetas), gaudin.hamiltonian((3, r), L, P),
 rmatrix.sklyanin_residual(state, lam, mu) (|lam| = 0.55, |mu| = 1.7),
-gaudin.lax_partner((3, r), L, P) and
-gaudin.hamiltonian_coefficient_gradients((3, r), L, P): the routines under
-the algebra_battery workload, at the battery's deepest flow, and the two
-other reads of lambda^p L^p at a slot.  It prints one row per (model, T)
-and, per checkout, one column per routine.
+gaudin.lax_partner((3, r), L, P),
+gaudin.hamiltonian_coefficient_gradients((3, r), L, P) and
+R0.laurent_expand(zeta_1, 12) (at 0 on Toda, which has no zeta_1): the
+routines under the algebra_battery workload, at the battery's deepest
+flow, the two other reads of lambda^p L^p at a slot, and one expansion
+to the order that split uses at every slot (its weight table cached by
+the warm-up calls).  It prints one row per (model, T) and, per checkout,
+one column per routine.
 
 Routes table: for the same three models at T = 2..5 (states drawn at
 seed 2), it times ROUTE_CALLS = 100 single calls, after 5 warm-up calls,
@@ -68,7 +71,7 @@ ROUTE_CALLS, STACK_ROWS = 100, 400
 H = 1e-3
 COLUMNS = {"kernel": ("call", "step", "endpoint"),
            "laurent": ("lax_rhs", "R_+", "split", "hamiltonian", "sklyanin",
-                       "lax_partner", "gradients"),
+                       "lax_partner", "gradients", "expand"),
            "routes": ("el_lax", "stack")}
 
 
@@ -137,6 +140,7 @@ def _laurent_table() -> dict:
                   + ratmat.RationalMatrix.constant(
                       algebra.grade_component(c, 0, T)))
             X = ratmat.localize(R0, P.zetas, 8)
+            zr = (0j, *P.zetas)[-1]
             lam = 0.55 * np.exp(2j * np.pi * rng.uniform())
             mu = 1.7 * np.exp(2j * np.pi * rng.uniform())
             calls = (lambda: gaudin.lax_rhs(f, L, P),
@@ -145,7 +149,8 @@ def _laurent_table() -> dict:
                      lambda: gaudin.hamiltonian(f, L, P),
                      lambda: rmatrix.sklyanin_residual(s, lam, mu),
                      lambda: gaudin.lax_partner(f, L, P),
-                     lambda: gaudin.hamiltonian_coefficient_gradients(f, L, P))
+                     lambda: gaudin.hamiltonian_coefficient_gradients(f, L, P),
+                     lambda: R0.laurent_expand(zr, ratmat._SPLIT_TRUNC))
             best[f"{name} {T}"] = [_best(fn, LAURENT_CALLS, 5) for fn in calls]
     return best
 

@@ -140,7 +140,7 @@ def _laurent_table() -> dict:
                   + ratmat.RationalMatrix.constant(
                       algebra.grade_component(c, 0, T)))
             X = ratmat.localize(R0, P.zetas, 8)
-            zr = (0j, *P.zetas)[-1]
+            zr = P.zetas[0] if P.zetas else 0j
             lam = 0.55 * np.exp(2j * np.pi * rng.uniform())
             mu = 1.7 * np.exp(2j * np.pi * rng.uniform())
             calls = (lambda: gaudin.lax_rhs(f, L, P),
